@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,9 +169,11 @@ def _parse_params(cp) -> tuple:
         raise ConfigError("need n >= 1", name, "n")
     tau = _get(sec, "tau", float, 1.0, name)
     tau0 = _get(sec, "tau0", float, 1.0, name)
-    if tau <= 0 or tau0 <= 0:
-        raise ConfigError("precisions must be positive", name, "tau")
+    if not (0 < tau < math.inf and 0 < tau0 < math.inf):
+        raise ConfigError("precisions must be positive and finite", name, "tau")
     truth = _get(sec, "truth", float, 0.0, name)
+    if not math.isfinite(truth):
+        raise ConfigError("must be finite", name, "truth")
     # reproducibility first: the seed has no default
     seed = _get(sec, "seed", int, name=name)
     truth_noise = _get(sec, "truth_noise", _as_bool, True, name)
@@ -178,6 +181,8 @@ def _parse_params(cp) -> tuple:
     if len(x0) not in (1, n, n + 1):
         raise ConfigError("x0 needs 1, n, or n+1 values (got %d)" % len(x0),
                           name, "x0")
+    if not all(map(math.isfinite, x0)):
+        raise ConfigError("values must be finite", name, "x0")
     params = SystemParams(n=n, tau=tau, tau0=tau0, truth=truth, seed=seed,
                           truth_noise=truth_noise)
     return params, x0

@@ -21,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import GraphSchedule
+from .schedules import CompiledSchedule, GraphSchedule, ledger_rows
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
 
-# Noise is drawn in blocks to keep generator overhead off the hot loop;
-# block draws and per-step draws of the same shapes yield the same stream.
-_NOISE_BLOCK = 4096
+# Noise is drawn in blocks of steps holding at most _NOISE_BUDGET standard
+# normals (512 KiB) over all runs together, so memory stays flat in the
+# number of runs and the horizon.
+_NOISE_BUDGET = 2 ** 16
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -61,6 +62,8 @@ class SystemParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one learning agent")
+        if not all(map(np.isfinite, (self.tau, self.tau0, self.truth))):
+            raise ValueError("tau, tau0 and truth must be finite")
         if self.tau <= 0 or self.tau0 <= 0:
             raise ValueError("precisions must be positive")
         if self.seed < 0:
@@ -99,6 +102,8 @@ def initial_state(params: SystemParams, x0=None) -> BeliefState:
         m[:] = params.truth
     else:
         x0 = np.asarray(x0, dtype=np.float64)
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
         if x0.ndim == 0:
             m[1:] = float(x0)
         elif x0.size == params.n:
@@ -175,35 +180,6 @@ def step_per_agent(state: BeliefState, adjacency: np.ndarray,
     return BeliefState(means, ledger, state.t + 1, params)
 
 
-def step_mean_process(state: BeliefState, adjacency: np.ndarray,
-                      batch: SignalBatch | None = None,
-                      rng: np.random.Generator | None = None) -> BeliefState:
-    """Advance all beliefs one step in matrix form.
-
-    x' = (P x + A (x + u + eps)) / (P + d) rowwise on learning agents, with
-    coordinate 0 pinned to the truth.  Draws a SignalBatch from rng when one
-    is not supplied; agrees with the per-agent reference path on the same
-    batch to floating-point roundoff.
-    """
-    params = state.params
-    if batch is None:
-        if rng is None:
-            raise ValueError("need a SignalBatch or an rng to draw one")
-        batch = emit_signals(state.means, state.ledger, params, rng)
-    deg = adjacency[1:].sum(axis=1)
-    p = state.ledger
-    means = np.empty_like(state.means)
-    # receivers with no incoming edges keep their posterior bit-for-bit
-    means[1:] = np.where(
-        deg > 0,
-        (p[1:] * state.means[1:] + adjacency[1:] @ batch.a) / (p[1:] + deg),
-        state.means[1:])
-    means[0] = params.truth
-    ledger = p.copy()
-    ledger[1:] += deg
-    return BeliefState(means, ledger, state.t + 1, params)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded run: means and precision ledger at the requested times."""
@@ -238,64 +214,75 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
     return times
 
 
-class _NoiseBlocks:
-    """Blocked standard-normal draws, stream-identical to per-step draws."""
+def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
+              x0, times: np.ndarray, n_runs: int, zero_noise: bool,
+              run_index: int = 0, record_signals: bool = False):
+    """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
 
-    def __init__(self, rng, width):
-        self.rng = rng
-        self.width = width
-        self.buf = None
-        self.pos = 0
-
-    def next(self):
-        if self.buf is None or self.pos == len(self.buf):
-            self.buf = self.rng.standard_normal((_NOISE_BLOCK, 2, self.width))
-            self.pos = 0
-        g = self.buf[self.pos]
-        self.pos += 1
-        return g
-
-
-def _run_core(step_arrays, params: SystemParams, horizon: int, x0, times,
-              run_index: int, zero_noise: bool,
-              out_means, out_ledger=None, out_signals=None):
-    """Shared hot loop: one run, recording at `times` into preallocated rows."""
-    init = initial_state(params, x0)
-    x = init.means.copy()
-    p = init.ledger.copy()
-    tau = params.tau
-    inv_sqrt_tau = 1.0 / np.sqrt(tau)
-    truth = params.truth
-    truth_noise = params.truth_noise
-    noise = None if zero_noise else _NoiseBlocks(
-        run_stream(params.seed, run_index), params.n + 1)
-    next_rec = 0
-    for t in range(horizon + 1):
-        recorded = next_rec < times.size and times[next_rec] == t
-        if recorded:
-            out_means[next_rec] = x
-            if out_ledger is not None:
-                out_ledger[next_rec] = p
-            next_rec += 1
-        if t == horizon:
-            break
-        a_mat, deg = step_arrays(t)
-        if zero_noise:
-            sig = x
-        else:
-            g = noise.next()
-            u = g[0] / np.sqrt(tau * p)
-            u[0] = 0.0
-            eps = g[1] * inv_sqrt_tau
-            if not truth_noise:
-                eps[0] = 0.0
-            sig = x + u + eps
-        if recorded and out_signals is not None:
-            out_signals[next_rec - 1] = sig
-        # zero-receiver coordinates stay put exactly, like the reference path
-        x = np.where(deg > 0, (p * x + a_mat @ sig) / (p + deg), x)
-        x[0] = truth
-        p = p + deg
+    x holds one row per run; the ledger is shared, taken as ratio + int64
+    receive counts like run_expected's.  The horizon is walked in blocks of
+    B steps, B chosen so the noise buffer (runs, B, 2, n+1) stays within
+    _NOISE_BUDGET entries; each run fills its slice from its own stream,
+    which yields the values step-by-step draws would.  So every member is
+    bit-for-bit the run it would be alone.  Returns means (M, K, n+1),
+    ledger (K, n+1) and signals (M, K, n+1) or None, at `times`.
+    """
+    n1 = params.n + 1
+    means = np.empty((n_runs, times.size, n1))
+    ledger = np.empty((times.size, n1))
+    signals = (np.full((n_runs, times.size, n1), np.nan) if record_signals
+               else None)
+    x = np.tile(initial_state(params, x0).means, (n_runs, 1))
+    ratio, tau, truth = params.ratio, params.tau, params.truth
+    width = max(1, min(_NOISE_BUDGET // (n_runs * 2 * n1), horizon))
+    streams = [] if zero_noise else [
+        run_stream(params.seed, run_index + r) for r in range(n_runs)]
+    buf = None if zero_noise else np.empty((n_runs, width, 2, n1))
+    compiled = CompiledSchedule(schedule)
+    idle = compiled.idle  # grows in place as block() meets new patterns
+    received = np.zeros(n1, dtype=np.int64)
+    pending = times.tolist() + [-1]  # no step is -1
+    k = 0
+    for b0 in range(0, horizon, width):
+        b1 = min(b0 + width, horizon)
+        slots, degrees = compiled.block(b0, b1)
+        before, after = ledger_rows(ratio, received, degrees)
+        if buf is not None:
+            noise = buf[:, :b1 - b0]
+            for stream, out in zip(streams, noise):
+                stream.standard_normal(out=out)
+            noise[:, :, 0] /= np.sqrt(tau * before)
+            noise[:, :, 0, 0] = 0.0  # point mass: the truth agent's sample
+            noise[:, :, 1] *= 1.0 / np.sqrt(tau)
+            if not params.truth_noise:
+                noise[:, :, 1, 0] = 0.0
+        for t, slot, p, p_next in zip(range(b0, b1), slots.tolist(), before,
+                                      after):
+            if buf is None:
+                sig = x
+            else:
+                sig = x + noise[:, t - b0, 0]
+                sig += noise[:, t - b0, 1]
+            if t == pending[k]:
+                means[:, k] = x
+                ledger[k] = p
+                if signals is not None:
+                    signals[:, k] = sig
+                k += 1
+            new = p * x
+            # one matrix-vector product per run, as a solo run takes it; a
+            # single sig @ A.T rounds differently once rows have many senders
+            new += np.matmul(compiled.adjacency[slot], sig[:, :, None])[:, :, 0]
+            new /= p_next
+            # zero-receiver coordinates stay put exactly, like the reference path
+            if idle[slot] is not None:
+                np.copyto(new, x, where=idle[slot])
+            new[:, 0] = truth
+            x = new
+    if horizon == pending[k]:
+        means[:, k] = x
+        ledger[k] = ratio + received
+    return means, ledger, signals
 
 
 def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -312,14 +299,11 @@ def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    n1 = params.n + 1
-    out_means = np.empty((times.size, n1))
-    out_ledger = np.empty((times.size, n1))
-    out_signals = np.full((times.size, n1), np.nan) if record_signals else None
-    _run_core(schedule.arrays_at, params, horizon, x0, times, run_index,
-              zero_noise, out_means, out_ledger, out_signals)
-    return Trajectory(times, out_means, out_ledger, params, run_index,
-                      "zero-noise" if zero_noise else "simulated", out_signals)
+    means, ledger, signals = _run_core(schedule, params, horizon, x0, times, 1,
+                                       zero_noise, run_index, record_signals)
+    return Trajectory(times, means[0], ledger, params, run_index,
+                      "zero-noise" if zero_noise else "simulated",
+                      None if signals is None else signals[0])
 
 
 @dataclass(frozen=True)
@@ -342,12 +326,6 @@ def run_ensemble(schedule: GraphSchedule, params: SystemParams, horizon: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    window = [schedule.arrays_at(t) for t in range(horizon)]
-    step_arrays = window.__getitem__
-    n1 = params.n + 1
-    means = np.empty((n_runs, times.size, n1))
-    ledger = np.empty((times.size, n1))
-    for r in range(n_runs):
-        _run_core(step_arrays, params, horizon, x0, times, r, zero_noise,
-                  means[r], out_ledger=ledger if r == 0 else None)
+    means, ledger, _ = _run_core(schedule, params, horizon, x0, times, n_runs,
+                                 zero_noise)
     return EnsembleResult(times, means, ledger, params, n_runs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import CompiledSchedule, GraphSchedule
+from .schedules import CompiledSchedule, GraphSchedule, ledger_rows
 
 _ATOL = 1e-12
 
@@ -180,26 +180,20 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     means[0] = init.means
     norms[0] = np.max(np.abs(init.means[1:] - truth))
     compiled = CompiledSchedule(schedule)
-    frozen: list[np.ndarray | None] = []  # per slot: rows with no receipt
+    idle = compiled.idle  # grows in place as block() meets new patterns
     received = np.zeros(params.n + 1, dtype=np.int64)
     for b0 in range(0, horizon, _RUN_BLOCK):
         b1 = min(b0 + _RUN_BLOCK, horizon)
         slots, degrees = compiled.block(b0, b1)
-        for deg in compiled.degrees[len(frozen):]:
-            idle = deg == 0
-            frozen.append(idle if idle[1:].any() else None)
-        cumulative = np.cumsum(degrees, axis=0)
-        before = params.ratio + (received + cumulative - degrees)
-        after = before + degrees
-        received += cumulative[-1]
+        before, after = ledger_rows(params.ratio, received, degrees)
         y = means[b0]
         for row, k, p, p_next in zip(means[b0 + 1:b1 + 1], slots.tolist(),
                                      before, after):
             np.multiply(p, y, out=row)
             row += compiled.adjacency[k] @ y
             row /= p_next
-            if frozen[k] is not None:
-                np.copyto(row, y, where=frozen[k])
+            if idle[k] is not None:
+                np.copyto(row, y, where=idle[k])
             row[0] = truth
             y = row
         norms[b0 + 1:b1 + 1] = np.max(np.abs(means[b0 + 1:b1 + 1, 1:] - truth),

@@ -164,6 +164,8 @@ class CompiledSchedule:
         self.schedule = schedule
         self.adjacency: list[np.ndarray] = []
         self.degrees: list[np.ndarray] = []
+        # per slot: the rows that receive nothing, None when every learner does
+        self.idle: list[np.ndarray | None] = []
         self._slots: dict[int, int] = {}
         cycle = schedule.cycle_patterns()
         if cycle is not None:
@@ -183,6 +185,8 @@ class CompiledSchedule:
             k = self._slots[id(a)] = len(self.adjacency)
             self.adjacency.append(a)
             self.degrees.append(deg)
+            idle = deg == 0
+            self.idle.append(idle if idle[1:].any() else None)
         return k
 
     def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +202,20 @@ class CompiledSchedule:
         slots = np.array([self._slot(p) for p in patterns], dtype=np.intp)
         degrees = np.array([deg for _, deg in patterns], dtype=np.int64)
         return slots, degrees.reshape(len(patterns), self.schedule.n + 1)
+
+
+def ledger_rows(ratio: float, received: np.ndarray, degrees: np.ndarray):
+    """Ledger rows before each step of a block, and each step's divisor.
+
+    before[j] is ratio + an int64 receive count, rounded once and never a
+    float running sum, so it does not drift whatever the ratio; the
+    divisor is before[j] + degrees[j].  received (the counts before the
+    block) is advanced past the block in place.
+    """
+    cumulative = np.cumsum(degrees, axis=0)
+    before = ratio + (received + cumulative - degrees)
+    received += cumulative[-1]
+    return before, before + degrees
 
 
 def degree_at(schedule: GraphSchedule, t: int) -> DegreeMatrix:

@@ -5,7 +5,9 @@ block of ``# key: value`` metadata, then fixed-order rows.  Two row
 encodings are supported:
 
 * ``csv``   - header ``t,agent,mean,precision`` (or the columns listed
-  in the header), one row per (time, agent) pair.
+  in the header), one row per (time, agent) pair; a field holding a
+  comma (a check name such as ``diagonal_bound[s=0,kappa=3]``) is quoted
+  the way the ``csv`` module quotes it.
 * ``jsonl`` - one JSON object per line with the same keys in the same
   order; the timestamp and metadata become leading ``{"generated": ..}``
   and ``{"meta": {..}}`` objects.
@@ -19,6 +21,8 @@ bytes.  The truth agent's precision is written as ``inf``.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -65,11 +69,11 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     if fmt not in FORMATS:
         raise ValueError("unknown format %r; expected one of %s" % (fmt, FORMATS))
     if fmt == "csv":
-        lines = [timestamp_line()]
-        lines.extend(_meta_lines(meta))
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(format_value(v) for v in row))
+        body = io.StringIO()
+        writer = csv.writer(body, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(format_value, row) for row in rows)
+        lines = [timestamp_line(), *_meta_lines(meta), body.getvalue()[:-1]]
     else:
         # json.dumps emits bare Infinity for the truth agent's precision;
         # read_table parses it back, but strict JSON parsers will not.
@@ -112,23 +116,18 @@ def read_table(path) -> TableData:
 
 def _read_csv(lines, path) -> TableData:
     meta = {}
-    header = None
-    data = []
+    body = []
     for line in lines:
         if line.startswith("# generated:"):
             continue
         if line.startswith("# "):
             key, _, value = line[2:].partition(": ")
             meta[key] = value
-            continue
-        if not line.strip():
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        data.append(line.split(","))
-    if header is None:
+        elif line.strip():
+            body.append(line)
+    if not body:
         raise ValueError("no header row in %s" % path)
+    header, *data = csv.reader(body)
     cols = {}
     for j, name in enumerate(header):
         raw = [row[j] for row in data]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from socialbayes import analysis, cli
 from socialbayes.cli import main
 from socialbayes.config import (
     ConfigError,
@@ -119,6 +120,9 @@ def test_bad_values_carry_section_and_key():
         (BASE.replace("horizon = 120", "horizon = -3"), "horizon"),
         (BASE.replace("ensemble = 2", "ensemble = 0"), "ensemble"),
         (BASE.replace("x0 = 2.0", "x0 = 1.0 2.0"), "x0"),
+        (BASE.replace("x0 = 2.0", "x0 = 2.0 nan 1.0 1.0"), "x0"),
+        (BASE.replace("x0 = 2.0", "x0 = 2.0\ntruth = inf"), "truth"),
+        (BASE.replace("x0 = 2.0", "x0 = 2.0\ntau0 = nan"), "tau"),
         (BASE + "\n[verify]\nchecks = identities gravity\n", "gravity"),
         (BASE + "\n[output]\nformat = parquet\n", "format"),
         (BASE + "\n[ratefit]\ninput = a\nwindow = 9 3\nd = 2\nkappa = 3\n",
@@ -216,6 +220,27 @@ def test_verify_passes_on_clean_schedule(tmp_path):
     assert (out / "verify.txt").exists()
 
 
+def test_verify_runs_the_norm_sweep_once_per_process(tmp_path, monkeypatch):
+    """The norm sweep takes no config input, so repeated verify calls
+    report the same checks from one sweep."""
+    calls = []
+    sweep = analysis.check_norm_inequalities
+    monkeypatch.setattr(analysis, "check_norm_inequalities",
+                        lambda: calls.append(1) or sweep())
+    cli._norm_checks.cache_clear()
+    cfg = config_file(tmp_path, BASE + "\n[verify]\nchecks = norms\n")
+    try:
+        for run in ("a", "b"):
+            out = str(tmp_path / run)
+            assert main(["verify", "--config", cfg, "--out", out]) == 0
+    finally:
+        cli._norm_checks.cache_clear()
+    assert len(calls) == 1
+    first, second = (tmp_path / run / "verify.csv" for run in ("a", "b"))
+    assert files_match(first, second)
+    assert read_table(first)["name"].tolist() == [c.name for c in sweep()]
+
+
 def test_verify_empty_selection_succeeds(tmp_path):
     cfg = config_file(tmp_path, BASE + "\n[verify]\nchecks =\n")
     out = tmp_path / "out"
@@ -246,6 +271,9 @@ def test_verify_windowed_checks_on_random(tmp_path):
     assert any(n.startswith("diagonal_bound") for n in names)
     assert any(n.startswith("contraction") for n in names)
     assert not any(n.startswith("truth_pull") for n in names)
+    # names hold commas; quoting keeps them whole and the columns aligned
+    assert all(n.endswith("]") for n in names)
+    assert report["lhs"].dtype == np.float64
 
 
 def test_counterexample_command(tmp_path, capsys):

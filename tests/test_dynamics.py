@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from socialbayes import dynamics
 from socialbayes.dynamics import (
+    BeliefState,
+    SignalBatch,
     SystemParams,
     emit_signals,
     initial_state,
     run_ensemble,
     run_simulation,
     run_stream,
-    step_mean_process,
     step_per_agent,
     update_agent,
 )
+from socialbayes.expected import run_expected
 from socialbayes.schedules import (
     make_periodic_schedule,
     make_random_schedule,
@@ -79,35 +82,43 @@ def test_emit_signals_rejects_dead_ledger():
 
 
 def test_per_agent_matches_matrix_path():
-    """Reference loop and vectorized step agree to 1e-12 per entry.
+    """The per-agent oracle replays the batched kernel to 1e-12 per entry.
 
-    Summation order differs between the two paths (explicit sum vs BLAS
-    dot), so agreement is to accumulation tolerance, not bitwise.
+    Each recorded step of run_simulation is fed through step_per_agent
+    from the kernel's own state and signal.  Summation order differs
+    between the two paths (explicit sum vs BLAS), so agreement is to
+    accumulation tolerance, not bitwise; the ledger is exact.  The
+    signals are those emit_signals draws from the run's stream.
     """
     params = SystemParams(n=5, tau=2.0, tau0=3.0, truth=1.0, seed=11)
     sched = make_random_schedule(5, 3, 0.4, seed=11)
-    state_a = initial_state(params, np.linspace(-2, 2, 5))
-    state_b = state_a
-    rng = run_stream(params.seed)
+    traj = run_simulation(sched, params, 100, x0=np.linspace(-2, 2, 5),
+                          record_every=1, record_signals=True, run_index=2)
+    rng = run_stream(params.seed, 2)
     for t in range(100):
-        adjacency, _ = sched.arrays_at(t)
-        batch = emit_signals(state_a.means, state_a.ledger, params, rng)
-        state_a = step_per_agent(state_a, adjacency, batch)
-        state_b = step_mean_process(state_b, adjacency, batch)
-        assert np.max(np.abs(state_a.means - state_b.means)) <= 1e-12
-        assert np.array_equal(state_a.ledger, state_b.ledger)
+        state = BeliefState(traj.means[t], traj.ledger[t], t, params)
+        drawn = emit_signals(state.means, state.ledger, params, rng)
+        assert np.max(np.abs(drawn.a - traj.signals[t])) <= 1e-12
+        batch = SignalBatch(traj.signals[t], np.zeros(6))
+        nxt = step_per_agent(state, sched.arrays_at(t)[0], batch)
+        assert np.max(np.abs(nxt.means - traj.means[t + 1])) <= 1e-12
+        assert np.array_equal(nxt.ledger, traj.ledger[t + 1])
+    assert np.all(np.isnan(traj.signals[-1]))  # the horizon emits no signal
 
 
 def test_no_edges_is_exact_identity():
-    params = SystemParams(n=3, seed=2)
-    sched = make_table_schedule(3, [(1, 1, 0)], horizon=2)
-    state = initial_state(params, [0.3, -0.7, 1.9])
-    rng = run_stream(5)
-    adjacency, _ = sched.arrays_at(0)  # empty step
-    batch = emit_signals(state.means, state.ledger, params, rng)
-    nxt = step_mean_process(state, adjacency, batch)
-    assert np.array_equal(nxt.means, state.means)
-    assert np.array_equal(nxt.ledger, state.ledger)
+    """Agents that hear nobody keep their posterior bit for bit."""
+    # at ratio 0.1, (p*x)/p rounds away from x for these means, so only an
+    # explicit no-op keeps them
+    params = SystemParams(n=3, tau=10.0, seed=2)
+    sched = make_table_schedule(3, [(1, 1, 0)], horizon=2)  # step 0 empty
+    traj = run_simulation(sched, params, 2, x0=[0.1, -0.7, 0.7],
+                          record_every=1)
+    assert np.array_equal(traj.means[1], traj.means[0])
+    assert np.array_equal(traj.ledger[1], traj.ledger[0])
+    # at step 1 only agent 1 hears; agents 2 and 3 stay put exactly
+    assert traj.means[2, 1] != traj.means[1, 1]
+    assert np.array_equal(traj.means[2, 2:], traj.means[1, 2:])
 
 
 def test_final_distribution_is_gaussian():
@@ -215,6 +226,60 @@ def test_ensemble_members_match_solo_runs():
         assert np.array_equal(ens.means[r], solo.means)
     assert ens.n_runs == 3
     assert np.array_equal(ens.times, solo.times)
+
+
+@pytest.mark.parametrize("n, rule, budget",
+                         [(3, "ring", 64), (3, "ring", 24),
+                          (100, "complete", None)])
+def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
+                                                  budget):
+    """Members stay bitwise equal to solo runs when the noise buffer cuts
+    the horizon into many blocks (budget 64 gives the ensemble two steps
+    per block, budget 24 one) and at n=100 with ~100 senders per row, where
+    one matrix-matrix product over the runs would round differently from
+    each run's own matrix-vector product."""
+    params = SystemParams(n=n, tau=0.5, seed=21)
+    sched = make_periodic_schedule(n, 2, peer_rule=rule)
+    solo = [run_simulation(sched, params, 60, x0=2.0, record_every=7,
+                           run_index=r).means for r in range(4)]
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "_NOISE_BUDGET", budget)
+    ens = run_ensemble(sched, params, 60, n_runs=4, x0=2.0, record_every=7)
+    for r in range(4):
+        assert np.array_equal(ens.means[r], solo[r])
+
+
+def test_zero_noise_matches_run_expected_bitwise():
+    """Zero noise gives the mean process bit for bit, ledger included, at a
+    ratio tau0/tau = 1/3 whose float running sum would drift."""
+    params = SystemParams(n=4, tau=3.0, tau0=1.0, seed=9)
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    expected = run_expected(sched, params, 3000, x0=2.0)
+    traj = run_simulation(sched, params, 3000, x0=2.0, record_every=1,
+                          zero_noise=True)
+    counts = np.cumsum([sched.arrays_at(t)[1] for t in range(3000)], axis=0)
+    assert np.array_equal(traj.ledger[1:], params.ratio + counts)
+    assert np.array_equal(traj.means, expected.means)
+    ens = run_ensemble(make_random_schedule(4, 3, 0.4, seed=3), params, 500,
+                       n_runs=3, x0=[1.0, 2.0, 3.0, 4.0], record_every=50,
+                       zero_noise=True)
+    random_expected = run_expected(make_random_schedule(4, 3, 0.4, seed=3),
+                                   params, 500, x0=[1.0, 2.0, 3.0, 4.0])
+    for r in range(3):
+        assert np.array_equal(ens.means[r], random_expected.means[ens.times])
+
+
+@pytest.mark.parametrize("field", ["tau", "tau0", "truth"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams(n=2, **{field: value})
+
+
+@pytest.mark.parametrize("x0", [np.nan, [1.0, np.inf], [0.0, 1.0, np.nan]])
+def test_initial_state_rejects_non_finite_x0(x0):
+    with pytest.raises(ValueError, match="finite"):
+        initial_state(SystemParams(n=2), x0)
 
 
 def test_ensemble_runs_are_independent():

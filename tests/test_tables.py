@@ -1,0 +1,126 @@
+"""Every table writer reads back exactly, in both formats."""
+
+import numpy as np
+import pytest
+
+from socialbayes.analysis import BoundCheck, fit_rate, sweep_window_checks
+from socialbayes.dynamics import SystemParams, run_ensemble, run_simulation
+from socialbayes.expected import run_expected
+from socialbayes.schedules import (
+    make_counterexample_schedule,
+    make_periodic_schedule,
+)
+from socialbayes.tables import (
+    CHECK_COLUMNS,
+    RATE_COLUMNS,
+    SUMMARY_COLUMNS,
+    SWITCH_COLUMNS,
+    TRAJECTORY_COLUMNS,
+    read_table,
+    write_check_report,
+    write_ensemble_summary,
+    write_expected_trajectory,
+    write_rate_report,
+    write_rate_table,
+    write_switch_table,
+    write_table,
+    write_trajectory,
+)
+
+PARAMS = SystemParams(n=3, tau=2.0, tau0=1.0, truth=0.5, seed=5)
+SCHEDULE = make_periodic_schedule(3, 3, peer_rule="ring")
+
+pytestmark = pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+
+
+def _assert_reads_back(path, columns, rows, kind=None):
+    table = read_table(path)
+    assert list(table.columns) == columns
+    for j, name in enumerate(columns):
+        assert table[name].tolist() == [row[j] for row in rows], name
+    if kind is not None:
+        assert table.meta["kind"] == kind
+
+
+def _trajectory_rows(times, means, precisions):
+    return [(int(t), i, means[k, i], precisions[k, i])
+            for k, t in enumerate(times) for i in range(means.shape[1])]
+
+
+def test_write_table_quotes_awkward_fields(tmp_path, fmt):
+    columns = ["name", "value", "count"]
+    rows = [("diagonal_bound[s=0,kappa=3]", 0.1, 1),
+            ('say "hi", twice', float("inf"), 2),
+            ("plain", -1e-300, 3)]
+    path = write_table(tmp_path / ("t." + fmt), {"kind": "x, y"}, columns,
+                       rows, fmt)
+    _assert_reads_back(path, columns, rows, "x, y")
+
+
+def test_write_trajectory(tmp_path, fmt):
+    traj = run_simulation(SCHEDULE, PARAMS, 20, x0=2.0, record_every=3)
+    path = write_trajectory(tmp_path / ("run." + fmt), traj, fmt)
+    _assert_reads_back(path, TRAJECTORY_COLUMNS, _trajectory_rows(
+        traj.times, traj.means, traj.precisions), "simulated")
+
+
+def test_write_expected_trajectory(tmp_path, fmt):
+    expected = run_expected(SCHEDULE, PARAMS, 20, x0=2.0)
+    path = write_expected_trajectory(tmp_path / ("e." + fmt), expected,
+                                     SCHEDULE, fmt, every=3)
+    times = np.r_[np.arange(0, 20, 3), 20]
+    counts = np.cumsum([np.zeros(4, dtype=np.int64)]
+                       + [SCHEDULE.arrays_at(t)[1] for t in range(20)], axis=0)
+    precisions = PARAMS.tau * (PARAMS.ratio + counts[times])
+    precisions[:, 0] = np.inf
+    _assert_reads_back(path, TRAJECTORY_COLUMNS, _trajectory_rows(
+        times, expected.means[times], precisions), "expected")
+
+
+def test_write_ensemble_summary(tmp_path, fmt):
+    ens = run_ensemble(SCHEDULE, PARAMS, 20, n_runs=3, x0=2.0, record_every=5)
+    path = write_ensemble_summary(tmp_path / ("s." + fmt), ens, fmt)
+    mean = ens.means.mean(axis=0)
+    var = ens.means.var(axis=0, ddof=1)
+    rows = [(int(t), i, mean[k, i], var[k, i])
+            for k, t in enumerate(ens.times) for i in range(4)]
+    _assert_reads_back(path, SUMMARY_COLUMNS, rows, "ensemble-summary")
+
+
+def test_write_check_report(tmp_path, fmt):
+    checks = sweep_window_checks(SCHEDULE, PARAMS, 12, 3)
+    checks += [BoundCheck("gated[s=0,kappa=3]", 1.0, 0.0, status="burn-in"),
+               BoundCheck("failing[pairs=2]", 2.0, 1.0)]
+    assert any("," in c.name for c in checks)
+    path = write_check_report(tmp_path / ("verify." + fmt), checks, fmt)
+    rows = [(c.name, c.lhs, c.rhs, c.margin,
+             "pass" if c.passed else ("gated" if c.gated else "FAIL"))
+            for c in checks]
+    _assert_reads_back(path, CHECK_COLUMNS, rows, "check-report")
+
+
+def test_write_rate_table_and_report(tmp_path, fmt):
+    expected = run_expected(SCHEDULE, PARAMS, 200, x0=2.0)
+    path = write_rate_table(tmp_path / ("points." + fmt), expected.times,
+                            expected.norms, fmt=fmt)
+    _assert_reads_back(path, RATE_COLUMNS,
+                       list(zip(expected.times.tolist(), expected.norms)),
+                       "rate-table")
+    fit = fit_rate(expected.times, expected.norms, window=(10, 200), d=3,
+                   kappa=3)
+    path = write_rate_report(tmp_path / ("fit." + fmt), fit, fmt=fmt)
+    columns = ["slope", "intercept", "bound", "slack", "window_lo",
+               "window_hi", "n_points", "status"]
+    row = (fit.slope, fit.intercept, fit.theoretical_bound, fit.slack,
+           fit.window[0], fit.window[1], fit.n_points, fit.status)
+    _assert_reads_back(path, columns, [row], "rate-report")
+
+
+def test_write_switch_table(tmp_path, fmt):
+    schedule = make_counterexample_schedule(1.0, 2000)
+    switches = schedule.switches
+    assert switches
+    path = write_switch_table(tmp_path / ("sw." + fmt), switches, fmt=fmt)
+    rows = [(sw.k, sw.t_k, sw.s_k, sw.value_at_t, sw.bound_at_t,
+             sw.value_at_s, sw.bound_at_s) for sw in switches]
+    _assert_reads_back(path, SWITCH_COLUMNS, rows, "switch-table")
