@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .dynamics import SystemParams, run_ensemble
-from .expected import run_expected, transition_bundle
+from .expected import ExpectedTrajectory, run_expected, transition_bundles
 from .schedules import (CounterexampleSchedule, GraphSchedule, max_degree,
                         make_periodic_schedule, make_random_schedule)
 
@@ -81,24 +82,16 @@ def _skipped(name: str, reason: str, **detail) -> BoundCheck:
     return BoundCheck(name, math.nan, math.nan, "precondition unmet", detail)
 
 
-def _window_bundles(schedule: GraphSchedule, params: SystemParams, s: int,
-                    kappa: int, ledger_start: np.ndarray | None = None):
-    """Bundles for steps [s, s+kappa) plus the ledger at both ends."""
-    if ledger_start is None:
-        total = np.zeros(schedule.n + 1, dtype=np.int64)
-        for k in range(s):
-            total += schedule.arrays_at(k)[1]
-        ledger = params.ratio + total.astype(np.float64)
-    else:
-        ledger = np.asarray(ledger_start, dtype=np.float64).copy()
-    p_start = ledger.copy()
-    bundles = []
-    for u in range(s, s + kappa):
-        a, deg = schedule.arrays_at(u)
-        b = transition_bundle(a, deg, ledger, u)
-        bundles.append(b)
-        ledger = b.ledger_after
-    return bundles, p_start, ledger
+def _window_bundles(walk, kappa: int):
+    """The next kappa bundles of a walk plus the ledger at both ends."""
+    bundles = list(islice(walk, kappa))
+    return bundles, bundles[0].ledger_before, bundles[-1].ledger_after
+
+
+def _window_at(schedule: GraphSchedule, params: SystemParams, s: int,
+               kappa: int):
+    return _window_bundles(transition_bundles(schedule, params, s, s + kappa),
+                           kappa)
 
 
 def _window_hears(bundles) -> bool:
@@ -122,8 +115,8 @@ def check_diagonal_bound(schedule: GraphSchedule, params: SystemParams,
     """
     if not (l is None or 0 <= l <= kappa - 1):
         raise ValueError("offset l must lie in [0, kappa)")
-    bundles, p_start, p_end = _bundles or _window_bundles(
-        schedule, params, s, kappa)
+    bundles, p_start, p_end = _bundles or _window_at(schedule, params, s,
+                                                     kappa)
     bound = p_start[1:] / p_end[1:]
     offsets = range(kappa) if l is None else (l,)
     worst = None
@@ -153,8 +146,8 @@ def check_contraction(schedule: GraphSchedule, params: SystemParams,
     otherwise the checkpoint is reported as precondition unmet.
     """
     name = f"contraction[s={s},kappa={kappa}]"
-    bundles, p_start, p_end = _bundles or _window_bundles(
-        schedule, params, s, kappa)
+    bundles, p_start, p_end = _bundles or _window_at(schedule, params, s,
+                                                     kappa)
     if not _window_hears(bundles):
         return _skipped(name, "truth hearing fails in window", s=s, kappa=kappa)
     prod = np.eye(schedule.n)
@@ -174,7 +167,7 @@ def check_truth_pull_accumulation(schedule: GraphSchedule,
     so one hear per window suffices.  Skipped when hearing fails.
     """
     name = f"truth_pull[s={s},kappa={kappa}]"
-    bundles, _, p_end = _bundles or _window_bundles(schedule, params, s, kappa)
+    bundles, _, p_end = _bundles or _window_at(schedule, params, s, kappa)
     if not _window_hears(bundles):
         return _skipped(name, "truth hearing fails in window", s=s, kappa=kappa)
     pull = np.zeros(schedule.n)
@@ -213,17 +206,16 @@ def check_product_decay(schedule: GraphSchedule, params: SystemParams,
         return _skipped(name, f"burn-in not reached (m* = {mstar:.3f})",
                         m0=m0, m=m, kappa=kappa, d=d)
     s, e = m0 * kappa, (m0 + m) * kappa
+    walk = transition_bundles(schedule, params, s, e)
     prod = np.eye(schedule.n)
-    ledger = None
     hears_all = True
     deg_cap = 0
-    for j in range(m):
-        bundles, p_start, p_end = _window_bundles(
-            schedule, params, s + j * kappa, kappa, ledger_start=ledger)
-        ledger = p_end
+    for _ in range(m):
+        bundles = list(islice(walk, kappa))
         hears_all = hears_all and _window_hears(bundles)
         for b in bundles:
-            deg_cap = max(deg_cap, int((b.ledger_after - b.ledger_before).max()))
+            deg_cap = max(deg_cap, round(float(
+                (b.ledger_after - b.ledger_before).max())))
             prod = b.reduced @ prod
     if not hears_all:
         return _skipped(name, "truth hearing fails in some window",
@@ -240,28 +232,27 @@ def check_product_decay(schedule: GraphSchedule, params: SystemParams,
 
 
 def check_transition_identities(schedule: GraphSchedule, params: SystemParams,
-                                horizon: int) -> list[BoundCheck]:
+                                horizon: int, _bundles=None) -> list[BoundCheck]:
     """Stochasticity and reduction identities over every step t < horizon.
 
     Reports the worst |row sum - 1| of the full transition and the worst
     |truth_pull + reduced row sum - 1| as two equality checks (lhs = worst
-    deviation, rhs = 0).
+    deviation, rhs = 0), each with the step where it occurs.  _bundles
+    replaces the walk over [0, horizon).
     """
-    ledger = np.full(schedule.n + 1, params.ratio)
+    if _bundles is None:
+        _bundles = transition_bundles(schedule, params, 0, horizon)
     worst_rows = 0.0
     worst_red = 0.0
     at_rows = at_red = -1
-    for t in range(horizon):
-        a, deg = schedule.arrays_at(t)
-        b = transition_bundle(a, deg, ledger, t)
-        ledger = b.ledger_after
+    for b in _bundles:
         dev_rows = float(np.max(np.abs(b.full.sum(axis=1) - 1.0)))
         dev_red = float(np.max(np.abs(
             b.truth_pull + b.reduced.sum(axis=1) - 1.0)))
         if dev_rows > worst_rows:
-            worst_rows, at_rows = dev_rows, t
+            worst_rows, at_rows = dev_rows, b.t
         if dev_red > worst_red:
-            worst_red, at_red = dev_red, t
+            worst_red, at_red = dev_red, b.t
     return [
         BoundCheck(f"stochasticity[T={horizon}]", worst_rows, 0.0,
                    detail={"worst_t": at_rows}),
@@ -305,22 +296,19 @@ def sweep_window_checks(schedule: GraphSchedule, params: SystemParams,
                         decay_lengths=(1, 5, 20)) -> list[BoundCheck]:
     """All window-anchored checks over aligned windows within the horizon.
 
-    Walks window starts s = 0, kappa, 2*kappa, ... with an incrementally
-    maintained ledger; at each start runs the diagonal, contraction, and
+    Walks window starts s = 0, kappa, 2*kappa, ... as slices of one bundle
+    walk; at each start runs the diagonal, contraction, and
     truth-pull checks, then adds product-decay checks at the first admissible
     burn-in for each requested length that fits the horizon.
     """
     checks: list[BoundCheck] = []
-    ledger = np.full(schedule.n + 1, float(params.ratio))
     n_windows = horizon // kappa
     if d is None:
         d = max_degree(schedule, horizon)
+    walk = transition_bundles(schedule, params, 0, n_windows * kappa)
     for j in range(n_windows):
         s = j * kappa
-        bundles, p_start, p_end = _window_bundles(
-            schedule, params, s, kappa, ledger_start=ledger)
-        ledger = p_end
-        shared = (bundles, p_start, p_end)
+        shared = _window_bundles(walk, kappa)
         checks.append(check_diagonal_bound(schedule, params, s, kappa,
                                            _bundles=shared))
         checks.append(check_contraction(schedule, params, s, kappa,
@@ -460,7 +448,7 @@ class CounterexampleVerdict:
     alternation cycle inside the horizon).  min_shifted is the smallest
     truth-shifted mean over both agents and all times; cycle_margins holds
     (k, margin at s_k, margin at t_k); truth_edge_counts counts hears per
-    agent within the horizon.
+    agent within the horizon; trajectory is the replayed mean process.
     """
 
     status: str
@@ -469,6 +457,7 @@ class CounterexampleVerdict:
     cycle_margins: list
     truth_edge_counts: tuple[int, int]
     horizon: int
+    trajectory: ExpectedTrajectory = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -510,9 +499,9 @@ def counterexample_check(schedule: CounterexampleSchedule,
               sum(1 for t in schedule.truth_times_2 if t < horizon))
     if realized == 0:
         return CounterexampleVerdict("insufficient horizon", min_shifted, 0,
-                                     [], counts, horizon)
+                                     [], counts, horizon, traj)
     return CounterexampleVerdict("pass" if ok else "fail", min_shifted,
-                                 realized, margins, counts, horizon)
+                                 realized, margins, counts, horizon, traj)
 
 
 @dataclass(frozen=True)

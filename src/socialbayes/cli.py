@@ -25,7 +25,7 @@ from .config import (
     load_config,
 )
 from .dynamics import Trajectory, run_ensemble
-from .expected import bundle_at, run_expected
+from .expected import run_expected, transition_bundles
 from .schedules import (
     ScheduleConstructionError,
     ScheduleHorizonError,
@@ -119,32 +119,19 @@ def cmd_expected(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _inject_transition_fault(checks, schedule, params):
-    """Corrupt a copy of the first transition and fold the damage in.
+def _with_transition_fault(bundles):
+    """The bundle walk with step 0's full transition corrupted.
 
     The perturbed entry breaks exact stochasticity by 1e-3, so the
-    identity checks must go red; bundles built by the schedule itself are
-    untouched.
+    identity checks must go red; the schedule itself is untouched.
     """
-    bundle = bundle_at(schedule, params, 0)
-    full = bundle.full.copy()
-    full[1, 1] += 1e-3
-    bad = dataclasses.replace(bundle, full=full,
-                              reduced=full[1:, 1:].copy(),
-                              truth_pull=full[1:, 0].copy())
-    worst_rows = float(np.max(np.abs(bad.full.sum(axis=1) - 1.0)))
-    worst_red = float(np.max(np.abs(bad.truth_pull
-                                    + bad.reduced.sum(axis=1) - 1.0)))
-    patched = []
-    for c in checks:
-        if c.name.startswith("stochasticity["):
-            c = dataclasses.replace(c, lhs=max(c.lhs, worst_rows),
-                                    detail={**c.detail, "fault": "transition"})
-        elif c.name.startswith("reduction["):
-            c = dataclasses.replace(c, lhs=max(c.lhs, worst_red),
-                                    detail={**c.detail, "fault": "transition"})
-        patched.append(c)
-    return patched
+    for b in bundles:
+        if b.t == 0:
+            full = b.full.copy()
+            full[1, 1] += 1e-3
+            b = dataclasses.replace(b, full=full, reduced=full[1:, 1:],
+                                    truth_pull=full[1:, 0])
+        yield b
 
 
 @functools.cache
@@ -158,11 +145,11 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     selected = cfg.verify.checks
     checks = []
     if "identities" in selected:
-        idents = analysis.check_transition_identities(schedule, cfg.params,
-                                                      cfg.horizon)
+        bundles = transition_bundles(schedule, cfg.params, 0, cfg.horizon)
         if cfg.verify.inject_fault == "transition":
-            idents = _inject_transition_fault(idents, schedule, cfg.params)
-        checks.extend(idents)
+            bundles = _with_transition_fault(bundles)
+        checks.extend(analysis.check_transition_identities(
+            schedule, cfg.params, cfg.horizon, _bundles=bundles))
     windowed = [name for name in selected if name in _WINDOW_CHECKS]
     if windowed:
         kappa = cfg.verify.kappa
@@ -208,10 +195,8 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     ext = _ext(cfg)
     tables.write_switch_table(out / ("switches." + ext), schedule.switches,
                               fmt=cfg.out_format)
-    x0 = cfg.params.truth + schedule.start
-    expected = run_expected(schedule, cfg.params, cfg.horizon, x0=x0)
     tables.write_expected_trajectory(out / ("trajectory." + ext),
-                                     _thin_expected(expected, cfg),
+                                     _thin_expected(verdict.trajectory, cfg),
                                      schedule, cfg.out_format)
     lines = [
         "status: %s" % verdict.status,

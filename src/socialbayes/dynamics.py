@@ -281,7 +281,7 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
             x = new
     if horizon == pending[k]:
         means[:, k] = x
-        ledger[k] = ratio + received
+        ledger[k] = ledger_rows(ratio, received, np.zeros((1, n1), np.int64))[0]
     return means, ledger, signals
 
 

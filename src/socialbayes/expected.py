@@ -14,17 +14,13 @@ role for the deviation process in the stochastic recursion.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
 from .schedules import CompiledSchedule, GraphSchedule, ledger_rows
-
-_ATOL = 1e-12
-
-# Steps per block in run_expected: bounds its ledger and norm scratch memory.
-_RUN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,12 +45,14 @@ class TransitionBundle:
 
 def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
                       ledger: np.ndarray, t: int = 0) -> TransitionBundle:
-    """Build and validate the transition blocks for one step.
+    """Build the transition blocks for one step.
 
     deg is the ledger degree vector (deg[0] = 0).  The divisor on each row is
     the row sum of (P_t + A_t), which equals P_{t+1} on learning-agent rows
     and P_t + 1 on the truth row; that makes the full matrix exactly
-    stochastic while the truth agent's ledger stays inert.
+    stochastic while the truth agent's ledger stays inert.  Only the
+    inputs are validated here; check_transition_identities measures how
+    far the result is from stochastic.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     p = np.asarray(ledger, dtype=np.float64)
@@ -76,27 +74,38 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
     reduced = full[1:, 1:]
     truth_pull = full[1:, 0]
     noise_mix = a[1:, 1:] / p_after[1:, None]
-
-    assert np.all(np.abs(full.sum(axis=1) - 1.0) <= _ATOL), \
-        "full transition rows must sum to one"
-    assert np.all(np.abs(truth_pull + reduced.sum(axis=1) - 1.0) <= _ATOL), \
-        "truth pull and reduced rows must sum to one"
-    assert np.all(reduced >= 0.0), "reduced block must be nonnegative"
-    assert np.array_equal(p_after[1:], divisor[1:]), \
-        "the two divisor forms must agree on learning-agent rows"
     return TransitionBundle(t, full, reduced, truth_pull, noise_mix, p, p_after)
 
 
-def bundle_at(schedule: GraphSchedule, params: SystemParams, t: int,
-              ledger: np.ndarray | None = None) -> TransitionBundle:
-    """Transition bundle at time t; ledger recomputed from scratch if absent."""
-    a, deg = schedule.arrays_at(t)
-    if ledger is None:
-        total = np.zeros(schedule.n + 1, dtype=np.int64)
-        for k in range(t):
-            total += schedule.arrays_at(k)[1]
-        ledger = params.ratio + total.astype(np.float64)
-    return transition_bundle(a, deg, ledger, t)
+def transition_bundles(schedule: GraphSchedule, params: SystemParams,
+                       start: int, stop: int) -> Iterator[TransitionBundle]:
+    """Transition bundles of steps [start, stop), in order.
+
+    The schedule is compiled and walked in blocks; each step's ledger is
+    the ledger_rows form ratio + (int64 receive count), the counts before
+    start summed from the same blocks, so a walk from any start yields
+    bitwise the bundles a walk from 0 reaches there.
+    """
+    if not 0 <= start <= stop:
+        raise ValueError("need 0 <= start <= stop")
+    return _walk(CompiledSchedule(schedule), params.ratio, start, stop)
+
+
+def _walk(compiled: CompiledSchedule, ratio: float, start: int, stop: int):
+    received = np.zeros(compiled.schedule.n + 1, dtype=np.int64)
+    for _, _, degrees in compiled.blocks(0, start):
+        received += degrees.sum(axis=0)
+    for b0, slots, degrees in compiled.blocks(start, stop):
+        before, _ = ledger_rows(ratio, received, degrees)
+        for t, k, deg, p in zip(range(b0, stop), slots.tolist(), degrees,
+                                before):
+            yield transition_bundle(compiled.adjacency[k], deg, p, t)
+
+
+def bundle_at(schedule: GraphSchedule, params: SystemParams,
+              t: int) -> TransitionBundle:
+    """Transition bundle at time t, its ledger counted from step 0."""
+    return next(transition_bundles(schedule, params, t, t + 1))
 
 
 def step_expected(y: np.ndarray, bundle: TransitionBundle,
@@ -113,33 +122,6 @@ def step_expected(y: np.ndarray, bundle: TransitionBundle,
         raise RuntimeError("full and reduced forms disagree")
     y_full[0] = truth
     return y_full
-
-
-def reduced_product(schedule: GraphSchedule, params: SystemParams,
-                    t: int, s: int,
-                    ledger_start: np.ndarray | None = None) -> np.ndarray:
-    """Product of reduced blocks over steps [s, t), newest on the left.
-
-    t == s gives the identity.  The ledger at s is recomputed unless given.
-    """
-    if t < s:
-        raise ValueError("need t >= s")
-    if s < 0:
-        raise ValueError("need s >= 0")
-    n = schedule.n
-    if ledger_start is None:
-        total = np.zeros(n + 1, dtype=np.int64)
-        for k in range(s):
-            total += schedule.arrays_at(k)[1]
-        ledger = params.ratio + total.astype(np.float64)
-    else:
-        ledger = np.asarray(ledger_start, dtype=np.float64).copy()
-    acc = np.eye(n)
-    for u in range(s, t):
-        b = transition_bundle(*schedule.arrays_at(u), ledger, u)
-        acc = b.reduced @ acc
-        ledger = b.ledger_after
-    return acc
 
 
 @dataclass(frozen=True)
@@ -165,10 +147,10 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     Exact linear iteration, no RNG: y_{t+1} = (P_t y + A_t y) / (P_t + D_t)
     on the receiving rows, with zero-receiver rows left exactly as they are.
-    The schedule is compiled once per run and walked in blocks of
-    _RUN_BLOCK steps; each block takes its ledger rows P_t = ratio + (int64
-    cumulative degrees) and its sup norms in vector form, so extra memory
-    is one block, not the horizon.  The first step is cross-checked against
+    The schedule is compiled once per run and walked in blocks; each
+    block takes its ledger rows P_t = ratio + (int64 cumulative degrees)
+    and its sup norms in vector form, so extra memory is one block, not
+    the horizon.  The first step is cross-checked against
     the validated bundle path.
     """
     if horizon < 0:
@@ -182,9 +164,8 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     compiled = CompiledSchedule(schedule)
     idle = compiled.idle  # grows in place as block() meets new patterns
     received = np.zeros(params.n + 1, dtype=np.int64)
-    for b0 in range(0, horizon, _RUN_BLOCK):
-        b1 = min(b0 + _RUN_BLOCK, horizon)
-        slots, degrees = compiled.block(b0, b1)
+    for b0, slots, degrees in compiled.blocks(0, horizon):
+        b1 = b0 + len(slots)
         before, after = ledger_rows(params.ratio, received, degrees)
         y = means[b0]
         for row, k, p, p_next in zip(means[b0 + 1:b1 + 1], slots.tolist(),

@@ -31,51 +31,13 @@ class ScheduleConstructionError(RuntimeError):
 _TAG_PEERS = 101
 _TAG_PHASES = 102
 
+# Steps per CompiledSchedule.blocks block: bounds a walk's degree and
+# ledger scratch memory.
+_BLOCK_STEPS = 4096
+
 
 def _schedule_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
-
-
-@dataclass(frozen=True)
-class DegreeMatrix:
-    """Receive counts d_{t,i} for one step, as the diagonal of D_t.
-
-    Entry 0 is pinned to zero: the truth agent's self-loop is bookkeeping for
-    stochasticity, not a received signal, so it never enters the precision
-    ledger.
-    """
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.int64)
-        if d.ndim != 1:
-            raise ValueError("degree diagonal must be a vector")
-        if d[0] != 0:
-            raise ValueError("truth agent degree must be 0")
-        if np.any(d < 0):
-            raise ValueError("degrees must be nonnegative")
-        object.__setattr__(self, "diag", d)
-
-
-@dataclass(frozen=True)
-class PrecisionLedger:
-    """Diagonal of P_t: prior-to-signal precision ratio plus accumulated degrees.
-
-    diag[i] = tau0/tau + sum_{k<t} d_{k,i}.  The integer part is kept exact, so
-    incremental accumulation and a from-scratch sum agree to the last bit.
-    """
-
-    diag: np.ndarray
-    ratio: float
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64)
-        if self.ratio <= 0:
-            raise ValueError("precision ratio must be positive")
-        if np.any(d < self.ratio - 1e-15):
-            raise ValueError("ledger entries cannot fall below the prior ratio")
-        object.__setattr__(self, "diag", d)
 
 
 class GraphSchedule:
@@ -203,6 +165,12 @@ class CompiledSchedule:
         degrees = np.array([deg for _, deg in patterns], dtype=np.int64)
         return slots, degrees.reshape(len(patterns), self.schedule.n + 1)
 
+    def blocks(self, start: int, stop: int):
+        """Yield (first step, slots, degree rows) over [start, stop),
+        _BLOCK_STEPS at a time, so a walk holds one block, not the span."""
+        for b0 in range(start, stop, _BLOCK_STEPS):
+            yield (b0, *self.block(b0, min(b0 + _BLOCK_STEPS, stop)))
+
 
 def ledger_rows(ratio: float, received: np.ndarray, degrees: np.ndarray):
     """Ledger rows before each step of a block, and each step's divisor.
@@ -210,7 +178,8 @@ def ledger_rows(ratio: float, received: np.ndarray, degrees: np.ndarray):
     before[j] is ratio + an int64 receive count, rounded once and never a
     float running sum, so it does not drift whatever the ratio; the
     divisor is before[j] + degrees[j].  received (the counts before the
-    block) is advanced past the block in place.
+    block) is advanced past the block in place.  A block of one all-zero
+    row gives the ledger after `received` alone.
     """
     cumulative = np.cumsum(degrees, axis=0)
     before = ratio + (received + cumulative - degrees)
@@ -218,29 +187,10 @@ def ledger_rows(ratio: float, received: np.ndarray, degrees: np.ndarray):
     return before, before + degrees
 
 
-def degree_at(schedule: GraphSchedule, t: int) -> DegreeMatrix:
-    """Receive-count diagonal D_t for one step of a schedule."""
-    return DegreeMatrix(schedule.arrays_at(t)[1])
-
-
-def precision_at(schedule: GraphSchedule, t: int, ratio: float) -> PrecisionLedger:
-    """From-scratch ledger P_t = ratio + sum of degree diagonals over k < t."""
-    if ratio <= 0:
-        raise ValueError("precision ratio must be positive")
-    total = np.zeros(schedule.n + 1, dtype=np.int64)
-    for k in range(t):
-        total += schedule.arrays_at(k)[1]
-    return PrecisionLedger(ratio + total.astype(np.float64), ratio)
-
-
 def max_degree(schedule: GraphSchedule, horizon: int) -> int:
     """Largest receive count over agents and steps t < horizon."""
-    worst = 0
-    for t in range(horizon):
-        d = int(schedule.arrays_at(t)[1].max())
-        if d > worst:
-            worst = d
-    return worst
+    return max((int(degrees.max()) for _, _, degrees
+                in CompiledSchedule(schedule).blocks(0, horizon)), default=0)
 
 
 @dataclass(frozen=True)

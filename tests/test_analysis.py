@@ -1,5 +1,7 @@
 """Bound checks, rate fits, moment estimates, and verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from socialbayes.analysis import (
     sweep_window_checks,
 )
 from socialbayes.dynamics import SystemParams, run_simulation
+from socialbayes.expected import transition_bundles
 from socialbayes.schedules import (
     make_counterexample_schedule,
     make_periodic_schedule,
@@ -123,6 +126,21 @@ def test_transition_identities_tight():
     for c in checks:
         assert c.passed
         assert c.lhs <= 1e-13  # exact construction, only roundoff shows up
+
+
+def test_transition_identities_catch_a_corrupted_bundle():
+    sched = make_random_schedule(6, 3, 0.4, seed=2)
+    params = SystemParams(n=6, seed=0)
+    walk = list(transition_bundles(sched, params, 0, 50))
+    full = walk[0].full.copy()
+    full[1, 1] += 1e-3
+    walk[0] = dataclasses.replace(walk[0], full=full, reduced=full[1:, 1:],
+                                  truth_pull=full[1:, 0])
+    checks = check_transition_identities(sched, params, 50, _bundles=walk)
+    for c in checks:
+        assert not c.passed and not c.gated
+        assert c.detail["worst_t"] == 0
+        assert abs(c.lhs - 1e-3) <= 1e-12
 
 
 def test_norm_helpers():

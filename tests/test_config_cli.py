@@ -1,5 +1,7 @@
 """Config files and the command-line runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,20 @@ from socialbayes.config import (
     parse_config,
     serialize_config,
 )
+from socialbayes.dynamics import SystemParams
+from socialbayes.expected import run_expected
 from socialbayes.schedules import (
     CounterexampleSchedule,
     PeriodicSchedule,
     RandomSchedule,
     TableSchedule,
+    make_counterexample_schedule,
 )
-from socialbayes.tables import files_match, read_table
+from socialbayes.tables import (
+    files_match,
+    read_table,
+    write_expected_trajectory,
+)
 
 BASE = """
 [params]
@@ -300,6 +309,44 @@ record_every = 1000
     assert np.all(np.diff(merged) > 0)  # dumped switch times strictly increase
     assert (out / "trajectory.csv").exists()
     assert "status: pass" in (out / "verdict.txt").read_text()
+
+
+def test_counterexample_runs_the_mean_process_once(tmp_path, monkeypatch):
+    text = """
+[params]
+n = 2
+seed = 5
+x0 = 2.0 2.0
+
+[schedule]
+kind = counterexample
+
+[run]
+horizon = 5000
+record_every = 100
+"""
+    cfg = config_file(tmp_path, text)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_expected(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_expected", counted)
+    monkeypatch.setattr(cli, "run_expected", counted)
+    out = tmp_path / "out"
+    assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # trajectory.csv is the replayed trajectory, thinned as configured
+    monkeypatch.undo()
+    schedule = make_counterexample_schedule(1.0, 5000)
+    fresh = run_expected(schedule, SystemParams(n=2, seed=5), 5000, x0=2.0)
+    keep = fresh.times % 100 == 0
+    write_expected_trajectory(
+        tmp_path / "ref.csv", dataclasses.replace(
+            fresh, times=fresh.times[keep], means=fresh.means[keep],
+            norms=fresh.norms[keep]), schedule)
+    assert files_match(out / "trajectory.csv", tmp_path / "ref.csv")
 
 
 def test_counterexample_insufficient_horizon(tmp_path):

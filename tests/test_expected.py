@@ -7,12 +7,13 @@ import socialbayes.expected as expected_module
 from socialbayes.dynamics import SystemParams, initial_state
 from socialbayes.expected import (
     bundle_at,
-    reduced_product,
     run_expected,
     step_expected,
     transition_bundle,
+    transition_bundles,
 )
 from socialbayes.schedules import (
+    _BLOCK_STEPS,
     ScheduleHorizonError,
     make_counterexample_schedule,
     make_periodic_schedule,
@@ -65,10 +66,6 @@ def test_bundle_ledger_bookkeeping():
     assert np.allclose(b0.ledger_before, 3.0)
     _, deg = sched.arrays_at(0)
     assert np.array_equal(b0.ledger_after, b0.ledger_before + deg)
-    # explicit ledger must match the from-scratch computation
-    b5 = bundle_at(sched, params, 5)
-    explicit = bundle_at(sched, params, 5, ledger=b5.ledger_before.copy())
-    assert np.array_equal(b5.full, explicit.full)
 
 
 def test_transition_bundle_validates_inputs():
@@ -117,6 +114,14 @@ def test_expected_shifted_property():
     assert out.kind == "expected"
 
 
+def _reduced_product(sched, params, s, t):
+    """Product of the walk's reduced blocks over [s, t), newest on the left."""
+    acc = np.eye(sched.n)
+    for b in transition_bundles(sched, params, s, t):
+        acc = b.reduced @ acc
+    return acc
+
+
 def test_reduced_product_propagates_shifted_means():
     """z_t = (product of reduced blocks over [s, t)) z_s when no agent
     hears the truth in between; with truth edges the product still maps
@@ -125,15 +130,34 @@ def test_reduced_product_propagates_shifted_means():
     sched = make_periodic_schedule(3, 2, peer_rule="ring")
     out = run_expected(sched, params, 40, x0=[1.0, -2.0, 0.5])
     for s, t in [(0, 5), (3, 17), (10, 40)]:
-        prod = reduced_product(sched, params, t, s)
+        prod = _reduced_product(sched, params, s, t)
         assert np.allclose(prod @ out.shifted[s], out.shifted[t], atol=1e-12)
-    assert np.array_equal(reduced_product(sched, params, 7, 7), np.eye(3))
+    assert np.array_equal(_reduced_product(sched, params, 7, 7), np.eye(3))
 
 
 def test_reduced_product_rejects_reversed_window():
     sched = make_periodic_schedule(2, 1)
     with pytest.raises(ValueError):
-        reduced_product(sched, SystemParams(n=2), 3, 5)
+        transition_bundles(sched, SystemParams(n=2), 5, 3)
+    with pytest.raises(ValueError):
+        transition_bundles(sched, SystemParams(n=2), -1, 3)
+
+
+@pytest.mark.parametrize("offset", [-6, 0, 4])
+def test_bundle_walk_slices_match_walk_from_zero(offset):
+    """A walk started at s yields bitwise the bundles a walk from 0 reaches
+    at s..s+k-1, also when [s, s+k) crosses a compile-block boundary."""
+    params = SystemParams(n=4, tau=3.0, tau0=1.0)  # ratio 1/3, not dyadic
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    start, k = _BLOCK_STEPS + offset, 12
+    whole = list(transition_bundles(sched, params, 0, start + k))[start:]
+    part = list(transition_bundles(sched, params, start, start + k))
+    assert [b.t for b in part] == list(range(start, start + k))
+    for a, b in zip(whole, part, strict=True):
+        for name in ("full", "reduced", "truth_pull", "noise_mix",
+                     "ledger_before", "ledger_after"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(bundle_at(sched, params, start).full, part[0].full)
 
 
 def test_run_expected_horizon_zero():

@@ -1,0 +1,54 @@
+"""The package surface: exports, the benchmark's traced layers, no asserts."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import socialbayes
+
+ROOT = Path(__file__).resolve().parent.parent
+REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
+           "reduced_product")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
+                                        .glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """Checks must not vanish under python -O: raise, never assert."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], "assert at %s line(s) %s" % (path.name, lines)
+
+
+def test_all_names_resolve():
+    missing = [name for name in socialbayes.__all__
+               if not hasattr(socialbayes, name)]
+    assert missing == []
+    assert len(set(socialbayes.__all__)) == len(socialbayes.__all__)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in socialbayes.__all__
+        assert not hasattr(socialbayes, name)
+        for module in ("analysis", "expected", "schedules", "tables"):
+            assert not hasattr(importlib.import_module(
+                "socialbayes." + module), name), (module, name)
+
+
+def test_traced_layers_resolve():
+    """Every function the benchmark's --trace 1 wraps still exists."""
+    spec = importlib.util.spec_from_file_location(
+        "_benchmark_spans", ROOT / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for module, attr, _ in spans.LAYERS:
+        owner = importlib.import_module("socialbayes." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
+from socialbayes.dynamics import SystemParams
+from socialbayes.expected import transition_bundles
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
     ScheduleHorizonError,
     default_pull_tolerance,
-    degree_at,
     make_counterexample_schedule,
     make_periodic_schedule,
     make_random_schedule,
     make_table_schedule,
     max_degree,
-    precision_at,
     verify_truth_hearing,
 )
 
@@ -62,12 +62,6 @@ def test_truth_row_stays_inert():
             assert deg[0] == 0
             # row 0 carries only the normalization self-loop
             assert a[0, 0] == 1.0 and not a[0, 1:].any()
-
-
-def test_degree_matrix_rejects_truth_count():
-    from socialbayes.schedules import DegreeMatrix
-    with pytest.raises(ValueError):
-        DegreeMatrix(np.array([1, 0, 0]))
 
 
 def test_arrays_are_read_only_and_cached():
@@ -174,23 +168,13 @@ def test_truth_hearing_fails_for_too_small_window():
 
 def test_precision_ledger_exact_integer_accumulation():
     sched = make_periodic_schedule(3, 2, peer_rule="ring")
-    led = precision_at(sched, 7, ratio=1.0)
+    walk = list(transition_bundles(sched, SystemParams(n=3), 0, 8))
     total = np.zeros(4, dtype=np.int64)
     for t in range(7):
         total += sched.arrays_at(t)[1]
-    assert np.array_equal(led.diag, 1.0 + total)
-    assert led.diag[0] == 1.0  # truth entry never grows
-
-
-def test_precision_at_rejects_bad_ratio():
-    sched = make_periodic_schedule(2, 2)
-    with pytest.raises(ValueError):
-        precision_at(sched, 3, ratio=0.0)
-
-
-def test_degree_at_wrapper():
-    sched = make_periodic_schedule(2, 1)
-    assert list(degree_at(sched, 0).diag) == [0, 1, 1]
+    led = walk[7].ledger_before
+    assert np.array_equal(led, 1.0 + total)
+    assert led[0] == 1.0  # truth entry never grows
 
 
 def test_counterexample_switch_times_strictly_increase():

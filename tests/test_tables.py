@@ -77,6 +77,24 @@ def test_write_expected_trajectory(tmp_path, fmt):
         times, expected.means[times], precisions), "expected")
 
 
+def test_expected_precision_exact_at_non_dyadic_ratio(tmp_path, fmt):
+    """The precision column is tau * (ratio + int64 receive count) to the
+    last bit, also at ratio 1/3, where a float running sum drifts."""
+    params = SystemParams(n=4, tau=3.0, tau0=1.0)
+    schedule = make_periodic_schedule(4, 3, peer_rule="ring")
+    horizon = 3000
+    expected = run_expected(schedule, params, horizon, x0=2.0)
+    path = write_expected_trajectory(tmp_path / ("e." + fmt), expected,
+                                     schedule, fmt)
+    counts = np.cumsum([np.zeros(5, dtype=np.int64)]
+                       + [schedule.arrays_at(t)[1] for t in range(horizon)],
+                       axis=0)
+    precisions = params.tau * (params.ratio + counts)
+    precisions[:, 0] = np.inf
+    table = read_table(path)
+    assert np.array_equal(table["precision"], precisions.ravel())
+
+
 def test_write_ensemble_summary(tmp_path, fmt):
     ens = run_ensemble(SCHEDULE, PARAMS, 20, n_runs=3, x0=2.0, record_every=5)
     path = write_ensemble_summary(tmp_path / ("s." + fmt), ens, fmt)
