@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import CompiledSchedule, GraphSchedule, ledger_rows
+from .schedules import GraphSchedule
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -118,69 +118,6 @@ def initial_state(params: SystemParams, x0=None) -> BeliefState:
 
 
 @dataclass(frozen=True)
-class SignalBatch:
-    """One step's emissions: belief samples theta, observation noise eps."""
-
-    theta: np.ndarray
-    eps: np.ndarray
-
-    @property
-    def a(self) -> np.ndarray:
-        """Signals actually sent, a = theta + eps."""
-        return self.theta + self.eps
-
-
-def emit_signals(means: np.ndarray, ledger: np.ndarray, params: SystemParams,
-                 rng: np.random.Generator) -> SignalBatch:
-    """Sample every agent's outgoing signal for one step.
-
-    theta_i ~ N(mean_i, 1/(tau*ledger_i)) for learning agents; the truth agent
-    emits theta_0 = truth exactly.  eps ~ N(0, 1/tau) iid, dropped on the
-    truth coordinate when truth_noise is off.
-    """
-    if np.any(ledger[1:] <= 0):
-        raise ValueError("ledger entries must be positive")
-    g = rng.standard_normal((2, means.size))
-    u = g[0] / np.sqrt(params.tau * ledger)
-    u[0] = 0.0  # point mass: the truth agent's sample is the truth itself
-    eps = g[1] / np.sqrt(params.tau)
-    if not params.truth_noise:
-        eps[0] = 0.0
-    return SignalBatch(means + u, eps)
-
-
-def update_agent(mean: float, precision: float, signals, tau: float):
-    """Conjugate Gaussian update of one agent for its received signals.
-
-    Returns (mean', precision').  With no signals the belief is unchanged.
-    """
-    signals = np.atleast_1d(np.asarray(signals, dtype=np.float64))
-    k = signals.size
-    new_precision = precision + k * tau
-    new_mean = (precision * mean + tau * signals.sum()) / new_precision
-    return float(new_mean), float(new_precision)
-
-
-def step_per_agent(state: BeliefState, adjacency: np.ndarray,
-                   batch: SignalBatch) -> BeliefState:
-    """Reference path: apply update_agent to each receiver separately."""
-    params = state.params
-    a = batch.a
-    means = state.means.copy()
-    ledger = state.ledger.copy()
-    for i in range(1, params.n + 1):
-        senders = np.flatnonzero(adjacency[i])
-        if senders.size == 0:
-            continue
-        mean, _ = update_agent(means[i], params.tau * ledger[i],
-                               a[senders], params.tau)
-        means[i] = mean
-        ledger[i] += senders.size
-    means[0] = params.truth
-    return BeliefState(means, ledger, state.t + 1, params)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Recorded run: means and precision ledger at the requested times."""
 
@@ -220,12 +157,13 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
 
     x holds one row per run; the ledger is shared, taken as ratio + int64
-    receive counts like run_expected's.  The horizon is walked in blocks of
-    B steps, B chosen so the noise buffer (runs, B, 2, n+1) stays within
-    _NOISE_BUDGET entries; each run fills its slice from its own stream,
-    which yields the values step-by-step draws would.  So every member is
-    bit-for-bit the run it would be alone.  Returns means (M, K, n+1),
-    ledger (K, n+1) and signals (M, K, n+1) or None, at `times`.
+    receive counts like run_expected's.  Each compiled block of the
+    schedule is walked in chunks of B steps, B chosen so the noise buffer
+    (runs, B, 2, n+1) stays within _NOISE_BUDGET entries; each run fills
+    its slice from its own stream, which yields the values step-by-step
+    draws would.  So every member is bit-for-bit the run it would be
+    alone.  Returns means (M, K, n+1), ledger (K, n+1) and signals
+    (M, K, n+1) or None, at `times`.
     """
     n1 = params.n + 1
     means = np.empty((n_runs, times.size, n1))
@@ -238,50 +176,53 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     streams = [] if zero_noise else [
         run_stream(params.seed, run_index + r) for r in range(n_runs)]
     buf = None if zero_noise else np.empty((n_runs, width, 2, n1))
-    compiled = CompiledSchedule(schedule)
-    idle = compiled.idle  # grows in place as block() meets new patterns
-    received = np.zeros(n1, dtype=np.int64)
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
-    for b0 in range(0, horizon, width):
-        b1 = min(b0 + width, horizon)
-        slots, degrees = compiled.block(b0, b1)
-        before, after = ledger_rows(ratio, received, degrees)
-        if buf is not None:
-            noise = buf[:, :b1 - b0]
-            for stream, out in zip(streams, noise):
-                stream.standard_normal(out=out)
-            noise[:, :, 0] /= np.sqrt(tau * before)
-            noise[:, :, 0, 0] = 0.0  # point mass: the truth agent's sample
-            noise[:, :, 1] *= 1.0 / np.sqrt(tau)
-            if not params.truth_noise:
-                noise[:, :, 1, 0] = 0.0
-        for t, slot, p, p_next in zip(range(b0, b1), slots.tolist(), before,
-                                      after):
-            if buf is None:
-                sig = x
-            else:
-                sig = x + noise[:, t - b0, 0]
-                sig += noise[:, t - b0, 1]
-            if t == pending[k]:
-                means[:, k] = x
-                ledger[k] = p
-                if signals is not None:
-                    signals[:, k] = sig
-                k += 1
-            new = p * x
-            # one matrix-vector product per run, as a solo run takes it; a
-            # single sig @ A.T rounds differently once rows have many senders
-            new += np.matmul(compiled.adjacency[slot], sig[:, :, None])[:, :, 0]
-            new /= p_next
-            # zero-receiver coordinates stay put exactly, like the reference path
-            if idle[slot] is not None:
-                np.copyto(new, x, where=idle[slot])
-            new[:, 0] = truth
-            x = new
+    for blk in schedule.compiled.blocks(0, horizon):
+        _, before, after = blk.ledger(ratio)
+        adjacency, idle = blk.adjacency, blk.idle()
+        slots = blk.slots.tolist()
+        for c0 in range(0, len(slots), width):
+            c1 = min(c0 + width, len(slots))
+            t0 = blk.start + c0
+            if buf is not None:
+                noise = buf[:, :c1 - c0]
+                for stream, out in zip(streams, noise):
+                    stream.standard_normal(out=out)
+                noise[:, :, 0] /= np.sqrt(tau * before[c0:c1])
+                noise[:, :, 0, 0] = 0.0  # point mass: the truth agent's sample
+                noise[:, :, 1] *= 1.0 / np.sqrt(tau)
+                if not params.truth_noise:
+                    noise[:, :, 1, 0] = 0.0
+            for t, slot, p, p_next in zip(range(t0, blk.start + c1),
+                                          slots[c0:c1], before[c0:c1],
+                                          after[c0:c1]):
+                if buf is None:
+                    sig = x
+                else:
+                    sig = x + noise[:, t - t0, 0]
+                    sig += noise[:, t - t0, 1]
+                if t == pending[k]:
+                    means[:, k] = x
+                    ledger[k] = p
+                    if signals is not None:
+                        signals[:, k] = sig
+                    k += 1
+                new = p * x
+                # one matrix-vector product per run, as a solo run takes it;
+                # a single sig @ A.T rounds differently once rows have many
+                # senders
+                new += np.matmul(adjacency[slot], sig[:, :, None])[:, :, 0]
+                new /= p_next
+                # zero-receiver coordinates stay put exactly, as a
+                # conjugate update with no signals leaves them
+                if idle[slot] is not None:
+                    np.copyto(new, x, where=idle[slot])
+                new[:, 0] = truth
+                x = new
     if horizon == pending[k]:
         means[:, k] = x
-        ledger[k] = ledger_rows(ratio, received, np.zeros((1, n1), np.int64))[0]
+        ledger[k] = before[-1] if horizon else ratio
     return means, ledger, signals
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import CompiledSchedule, GraphSchedule, ledger_rows
+from .schedules import GraphSchedule
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,21 @@ def transition_bundles(schedule: GraphSchedule, params: SystemParams,
                        start: int, stop: int) -> Iterator[TransitionBundle]:
     """Transition bundles of steps [start, stop), in order.
 
-    The schedule is compiled and walked in blocks; each step's ledger is
-    the ledger_rows form ratio + (int64 receive count), the counts before
-    start summed from the same blocks, so a walk from any start yields
+    The walk reads the schedule's compiled blocks, whose ledger rows are
+    ratio + (int64 receive count), so a walk from any start yields
     bitwise the bundles a walk from 0 reaches there.
     """
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
-    return _walk(CompiledSchedule(schedule), params.ratio, start, stop)
+    return _walk(schedule.compiled.blocks(start, stop), params.ratio)
 
 
-def _walk(compiled: CompiledSchedule, ratio: float, start: int, stop: int):
-    received = np.zeros(compiled.schedule.n + 1, dtype=np.int64)
-    for _, _, degrees in compiled.blocks(0, start):
-        received += degrees.sum(axis=0)
-    for b0, slots, degrees in compiled.blocks(start, stop):
-        before, _ = ledger_rows(ratio, received, degrees)
-        for t, k, deg, p in zip(range(b0, stop), slots.tolist(), degrees,
-                                before):
-            yield transition_bundle(compiled.adjacency[k], deg, p, t)
+def _walk(blocks, ratio: float):
+    for blk in blocks:
+        degrees, before, _ = blk.ledger(ratio)
+        for t, k, deg, p in zip(range(blk.start, blk.start + len(degrees)),
+                                blk.slots.tolist(), degrees, before):
+            yield transition_bundle(blk.adjacency[k], deg, p, t)
 
 
 def bundle_at(schedule: GraphSchedule, params: SystemParams,
@@ -147,11 +143,10 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     Exact linear iteration, no RNG: y_{t+1} = (P_t y + A_t y) / (P_t + D_t)
     on the receiving rows, with zero-receiver rows left exactly as they are.
-    The schedule is compiled once per run and walked in blocks; each
-    block takes its ledger rows P_t = ratio + (int64 cumulative degrees)
-    and its sup norms in vector form, so extra memory is one block, not
-    the horizon.  The first step is cross-checked against
-    the validated bundle path.
+    The run walks the schedule's compiled blocks; each block takes its
+    ledger rows P_t = ratio + (int64 receive counts) and its sup norms in
+    vector form, so extra memory is one block, not the horizon.
+    The first step is cross-checked against the validated bundle path.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -161,17 +156,15 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     norms = np.empty(horizon + 1)
     means[0] = init.means
     norms[0] = np.max(np.abs(init.means[1:] - truth))
-    compiled = CompiledSchedule(schedule)
-    idle = compiled.idle  # grows in place as block() meets new patterns
-    received = np.zeros(params.n + 1, dtype=np.int64)
-    for b0, slots, degrees in compiled.blocks(0, horizon):
-        b1 = b0 + len(slots)
-        before, after = ledger_rows(params.ratio, received, degrees)
+    for blk in schedule.compiled.blocks(0, horizon):
+        b0, b1 = blk.start, blk.start + len(blk.slots)
+        degrees, before, after = blk.ledger(params.ratio)
+        adjacency, idle = blk.adjacency, blk.idle()
         y = means[b0]
-        for row, k, p, p_next in zip(means[b0 + 1:b1 + 1], slots.tolist(),
+        for row, k, p, p_next in zip(means[b0 + 1:b1 + 1], blk.slots.tolist(),
                                      before, after):
             np.multiply(p, y, out=row)
-            row += compiled.adjacency[k] @ y
+            row += adjacency[k] @ y
             row /= p_next
             if idle[k] is not None:
                 np.copyto(row, y, where=idle[k])
@@ -180,8 +173,8 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
         norms[b0 + 1:b1 + 1] = np.max(np.abs(means[b0 + 1:b1 + 1, 1:] - truth),
                                       axis=1)
         if b0 == 0:
-            _check_first_step(compiled.adjacency[slots[0]], degrees[0],
-                              before[0], means, truth)
+            _check_first_step(adjacency[blk.slots[0]], degrees[0], before[0],
+                              means, truth)
     return ExpectedTrajectory(np.arange(horizon + 1), means, norms, truth,
                               params)
 

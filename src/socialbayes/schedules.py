@@ -14,7 +14,10 @@ stream independent of any learning-process randomness).
 from __future__ import annotations
 
 import bisect
+import functools
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,38 +34,107 @@ class ScheduleConstructionError(RuntimeError):
 _TAG_PEERS = 101
 _TAG_PHASES = 102
 
-# Steps per CompiledSchedule.blocks block: bounds a walk's degree and
-# ledger scratch memory.
+# Steps per compiled block at most: bounds a walk's scratch memory.
 _BLOCK_STEPS = 4096
+
+# Bytes of compiled blocks a schedule keeps for later walks (16 MiB); one
+# block takes at most an eighth, so at n = 100 a random schedule compiles
+# 25 steps per block and keeps about 200.
+_COMPILE_BUDGET = 2 ** 24
 
 
 def _schedule_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
+class Block(NamedTuple):
+    """Steps [start, start + len(slots)) of a schedule as arrays.
+
+    Step start + j uses the read-only 0/1 matrix adjacency[slots[j]] and
+    its int64 receive counts degrees[slots[j]]; received counts the
+    receives before start (CompiledSchedule.blocks sets it).
+    """
+
+    start: int
+    adjacency: tuple
+    degrees: tuple | np.ndarray  # one row per pattern
+    slots: np.ndarray
+    received: np.ndarray | None = None
+
+    def step_degrees(self) -> np.ndarray:
+        """(steps, n+1) int64 receive counts, one row per step."""
+        return np.asarray(self.degrees)[self.slots]
+
+    def ledger(self, ratio: float):
+        """(degree rows, ledger rows before each step and after the last,
+        each step's divisor ledger + degrees).
+
+        A ledger row is ratio + an int64 receive count, rounded once and
+        never a float running sum, so it does not drift whatever the ratio.
+        """
+        degrees = self.step_degrees()
+        before = ratio + np.cumsum(np.vstack([self.received, degrees]), axis=0)
+        return degrees, before, before[:-1] + degrees
+
+    def idle(self) -> list:
+        """Per pattern: the rows that receive nothing, or None."""
+        return [None if d[1:].all() else d == 0 for d in self.degrees]
+
+
+def _freeze(stack: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Read-only matrices of a (k, n+1, n+1) 0/1 stack and their (k, n+1)
+    receive counts, the truth self-loop not counted."""
+    degrees = stack.sum(axis=2).astype(np.int64)
+    degrees[:, 0] = 0
+    stack.flags.writeable = degrees.flags.writeable = False
+    return tuple(stack), degrees
+
+
+def _patterns(n: int, edge_sets) -> tuple[tuple, tuple]:
+    """_freeze'd patterns of edge sets, degree rows as a tuple, so a fixed
+    pattern set hands out the same arrays each time; a repeated edge
+    counts once.  Raises ValueError on a bad edge."""
+    stack = np.zeros((len(edge_sets), n + 1, n + 1))
+    stack[:, 0, 0] = 1.0  # truth self-loop: keeps the transition stochastic
+    for a, edges in zip(stack, edge_sets):
+        i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        bad = (i < 1) | (i > n) | (j < 0) | (j > n) | (i == j)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"edge ({i[k]}, {j[k]}) is a self-loop or "
+                             "out of node range")
+        a[i, j] = 1.0
+    adjacency, degrees = _freeze(stack)
+    return adjacency, tuple(degrees)
+
+
 class GraphSchedule:
     """Base class: a deterministic map t -> adjacency matrix on {0..n}.
 
-    Subclasses implement edges_at(t) returning the receive edges among rows
-    i >= 1 (truth edges are (i, 0)).  adjacency_at / arrays_at build and cache
-    the dense forms used by the dynamics loops.
+    Subclasses implement edges_at(t), the receive edges among rows i >= 1
+    (truth edges are (i, 0)), which is the definition, and _compile(start,
+    stop), the same steps as a Block.  Walks read `compiled`; arrays_at is
+    the one-step query.
     """
 
     kind = "base"
+    # Bytes one step adds to a compiled block; a kind that makes a
+    # pattern per step adds a whole matrix.
+    _step_bytes = np.dtype(np.intp).itemsize
 
     def __init__(self, n: int, horizon: int | None = None):
         if n < 1:
             raise ValueError("need at least one learning agent")
         self.n = int(n)
         self.horizon = None if horizon is None else int(horizon)
-        self._pattern_cache: dict = {}
-
-    # -- subclass surface -------------------------------------------------
 
     def edges_at(self, t: int) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
 
-    # -- shared machinery -------------------------------------------------
+    @functools.cached_property
+    def compiled(self) -> CompiledSchedule:
+        """The schedule's one compiled form, made on first use."""
+        return CompiledSchedule(self)
 
     def _check_t(self, t: int):
         if t < 0:
@@ -71,126 +143,91 @@ class GraphSchedule:
             raise ScheduleHorizonError(
                 f"t={t} beyond schedule horizon {self.horizon}")
 
-    def _pattern(self, edges: tuple[tuple[int, int], ...]):
-        cached = self._pattern_cache.get(edges)
-        if cached is not None:
-            return cached
-        m = self.n + 1
-        a = np.zeros((m, m))
-        a[0, 0] = 1.0  # truth self-loop; keeps the full transition stochastic
-        deg = np.zeros(m, dtype=np.int64)
-        for i, j in edges:
-            if not (1 <= i <= self.n) or not (0 <= j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) out of node range")
-            if i == j:
-                raise ValueError(f"learning agent self-loop ({i}, {j})")
-            if a[i, j] == 0.0:
-                a[i, j] = 1.0
-                deg[i] += 1
-        a.setflags(write=False)
-        deg.setflags(write=False)
-        cached = (a, deg)
-        self._pattern_cache[edges] = cached
-        return cached
-
     def adjacency_at(self, t: int) -> np.ndarray:
-        """Dense (n+1)x(n+1) 0/1 adjacency at time t (read-only view)."""
-        self._check_t(t)
-        return self._pattern(self.edges_at(t))[0]
+        """Dense (n+1)x(n+1) 0/1 adjacency at time t (read-only)."""
+        return self.arrays_at(t)[0]
 
     def arrays_at(self, t: int):
-        """(adjacency, ledger degree vector) at time t, both cached."""
+        """(adjacency, ledger degree vector) at time t, both read-only."""
         self._check_t(t)
-        return self._pattern(self.edges_at(t))
-
-    def cycle_patterns(self):
-        """Patterns of one period, step t using entry t % period, or None.
-
-        Lets CompiledSchedule index a periodic schedule without querying it
-        step by step; None (the default) means no such structure is known.
-        """
-        return None
+        blk = self._compile(t, t + 1)
+        return blk.adjacency[blk.slots[0]], blk.degrees[blk.slots[0]]
 
 
 class CompiledSchedule:
-    """A schedule as a stack of unique (adjacency, degree) patterns.
+    """A schedule compiled into Blocks, kept for reuse within a byte budget.
 
-    block(start, stop) gives each step's pattern slot and its degree rows,
-    so a run compiles its horizon block by block and memory stays bounded
-    by the block size.  A schedule with cycle_patterns() maps step t to
-    slot t % period with no per-step query; any other schedule is queried
-    through arrays_at, which keeps its horizon check.
+    blocks() compiles a block the first time a walk reaches it.  Blocks
+    stay held, the least recently used dropped first, while they take at
+    most _COMPILE_BUDGET bytes (the newest may overrun it), and each
+    block's receive-count sum is kept for good, so a walk from any start
+    compiles no step before it again.  Only a weak reference leads back
+    to the schedule, which holds this object: a cycle would keep the
+    blocks until the cyclic collector ran.
     """
 
     def __init__(self, schedule: GraphSchedule):
-        self.schedule = schedule
-        self.adjacency: list[np.ndarray] = []
-        self.degrees: list[np.ndarray] = []
-        # per slot: the rows that receive nothing, None when every learner does
-        self.idle: list[np.ndarray | None] = []
-        self._slots: dict[int, int] = {}
-        cycle = schedule.cycle_patterns()
-        if cycle is not None:
-            self._cycle = np.array([self._slot(p) for p in cycle],
-                                   dtype=np.intp)
-            self._cycle_degrees = np.array([deg for _, deg in cycle],
-                                           dtype=np.int64)
-        else:
-            self._cycle = None
+        self._schedule = weakref.proxy(schedule)
+        self.steps = max(1, min(_BLOCK_STEPS,
+                                _COMPILE_BUDGET // 8 // schedule._step_bytes))
+        self._ends: list[int] = []  # block j is [_ends[j - 1] or 0, _ends[j])
+        self._counts = [np.zeros(schedule.n + 1, dtype=np.int64)]  # before j
+        self._held: dict[int, tuple[Block, int]] = {}  # oldest use first
+        self.nbytes = 0
 
-    def _slot(self, pattern) -> int:
-        # patterns come from the schedule's cache, so identity is equality;
-        # holding them here keeps the ids valid
-        a, deg = pattern
-        k = self._slots.get(id(a))
-        if k is None:
-            k = self._slots[id(a)] = len(self.adjacency)
-            self.adjacency.append(a)
-            self.degrees.append(deg)
-            idle = deg == 0
-            self.idle.append(idle if idle[1:].any() else None)
-        return k
-
-    def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """(pattern slots, (stop-start, n+1) int64 degree rows) of [start, stop)."""
+    def block(self, start: int, stop: int) -> Block:
+        """Steps [start, stop) compiled afresh, within the schedule's horizon."""
         if not 0 <= start <= stop:
             raise ValueError("need 0 <= start <= stop")
-        if self._cycle is not None:
-            if stop > start:
-                self.schedule._check_t(stop - 1)
-            phase = np.arange(start, stop) % self._cycle.size
-            return self._cycle[phase], self._cycle_degrees[phase]
-        patterns = [self.schedule.arrays_at(t) for t in range(start, stop)]
-        slots = np.array([self._slot(p) for p in patterns], dtype=np.intp)
-        degrees = np.array([deg for _, deg in patterns], dtype=np.int64)
-        return slots, degrees.reshape(len(patterns), self.schedule.n + 1)
+        if stop > start:
+            self._schedule._check_t(stop - 1)
+        return self._schedule._compile(start, stop)
 
     def blocks(self, start: int, stop: int):
-        """Yield (first step, slots, degree rows) over [start, stop),
-        _BLOCK_STEPS at a time, so a walk holds one block, not the span."""
-        for b0 in range(start, stop, _BLOCK_STEPS):
-            yield (b0, *self.block(b0, min(b0 + _BLOCK_STEPS, stop)))
+        """Yield the Blocks covering [start, stop) in order, cut to it."""
+        if not 0 <= start <= stop:
+            raise ValueError("need 0 <= start <= stop")
+        j = bisect.bisect_right(self._ends, start)
+        lo = self._ends[j - 1] if j else 0
+        while lo < stop:
+            blk = self._get(j, lo, stop)
+            hi = lo + len(blk.slots)
+            a, b = max(start, lo), min(stop, hi)
+            if a < b:
+                yield blk._replace(start=a, slots=blk.slots[a - lo:b - lo],
+                                   received=self._counts[j] + _counts(
+                                       blk.degrees, blk.slots[:a - lo]))
+            lo, j = hi, j + 1
+
+    def _get(self, j: int, lo: int, stop: int) -> Block:
+        """Block j, which starts at lo; a new last block ends by stop."""
+        held = self._held.pop(j, None)
+        if held is None:
+            new = j == len(self._ends)
+            blk = self.block(lo, min(lo + self.steps, stop) if new
+                             else self._ends[j])
+            if new:
+                self._ends.append(lo + len(blk.slots))
+                self._counts.append(self._counts[j]
+                                    + _counts(blk.degrees, blk.slots))
+            held = (blk, blk.slots.nbytes + sum(
+                a.nbytes for a in (*blk.adjacency, *blk.degrees)))
+            self.nbytes += held[1]
+        self._held[j] = held
+        while self.nbytes > _COMPILE_BUDGET and len(self._held) > 1:
+            self.nbytes -= self._held.pop(next(iter(self._held)))[1]
+        return held[0]
 
 
-def ledger_rows(ratio: float, received: np.ndarray, degrees: np.ndarray):
-    """Ledger rows before each step of a block, and each step's divisor.
-
-    before[j] is ratio + an int64 receive count, rounded once and never a
-    float running sum, so it does not drift whatever the ratio; the
-    divisor is before[j] + degrees[j].  received (the counts before the
-    block) is advanced past the block in place.  A block of one all-zero
-    row gives the ledger after `received` alone.
-    """
-    cumulative = np.cumsum(degrees, axis=0)
-    before = ratio + (received + cumulative - degrees)
-    received += cumulative[-1]
-    return before, before + degrees
+def _counts(degrees, slots: np.ndarray) -> np.ndarray:
+    """int64 receive counts summed over steps using these pattern slots."""
+    return np.bincount(slots, minlength=len(degrees)) @ np.asarray(degrees)
 
 
 def max_degree(schedule: GraphSchedule, horizon: int) -> int:
     """Largest receive count over agents and steps t < horizon."""
-    return max((int(degrees.max()) for _, _, degrees
-                in CompiledSchedule(schedule).blocks(0, horizon)), default=0)
+    return max((int(blk.step_degrees().max())
+                for blk in schedule.compiled.blocks(0, horizon)), default=0)
 
 
 @dataclass(frozen=True)
@@ -216,17 +253,18 @@ def verify_truth_hearing(schedule: GraphSchedule, kappa: int,
     """
     if kappa < 1:
         raise ValueError("window length must be >= 1")
-    n = schedule.n
-    last_hear = np.full(n + 1, -1, dtype=np.int64)
-    for t in range(horizon):
-        for i, j in schedule.edges_at(t):
-            if j == 0:
-                last_hear[i] = t
-        w = t - kappa + 1
-        if w >= 0:
-            for i in range(1, n + 1):
-                if last_hear[i] < w:
-                    return TruthHearingVerdict(False, kappa, horizon, (i, w))
+    heard = np.full(schedule.n, -1, dtype=np.int64)  # last hear per learner
+    for blk in schedule.compiled.blocks(0, horizon):
+        steps = np.arange(blk.start, blk.start + len(blk.slots))
+        hears = np.array([a[1:, 0] for a in blk.adjacency])[blk.slots] > 0
+        last = np.maximum.accumulate(np.vstack(
+            [heard, np.where(hears, steps[:, None], -1)]), axis=0)[1:]
+        # window [t - kappa + 1, t] misses agent i; none when t < kappa - 1
+        late = np.argwhere(last < (steps - kappa + 1)[:, None])
+        if late.size:
+            return TruthHearingVerdict(False, kappa, horizon, (
+                int(late[0, 1]) + 1, int(steps[late[0, 0]]) - kappa + 1))
+        heard = last[-1]
     return TruthHearingVerdict(True, kappa, horizon)
 
 
@@ -254,12 +292,23 @@ class TableSchedule(GraphSchedule):
             raise ValueError("edge table extends past the given horizon")
         super().__init__(n, horizon)
         self._by_time = {t: tuple(sorted(es)) for t, es in by_time.items()}
-        for es in self._by_time.values():
-            self._pattern(es)  # validates node ranges eagerly
+        times = sorted(self._by_time)
+        index = {(): 0}  # pattern 0 is the empty step
+        slots = [index.setdefault(self._by_time[t], len(index)) for t in times]
+        self._patterns = _patterns(n, list(index))  # validates eagerly
+        # listed times and their slots, ended by the horizon (slot 0)
+        self._times = np.array(times + [horizon], dtype=np.int64)
+        self._time_slots = np.array(slots + [0], dtype=np.intp)
 
     def edges_at(self, t):
         self._check_t(t)
         return self._by_time.get(t, ())
+
+    def _compile(self, start, stop):
+        steps = np.arange(start, stop)
+        k = np.searchsorted(self._times, steps)
+        return Block(start, *self._patterns,
+                     np.where(self._times[k] == steps, self._time_slots[k], 0))
 
 
 class PeriodicSchedule(GraphSchedule):
@@ -291,13 +340,19 @@ class PeriodicSchedule(GraphSchedule):
             es = list(peers)
             es += [(i, 0) for i in range(1, n + 1) if self.phases[i - 1] == r]
             self._residue_edges.append(tuple(sorted(es)))
+        self._cycle = _patterns(n, self._residue_edges)
 
     def edges_at(self, t):
         self._check_t(t)
         return self._residue_edges[t % self.kappa]
 
-    def cycle_patterns(self):
-        return [self._pattern(es) for es in self._residue_edges]
+    def cycle_patterns(self) -> tuple[tuple, tuple]:
+        """(adjacency, degrees) of one period; step t uses entry t % kappa."""
+        return self._cycle
+
+    def _compile(self, start, stop):
+        return Block(start, *self.cycle_patterns(),
+                     np.arange(start, stop) % self.kappa)
 
 
 def _peer_edges(n: int, peer_rule) -> list[tuple[int, int]]:
@@ -345,6 +400,7 @@ class RandomSchedule(GraphSchedule):
         self.seed = int(seed)
         rng = _schedule_rng(seed, _TAG_PHASES, 0)
         self.phases = tuple(int(p) for p in rng.integers(0, kappa, size=n))
+        self._step_bytes = 8 * ((n + 1) ** 2 + n + 2)
 
     def edges_at(self, t):
         self._check_t(t)
@@ -358,6 +414,21 @@ class RandomSchedule(GraphSchedule):
             for i0, j0 in np.argwhere(draws < p):
                 es.append((int(i0) + 1, int(j0) + 1))
         return tuple(sorted(es))
+
+    def _compile(self, start, stop):
+        """edges_at's draws, thresholded straight into an adjacency stack."""
+        n, steps = self.n, np.arange(start, stop)
+        stack = np.zeros((steps.size, n + 1, n + 1))
+        stack[:, 0, 0] = 1.0
+        stack[:, 1:, 0] = steps[:, None] % self.kappa == np.array(self.phases)
+        if self.edge_probability > 0.0:
+            draws = np.empty((n, n))  # one reused buffer: no fresh pages
+            for a, t in zip(stack, steps.tolist()):
+                _schedule_rng(self.seed, _TAG_PEERS, t).random(out=draws)
+                np.less(draws, self.edge_probability, out=a[1:, 1:])
+            learners = np.arange(1, n + 1)
+            stack[:, learners, learners] = 0.0  # no self-loops
+        return Block(start, *_freeze(stack), np.arange(steps.size))
 
 
 def make_periodic_schedule(n: int, kappa: int, peer_rule="none",
@@ -434,6 +505,8 @@ class CounterexampleSchedule(GraphSchedule):
         self._starts: list[int] = []
         self._edges: list[tuple[tuple[int, int], ...]] = []
         self._materialize(tolerance_rule)
+        self._patterns = _patterns(2, self._edges)  # one per interval
+        self._start_times = np.array(self._starts, dtype=np.int64)
 
     def _add_interval(self, start: int, edge: tuple[int, int]):
         self._starts.append(start)
@@ -510,6 +583,10 @@ class CounterexampleSchedule(GraphSchedule):
         self._check_t(t)
         idx = bisect.bisect_right(self._starts, t) - 1
         return self._edges[idx]
+
+    def _compile(self, start, stop):
+        return Block(start, *self._patterns, np.searchsorted(
+            self._start_times, np.arange(start, stop), side="right") - 1)
 
 
 def make_counterexample_schedule(ratio: float, horizon: int, start: float = 2.0,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import EnsembleResult, SystemParams, Trajectory
 from .expected import ExpectedTrajectory
-from .schedules import CompiledSchedule, GraphSchedule, ledger_rows
+from .schedules import GraphSchedule
 
 FORMATS = ("csv", "jsonl")
 
@@ -207,21 +207,18 @@ def write_trajectory(path, traj: Trajectory, fmt: str = "csv") -> Path:
 def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np.ndarray:
     """Precision-ledger snapshots at the requested times, one blocked pass.
 
-    Each row is ledger_rows' ratio + (int64 receive count); the schedule
-    is queried only below the latest time.
+    Each row is ratio + (int64 receive count), from the schedule's
+    compiled blocks below the latest time.
     """
     times = np.asarray(times, dtype=np.int64)
     if np.any(times < 0):
         raise ValueError("ledger times must be nonnegative")
-    out = np.empty((len(times), params.n + 1))
+    out = np.full((len(times), params.n + 1), params.ratio)
     last = int(times.max(initial=0))
-    received = np.zeros(params.n + 1, dtype=np.int64)
-    for b0, _, degrees in CompiledSchedule(schedule).blocks(0, last):
-        before, _ = ledger_rows(params.ratio, received, degrees)
-        inside = (times >= b0) & (times < b0 + len(degrees))
-        out[inside] = before[times[inside] - b0]
-    idle = np.zeros((1, params.n + 1), np.int64)
-    out[times == last] = ledger_rows(params.ratio, received, idle)[0]
+    for blk in schedule.compiled.blocks(0, last):
+        before = blk.ledger(params.ratio)[1]
+        inside = (times >= blk.start) & (times < blk.start + len(before))
+        out[inside] = before[times[inside] - blk.start]
     return out
 
 

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from socialbayes import analysis, cli
+from socialbayes import analysis, cli, schedules
 from socialbayes.cli import main
 from socialbayes.config import (
+    CHECK_NAMES,
     ConfigError,
     build_schedule,
     parse_config,
@@ -248,6 +249,29 @@ def test_verify_runs_the_norm_sweep_once_per_process(tmp_path, monkeypatch):
     first, second = (tmp_path / run / "verify.csv" for run in ("a", "b"))
     assert files_match(first, second)
     assert read_table(first)["name"].tolist() == [c.name for c in sweep()]
+
+
+@pytest.mark.parametrize("command", ["verify", "expected"])
+def test_command_draws_each_random_step_once(tmp_path, monkeypatch, command):
+    """One call compiles the random schedule once and every check and
+    table reads that: no step's peer draws are made twice."""
+    text = BASE.replace("n = 4", "n = 8").replace(
+        "kind = periodic\nkappa = 3\npeer_rule = ring",
+        "kind = random\nkappa = 3\nedge_probability = 0.3").replace(
+        "horizon = 120", "horizon = 300")
+    cfg = config_file(tmp_path, text)
+    assert parse_config(text).verify.checks == CHECK_NAMES  # all six
+    draws = []
+    real = schedules._schedule_rng
+
+    def counted(seed, tag, index):
+        if tag == schedules._TAG_PEERS:
+            draws.append(index)
+        return real(seed, tag, index)
+
+    monkeypatch.setattr(schedules, "_schedule_rng", counted)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert sorted(draws) == list(range(300))
 
 
 def test_verify_empty_selection_succeeds(tmp_path):

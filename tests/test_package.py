@@ -11,7 +11,8 @@ import socialbayes
 
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
-           "reduced_product")
+           "reduced_product", "SignalBatch", "emit_signals", "step_per_agent",
+           "update_agent")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -35,7 +36,8 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in socialbayes.__all__
         assert not hasattr(socialbayes, name)
-        for module in ("analysis", "expected", "schedules", "tables"):
+        for module in ("analysis", "dynamics", "expected", "schedules",
+                       "tables"):
             assert not hasattr(importlib.import_module(
                 "socialbayes." + module), name), (module, name)
 

@@ -1,13 +1,17 @@
 """Graph schedules: construction, truth hearing, and the precision ledger."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from socialbayes import schedules
 from socialbayes.dynamics import SystemParams
 from socialbayes.expected import transition_bundles
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
+    RandomSchedule,
     ScheduleHorizonError,
     default_pull_tolerance,
     make_counterexample_schedule,
@@ -122,7 +126,32 @@ def test_table_schedule_declared_horizon_allows_quiet_tail():
         sched.edges_at(5)
 
 
-def test_compiled_schedule_blocks_match_queries():
+def _from_edges(sched, t):
+    """Step t's adjacency and receive counts built from edges_at alone."""
+    a = np.zeros((sched.n + 1, sched.n + 1))
+    a[0, 0] = 1.0
+    for i, j in sched.edges_at(t):
+        a[i, j] = 1.0
+    deg = a.sum(axis=1).astype(np.int64)
+    deg[0] = 0
+    return a, deg
+
+
+def _assert_block_matches(sched, blk, start, stop):
+    assert blk.start == start
+    assert blk.slots.shape == (stop - start,)
+    degrees = blk.step_degrees()
+    assert degrees.shape == (stop - start, sched.n + 1)
+    for row, t in enumerate(range(start, stop)):
+        a, deg = sched.arrays_at(t)
+        assert np.array_equal(blk.adjacency[blk.slots[row]], a)
+        assert np.array_equal(blk.degrees[blk.slots[row]], deg)
+        assert np.array_equal(degrees[row], deg)
+        ref_a, ref_deg = _from_edges(sched, t)
+        assert np.array_equal(a, ref_a) and np.array_equal(deg, ref_deg)
+
+
+def test_compiled_schedule_blocks_match_queries(monkeypatch):
     table = make_table_schedule(3, [(t, 1, 0) for t in range(0, 30, 4)]
                                 + [(t, 2, 3) for t in range(10, 50)],
                                 horizon=60)
@@ -130,18 +159,56 @@ def test_compiled_schedule_blocks_match_queries():
                   make_random_schedule(3, 2, 0.5, seed=4), table):
         compiled = CompiledSchedule(sched)
         for start, stop in [(0, 0), (0, 7), (7, 60), (5, 40)]:
-            slots, degrees = compiled.block(start, stop)
-            assert slots.shape == (stop - start,)
-            assert degrees.shape == (stop - start, 4)
-            for row, t in enumerate(range(start, stop)):
-                a, deg = sched.arrays_at(t)
-                assert np.array_equal(compiled.adjacency[slots[row]], a)
-                assert np.array_equal(compiled.degrees[slots[row]], deg)
-                assert np.array_equal(degrees[row], deg)
-        unique = {(a.tobytes()) for a in compiled.adjacency}
-        assert len(unique) == len(compiled.adjacency)
+            _assert_block_matches(sched, compiled.block(start, stop), start,
+                                  stop)
+        if not isinstance(sched, RandomSchedule):  # a random stack need not dedupe
+            blk = compiled.block(0, 60)
+            unique = {a.tobytes() for a in blk.adjacency}
+            assert len(unique) == len(blk.adjacency)
     with pytest.raises(ScheduleHorizonError):
         CompiledSchedule(table).block(50, 61)
+
+    trap = make_counterexample_schedule(1.0, 20_000)
+    compiled = CompiledSchedule(trap)
+    hears = sorted(trap.truth_times_1 + trap.truth_times_2)
+    assert len(hears) > 10
+    for t in hears:  # every interval starts at a hear or the step after it
+        lo, hi = max(t - 2, 0), min(t + 3, trap.horizon)
+        _assert_block_matches(trap, compiled.block(lo, hi), lo, hi)
+
+    # a random schedule across many small blocks, most of them dropped
+    monkeypatch.setattr(schedules, "_COMPILE_BUDGET", 4096)
+    sched = make_random_schedule(3, 2, 0.5, seed=9)
+    compiled = sched.compiled
+    assert compiled.steps == 3
+    for start, stop in [(0, 40), (5, 17), (31, 64), (0, 64)]:
+        t = start
+        for blk in compiled.blocks(start, stop):  # in order, cut to the span
+            assert 1 <= len(blk.slots) <= 3
+            _assert_block_matches(sched, blk, t, t + len(blk.slots))
+            assert np.array_equal(blk.received, sum(
+                (sched.arrays_at(u)[1] for u in range(t)), np.zeros(4, int)))
+            t += len(blk.slots)
+        assert t == stop
+        assert compiled.nbytes <= 4096
+
+
+def test_random_compile_holds_bounded_memory():
+    """At n = 100 the compiled form holds the same bytes, and a walk peaks
+    at the same traced memory, after 2,000 and after 8,000 steps, up to
+    one block; what it holds stays within the budget."""
+    held, peaks = [], []
+    for horizon in (2000, 8000):
+        sched = make_random_schedule(100, 3, 0.05, seed=1)
+        tracemalloc.start()
+        assert max_degree(sched, horizon) > 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        held.append(sched.compiled.nbytes)
+    one_block = schedules._COMPILE_BUDGET // 8
+    assert abs(held[1] - held[0]) <= one_block
+    assert max(held) <= schedules._COMPILE_BUDGET
+    assert abs(peaks[1] - peaks[0]) <= one_block
 
 
 def test_truth_hearing_reports_first_violation():
@@ -153,6 +220,36 @@ def test_truth_hearing_reports_first_violation():
     assert not verdict.passed
     assert verdict.violation == (2, 17)
     assert not verdict  # __bool__ mirrors passed
+
+
+def _truth_hearing_tally(sched, kappa, horizon):
+    """First (agent, window start) missing the truth, from edges_at."""
+    last = [-1] * (sched.n + 1)
+    for t in range(horizon):
+        for i, j in sched.edges_at(t):
+            if j == 0:
+                last[i] = t
+        for i in range(1, sched.n + 1):
+            if t - kappa + 1 >= 0 and last[i] < t - kappa + 1:
+                return i, t - kappa + 1
+    return None
+
+
+@pytest.mark.parametrize("kappa", [1, 3, 4, 5, 6])
+def test_truth_hearing_matches_edges_at_tally(kappa):
+    """The compiled truth column gives the tally's first violation, also
+    when windows straddle compiled blocks (the periodic case)."""
+    cases = [(make_random_schedule(8, 5, 0.3, seed=21), 400),
+             (make_periodic_schedule(3, 4, peer_rule="ring"), 9000)]
+    if kappa > 1:
+        trap = make_counterexample_schedule(1.0, 20_000)
+        cases.append((trap, trap.horizon))
+    for sched, horizon in cases:
+        for k in (kappa, 10 * kappa, 300 * kappa):
+            verdict = verify_truth_hearing(sched, k, horizon)
+            expected = _truth_hearing_tally(sched, k, horizon)
+            assert verdict.violation == expected, (sched.kind, k)
+            assert verdict.passed == (expected is None)
 
 
 def test_truth_hearing_passes_on_periodic():
