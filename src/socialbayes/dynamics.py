@@ -118,6 +118,69 @@ def initial_state(params: SystemParams, x0=None) -> BeliefState:
 
 
 @dataclass(frozen=True)
+class SignalBatch:
+    """One step's emissions: belief samples theta, observation noise eps."""
+
+    theta: np.ndarray
+    eps: np.ndarray
+
+    @property
+    def a(self) -> np.ndarray:
+        """Signals actually sent, a = theta + eps."""
+        return self.theta + self.eps
+
+
+def emit_signals(means: np.ndarray, ledger: np.ndarray, params: SystemParams,
+                 rng: np.random.Generator) -> SignalBatch:
+    """Sample every agent's outgoing signal for one step.
+
+    theta_i ~ N(mean_i, 1/(tau*ledger_i)) for learning agents; the truth agent
+    emits theta_0 = truth exactly.  eps ~ N(0, 1/tau) iid, dropped on the
+    truth coordinate when truth_noise is off.
+    """
+    if np.any(ledger[1:] <= 0):
+        raise ValueError("ledger entries must be positive")
+    g = rng.standard_normal((2, means.size))
+    u = g[0] / np.sqrt(params.tau * ledger)
+    u[0] = 0.0  # point mass: the truth agent's sample is the truth itself
+    eps = g[1] / np.sqrt(params.tau)
+    if not params.truth_noise:
+        eps[0] = 0.0
+    return SignalBatch(means + u, eps)
+
+
+def update_agent(mean: float, precision: float, signals, tau: float):
+    """Conjugate Gaussian update of one agent for its received signals.
+
+    Returns (mean', precision').  With no signals the belief is unchanged.
+    """
+    signals = np.atleast_1d(np.asarray(signals, dtype=np.float64))
+    k = signals.size
+    new_precision = precision + k * tau
+    new_mean = (precision * mean + tau * signals.sum()) / new_precision
+    return float(new_mean), float(new_precision)
+
+
+def step_per_agent(state: BeliefState, adjacency: np.ndarray,
+                   batch: SignalBatch) -> BeliefState:
+    """Reference path: apply update_agent to each receiver separately."""
+    params = state.params
+    a = batch.a
+    means = state.means.copy()
+    ledger = state.ledger.copy()
+    for i in range(1, params.n + 1):
+        senders = np.flatnonzero(adjacency[i])
+        if senders.size == 0:
+            continue
+        mean, _ = update_agent(means[i], params.tau * ledger[i],
+                               a[senders], params.tau)
+        means[i] = mean
+        ledger[i] += senders.size
+    means[0] = params.truth
+    return BeliefState(means, ledger, state.t + 1, params)
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Recorded run: means and precision ledger at the requested times."""
 

@@ -85,8 +85,6 @@ def transition_bundles(schedule: GraphSchedule, params: SystemParams,
     ratio + (int64 receive count), so a walk from any start yields
     bitwise the bundles a walk from 0 reaches there.
     """
-    if not 0 <= start <= stop:
-        raise ValueError("need 0 <= start <= stop")
     return _walk(schedule.compiled.blocks(start, stop), params.ratio)
 
 

@@ -39,7 +39,7 @@ _BLOCK_STEPS = 4096
 
 # Bytes of compiled blocks a schedule keeps for later walks (16 MiB); one
 # block takes at most an eighth, so at n = 100 a random schedule compiles
-# 25 steps per block and keeps about 200.
+# 25 steps per block and keeps its first 200 steps.
 _COMPILE_BUDGET = 2 ** 24
 
 
@@ -157,66 +157,81 @@ class GraphSchedule:
 class CompiledSchedule:
     """A schedule compiled into Blocks, kept for reuse within a byte budget.
 
-    blocks() compiles a block the first time a walk reaches it.  Blocks
-    stay held, the least recently used dropped first, while they take at
-    most _COMPILE_BUDGET bytes (the newest may overrun it), and each
-    block's receive-count sum is kept for good, so a walk from any start
-    compiles no step before it again.  Only a weak reference leads back
-    to the schedule, which holds this object: a cycle would keep the
-    blocks until the cyclic collector ran.
+    Block j holds steps [j * steps, (j + 1) * steps), cut at the horizon,
+    whatever the order of the walks: it is compiled up to the last step a
+    walk needs and extended when a later walk goes further.  The first
+    blocks compiled are kept while they fit in _COMPILE_BUDGET bytes; a
+    block past the budget is compiled again by each walk that reaches it.
+    Each whole block's receive-count sum is kept for good, so a walk from
+    any start compiles no earlier step again.  Only a weak reference
+    leads back to the schedule, which holds this object: a cycle would
+    keep the blocks until the cyclic collector ran.
     """
 
     def __init__(self, schedule: GraphSchedule):
-        self._schedule = weakref.proxy(schedule)
+        self._schedule = weakref.ref(schedule)
         self.steps = max(1, min(_BLOCK_STEPS,
                                 _COMPILE_BUDGET // 8 // schedule._step_bytes))
-        self._ends: list[int] = []  # block j is [_ends[j - 1] or 0, _ends[j])
         self._counts = [np.zeros(schedule.n + 1, dtype=np.int64)]  # before j
-        self._held: dict[int, tuple[Block, int]] = {}  # oldest use first
+        self._held: dict[int, Block] = {}
         self.nbytes = 0
+
+    def _checked(self, start: int, stop: int) -> GraphSchedule:
+        """The schedule, once [start, stop) is found within its horizon."""
+        if not 0 <= start <= stop:
+            raise ValueError("need 0 <= start <= stop")
+        schedule = self._schedule()
+        if schedule is None:
+            raise ReferenceError("the compiled schedule no longer exists")
+        if stop > start:
+            schedule._check_t(stop - 1)
+        return schedule
 
     def block(self, start: int, stop: int) -> Block:
         """Steps [start, stop) compiled afresh, within the schedule's horizon."""
-        if not 0 <= start <= stop:
-            raise ValueError("need 0 <= start <= stop")
-        if stop > start:
-            self._schedule._check_t(stop - 1)
-        return self._schedule._compile(start, stop)
+        return self._checked(start, stop)._compile(start, stop)
 
     def blocks(self, start: int, stop: int):
-        """Yield the Blocks covering [start, stop) in order, cut to it."""
-        if not 0 <= start <= stop:
-            raise ValueError("need 0 <= start <= stop")
-        j = bisect.bisect_right(self._ends, start)
-        lo = self._ends[j - 1] if j else 0
-        while lo < stop:
-            blk = self._get(j, lo, stop)
-            hi = lo + len(blk.slots)
-            a, b = max(start, lo), min(stop, hi)
+        """Iterator over the Blocks covering [start, stop) in order, cut to
+        it.  The span is checked now, and the iterator holds the schedule."""
+        return self._blocks(self._checked(start, stop), start, stop)
+
+    def _blocks(self, schedule: GraphSchedule, start: int, stop: int):
+        j = min(start // self.steps, len(self._counts) - 1)
+        while j * self.steps < stop:
+            lo = j * self.steps
+            end = lo + self.steps
+            if schedule.horizon is not None:
+                end = min(end, schedule.horizon)
+            blk = self._held.pop(j, None)
+            have = 0 if blk is None else len(blk.slots)
+            self.nbytes -= have * schedule._step_bytes
+            need = min(stop, end) - lo
+            if have < need:  # compile only the steps a walk reaches
+                more = self.block(lo + have, lo + need)
+                blk = more if blk is None else _joined(blk, more)
+                if need == end - lo and j == len(self._counts) - 1:
+                    self._counts.append(self._counts[j]
+                                        + _counts(blk.degrees, blk.slots))
+            nbytes = len(blk.slots) * schedule._step_bytes
+            if self.nbytes + nbytes <= _COMPILE_BUDGET:
+                self._held[j] = blk
+                self.nbytes += nbytes
+            a, b = max(start, lo), min(stop, lo + len(blk.slots))
             if a < b:
                 yield blk._replace(start=a, slots=blk.slots[a - lo:b - lo],
                                    received=self._counts[j] + _counts(
                                        blk.degrees, blk.slots[:a - lo]))
-            lo, j = hi, j + 1
+            j += 1
 
-    def _get(self, j: int, lo: int, stop: int) -> Block:
-        """Block j, which starts at lo; a new last block ends by stop."""
-        held = self._held.pop(j, None)
-        if held is None:
-            new = j == len(self._ends)
-            blk = self.block(lo, min(lo + self.steps, stop) if new
-                             else self._ends[j])
-            if new:
-                self._ends.append(lo + len(blk.slots))
-                self._counts.append(self._counts[j]
-                                    + _counts(blk.degrees, blk.slots))
-            held = (blk, blk.slots.nbytes + sum(
-                a.nbytes for a in (*blk.adjacency, *blk.degrees)))
-            self.nbytes += held[1]
-        self._held[j] = held
-        while self.nbytes > _COMPILE_BUDGET and len(self._held) > 1:
-            self.nbytes -= self._held.pop(next(iter(self._held)))[1]
-        return held[0]
+
+def _joined(head: Block, tail: Block) -> Block:
+    """The steps of head, then those of tail."""
+    if tail.adjacency is head.adjacency:  # one shared pattern set
+        return head._replace(slots=np.concatenate([head.slots, tail.slots]))
+    return Block(head.start, head.adjacency + tail.adjacency,
+                 np.vstack([head.degrees, tail.degrees]), np.concatenate(
+                     [head.slots, tail.slots + len(head.adjacency)]))
 
 
 def _counts(degrees, slots: np.ndarray) -> np.ndarray:

@@ -11,8 +11,7 @@ import socialbayes
 
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
-           "reduced_product", "SignalBatch", "emit_signals", "step_per_agent",
-           "update_agent")
+           "reduced_product")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")

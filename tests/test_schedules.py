@@ -1,5 +1,6 @@
 """Graph schedules: construction, truth hearing, and the precision ledger."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -185,12 +186,43 @@ def test_compiled_schedule_blocks_match_queries(monkeypatch):
         t = start
         for blk in compiled.blocks(start, stop):  # in order, cut to the span
             assert 1 <= len(blk.slots) <= 3
+            end = t + len(blk.slots)
+            assert end % 3 == 0 or end == stop  # blocks sit at multiples of 3
             _assert_block_matches(sched, blk, t, t + len(blk.slots))
             assert np.array_equal(blk.received, sum(
                 (sched.arrays_at(u)[1] for u in range(t)), np.zeros(4, int)))
             t += len(blk.slots)
         assert t == stop
         assert compiled.nbytes <= 4096
+
+
+def test_blocks_do_not_depend_on_walk_order(monkeypatch):
+    """One-step walks in rising order leave full blocks for a later walk,
+    and only blocks that fit the budget are held."""
+    monkeypatch.setattr(schedules, "_COMPILE_BUDGET", 4096)
+    sched = make_random_schedule(3, 2, 0.5, seed=9, horizon=50)
+    compiled = sched.compiled
+    for t in range(10):
+        assert [blk.start for blk in compiled.blocks(t, t + 1)] == [t]
+    assert [(blk.start, len(blk.slots)) for blk in compiled.blocks(0, 50)] \
+        == [(s, 3) for s in range(0, 48, 3)] + [(48, 2)]
+    assert len(compiled._counts) == 18  # one receive-count row per block
+    # 3 steps of 168 bytes a block: the first 8 blocks fit 4,096 bytes
+    assert sorted(compiled._held) == list(range(8))
+    assert compiled.nbytes == 8 * 3 * 168
+
+
+def test_walk_holds_its_schedule():
+    """A walk over a schedule nothing else holds runs to its end; the
+    compiled form alone says its schedule is gone."""
+    walk = transition_bundles(make_random_schedule(3, 2, 0.5, seed=4),
+                              SystemParams(n=3), 0, 8)
+    gc.collect()
+    assert [b.t for b in walk] == list(range(8))
+    compiled = make_periodic_schedule(3, 4).compiled
+    gc.collect()
+    with pytest.raises(ReferenceError):
+        compiled.blocks(0, 4)
 
 
 def test_random_compile_holds_bounded_memory():

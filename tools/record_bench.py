@@ -1,16 +1,15 @@
-"""Record benchmark figures of one or more checkouts in a BENCH_*.json file.
+"""Record benchmark figures of a parent and a change checkout in a BENCH_*.json file.
 
-    python3 tools/record_bench.py --out BENCH_6.json \
-        --checkout parent=../parent --checkout change=. \
-        --seeds 41 42 43 --seconds 30
+    python3 tools/record_bench.py ../parent . --out BENCH_6.json \
+        --seeds 51 52 53 54 55 56 57 58 59 60
 
-For every workload and seed it runs `benchmark/run.py --trace 0` once in
-each checkout, the checkouts taking turns at going first, and keeps the
-last JSON line of each run.  The file holds, per checkout, each
-metric's runs, median and quartiles, the share of failed operations
-and the `src/` line count; for two checkouts, how many seeds the second
-one won on each metric; and the machine: python, numpy, BLAS and the
-number of processors.  Each run's own process uses one BLAS thread.
+For every workload of BENCHMARK.json and every seed it runs
+`benchmark/run.py --trace 0` for the benchmark's run_seconds once in each
+checkout, the two taking turns at going first, and keeps the last JSON
+line of each run.  The file holds, per checkout, each metric's runs,
+median and quartiles, the share of failed operations and the `src/` line
+count; how many seeds the change won on each metric; and the machine:
+python, numpy, BLAS and the number of processors.
 """
 
 from __future__ import annotations
@@ -26,15 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("mean-process", "ensemble", "verify-cli")
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result line of one benchmark run in `checkout`."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -58,57 +58,47 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--checkout", action="append", metavar="LABEL=PATH",
-                        help="a checkout to run (default: change=<this one>)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seeds", type=int, nargs="+", default=[41, 42, 43])
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     if len(args.seeds) < 3:
         parser.error("need at least 3 seeds: figures are medians")
-    checkouts = dict(item.split("=", 1) for item in
-                     args.checkout or ["change=%s" % ROOT])
-    checkouts = {label: Path(path).resolve()
-                 for label, path in checkouts.items()}
-    labels = list(checkouts)
-    results = {label: {} for label in labels}
-    for workload in args.workload or WORKLOADS:
+    checkouts = {"parent": args.parent.resolve(),
+                 "change": args.change.resolve()}
+    results = {label: {} for label in checkouts}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
         for i, seed in enumerate(args.seeds):
-            order = labels if i % 2 == 0 else labels[::-1]
+            order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
             for label in order:
-                line = run_once(checkouts[label], workload, seed,
-                                args.seconds)
+                line = run_once(checkouts[label], workload, seed)
                 results[label].setdefault(workload, []).append(line)
                 print(label, workload, seed, json.dumps(line["metrics"]),
                       file=sys.stderr)
     report = {"machine": machine(), "seeds": args.seeds,
-              "seconds": args.seconds, "checkouts": {}}
+              "seconds": BENCHMARK["run_seconds"], "checkouts": {}}
     for label, path in checkouts.items():
         entry = {"src_lines": src_lines(path), "workloads": {}}
         for workload, lines in results[label].items():
-            names = lines[0]["metrics"]
             entry["workloads"][workload] = {
                 "correct": all(r["correct"] for r in lines),
                 "failed_share": (sum(r["failed"] for r in lines)
                                  / max(1, sum(r["attempted"] for r in lines))),
-                "metrics": {name: {"unit": lines[0]["metrics"][name]["unit"],
+                "metrics": {name: {"unit": m["unit"],
                                    **summary([r["metrics"][name]["value"]
                                               for r in lines])}
-                            for name in names}}
+                            for name, m in lines[0]["metrics"].items()}}
         report["checkouts"][label] = entry
-    if len(labels) == 2:
-        base, new = (report["checkouts"][label]["workloads"]
-                     for label in labels)
-        better = json.loads((ROOT / "BENCHMARK.json").read_text())
-        higher = {m["name"]: m["better"] == "higher"
-                  for m in better["end_to_end"]}
-        report["wins_of_%s" % labels[1]] = {
-            workload: {name: sum((b > a) if higher[name] else (b < a)
-                                 for a, b in zip(base[workload]["metrics"]
-                                                 [name]["runs"], m["runs"]))
-                       for name, m in new[workload]["metrics"].items()}
-            for workload in new}
+    base, new = (report["checkouts"][label]["workloads"] for label in checkouts)
+    higher = {m["name"]: m["better"] == "higher"
+              for m in BENCHMARK["end_to_end"]}
+    report["wins_of_change"] = {
+        workload: {name: sum((b > a) if higher[name] else (b < a)
+                             for a, b in zip(base[workload]["metrics"][name]
+                                             ["runs"], m["runs"]))
+                   for name, m in new[workload]["metrics"].items()}
+        for workload in new}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
