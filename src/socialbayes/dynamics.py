@@ -215,8 +215,8 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
 
 
 def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
-              x0, times: np.ndarray, n_runs: int, zero_noise: bool,
-              run_index: int = 0, record_signals: bool = False):
+              x0, times: np.ndarray, n_runs: int, run_index: int = 0,
+              record_signals: bool = False):
     """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
 
     x holds one row per run; the ledger is shared, taken as ratio + int64
@@ -236,9 +236,8 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
     ratio, tau, truth = params.ratio, params.tau, params.truth
     width = max(1, min(_NOISE_BUDGET // (n_runs * 2 * n1), horizon))
-    streams = [] if zero_noise else [
-        run_stream(params.seed, run_index + r) for r in range(n_runs)]
-    buf = None if zero_noise else np.empty((n_runs, width, 2, n1))
+    streams = [run_stream(params.seed, run_index + r) for r in range(n_runs)]
+    buf = np.empty((n_runs, width, 2, n1))
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
     for blk in schedule.compiled.blocks(0, horizon):
@@ -248,23 +247,19 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
         for c0 in range(0, len(slots), width):
             c1 = min(c0 + width, len(slots))
             t0 = blk.start + c0
-            if buf is not None:
-                noise = buf[:, :c1 - c0]
-                for stream, out in zip(streams, noise):
-                    stream.standard_normal(out=out)
-                noise[:, :, 0] /= np.sqrt(tau * before[c0:c1])
-                noise[:, :, 0, 0] = 0.0  # point mass: the truth agent's sample
-                noise[:, :, 1] *= 1.0 / np.sqrt(tau)
-                if not params.truth_noise:
-                    noise[:, :, 1, 0] = 0.0
+            noise = buf[:, :c1 - c0]
+            for stream, out in zip(streams, noise):
+                stream.standard_normal(out=out)
+            noise[:, :, 0] /= np.sqrt(tau * before[c0:c1])
+            noise[:, :, 0, 0] = 0.0  # point mass: the truth agent's sample
+            noise[:, :, 1] *= 1.0 / np.sqrt(tau)
+            if not params.truth_noise:
+                noise[:, :, 1, 0] = 0.0
             for t, slot, p, p_next in zip(range(t0, blk.start + c1),
                                           slots[c0:c1], before[c0:c1],
                                           after[c0:c1]):
-                if buf is None:
-                    sig = x
-                else:
-                    sig = x + noise[:, t - t0, 0]
-                    sig += noise[:, t - t0, 1]
+                sig = x + noise[:, t - t0, 0]
+                sig += noise[:, t - t0, 1]
                 if t == pending[k]:
                     means[:, k] = x
                     ledger[k] = p
@@ -289,6 +284,21 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     return means, ledger, signals
 
 
+def _zero_noise(schedule: GraphSchedule, params: SystemParams, horizon: int,
+                x0, times: np.ndarray, n_runs: int,
+                record_signals: bool = False):
+    """_run_core's outputs with u = eps = 0: every run is run_expected's
+    mean process and emits its means as signals before the horizon."""
+    from .expected import run_expected  # both build on this module
+    from .tables import ledger_for_times
+    means = run_expected(schedule, params, horizon, x0).means[times]
+    signals = None
+    if record_signals:
+        signals = np.where((times < horizon)[:, None], means, np.nan)[None]
+    return (np.repeat(means[None], n_runs, axis=0),
+            ledger_for_times(schedule, params, times), signals)
+
+
 def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
                    x0=None, record_every=None, record_times=None,
                    record_signals: bool = False, run_index: int = 0,
@@ -297,14 +307,18 @@ def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     Reproducible from (params.seed, run_index, schedule, params): the run owns
     stream (seed, run tag, run_index).  horizon = 0 records only the initial
-    state.  zero_noise forces u = eps = 0, which makes the run coincide with
-    the deterministic mean process.
+    state.  zero_noise forces u = eps = 0: the run is then the deterministic
+    mean process, its means run_expected's bit for bit.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    means, ledger, signals = _run_core(schedule, params, horizon, x0, times, 1,
-                                       zero_noise, run_index, record_signals)
+    if zero_noise:
+        means, ledger, signals = _zero_noise(schedule, params, horizon, x0,
+                                             times, 1, record_signals)
+    else:
+        means, ledger, signals = _run_core(schedule, params, horizon, x0, times,
+                                           1, run_index, record_signals)
     return Trajectory(times, means[0], ledger, params, run_index,
                       "zero-noise" if zero_noise else "simulated",
                       None if signals is None else signals[0])
@@ -324,12 +338,15 @@ class EnsembleResult:
 def run_ensemble(schedule: GraphSchedule, params: SystemParams, horizon: int,
                  n_runs: int, x0=None, record_every=None, record_times=None,
                  zero_noise: bool = False) -> EnsembleResult:
-    """Independent runs over a shared schedule (run r uses stream index r)."""
+    """Independent runs over a shared schedule (run r uses stream index r).
+
+    With zero_noise every member is run_expected's mean process.
+    """
     if n_runs < 1:
         raise ValueError("need at least one run")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    means, ledger, _ = _run_core(schedule, params, horizon, x0, times, n_runs,
-                                 zero_noise)
+    core = _zero_noise if zero_noise else _run_core
+    means, ledger, _ = core(schedule, params, horizon, x0, times, n_runs)
     return EnsembleResult(times, means, ledger, params, n_runs)

@@ -10,6 +10,9 @@ truth-shifted means z_t = y_t[1:] - truth then satisfy z_{t+1} = B_t z_t, so
 long products of the B blocks control how fast everyone converges - or fails
 to.  The noise-mixing block M_t = (P_{t+1}^{-1} A_t)[1:, 1:] plays the same
 role for the deviation process in the stochastic recursion.
+
+The bundle walk and the narrow mean process share one source, the W_t
+stacks that _transition_pieces builds from a compiled block.
 """
 
 from __future__ import annotations
@@ -20,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import GraphSchedule
+from .schedules import Block, GraphSchedule
+
+# Bytes of W in one piece of a transition stack (256 KiB): scratch memory
+# stays flat in the horizon and a piece stays in cache while it is used.
+_STACK_BUDGET = 2 ** 18
+
+# run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
+# per-pattern arithmetic is faster (measured on ring, truth-only and
+# random schedules: the stack wins up to n = 24, loses on a ring at 28).
+_STACK_MAX_N = 24
 
 
 @dataclass(frozen=True)
@@ -47,12 +59,11 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
                       ledger: np.ndarray, t: int = 0) -> TransitionBundle:
     """Build the transition blocks for one step.
 
-    deg is the ledger degree vector (deg[0] = 0).  The divisor on each row is
-    the row sum of (P_t + A_t), which equals P_{t+1} on learning-agent rows
-    and P_t + 1 on the truth row; that makes the full matrix exactly
-    stochastic while the truth agent's ledger stays inert.  Only the
-    inputs are validated here; check_transition_identities measures how
-    far the result is from stochastic.
+    deg is the ledger degree vector (deg[0] = 0).  full is built by
+    _transitions, the builder of every W stack, so it is bitwise the W_t
+    of a walk or of run_expected.  Only the inputs are validated here;
+    check_transition_identities measures how far the result is from
+    stochastic.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     p = np.asarray(ledger, dtype=np.float64)
@@ -69,12 +80,44 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
     if not np.array_equal(rowsum[1:], deg[1:]):
         raise ValueError("degrees disagree with adjacency row sums")
     p_after = p + deg
-    divisor = p + rowsum  # equals p_after on rows i >= 1
-    full = (np.diag(p) + a) / divisor[:, None]
-    reduced = full[1:, 1:]
-    truth_pull = full[1:, 0]
+    full = _transitions(a[None], rowsum[None], p[None])[0]
     noise_mix = a[1:, 1:] / p_after[1:, None]
-    return TransitionBundle(t, full, reduced, truth_pull, noise_mix, p, p_after)
+    return TransitionBundle(t, full, full[1:, 1:], full[1:, 0], noise_mix, p,
+                            p_after)
+
+
+def _transitions(a: np.ndarray, rowsums: np.ndarray,
+                 before: np.ndarray) -> np.ndarray:
+    """W_j = (P_j + A_j) / (P_j + A_j 1) for a (k, n+1, n+1) stack a.
+
+    The divisor is P_{j+1} on learning-agent rows and P_j + 1 on the truth
+    row, so each W_j is stochastic while the truth ledger stays inert.
+    Each entry is rounded as (diag(P_j) + A_j) / divisor rounds it.
+    """
+    divisor = before + rowsums
+    w = a / divisor[:, :, None]
+    diagonal = np.s_[:, ::a.shape[-1] + 1]
+    w.reshape(len(a), -1)[diagonal] = (
+        before + a.reshape(len(a), -1)[diagonal]) / divisor
+    return w
+
+
+def _transition_pieces(blk: Block, ratio: float):
+    """A compiled block's steps in pieces of at most _STACK_BUDGET bytes of W.
+
+    Yields (first step, adjacency stack, W stack, ledger rows before and
+    after each step), one entry per step of the piece.
+    """
+    _, before, after = blk.ledger(ratio)
+    patterns = np.asarray(blk.adjacency)  # no copy of a random block's stack
+    rowsums = np.array(blk.degrees, dtype=np.float64)
+    rowsums[:, 0] = 1.0  # the truth self-loop
+    size = max(1, _STACK_BUDGET // patterns[0].nbytes)
+    for j in range(0, len(blk.slots), size):
+        slots = blk.slots[j:j + size]
+        a, p = patterns[slots], before[j:j + len(slots)]
+        yield (blk.start + j, a, _transitions(a, rowsums[slots], p), p,
+               after[j:j + len(slots)])
 
 
 def transition_bundles(schedule: GraphSchedule, params: SystemParams,
@@ -83,17 +126,20 @@ def transition_bundles(schedule: GraphSchedule, params: SystemParams,
 
     The walk reads the schedule's compiled blocks, whose ledger rows are
     ratio + (int64 receive count), so a walk from any start yields
-    bitwise the bundles a walk from 0 reaches there.
+    bitwise the bundles a walk from 0 reaches there.  Each bundle is a
+    view of one piece of _transition_pieces: full is the W_t that
+    run_expected steps by, noise_mix comes from the same block.
     """
     return _walk(schedule.compiled.blocks(start, stop), params.ratio)
 
 
 def _walk(blocks, ratio: float):
     for blk in blocks:
-        degrees, before, _ = blk.ledger(ratio)
-        for t, k, deg, p in zip(range(blk.start, blk.start + len(degrees)),
-                                blk.slots.tolist(), degrees, before):
-            yield transition_bundle(blk.adjacency[k], deg, p, t)
+        for t0, a, w, before, after in _transition_pieces(blk, ratio):
+            noise_mix = a[:, 1:, 1:] / after[:, 1:, None]
+            for j in range(len(w)):
+                yield TransitionBundle(t0 + j, w[j], w[j, 1:, 1:], w[j, 1:, 0],
+                                       noise_mix[j], before[j], after[j])
 
 
 def bundle_at(schedule: GraphSchedule, params: SystemParams,
@@ -139,12 +185,15 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
                  x0=None) -> ExpectedTrajectory:
     """Run the deterministic mean recursion for `horizon` steps.
 
-    Exact linear iteration, no RNG: y_{t+1} = (P_t y + A_t y) / (P_t + D_t)
-    on the receiving rows, with zero-receiver rows left exactly as they are.
-    The run walks the schedule's compiled blocks; each block takes its
-    ledger rows P_t = ratio + (int64 receive counts) and its sup norms in
-    vector form, so extra memory is one block, not the horizon.
-    The first step is cross-checked against the validated bundle path.
+    Exact linear iteration, no RNG, over the schedule's compiled blocks
+    with ledger rows P_t = ratio + (int64 receive counts).  While
+    n <= _STACK_MAX_N a step is y_{t+1} = W_t y_t, W_t bitwise the `full`
+    of transition_bundle; its truth row and zero-receiver rows are unit
+    vectors, so those entries stay exactly as they are.  Past it a step is
+    (P_t y + A_t y) / (P_t + D_t), zero-receiver rows copied over.  Sup
+    norms are taken per block, so extra memory is one block, not the
+    horizon.  The first step is cross-checked against the validated
+    bundle path.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -154,24 +203,33 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     norms = np.empty(horizon + 1)
     means[0] = init.means
     norms[0] = np.max(np.abs(init.means[1:] - truth))
+    stacked = params.n <= _STACK_MAX_N
     for blk in schedule.compiled.blocks(0, horizon):
         b0, b1 = blk.start, blk.start + len(blk.slots)
-        degrees, before, after = blk.ledger(params.ratio)
-        adjacency, idle = blk.adjacency, blk.idle()
-        y = means[b0]
-        for row, k, p, p_next in zip(means[b0 + 1:b1 + 1], blk.slots.tolist(),
-                                     before, after):
-            np.multiply(p, y, out=row)
-            row += adjacency[k] @ y
-            row /= p_next
-            if idle[k] is not None:
-                np.copyto(row, y, where=idle[k])
-            row[0] = truth
-            y = row
+        if stacked:
+            for t0, _, w, _, _ in _transition_pieces(blk, params.ratio):
+                y = means[t0]
+                for wt, row in zip(w, means[t0 + 1:t0 + 1 + len(w)]):
+                    np.matmul(wt, y, out=row)
+                    y = row
+        else:
+            _, before, after = blk.ledger(params.ratio)
+            adjacency, idle = blk.adjacency, blk.idle()
+            y = means[b0]
+            for row, k, p, p_next in zip(means[b0 + 1:b1 + 1],
+                                         blk.slots.tolist(), before, after):
+                np.multiply(p, y, out=row)
+                row += adjacency[k] @ y
+                row /= p_next
+                if idle[k] is not None:
+                    np.copyto(row, y, where=idle[k])
+                row[0] = truth
+                y = row
         norms[b0 + 1:b1 + 1] = np.max(np.abs(means[b0 + 1:b1 + 1, 1:] - truth),
                                       axis=1)
         if b0 == 0:
-            _check_first_step(adjacency[blk.slots[0]], degrees[0], before[0],
+            k = blk.slots[0]
+            _check_first_step(blk.adjacency[k], blk.degrees[k], init.ledger,
                               means, truth)
     return ExpectedTrajectory(np.arange(horizon + 1), means, norms, truth,
                               params)

@@ -52,11 +52,13 @@ class Block(NamedTuple):
 
     Step start + j uses the read-only 0/1 matrix adjacency[slots[j]] and
     its int64 receive counts degrees[slots[j]]; received counts the
-    receives before start (CompiledSchedule.blocks sets it).
+    receives before start (CompiledSchedule.blocks sets it).  A fixed
+    pattern set is a tuple, so a query hands out the same matrix each
+    time; a random block's patterns are one (steps, n+1, n+1) stack.
     """
 
     start: int
-    adjacency: tuple
+    adjacency: tuple | np.ndarray
     degrees: tuple | np.ndarray  # one row per pattern
     slots: np.ndarray
     received: np.ndarray | None = None
@@ -81,13 +83,13 @@ class Block(NamedTuple):
         return [None if d[1:].all() else d == 0 for d in self.degrees]
 
 
-def _freeze(stack: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Read-only matrices of a (k, n+1, n+1) 0/1 stack and their (k, n+1)
+def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, n+1, n+1) 0/1 stack made read-only, and its read-only (k, n+1)
     receive counts, the truth self-loop not counted."""
     degrees = stack.sum(axis=2).astype(np.int64)
     degrees[:, 0] = 0
     stack.flags.writeable = degrees.flags.writeable = False
-    return tuple(stack), degrees
+    return stack, degrees
 
 
 def _patterns(n: int, edge_sets) -> tuple[tuple, tuple]:
@@ -105,7 +107,7 @@ def _patterns(n: int, edge_sets) -> tuple[tuple, tuple]:
                              "out of node range")
         a[i, j] = 1.0
     adjacency, degrees = _freeze(stack)
-    return adjacency, tuple(degrees)
+    return tuple(adjacency), tuple(degrees)
 
 
 class GraphSchedule:
@@ -229,9 +231,9 @@ def _joined(head: Block, tail: Block) -> Block:
     """The steps of head, then those of tail."""
     if tail.adjacency is head.adjacency:  # one shared pattern set
         return head._replace(slots=np.concatenate([head.slots, tail.slots]))
-    return Block(head.start, head.adjacency + tail.adjacency,
-                 np.vstack([head.degrees, tail.degrees]), np.concatenate(
-                     [head.slots, tail.slots + len(head.adjacency)]))
+    return Block(head.start, *_freeze(np.concatenate(
+        [head.adjacency, tail.adjacency])), np.concatenate(
+            [head.slots, tail.slots + len(head.adjacency)]))
 
 
 def _counts(degrees, slots: np.ndarray) -> np.ndarray:

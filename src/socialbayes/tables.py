@@ -65,14 +65,20 @@ def _write_lines(path, lines) -> Path:
 
 
 def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") -> Path:
-    """Write rows (iterable of tuples matching `columns`) under a meta block."""
+    """Write rows (iterable of tuples matching `columns`) under a meta block.
+
+    Cells are strings, ints and floats (numpy float64 and integer scalars
+    included).  The csv module writes a float with repr and an int with
+    str, which is what format_value gives them, so the CSV path passes
+    cells on as they are.
+    """
     if fmt not in FORMATS:
         raise ValueError("unknown format %r; expected one of %s" % (fmt, FORMATS))
     if fmt == "csv":
         body = io.StringIO()
         writer = csv.writer(body, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(format_value, row) for row in rows)
+        writer.writerows(rows)
         lines = [timestamp_line(), *_meta_lines(meta), body.getvalue()[:-1]]
     else:
         # json.dumps emits bare Infinity for the truth agent's precision;
@@ -186,9 +192,12 @@ def _trajectory_meta(params: SystemParams, kind: str, extra=None) -> dict:
 
 
 def _trajectory_rows(times, means, precisions):
-    for k, t in enumerate(times):
-        for i in range(means.shape[1]):
-            yield (int(t), i, float(means[k, i]), float(precisions[k, i]))
+    """(t, agent, value, value) rows as Python numbers, built by column."""
+    n1 = means.shape[1]
+    return zip(np.repeat(np.asarray(times, dtype=np.int64), n1).tolist(),
+               list(range(n1)) * len(times),
+               np.asarray(means, dtype=np.float64).ravel().tolist(),
+               np.asarray(precisions, dtype=np.float64).ravel().tolist())
 
 
 def _precisions_from_ledger(ledger: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -249,11 +258,7 @@ def write_ensemble_summary(path, ens: EnsembleResult, fmt: str = "csv") -> Path:
     mean = ens.means.mean(axis=0)
     ddof = 1 if ens.n_runs > 1 else 0
     var = ens.means.var(axis=0, ddof=ddof)
-    rows = (
-        (int(t), i, float(mean[k, i]), float(var[k, i]))
-        for k, t in enumerate(ens.times)
-        for i in range(mean.shape[1])
-    )
+    rows = _trajectory_rows(ens.times, mean, var)
     return write_table(path, meta, SUMMARY_COLUMNS, rows, fmt)
 
 
@@ -268,11 +273,9 @@ def trajectory_norms(table: TableData):
     agent = np.asarray(table["agent"])
     mean = np.asarray(table["mean"], dtype=float)
     learners = agent >= 1
-    t, mean = t[learners], mean[learners]
-    times = np.unique(t)
-    norms = np.empty(len(times))
-    for k, tk in enumerate(times):
-        norms[k] = np.max(np.abs(mean[t == tk] - truth))
+    times, group = np.unique(t[learners], return_inverse=True)
+    norms = np.full(len(times), -np.inf)
+    np.maximum.at(norms, group, np.abs(mean[learners] - truth))
     return times, norms
 
 

@@ -256,10 +256,13 @@ def test_zero_noise_matches_run_expected_bitwise():
     sched = make_periodic_schedule(4, 3, peer_rule="ring")
     expected = run_expected(sched, params, 3000, x0=2.0)
     traj = run_simulation(sched, params, 3000, x0=2.0, record_every=1,
-                          zero_noise=True)
+                          record_signals=True, zero_noise=True)
     counts = np.cumsum([sched.arrays_at(t)[1] for t in range(3000)], axis=0)
     assert np.array_equal(traj.ledger[1:], params.ratio + counts)
     assert np.array_equal(traj.means, expected.means)
+    # each step emits the means themselves; nothing is emitted at the horizon
+    assert np.array_equal(traj.signals[:-1], expected.means[:-1])
+    assert np.all(np.isnan(traj.signals[-1]))
     ens = run_ensemble(make_random_schedule(4, 3, 0.4, seed=3), params, 500,
                        n_runs=3, x0=[1.0, 2.0, 3.0, 4.0], record_every=50,
                        zero_noise=True)

@@ -160,6 +160,21 @@ def test_bundle_walk_slices_match_walk_from_zero(offset):
     assert np.array_equal(bundle_at(sched, params, start).full, part[0].full)
 
 
+def test_bundle_walk_matches_transition_bundle():
+    """Every field of a walked bundle is bitwise the validated one-step
+    bundle on the ledger ratio + (integer receive counts)."""
+    params = SystemParams(n=5, tau=3.0, tau0=1.0)
+    sched = make_random_schedule(5, 3, 0.4, seed=2)
+    received = np.zeros(6, dtype=np.int64)
+    for b in transition_bundles(sched, params, 0, 60):
+        a, deg = sched.arrays_at(b.t)
+        want = transition_bundle(a, deg, params.ratio + received, b.t)
+        for name in ("full", "reduced", "truth_pull", "noise_mix",
+                     "ledger_before", "ledger_after"):
+            assert np.array_equal(getattr(b, name), getattr(want, name)), name
+        received += deg
+
+
 def test_run_expected_horizon_zero():
     params = SystemParams(n=2, seed=0)
     sched = make_periodic_schedule(2, 1)
@@ -193,22 +208,64 @@ def test_nonuniform_ratio_slows_convergence():
     assert slow.norms[-1] > fast.norms[-1]
 
 
-def _reference_expected(schedule, params, horizon, x0):
-    """Mean recursion one arrays_at query at a time, on the ledger
-    P_t = ratio + (integer receive counts before t)."""
+def _bundle_loop(schedule, params, horizon, x0):
+    """Mean recursion y_{t+1} = W_t y_t one arrays_at query at a time, W_t
+    the validated transition_bundle on the ledger P_t = ratio + (integer
+    receive counts before t)."""
+    y = initial_state(params, x0).means
+    received = np.zeros(params.n + 1, dtype=np.int64)
+    means = [y]
+    for t in range(horizon):
+        a, deg = schedule.arrays_at(t)
+        y = transition_bundle(a, deg, params.ratio + received, t).full @ y
+        received = received + deg
+        means.append(y)
+    means = np.array(means)
+    return means, np.max(np.abs(means[:, 1:] - params.truth), axis=1)
+
+
+def _lean_loop(schedule, params, horizon, x0):
+    """Mean recursion (P y + A y) / P' one arrays_at query at a time, on
+    the same ledger; zero-receiver rows are exact no-ops."""
     y = initial_state(params, x0).means
     received = np.zeros(params.n + 1, dtype=np.int64)
     means = [y]
     for t in range(horizon):
         a, deg = schedule.arrays_at(t)
         p = params.ratio + received
-        # zero-receiver rows are exact no-ops
         y = np.where(deg > 0, (p * y + a @ y) / (p + deg), y)
         y[0] = params.truth
         received = received + deg
         means.append(y)
     means = np.array(means)
     return means, np.max(np.abs(means[:, 1:] - params.truth), axis=1)
+
+
+def _longdouble_replay(schedule, params, horizon, x0):
+    """(P y + A y) / P' in np.longdouble from edges_at alone, each ledger
+    entry ratio + an exact integer count; returns y_0 .. y_horizon."""
+    ld = np.longdouble
+    y = [ld(v) for v in initial_state(params, x0).means]
+    ratio = ld(params.ratio)
+    counts = [0] * (params.n + 1)
+    rules = {}
+    out = [y]
+    for t in range(horizon):
+        edges = schedule.edges_at(t)
+        rule = rules.get(edges)
+        if rule is None:
+            senders = {}
+            for i, j in sorted(set(edges)):
+                senders.setdefault(i, []).append(j)
+            rule = rules[edges] = list(senders.items())
+        new = list(y)
+        for i, js in rule:
+            p = ratio + counts[i]
+            new[i] = (p * y[i] + sum(y[j] for j in js)) / (p + len(js))
+            counts[i] += len(js)
+        out.append(new)
+        y = new
+    return np.array(out, dtype=ld)
 
 
 def _isolated_agent_table():
@@ -239,7 +296,7 @@ _REFERENCE_CASES = {
 def test_run_expected_bitwise_matches_reference_loop(case, horizon):
     make, params, x0 = _REFERENCE_CASES[case]
     sched = make()
-    means, norms = _reference_expected(sched, params, horizon, x0)
+    means, norms = _bundle_loop(sched, params, horizon, x0)
     out = run_expected(sched, params, horizon, x0=x0)
     assert np.array_equal(out.means, means)
     assert np.array_equal(out.norms, norms)
@@ -249,10 +306,61 @@ def test_run_expected_bitwise_across_blocks():
     """Long enough to cross the compiled run's block boundaries."""
     sched = make_periodic_schedule(4, 3, peer_rule="ring")
     params = SystemParams(n=4, tau=3.0, tau0=1.0)
-    means, norms = _reference_expected(sched, params, 9000, 2.0)
-    out = run_expected(sched, params, 9000, x0=2.0)
+    means, norms = _bundle_loop(sched, params, 2 * _BLOCK_STEPS + 808, 2.0)
+    out = run_expected(sched, params, 2 * _BLOCK_STEPS + 808, x0=2.0)
     assert np.array_equal(out.means, means)
     assert np.array_equal(out.norms, norms)
+
+
+@pytest.mark.parametrize("kind", ["random", "truth-only"])
+def test_run_expected_above_stack_cutoff_matches_lean_loop(kind):
+    """Past _STACK_MAX_N the step stays (P y + A y) / P', bit for bit; on
+    the truth-only schedule idle rows would round without their copy."""
+    n = expected_module._STACK_MAX_N + 1
+    sched = (make_random_schedule(n, 3, 0.1, seed=8) if kind == "random"
+             else make_periodic_schedule(n, 3))
+    params = SystemParams(n=n, tau=3.0, tau0=1.0, truth=0.25)
+    x0 = np.linspace(-1.0, 2.0, n)
+    means, norms = _lean_loop(sched, params, 300, x0)
+    out = run_expected(sched, params, 300, x0=x0)
+    assert np.array_equal(out.means, means)
+    assert np.array_equal(out.norms, norms)
+
+
+def test_idle_agent_keeps_its_mean_bitwise():
+    """W_t's row for an agent that receives nothing is e_i exactly."""
+    make, params, x0 = _REFERENCE_CASES["table-isolated-quiet-tail"]
+    out = run_expected(make(), params, 400, x0=x0)
+    assert np.all(out.means[:, 3] == 0.7)  # agent 3 never receives
+    assert np.all(out.means[121:] == out.means[120])  # nobody does after 120
+    assert np.all(out.means[:, 0] == params.truth)
+
+
+_ORACLE_CASES = {
+    # name: (schedule, params, horizon, x0, gate on the absolute error);
+    # the (P y + A y) / P' step reaches 4.3e-12 on the trap
+    "trap-200k": (lambda: make_counterexample_schedule(1.0, 200_000),
+                  SystemParams(n=2), 200_000, 2.0, 5e-13),
+    "criterion-1-200k": (lambda: make_periodic_schedule(1, 1),
+                         SystemParams(n=1), 200_000, 2.0, 1e-15),
+    "ring-n4-ratio-1/3": (lambda: make_periodic_schedule(4, 3, "ring"),
+                          SystemParams(n=4, tau=3.0, tau0=1.0), 50_000,
+                          [2.0, -1.0, 0.5, 3.0], 5e-14),
+    "random-n8-ratio-1/3": (lambda: make_random_schedule(8, 3, 0.3, seed=5),
+                            SystemParams(n=8, tau=3.0, tau0=1.0), 5000,
+                            np.linspace(1.0, 3.0, 8), 5e-14),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_run_expected_error_against_longdouble_replay(case):
+    make, params, horizon, x0, gate = _ORACLE_CASES[case]
+    sched = make()
+    out = run_expected(sched, params, horizon, x0=x0)
+    exact = _longdouble_replay(sched, params, horizon, x0)
+    assert float(np.max(np.abs(out.means - exact))) <= gate
 
 
 def test_run_expected_keeps_schedule_horizon_check():

@@ -1,5 +1,8 @@
 """Every table writer reads back exactly, in both formats."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,9 @@ from socialbayes.tables import (
     SUMMARY_COLUMNS,
     SWITCH_COLUMNS,
     TRAJECTORY_COLUMNS,
+    format_value,
     read_table,
+    trajectory_norms,
     write_check_report,
     write_ensemble_summary,
     write_expected_trajectory,
@@ -142,3 +147,50 @@ def test_write_switch_table(tmp_path, fmt):
     rows = [(sw.k, sw.t_k, sw.s_k, sw.value_at_t, sw.bound_at_t,
              sw.value_at_s, sw.bound_at_s) for sw in switches]
     _assert_reads_back(path, SWITCH_COLUMNS, rows, "switch-table")
+
+
+def test_write_table_cells_as_format_value_writes_them(tmp_path, fmt):
+    """Cells go to the csv module as they are; the bytes are those of the
+    per-cell format_value path."""
+    columns = ["name", "value", "count"]
+    rows = [("diagonal_bound[s=0,kappa=3]", float("inf"), 1),
+            ("neg", float("-inf"), np.int64(2)),
+            ("nan", float("nan"), 3),
+            ("zero", -0.0, 4),
+            ("big", 1e16, 5),
+            ("small", 1e-05, 6),
+            ("numpy", np.float64(0.1), np.int64(-7)),
+            ("numpy-inf", np.float64(-np.inf), 8)]
+    path = write_table(tmp_path / ("t." + fmt), {"kind": "cells"}, columns,
+                       rows, fmt)
+    table = read_table(path)
+    if fmt == "csv":
+        body = io.StringIO()
+        csv.writer(body, lineterminator="\n").writerows(
+            [columns] + [list(map(format_value, row)) for row in rows])
+        assert path.read_text().splitlines()[2:] == body.getvalue().splitlines()
+    for j, name in enumerate(columns):
+        want = np.array([row[j] for row in rows])
+        assert np.array_equal(table[name], want,
+                              equal_nan=want.dtype.kind == "f"), name
+    assert np.signbit(table["value"][3])
+
+
+def test_trajectory_norms_on_unsorted_rows(tmp_path, fmt):
+    """Grouped maxima equal a per-time loop, rows in any order."""
+    rng = np.random.default_rng(4)
+    times = np.repeat(rng.choice(500, size=60, replace=False), 4)
+    rows = [(int(t), i % 4, float(v), 1.0) for i, (t, v) in enumerate(
+        zip(times, rng.normal(size=times.size)))]
+    rng.shuffle(rows)
+    path = write_table(tmp_path / ("t." + fmt), {"truth": 0.25},
+                       TRAJECTORY_COLUMNS, rows, fmt)
+    got_times, got_norms = trajectory_norms(read_table(path))
+    t = np.array([r[0] for r in rows])
+    agent = np.array([r[1] for r in rows])
+    mean = np.array([r[2] for r in rows])
+    want_times = np.unique(t[agent >= 1])
+    want = [np.max(np.abs(mean[(t == tk) & (agent >= 1)] - 0.25))
+            for tk in want_times]
+    assert np.array_equal(got_times, want_times)
+    assert np.array_equal(got_norms, want)

@@ -1,15 +1,17 @@
 """Record benchmark figures of a parent and a change checkout in a BENCH_*.json file.
 
-    python3 tools/record_bench.py ../parent . --out BENCH_6.json \
-        --seeds 51 52 53 54 55 56 57 58 59 60
+    python3 tools/record_bench.py ../parent . --out BENCH_7.json \
+        --seeds 71 72 73 74 75 76 77 78 79 80
 
 For every workload of BENCHMARK.json and every seed it runs
 `benchmark/run.py --trace 0` for the benchmark's run_seconds once in each
 checkout, the two taking turns at going first, and keeps the last JSON
-line of each run.  The file holds, per checkout, each metric's runs,
-median and quartiles, the share of failed operations and the `src/` line
-count; how many seeds the change won on each metric; and the machine:
-python, numpy, BLAS and the number of processors.
+line of each run.  It also runs the tier-1 suite once in each checkout
+with `--durations=0`.  The file holds, per checkout, each metric's runs,
+median and quartiles, the share of failed operations, the `src/` line
+count, and the suite's summary line, wall time and per-test call times;
+how many seeds the change won on each metric; and the machine: python,
+numpy, BLAS and the number of processors.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,26 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    """Summary line, wall time and per-test call times of one tier-1 run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    calls = {}
+    for line in lines:
+        match = re.fullmatch(r"([0-9.]+)s call\s+(\S+)", line.strip())
+        if match:
+            calls[match[2]] = float(match[1])
+    return {"summary": lines[-1].strip("= ") if lines else "", "wall_s": wall,
+            "call_s": calls}
 
 
 def src_lines(checkout: Path) -> int:
@@ -68,6 +92,10 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     results = {label: {} for label in checkouts}
+    suites = {}
+    for label, path in checkouts.items():
+        suites[label] = tier1(path)
+        print(label, "tier-1:", suites[label]["summary"], file=sys.stderr)
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         for i, seed in enumerate(args.seeds):
             order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
@@ -79,7 +107,8 @@ def main(argv=None) -> int:
     report = {"machine": machine(), "seeds": args.seeds,
               "seconds": BENCHMARK["run_seconds"], "checkouts": {}}
     for label, path in checkouts.items():
-        entry = {"src_lines": src_lines(path), "workloads": {}}
+        entry = {"src_lines": src_lines(path), "tier1": suites[label],
+                 "workloads": {}}
         for workload, lines in results[label].items():
             entry["workloads"][workload] = {
                 "correct": all(r["correct"] for r in lines),
