@@ -24,7 +24,7 @@ from .config import (
     build_schedule,
     load_config,
 )
-from .dynamics import Trajectory, run_ensemble
+from .dynamics import Trajectory, _record_times, run_ensemble
 from .expected import run_expected, transition_bundles
 from .schedules import (
     ScheduleConstructionError,
@@ -68,12 +68,25 @@ def _ext(cfg: ExperimentConfig) -> str:
     return "csv" if cfg.out_format == "csv" else "jsonl"
 
 
+def _times(cfg: ExperimentConfig) -> np.ndarray:
+    """Record times by the rule every run uses; a bad time is a config error."""
+    try:
+        return _record_times(cfg.horizon, cfg.record_every, cfg.record_times)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "run", "record_times") from None
+
+
+def _thin_expected(expected, times: np.ndarray):
+    return dataclasses.replace(expected, times=times,
+                               means=expected.means[times],
+                               norms=expected.norms[times])
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     schedule = build_schedule(cfg)
     ens = run_ensemble(schedule, cfg.params, cfg.horizon,
                        n_runs=cfg.ensemble, x0=_x0(cfg),
-                       record_every=cfg.record_every,
-                       record_times=cfg.record_times)
+                       record_times=_times(cfg))
     out = _out_dir(cfg)
     ext = _ext(cfg)
     for r in range(ens.n_runs):
@@ -88,30 +101,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _thin_expected(expected, cfg: ExperimentConfig):
-    times = expected.times
-    if cfg.record_times is not None:
-        wanted = np.asarray(cfg.record_times, dtype=np.int64)
-        bad = wanted[(wanted < 0) | (wanted > times[-1])]
-        if bad.size:
-            raise ConfigError("record time %d outside horizon %d"
-                              % (int(bad[0]), int(times[-1])), "run",
-                              "record_times")
-        keep = np.isin(times, wanted)
-    else:
-        keep = (times % cfg.record_every == 0) | (times == times[-1])
-    return dataclasses.replace(expected, times=times[keep],
-                               means=expected.means[keep],
-                               norms=expected.norms[keep])
-
-
 def cmd_expected(cfg: ExperimentConfig) -> int:
     if cfg.ensemble > 1:
         _warn("expected process is deterministic; ignoring ensemble = %d"
               % cfg.ensemble)
     schedule = build_schedule(cfg)
+    times = _times(cfg)
     expected = run_expected(schedule, cfg.params, cfg.horizon, x0=_x0(cfg))
-    thinned = _thin_expected(expected, cfg)
+    thinned = _thin_expected(expected, times)
     out = _out_dir(cfg)
     path = tables.write_expected_trajectory(
         out / ("expected." + _ext(cfg)), thinned, schedule, cfg.out_format)
@@ -189,6 +186,7 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     if cfg.params.n != 2:
         raise ConfigError("needs exactly n = 2 learning agents", "params", "n")
     schedule = build_schedule(cfg)
+    times = _times(cfg)
     verdict = analysis.counterexample_check(schedule, cfg.params, cfg.horizon)
 
     out = _out_dir(cfg)
@@ -196,7 +194,7 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     tables.write_switch_table(out / ("switches." + ext), schedule.switches,
                               fmt=cfg.out_format)
     tables.write_expected_trajectory(out / ("trajectory." + ext),
-                                     _thin_expected(verdict.trajectory, cfg),
+                                     _thin_expected(verdict.trajectory, times),
                                      schedule, cfg.out_format)
     lines = [
         "status: %s" % verdict.status,
@@ -277,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("need seed >= 0", "params", "seed")
         cfg = dataclasses.replace(
             cfg, params=dataclasses.replace(cfg.params, seed=args.seed))
     if args.out is not None:

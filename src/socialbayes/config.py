@@ -176,6 +176,8 @@ def _parse_params(cp) -> tuple:
         raise ConfigError("must be finite", name, "truth")
     # reproducibility first: the seed has no default
     seed = _get(sec, "seed", int, name=name)
+    if seed < 0:
+        raise ConfigError("need seed >= 0", name, "seed")
     truth_noise = _get(sec, "truth_noise", _as_bool, True, name)
     x0 = _get(sec, "x0", _as_floats, (truth,), name)
     if len(x0) not in (1, n, n + 1):

@@ -32,14 +32,10 @@ _TAG_RUN = 201
 _NOISE_BUDGET = 2 ** 16
 
 
-def rng_stream(seed: int, *key: int) -> np.random.Generator:
-    """Named substream of the master seed (independent across keys)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
-
-
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
     """Dynamics stream for one run; distinct runs never share draws."""
-    return rng_stream(seed, _TAG_RUN, run_index)
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed), _TAG_RUN, int(run_index)]))
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,6 @@ class Trajectory:
     ledger: np.ndarray           # (K, n+1), schedule-determined
     params: SystemParams
     run_index: int = 0
-    kind: str = "simulated"
     signals: np.ndarray | None = None  # (K, n+1) emitted signals, optional
 
     @property
@@ -200,6 +195,11 @@ class Trajectory:
 
 
 def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
+    """Sorted record times, the one rule for runs and written tables.
+
+    Every record_every-th step plus the horizon, or the given times;
+    ValueError for a time outside [0, horizon].
+    """
     if record_times is not None:
         times = np.unique(np.asarray(record_times, dtype=np.int64))
         if times.size and (times[0] < 0 or times[-1] > horizon):
@@ -284,43 +284,22 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     return means, ledger, signals
 
 
-def _zero_noise(schedule: GraphSchedule, params: SystemParams, horizon: int,
-                x0, times: np.ndarray, n_runs: int,
-                record_signals: bool = False):
-    """_run_core's outputs with u = eps = 0: every run is run_expected's
-    mean process and emits its means as signals before the horizon."""
-    from .expected import run_expected  # both build on this module
-    from .tables import ledger_for_times
-    means = run_expected(schedule, params, horizon, x0).means[times]
-    signals = None
-    if record_signals:
-        signals = np.where((times < horizon)[:, None], means, np.nan)[None]
-    return (np.repeat(means[None], n_runs, axis=0),
-            ledger_for_times(schedule, params, times), signals)
-
-
 def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
                    x0=None, record_every=None, record_times=None,
-                   record_signals: bool = False, run_index: int = 0,
-                   zero_noise: bool = False) -> Trajectory:
+                   record_signals: bool = False,
+                   run_index: int = 0) -> Trajectory:
     """Simulate one run of the noisy belief recursion.
 
     Reproducible from (params.seed, run_index, schedule, params): the run owns
     stream (seed, run tag, run_index).  horizon = 0 records only the initial
-    state.  zero_noise forces u = eps = 0: the run is then the deterministic
-    mean process, its means run_expected's bit for bit.
+    state.  The deterministic mean process is run_expected.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    if zero_noise:
-        means, ledger, signals = _zero_noise(schedule, params, horizon, x0,
-                                             times, 1, record_signals)
-    else:
-        means, ledger, signals = _run_core(schedule, params, horizon, x0, times,
-                                           1, run_index, record_signals)
+    means, ledger, signals = _run_core(schedule, params, horizon, x0, times,
+                                       1, run_index, record_signals)
     return Trajectory(times, means[0], ledger, params, run_index,
-                      "zero-noise" if zero_noise else "simulated",
                       None if signals is None else signals[0])
 
 
@@ -336,17 +315,13 @@ class EnsembleResult:
 
 
 def run_ensemble(schedule: GraphSchedule, params: SystemParams, horizon: int,
-                 n_runs: int, x0=None, record_every=None, record_times=None,
-                 zero_noise: bool = False) -> EnsembleResult:
-    """Independent runs over a shared schedule (run r uses stream index r).
-
-    With zero_noise every member is run_expected's mean process.
-    """
+                 n_runs: int, x0=None, record_every=None,
+                 record_times=None) -> EnsembleResult:
+    """Independent runs over a shared schedule (run r uses stream index r)."""
     if n_runs < 1:
         raise ValueError("need at least one run")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    core = _zero_noise if zero_noise else _run_core
-    means, ledger, _ = core(schedule, params, horizon, x0, times, n_runs)
+    means, ledger, _ = _run_core(schedule, params, horizon, x0, times, n_runs)
     return EnsembleResult(times, means, ledger, params, n_runs)

@@ -148,22 +148,6 @@ def bundle_at(schedule: GraphSchedule, params: SystemParams,
     return next(transition_bundles(schedule, params, t, t + 1))
 
 
-def step_expected(y: np.ndarray, bundle: TransitionBundle,
-                  truth: float) -> np.ndarray:
-    """One step of the mean process, cross-checked in both forms.
-
-    Computes the full stochastic step and the truth-shifted reduced step and
-    raises RuntimeError unless they agree entrywise.
-    """
-    y_full = bundle.full @ y
-    z_next = bundle.reduced @ (y[1:] - truth)
-    if not np.all(np.abs(y_full[1:] - (truth + z_next)) <= 1e-11 * max(
-            1.0, np.max(np.abs(y)))):
-        raise RuntimeError("full and reduced forms disagree")
-    y_full[0] = truth
-    return y_full
-
-
 @dataclass(frozen=True)
 class ExpectedTrajectory:
     """Dense mean-process record: y_t, truth-shifted z_t, and sup norms."""
@@ -192,8 +176,7 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     vectors, so those entries stay exactly as they are.  Past it a step is
     (P_t y + A_t y) / (P_t + D_t), zero-receiver rows copied over.  Sup
     norms are taken per block, so extra memory is one block, not the
-    horizon.  The first step is cross-checked against the validated
-    bundle path.
+    horizon.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -227,19 +210,6 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 y = row
         norms[b0 + 1:b1 + 1] = np.max(np.abs(means[b0 + 1:b1 + 1, 1:] - truth),
                                       axis=1)
-        if b0 == 0:
-            k = blk.slots[0]
-            _check_first_step(blk.adjacency[k], blk.degrees[k], init.ledger,
-                              means, truth)
     return ExpectedTrajectory(np.arange(horizon + 1), means, norms, truth,
                               params)
 
-
-def _check_first_step(a: np.ndarray, deg: np.ndarray, p: np.ndarray,
-                      means: np.ndarray, truth: float):
-    """Raise unless step 0 agrees with the validated bundle path."""
-    y = means[0]
-    checked = step_expected(y, transition_bundle(a, deg, p, 0), truth)
-    if not np.all(np.abs(checked - means[1]) <= 1e-11 * max(
-            1.0, np.max(np.abs(y)))):
-        raise RuntimeError("lean step disagrees with the bundle step at t=0")

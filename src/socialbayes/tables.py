@@ -207,7 +207,7 @@ def _precisions_from_ledger(ledger: np.ndarray, params: SystemParams) -> np.ndar
 
 
 def write_trajectory(path, traj: Trajectory, fmt: str = "csv") -> Path:
-    meta = _trajectory_meta(traj.params, traj.kind, {"run": traj.run_index})
+    meta = _trajectory_meta(traj.params, "simulated", {"run": traj.run_index})
     prec = _precisions_from_ledger(traj.ledger, traj.params)
     rows = _trajectory_rows(traj.times, traj.means, prec)
     return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)
@@ -232,20 +232,13 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np
 
 
 def write_expected_trajectory(path, expected: ExpectedTrajectory,
-                              schedule: GraphSchedule, fmt: str = "csv",
-                              every: int = 1) -> Path:
-    """Expected-process table in the trajectory format, kind flag included.
-
-    `every` thins dense output to times divisible by it (last time kept).
-    """
-    times = expected.times
-    keep = (times % every == 0) | (times == times[-1])
-    times = times[keep]
-    means = expected.means[keep]
-    ledger = ledger_for_times(schedule, expected.params, times)
+                              schedule: GraphSchedule,
+                              fmt: str = "csv") -> Path:
+    """Expected-process table in the trajectory format, kind flag included."""
+    ledger = ledger_for_times(schedule, expected.params, expected.times)
     prec = _precisions_from_ledger(ledger, expected.params)
     meta = _trajectory_meta(expected.params, expected.kind, {"run": 0})
-    rows = _trajectory_rows(times, means, prec)
+    rows = _trajectory_rows(expected.times, expected.means, prec)
     return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)
 
 

@@ -133,6 +133,7 @@ def test_bad_values_carry_section_and_key():
         (BASE.replace("x0 = 2.0", "x0 = 2.0 nan 1.0 1.0"), "x0"),
         (BASE.replace("x0 = 2.0", "x0 = 2.0\ntruth = inf"), "truth"),
         (BASE.replace("x0 = 2.0", "x0 = 2.0\ntau0 = nan"), "tau"),
+        (BASE.replace("seed = 11", "seed = -1"), "[params].seed"),
         (BASE + "\n[verify]\nchecks = identities gravity\n", "gravity"),
         (BASE + "\n[output]\nformat = parquet\n", "format"),
         (BASE + "\n[ratefit]\ninput = a\nwindow = 9 3\nd = 2\nkappa = 3\n",
@@ -196,6 +197,31 @@ def test_seed_override_changes_output(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(b),
                  "--seed", "99"]) == 0
     assert not files_match(a / "run-0000.csv", b / "run-0000.csv")
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    cfg = config_file(tmp_path, BASE)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-3"]) == 2
+    assert "[params].seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "expected", "counterexample"])
+def test_bad_record_times_are_config_errors(tmp_path, capsys, command):
+    """Every command thins by one rule and reports a time outside
+    [0, horizon] as [run].record_times, exit 2."""
+    text = BASE.replace("horizon = 120", "horizon = 50")
+    if command == "counterexample":
+        text = text.replace("n = 4", "n = 2").replace(
+            "kind = periodic\nkappa = 3\npeer_rule = ring",
+            "kind = counterexample")
+    for times in ("0 10 80", "-2 10"):
+        cfg = config_file(tmp_path, text.replace(
+            "record_every = 10", "record_times = " + times))
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "[run].record_times" in err and "Traceback" not in err
 
 
 def test_expected_warns_on_ensemble(tmp_path, capsys):

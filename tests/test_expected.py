@@ -8,7 +8,6 @@ from socialbayes.dynamics import SystemParams, initial_state
 from socialbayes.expected import (
     bundle_at,
     run_expected,
-    step_expected,
     transition_bundle,
     transition_bundles,
 )
@@ -89,12 +88,13 @@ def test_transition_bundle_validates_inputs():
         transition_bundle(leaky, deg, led)
 
 
-def test_step_expected_fixed_point_at_truth():
-    params = SystemParams(n=3, truth=4.0, seed=0)
-    sched = make_periodic_schedule(3, 1, peer_rule="complete")
-    y = np.full(4, 4.0)
-    b = bundle_at(sched, params, 0)
-    assert np.allclose(step_expected(y, b, 4.0), 4.0, atol=1e-14)
+@pytest.mark.parametrize("n", [3, expected_module._STACK_MAX_N + 1])
+def test_run_expected_fixed_point_at_truth(n):
+    """Started at the truth, the means stay there on both step paths."""
+    params = SystemParams(n=n, truth=4.0, seed=0)
+    sched = make_periodic_schedule(n, 1, peer_rule="complete")
+    out = run_expected(sched, params, 20, x0=4.0)
+    assert np.allclose(out.means, 4.0, atol=1e-14)
 
 
 def test_expected_norms_never_increase():
@@ -349,6 +349,10 @@ _ORACLE_CASES = {
     "random-n8-ratio-1/3": (lambda: make_random_schedule(8, 3, 0.3, seed=5),
                             SystemParams(n=8, tau=3.0, tau0=1.0), 5000,
                             np.linspace(1.0, 3.0, 8), 5e-14),
+    # past _STACK_MAX_N: the per-pattern step
+    "random-n30-ratio-1/3": (lambda: make_random_schedule(30, 3, 0.1, seed=8),
+                             SystemParams(n=30, tau=3.0, tau0=1.0), 2000,
+                             np.linspace(-1.0, 2.0, 30), 5e-14),
 }
 
 
@@ -371,15 +375,3 @@ def test_run_expected_keeps_schedule_horizon_check():
     periodic = make_periodic_schedule(2, 3, horizon=10)
     with pytest.raises(ScheduleHorizonError):
         run_expected(periodic, SystemParams(n=2), 11)
-
-
-def test_run_expected_first_step_cross_check_raises(monkeypatch):
-    real = expected_module.step_expected
-
-    def skewed(y, bundle, truth):
-        return real(y, bundle, truth) + 1e-3
-
-    monkeypatch.setattr(expected_module, "step_expected", skewed)
-    with pytest.raises(RuntimeError):
-        run_expected(make_periodic_schedule(2, 1), SystemParams(n=2), 3,
-                     x0=2.0)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import socialbayes
 
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
-           "reduced_product")
+           "reduced_product", "step_expected", "rng_stream")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -39,6 +40,12 @@ def test_removed_names_are_gone():
                        "tables"):
             assert not hasattr(importlib.import_module(
                 "socialbayes." + module), name), (module, name)
+    for func, param in ((socialbayes.run_simulation, "zero_noise"),
+                        (socialbayes.run_ensemble, "zero_noise"),
+                        (socialbayes.Trajectory, "kind"),
+                        (socialbayes.tables.write_expected_trajectory,
+                         "every")):
+        assert param not in inspect.signature(func).parameters, func
 
 
 def test_traced_layers_resolve():
