@@ -227,8 +227,11 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
     spec = cfg.ratefit
     table = tables.read_table(_resolve_input(cfg, spec.input))
     times, norms = tables.trajectory_norms(table)
-    fit = analysis.fit_rate(times, norms, window=spec.window, d=spec.d,
-                            kappa=spec.kappa, slack=spec.slack)
+    try:
+        fit = analysis.fit_rate(times, norms, window=spec.window, d=spec.d,
+                                kappa=spec.kappa, slack=spec.slack)
+    except ValueError as exc:  # too few samples of the table in the window
+        raise ConfigError(str(exc), "ratefit", "window") from None
     out = _out_dir(cfg)
     ext = _ext(cfg)
     meta = {"input": spec.input}

@@ -252,6 +252,9 @@ def _parse_run(cp) -> tuple:
     if ensemble < 1:
         raise ConfigError("need ensemble >= 1", name, "ensemble")
     record_times = _get(sec, "record_times", _as_ints, None, name)
+    if record_times == ():
+        raise ConfigError("need at least one record time", name,
+                          "record_times")
     record_every = _get(sec, "record_every", int, None, name)
     if record_times is not None and record_every is not None:
         raise ConfigError("record_every and record_times are exclusive",

@@ -34,6 +34,13 @@ _STACK_BUDGET = 2 ** 18
 # random schedules: the stack wins up to n = 24, loses on a ring at 28).
 _STACK_MAX_N = 24
 
+# Chunk length c of run_expected's scan at n <= _STACK_MAX_N: the c of the
+# first (largest n, c) entry that holds n, else 1 (one product per step).
+# Measured per step on ring and random schedules, one BLAS thread: from
+# n = 18 on, a chunk's c - 1 matrix products cost more than the calls
+# they save.
+_SCAN_CHUNKS = ((4, 32), (10, 16), (16, 8))
+
 
 @dataclass(frozen=True)
 class TransitionBundle:
@@ -157,12 +164,47 @@ class ExpectedTrajectory:
     norms: np.ndarray      # (T+1,), max_i |y_{t,i} - truth| over i >= 1
     truth: float
     params: SystemParams
-    kind: str = "expected"
 
     @property
     def shifted(self) -> np.ndarray:
         """z_t = y_t[1:] - truth, one row per time."""
         return self.means[:, 1:] - self.truth
+
+
+def _scan(w: np.ndarray, t0: int, c: int, carry, means: np.ndarray):
+    """Write means[t0 + 1 : t0 + 1 + len(w)] from the W stack of steps
+    t0, t0 + 1, ... by chunks of c steps anchored at multiples of c.
+
+    w becomes in place the running products W_t ... W_a of each chunk, a
+    its anchor step; carry is that product for step t0 - 1, needed when t0
+    is not an anchor.  A chunk's means are its products times the mean at
+    its anchor, so they do not depend on where pieces or blocks cut.
+    Returns the carry for the piece that follows.
+    """
+    s = t0 % c
+    if s:
+        np.matmul(w[0], carry, out=w[0])
+    for j in range(1, c):
+        r = (j - s) % c or c  # first position of chunk index j
+        cur = w[r::c]
+        np.matmul(cur, w[r - 1::c][:len(cur)], out=cur)
+    rows, y = means[t0 + 1:t0 + 1 + len(w)], means[t0 - s]
+    head = min(len(w), -t0 % c)  # steps that close the chunk carried in
+    if head:
+        np.matmul(w[:head], y, out=rows[:head])
+        y = rows[head - 1]
+    body = len(w) - (len(w) - head) % c  # whole chunks end at step t0 + body
+    m = w.shape[-1]
+    # A one-step chunk is one (m, m) @ (m,) product, cheapest by np.dot.
+    shape, product = ((-1, c), np.matmul) if c > 1 else ((-1,), np.dot)
+    for wk, out, end in zip(w[head:body].reshape(*shape, m, m),
+                            rows[head:body].reshape(*shape, m),
+                            rows[head + c - 1:body:c]):
+        product(wk, y, out=out)
+        y = end
+    if body < len(w):  # a partial last chunk
+        np.matmul(w[body:], y, out=rows[body:])
+    return w[-1]
 
 
 def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -171,9 +213,11 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     Exact linear iteration, no RNG, over the schedule's compiled blocks
     with ledger rows P_t = ratio + (int64 receive counts).  While
-    n <= _STACK_MAX_N a step is y_{t+1} = W_t y_t, W_t bitwise the `full`
-    of transition_bundle; its truth row and zero-receiver rows are unit
-    vectors, so those entries stay exactly as they are.  Past it a step is
+    n <= _STACK_MAX_N the means come by a chunked scan (_scan):
+    y_{t+1} = (W_t ... W_a) y_a, a the last multiple of the chunk length
+    at or before t, each W_t bitwise the `full` of transition_bundle.  The
+    truth row and zero-receiver rows of W_t are unit vectors, so those
+    entries stay exactly as they are.  Past it a step is
     (P_t y + A_t y) / (P_t + D_t), zero-receiver rows copied over.  Sup
     norms are taken per block, so extra memory is one block, not the
     horizon.
@@ -187,14 +231,13 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     means[0] = init.means
     norms[0] = np.max(np.abs(init.means[1:] - truth))
     stacked = params.n <= _STACK_MAX_N
+    chunk = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
+    carry = None
     for blk in schedule.compiled.blocks(0, horizon):
         b0, b1 = blk.start, blk.start + len(blk.slots)
         if stacked:
             for t0, _, w, _, _ in _transition_pieces(blk, params.ratio):
-                y = means[t0]
-                for wt, row in zip(w, means[t0 + 1:t0 + 1 + len(w)]):
-                    np.matmul(wt, y, out=row)
-                    y = row
+                carry = _scan(w, t0, chunk, carry, means)
         else:
             _, before, after = blk.ledger(params.ratio)
             adjacency, idle = blk.adjacency, blk.idle()

@@ -234,10 +234,10 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np
 def write_expected_trajectory(path, expected: ExpectedTrajectory,
                               schedule: GraphSchedule,
                               fmt: str = "csv") -> Path:
-    """Expected-process table in the trajectory format, kind flag included."""
+    """Expected-process table in the trajectory format, kind `expected`."""
     ledger = ledger_for_times(schedule, expected.params, expected.times)
     prec = _precisions_from_ledger(ledger, expected.params)
-    meta = _trajectory_meta(expected.params, expected.kind, {"run": 0})
+    meta = _trajectory_meta(expected.params, "expected", {"run": 0})
     rows = _trajectory_rows(expected.times, expected.means, prec)
     return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)
 

@@ -215,7 +215,7 @@ def test_bad_record_times_are_config_errors(tmp_path, capsys, command):
         text = text.replace("n = 4", "n = 2").replace(
             "kind = periodic\nkappa = 3\npeer_rule = ring",
             "kind = counterexample")
-    for times in ("0 10 80", "-2 10"):
+    for times in ("0 10 80", "-2 10", ""):
         cfg = config_file(tmp_path, text.replace(
             "record_every = 10", "record_times = " + times))
         assert main([command, "--config", cfg,
@@ -441,6 +441,27 @@ kappa = 3
     assert report["status"][0] == "ok"
     points = read_table(out / "ratefit-points.csv")
     assert len(points["t"]) > 5
+
+
+@pytest.mark.parametrize("window", ["130 200", "115 125"])
+def test_ratefit_window_too_sparse_is_config_error(tmp_path, capsys, window):
+    """A window past the table's last time (no sample) or holding one
+    positive sample is reported as [ratefit].window, exit 2."""
+    text = BASE + """
+[ratefit]
+input = expected.csv
+window = %s
+d = 2
+kappa = 3
+""" % window
+    cfg = config_file(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["expected", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ratefit", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "[ratefit].window" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_ratefit_missing_input(tmp_path):

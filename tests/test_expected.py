@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import socialbayes.expected as expected_module
+import socialbayes.schedules as schedules_module
 from socialbayes.dynamics import SystemParams, initial_state
 from socialbayes.expected import (
     bundle_at,
@@ -97,6 +98,17 @@ def test_run_expected_fixed_point_at_truth(n):
     assert np.allclose(out.means, 4.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 4, 8, 12])
+def test_scanned_norms_never_increase(n):
+    """The scan's chunk products round differently from one product per
+    step, and still keep the sup norm from growing, over ten schedules."""
+    params = SystemParams(n=n, truth=-1.0, tau=3.0, tau0=1.0)
+    for seed in range(10):
+        sched = make_random_schedule(n, 4, 0.3, seed=seed)
+        out = run_expected(sched, params, 500, x0=np.linspace(-3, 3, n))
+        assert np.all(np.diff(out.norms) <= 1e-15), seed
+
+
 def test_expected_norms_never_increase():
     """Each row of the reduced block is a subconvex combination, so the
     truth-shifted sup norm cannot grow."""
@@ -111,7 +123,6 @@ def test_expected_shifted_property():
     sched = make_periodic_schedule(2, 1)
     out = run_expected(sched, params, 5, x0=2.5)
     assert np.allclose(out.shifted, out.means[:, 1:] - 1.5)
-    assert out.kind == "expected"
 
 
 def _reduced_product(sched, params, s, t):
@@ -294,22 +305,45 @@ _REFERENCE_CASES = {
 @pytest.mark.parametrize("horizon", [0, 1, 300])
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_run_expected_bitwise_matches_reference_loop(case, horizon):
+    """Bitwise the one-step loop while a chunk holds one product (horizons
+    0 and 1); over 300 steps the scan's products round differently, so
+    the gate is the long-double replay."""
     make, params, x0 = _REFERENCE_CASES[case]
     sched = make()
-    means, norms = _bundle_loop(sched, params, horizon, x0)
     out = run_expected(sched, params, horizon, x0=x0)
-    assert np.array_equal(out.means, means)
-    assert np.array_equal(out.norms, norms)
+    if horizon <= 1:
+        means, norms = _bundle_loop(sched, params, horizon, x0)
+        assert np.array_equal(out.means, means)
+        assert np.array_equal(out.norms, norms)
+        return
+    exact = _longdouble_replay(sched, params, horizon, x0)
+    assert float(np.max(np.abs(out.means - exact))) <= 5e-14
+    norms = np.max(np.abs(exact[:, 1:] - np.longdouble(params.truth)), axis=1)
+    assert float(np.max(np.abs(out.norms - norms))) <= 5e-14
 
 
-def test_run_expected_bitwise_across_blocks():
-    """Long enough to cross the compiled run's block boundaries."""
-    sched = make_periodic_schedule(4, 3, peer_rule="ring")
-    params = SystemParams(n=4, tau=3.0, tau0=1.0)
-    means, norms = _bundle_loop(sched, params, 2 * _BLOCK_STEPS + 808, 2.0)
-    out = run_expected(sched, params, 2 * _BLOCK_STEPS + 808, x0=2.0)
-    assert np.array_equal(out.means, means)
-    assert np.array_equal(out.norms, norms)
+def test_run_expected_bitwise_across_blocks(monkeypatch):
+    """The scan's chunks sit at multiples of their length, so the means do
+    not depend on where compiled blocks and W pieces cut: smaller blocks
+    and pieces, neither a multiple of any chunk length, change no bit."""
+    cases = [(lambda: make_periodic_schedule(4, 3, peer_rule="ring"),
+              SystemParams(n=4, tau=3.0, tau0=1.0), 2.0,
+              2 * _BLOCK_STEPS + 808),
+             (lambda: make_random_schedule(10, 3, 0.3, seed=4),
+              SystemParams(n=10, tau=3.0, tau0=1.0), np.linspace(0, 2, 10),
+              4500),
+             (lambda: make_random_schedule(16, 3, 0.3, seed=4),
+              SystemParams(n=16, truth=0.5), np.linspace(-1, 2, 16), 3000)]
+    whole = [run_expected(make(), params, horizon, x0=x0)
+             for make, params, x0, horizon in cases]
+    monkeypatch.setattr(schedules_module, "_BLOCK_STEPS", 700)
+    monkeypatch.setattr(expected_module, "_STACK_BUDGET", 3000)
+    for (make, params, x0, horizon), want in zip(cases, whole):
+        sched = make()
+        assert sched.compiled.steps == 700
+        out = run_expected(sched, params, horizon, x0=x0)
+        assert np.array_equal(out.means, want.means)
+        assert np.array_equal(out.norms, want.norms)
 
 
 @pytest.mark.parametrize("kind", ["random", "truth-only"])
@@ -349,6 +383,10 @@ _ORACLE_CASES = {
     "random-n8-ratio-1/3": (lambda: make_random_schedule(8, 3, 0.3, seed=5),
                             SystemParams(n=8, tau=3.0, tau0=1.0), 5000,
                             np.linspace(1.0, 3.0, 8), 5e-14),
+    # the largest n whose scan takes chunks longer than one step
+    "random-n16-ratio-1/3": (lambda: make_random_schedule(16, 3, 0.3, seed=5),
+                             SystemParams(n=16, tau=3.0, tau0=1.0), 3000,
+                             np.linspace(1.0, 3.0, 16), 5e-14),
     # past _STACK_MAX_N: the per-pattern step
     "random-n30-ratio-1/3": (lambda: make_random_schedule(30, 3, 0.1, seed=8),
                              SystemParams(n=30, tau=3.0, tau0=1.0), 2000,

@@ -43,6 +43,7 @@ def test_removed_names_are_gone():
     for func, param in ((socialbayes.run_simulation, "zero_noise"),
                         (socialbayes.run_ensemble, "zero_noise"),
                         (socialbayes.Trajectory, "kind"),
+                        (socialbayes.ExpectedTrajectory, "kind"),
                         (socialbayes.tables.write_expected_trajectory,
                          "every")):
         assert param not in inspect.signature(func).parameters, func
