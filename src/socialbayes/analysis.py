@@ -35,6 +35,9 @@ from .schedules import (CounterexampleSchedule, GraphSchedule, max_degree,
 
 TOL = 1e-12
 
+# Window counts m of the product-decay checks sweep_window_checks adds.
+_DECAY_LENGTHS = (1, 5, 20)
+
 
 def norm_inf(m: np.ndarray) -> float:
     """Operator infinity norm: largest absolute row sum."""
@@ -292,19 +295,18 @@ def check_norm_inequalities(n_pairs: int = 1000, size: int = 8,
 
 
 def sweep_window_checks(schedule: GraphSchedule, params: SystemParams,
-                        horizon: int, kappa: int, d: int | None = None,
-                        decay_lengths=(1, 5, 20)) -> list[BoundCheck]:
+                        horizon: int, kappa: int) -> list[BoundCheck]:
     """All window-anchored checks over aligned windows within the horizon.
 
     Walks window starts s = 0, kappa, 2*kappa, ... as slices of one bundle
     walk; at each start runs the diagonal, contraction, and
     truth-pull checks, then adds product-decay checks at the first admissible
-    burn-in for each requested length that fits the horizon.
+    burn-in for each length of _DECAY_LENGTHS that fits the horizon, d the
+    schedule's max_degree below the horizon.
     """
     checks: list[BoundCheck] = []
     n_windows = horizon // kappa
-    if d is None:
-        d = max_degree(schedule, horizon)
+    d = max_degree(schedule, horizon)
     walk = transition_bundles(schedule, params, 0, n_windows * kappa)
     for j in range(n_windows):
         s = j * kappa
@@ -317,7 +319,7 @@ def sweep_window_checks(schedule: GraphSchedule, params: SystemParams,
                                                     kappa, _bundles=shared))
     if d > 0:
         m0 = math.ceil(burn_in_threshold(params, kappa, d))
-        for m in decay_lengths:
+        for m in _DECAY_LENGTHS:
             if (m0 + m) * kappa <= horizon:
                 checks.append(check_product_decay(schedule, params, m0, m,
                                                   kappa, d))

@@ -280,6 +280,8 @@ def _parse_verify(cp) -> VerifySpec:
     else:
         names = CHECK_NAMES
     kappa = _get(sec, "kappa", int, None, name)
+    if kappa is not None and kappa < 1:
+        raise ConfigError("need kappa >= 1", name, "kappa")
     fault = _get(sec, "inject_fault", str, "none", name)
     if fault not in FAULT_HOOKS:
         raise ConfigError("unknown fault hook %r" % fault, name,

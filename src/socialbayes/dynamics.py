@@ -172,7 +172,6 @@ def step_per_agent(state: BeliefState, adjacency: np.ndarray,
                                a[senders], params.tau)
         means[i] = mean
         ledger[i] += senders.size
-    means[0] = params.truth
     return BeliefState(means, ledger, state.t + 1, params)
 
 
@@ -234,16 +233,16 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     signals = (np.full((n_runs, times.size, n1), np.nan) if record_signals
                else None)
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
-    ratio, tau, truth = params.ratio, params.tau, params.truth
+    ratio, tau = params.ratio, params.tau
     width = max(1, min(_NOISE_BUDGET // (n_runs * 2 * n1), horizon))
     streams = [run_stream(params.seed, run_index + r) for r in range(n_runs)]
     buf = np.empty((n_runs, width, 2, n1))
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
     for blk in schedule.compiled.blocks(0, horizon):
-        _, before, after = blk.ledger(ratio)
-        adjacency, idle = blk.adjacency, blk.idle()
-        slots = blk.slots.tolist()
+        before, after = blk.ledger(ratio)
+        keep = before[:-1] / after  # P_t / P_{t+1}
+        adjacency, slots = blk.adjacency, blk.slots.tolist()
         for c0 in range(0, len(slots), width):
             c1 = min(c0 + width, len(slots))
             t0 = blk.start + c0
@@ -255,9 +254,9 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
             noise[:, :, 1] *= 1.0 / np.sqrt(tau)
             if not params.truth_noise:
                 noise[:, :, 1, 0] = 0.0
-            for t, slot, p, p_next in zip(range(t0, blk.start + c1),
-                                          slots[c0:c1], before[c0:c1],
-                                          after[c0:c1]):
+            for t, slot, p, p_next, kept in zip(range(t0, blk.start + c1),
+                                                slots[c0:c1], before[c0:c1],
+                                                after[c0:c1], keep[c0:c1]):
                 sig = x + noise[:, t - t0, 0]
                 sig += noise[:, t - t0, 1]
                 if t == pending[k]:
@@ -266,17 +265,15 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
                     if signals is not None:
                         signals[:, k] = sig
                     k += 1
-                new = p * x
                 # one matrix-vector product per run, as a solo run takes it;
                 # a single sig @ A.T rounds differently once rows have many
                 # senders
-                new += np.matmul(adjacency[slot], sig[:, :, None])[:, :, 0]
+                new = np.matmul(adjacency[slot], sig[:, :, None])[:, :, 0]
                 new /= p_next
-                # zero-receiver coordinates stay put exactly, as a
-                # conjugate update with no signals leaves them
-                if idle[slot] is not None:
-                    np.copyto(new, x, where=idle[slot])
-                new[:, 0] = truth
+                # (P_t / P_{t+1}) x + A_t sig / P_{t+1}: a row that receives
+                # nothing, the truth row among them, adds 0 to exactly 1 * x,
+                # so it stays put, as a conjugate update with no signals
+                new += kept * x
                 x = new
     if horizon == pending[k]:
         means[:, k] = x

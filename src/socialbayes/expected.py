@@ -66,7 +66,8 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
                       ledger: np.ndarray, t: int = 0) -> TransitionBundle:
     """Build the transition blocks for one step.
 
-    deg is the ledger degree vector (deg[0] = 0).  full is built by
+    deg is the ledger degree vector, adjacency's row sums; the truth row
+    of both is zero, as the truth hears nobody.  full is built by
     _transitions, the builder of every W stack, so it is bitwise the W_t
     of a walk or of run_expected.  Only the inputs are validated here;
     check_transition_identities measures how far the result is from
@@ -79,33 +80,32 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
         raise ValueError("shape mismatch between adjacency, degrees, ledger")
     if np.any(p <= 0):
         raise ValueError("ledger entries must be positive")
-    if deg[0] != 0 or a[0, 0] != 1.0 or np.any(a[0, 1:] != 0.0):
-        raise ValueError("truth row must be the self-loop with zero degree")
+    if deg[0] != 0 or np.any(a[0] != 0.0):
+        raise ValueError("truth row must be zero: the truth hears nobody")
     if np.any(a < 0):
         raise ValueError("adjacency entries must be nonnegative")
-    rowsum = a.sum(axis=1)
-    if not np.array_equal(rowsum[1:], deg[1:]):
+    if not np.array_equal(a.sum(axis=1), deg):
         raise ValueError("degrees disagree with adjacency row sums")
     p_after = p + deg
-    full = _transitions(a[None], rowsum[None], p[None])[0]
+    full = _transitions(a[None], p[None], p_after[None])[0]
     noise_mix = a[1:, 1:] / p_after[1:, None]
     return TransitionBundle(t, full, full[1:, 1:], full[1:, 0], noise_mix, p,
                             p_after)
 
 
-def _transitions(a: np.ndarray, rowsums: np.ndarray,
-                 before: np.ndarray) -> np.ndarray:
-    """W_j = (P_j + A_j) / (P_j + A_j 1) for a (k, n+1, n+1) stack a.
+def _transitions(a: np.ndarray, before: np.ndarray,
+                 after: np.ndarray) -> np.ndarray:
+    """W_j = (P_j + A_j) / P_{j+1} for a (k, n+1, n+1) stack a, with
+    P_{j+1} = P_j + A_j 1.
 
-    The divisor is P_{j+1} on learning-agent rows and P_j + 1 on the truth
-    row, so each W_j is stochastic while the truth ledger stays inert.
-    Each entry is rounded as (diag(P_j) + A_j) / divisor rounds it.
+    Each W_j is stochastic, and a row that receives nothing, the truth row
+    among them, is a unit vector exactly.  Each entry is rounded as
+    (diag(P_j) + A_j) / P_{j+1} rounds it.
     """
-    divisor = before + rowsums
-    w = a / divisor[:, :, None]
+    w = a / after[:, :, None]
     diagonal = np.s_[:, ::a.shape[-1] + 1]
     w.reshape(len(a), -1)[diagonal] = (
-        before + a.reshape(len(a), -1)[diagonal]) / divisor
+        before + a.reshape(len(a), -1)[diagonal]) / after
     return w
 
 
@@ -115,16 +115,13 @@ def _transition_pieces(blk: Block, ratio: float):
     Yields (first step, adjacency stack, W stack, ledger rows before and
     after each step), one entry per step of the piece.
     """
-    _, before, after = blk.ledger(ratio)
+    before, after = blk.ledger(ratio)
     patterns = np.asarray(blk.adjacency)  # no copy of a random block's stack
-    rowsums = np.array(blk.degrees, dtype=np.float64)
-    rowsums[:, 0] = 1.0  # the truth self-loop
     size = max(1, _STACK_BUDGET // patterns[0].nbytes)
     for j in range(0, len(blk.slots), size):
         slots = blk.slots[j:j + size]
-        a, p = patterns[slots], before[j:j + len(slots)]
-        yield (blk.start + j, a, _transitions(a, rowsums[slots], p), p,
-               after[j:j + len(slots)])
+        a, p, q = patterns[slots], before[j:j + len(slots)], after[j:j + size]
+        yield blk.start + j, a, _transitions(a, p, q), p, q
 
 
 def transition_bundles(schedule: GraphSchedule, params: SystemParams,
@@ -217,10 +214,11 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     y_{t+1} = (W_t ... W_a) y_a, a the last multiple of the chunk length
     at or before t, each W_t bitwise the `full` of transition_bundle.  The
     truth row and zero-receiver rows of W_t are unit vectors, so those
-    entries stay exactly as they are.  Past it a step is
-    (P_t y + A_t y) / (P_t + D_t), zero-receiver rows copied over.  Sup
-    norms are taken per block, so extra memory is one block, not the
-    horizon.
+    entries stay exactly as they are.  Past it a step is the increment
+    y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built once per pattern of
+    a block; a row that receives nothing, the truth row among them, is a
+    zero row of L_t, so its entry stays exactly as it is.  Sup norms are
+    taken per block, so extra memory is one block, not the horizon.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -239,17 +237,15 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
             for t0, _, w, _, _ in _transition_pieces(blk, params.ratio):
                 carry = _scan(w, t0, chunk, carry, means)
         else:
-            _, before, after = blk.ledger(params.ratio)
-            adjacency, idle = blk.adjacency, blk.idle()
+            before, after = blk.ledger(params.ratio)
+            lap = np.array(blk.adjacency)  # L_k = A_k - diag(D_k)
+            lap.reshape(len(lap), -1)[:, ::lap.shape[-1] + 1] -= blk.degrees
             y = means[b0]
-            for row, k, p, p_next in zip(means[b0 + 1:b1 + 1],
-                                         blk.slots.tolist(), before, after):
-                np.multiply(p, y, out=row)
-                row += adjacency[k] @ y
+            for row, k, p_next in zip(means[b0 + 1:b1 + 1],
+                                      blk.slots.tolist(), after):
+                np.dot(lap[k], y, out=row)
                 row /= p_next
-                if idle[k] is not None:
-                    np.copyto(row, y, where=idle[k])
-                row[0] = truth
+                row += y
                 y = row
         norms[b0 + 1:b1 + 1] = np.max(np.abs(means[b0 + 1:b1 + 1, 1:] - truth),
                                       axis=1)

@@ -3,8 +3,8 @@
 All graphs live on node set {0, 1, ..., n} where node 0 is the truth agent
 and nodes 1..n are the learning agents.  An edge (i, j) at time t means agent
 i *receives* a signal from agent j during step t.  Row 0 of every adjacency
-matrix is (1, 0, ..., 0): the truth agent listens only to itself, so the full
-transition matrix built from it is stochastic while the truth value stays put.
+matrix is all zeros: the truth agent hears nobody, so, like every agent that
+receives nothing, it keeps its value.
 
 Schedules are deterministic objects: querying the same schedule twice at the
 same t yields identical edge sets (randomized schedules are seeded, with a
@@ -68,26 +68,21 @@ class Block(NamedTuple):
         return np.asarray(self.degrees)[self.slots]
 
     def ledger(self, ratio: float):
-        """(degree rows, ledger rows before each step and after the last,
-        each step's divisor ledger + degrees).
+        """(ledger rows before each step and after the last, each step's
+        divisor ledger + degrees).
 
         A ledger row is ratio + an int64 receive count, rounded once and
         never a float running sum, so it does not drift whatever the ratio.
         """
         degrees = self.step_degrees()
         before = ratio + np.cumsum(np.vstack([self.received, degrees]), axis=0)
-        return degrees, before, before[:-1] + degrees
-
-    def idle(self) -> list:
-        """Per pattern: the rows that receive nothing, or None."""
-        return [None if d[1:].all() else d == 0 for d in self.degrees]
+        return before, before[:-1] + degrees
 
 
 def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A (k, n+1, n+1) 0/1 stack made read-only, and its read-only (k, n+1)
-    receive counts, the truth self-loop not counted."""
+    receive counts, its row sums."""
     degrees = stack.sum(axis=2).astype(np.int64)
-    degrees[:, 0] = 0
     stack.flags.writeable = degrees.flags.writeable = False
     return stack, degrees
 
@@ -97,7 +92,6 @@ def _patterns(n: int, edge_sets) -> tuple[tuple, tuple]:
     pattern set hands out the same arrays each time; a repeated edge
     counts once.  Raises ValueError on a bad edge."""
     stack = np.zeros((len(edge_sets), n + 1, n + 1))
-    stack[:, 0, 0] = 1.0  # truth self-loop: keeps the transition stochastic
     for a, edges in zip(stack, edge_sets):
         i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         bad = (i < 1) | (i > n) | (j < 0) | (j > n) | (i == j)
@@ -436,7 +430,6 @@ class RandomSchedule(GraphSchedule):
         """edges_at's draws, thresholded straight into an adjacency stack."""
         n, steps = self.n, np.arange(start, stop)
         stack = np.zeros((steps.size, n + 1, n + 1))
-        stack[:, 0, 0] = 1.0
         stack[:, 1:, 0] = steps[:, None] % self.kappa == np.array(self.phases)
         if self.edge_probability > 0.0:
             draws = np.empty((n, n))  # one reused buffer: no fresh pages

@@ -225,7 +225,7 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np
     out = np.full((len(times), params.n + 1), params.ratio)
     last = int(times.max(initial=0))
     for blk in schedule.compiled.blocks(0, last):
-        before = blk.ledger(params.ratio)[1]
+        before = blk.ledger(params.ratio)[0]
         inside = (times >= blk.start) & (times < blk.start + len(before))
         out[inside] = before[times[inside] - blk.start]
     return out
@@ -327,16 +327,14 @@ SWITCH_COLUMNS = ["k", "t_k", "s_k", "value_at_t", "bound_at_t",
                   "value_at_s", "bound_at_s"]
 
 
-def write_switch_table(path, switches, meta=None, fmt: str = "csv") -> Path:
-    base = {"kind": "switch-table", "cycles": len(switches)}
-    if meta:
-        base.update(meta)
+def write_switch_table(path, switches, fmt: str = "csv") -> Path:
+    meta = {"kind": "switch-table", "cycles": len(switches)}
     rows = (
         (int(sw.k), int(sw.t_k), int(sw.s_k), float(sw.value_at_t),
          float(sw.bound_at_t), float(sw.value_at_s), float(sw.bound_at_s))
         for sw in switches
     )
-    return write_table(path, base, SWITCH_COLUMNS, rows, fmt)
+    return write_table(path, meta, SWITCH_COLUMNS, rows, fmt)
 
 
 def _comparable_lines(path) -> list[str]:

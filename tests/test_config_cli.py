@@ -135,6 +135,8 @@ def test_bad_values_carry_section_and_key():
         (BASE.replace("x0 = 2.0", "x0 = 2.0\ntau0 = nan"), "tau"),
         (BASE.replace("seed = 11", "seed = -1"), "[params].seed"),
         (BASE + "\n[verify]\nchecks = identities gravity\n", "gravity"),
+        (BASE + "\n[verify]\nkappa = 0\n", "[verify].kappa"),
+        (BASE + "\n[verify]\nkappa = -3\n", "[verify].kappa"),
         (BASE + "\n[output]\nformat = parquet\n", "format"),
         (BASE + "\n[ratefit]\ninput = a\nwindow = 9 3\nd = 2\nkappa = 3\n",
          "window"),

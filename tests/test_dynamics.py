@@ -107,8 +107,9 @@ def test_per_agent_matches_matrix_path():
 
 def test_no_edges_is_exact_identity():
     """Agents that hear nobody keep their posterior bit for bit."""
-    # at ratio 0.1, (p*x)/p rounds away from x for these means, so only an
-    # explicit no-op keeps them
+    # at ratio 0.1, (p*x)/p rounds away from x for these means; the step
+    # (p/p') x + (A sig)/p' keeps them, as p/p' is exactly 1 and the A row
+    # adds 0
     params = SystemParams(n=3, tau=10.0, seed=2)
     sched = make_table_schedule(3, [(1, 1, 0)], horizon=2)  # step 0 empty
     traj = run_simulation(sched, params, 2, x0=[0.1, -0.7, 0.7],

@@ -72,7 +72,6 @@ def test_transition_bundle_validates_inputs():
     led = np.array([1.0, 1.0, 1.0])
     deg = np.array([0, 1, 0])
     a = np.zeros((3, 3))
-    a[0, 0] = 1.0
     a[1, 0] = 1.0
     transition_bundle(a, deg, led)  # sane input passes
     bad = a.copy()
@@ -236,16 +235,15 @@ def _bundle_loop(schedule, params, horizon, x0):
 
 
 def _lean_loop(schedule, params, horizon, x0):
-    """Mean recursion (P y + A y) / P' one arrays_at query at a time, on
-    the same ledger; zero-receiver rows are exact no-ops."""
+    """Mean recursion y + ((A - diag(D)) y) / P' one arrays_at query at a
+    time, on the same ledger; a row that receives nothing adds 0 to y."""
     y = initial_state(params, x0).means
     received = np.zeros(params.n + 1, dtype=np.int64)
     means = [y]
     for t in range(horizon):
         a, deg = schedule.arrays_at(t)
-        p = params.ratio + received
-        y = np.where(deg > 0, (p * y + a @ y) / (p + deg), y)
-        y[0] = params.truth
+        p_next = params.ratio + received + deg
+        y = y + ((a - np.diag(deg)) @ y) / p_next
         received = received + deg
         means.append(y)
     means = np.array(means)
@@ -279,11 +277,11 @@ def _longdouble_replay(schedule, params, horizon, x0):
     return np.array(out, dtype=ld)
 
 
-def _isolated_agent_table():
-    # agent 3 never receives; nobody receives after t = 120
+def _isolated_agent_table(n=3):
+    # agents 3..n never receive; nobody receives after t = 120
     rows = [(t, 1, 0) for t in range(0, 120, 3)]
     rows += [(t, 2, 1) for t in range(0, 120, 2)]
-    return make_table_schedule(3, rows, horizon=400)
+    return make_table_schedule(n, rows, horizon=400)
 
 
 _REFERENCE_CASES = {
@@ -348,8 +346,8 @@ def test_run_expected_bitwise_across_blocks(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["random", "truth-only"])
 def test_run_expected_above_stack_cutoff_matches_lean_loop(kind):
-    """Past _STACK_MAX_N the step stays (P y + A y) / P', bit for bit; on
-    the truth-only schedule idle rows would round without their copy."""
+    """Past _STACK_MAX_N the step is y + ((A - diag(D)) y) / P', bit for
+    bit; on the truth-only schedule most rows are idle at every step."""
     n = expected_module._STACK_MAX_N + 1
     sched = (make_random_schedule(n, 3, 0.1, seed=8) if kind == "random"
              else make_periodic_schedule(n, 3))
@@ -361,11 +359,15 @@ def test_run_expected_above_stack_cutoff_matches_lean_loop(kind):
     assert np.array_equal(out.norms, norms)
 
 
-def test_idle_agent_keeps_its_mean_bitwise():
-    """W_t's row for an agent that receives nothing is e_i exactly."""
-    make, params, x0 = _REFERENCE_CASES["table-isolated-quiet-tail"]
-    out = run_expected(make(), params, 400, x0=x0)
-    assert np.all(out.means[:, 3] == 0.7)  # agent 3 never receives
+@pytest.mark.parametrize("n", [3, expected_module._STACK_MAX_N + 1])
+def test_idle_agent_keeps_its_mean_bitwise(n):
+    """An agent that receives nothing keeps its mean bit for bit: its row
+    of W_t is e_i, and past _STACK_MAX_N its row of A_t - diag(D_t) is
+    zero.  Ratio 3 and mean 0.7, as in the reference case."""
+    params = SystemParams(n=n, tau0=3.0)
+    x0 = np.r_[2.0, 3.0, np.full(n - 2, 0.7)]
+    out = run_expected(_isolated_agent_table(n), params, 400, x0=x0)
+    assert np.all(out.means[:, 3:] == 0.7)  # agents 3..n never receive
     assert np.all(out.means[121:] == out.means[120])  # nobody does after 120
     assert np.all(out.means[:, 0] == params.truth)
 

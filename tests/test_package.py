@@ -45,8 +45,13 @@ def test_removed_names_are_gone():
                         (socialbayes.Trajectory, "kind"),
                         (socialbayes.ExpectedTrajectory, "kind"),
                         (socialbayes.tables.write_expected_trajectory,
-                         "every")):
+                         "every"),
+                        (socialbayes.tables.write_switch_table, "meta"),
+                        (socialbayes.sweep_window_checks, "d"),
+                        (socialbayes.sweep_window_checks, "decay_lengths")):
         assert param not in inspect.signature(func).parameters, func
+    # the step kernels keep truth and idle rows by arithmetic, with no mask
+    assert not hasattr(socialbayes.schedules.Block, "idle")
 
 
 def test_traced_layers_resolve():

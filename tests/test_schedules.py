@@ -32,7 +32,7 @@ def test_periodic_truth_edges_once_per_window():
             a, _ = sched.arrays_at(t)
             hears += (a[:, 0] > 0).astype(int)
         assert list(hears[1:]) == [1, 1, 1, 1]
-        assert hears[0] == 0 or hears[0] == 3  # self-loop bookkeeping only
+        assert hears[0] == 0  # the truth hears nobody
 
 
 def test_periodic_phases_control_hearing_times():
@@ -64,9 +64,8 @@ def test_truth_row_stays_inert():
                   make_random_schedule(3, 2, 0.5, seed=1)):
         for t in range(6):
             a, deg = sched.arrays_at(t)
-            assert deg[0] == 0
-            # row 0 carries only the normalization self-loop
-            assert a[0, 0] == 1.0 and not a[0, 1:].any()
+            # the truth hears nobody: row 0 is all zeros
+            assert deg[0] == 0 and not a[0].any()
 
 
 def test_arrays_are_read_only_and_cached():
@@ -130,12 +129,9 @@ def test_table_schedule_declared_horizon_allows_quiet_tail():
 def _from_edges(sched, t):
     """Step t's adjacency and receive counts built from edges_at alone."""
     a = np.zeros((sched.n + 1, sched.n + 1))
-    a[0, 0] = 1.0
     for i, j in sched.edges_at(t):
         a[i, j] = 1.0
-    deg = a.sum(axis=1).astype(np.int64)
-    deg[0] = 0
-    return a, deg
+    return a, a.sum(axis=1).astype(np.int64)
 
 
 def _assert_block_matches(sched, blk, start, stop):

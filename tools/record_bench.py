@@ -10,8 +10,11 @@ line of each run.  It also runs the tier-1 suite once in each checkout
 with `--durations=0`.  The file holds, per checkout, each metric's runs,
 median and quartiles, the share of failed operations, the `src/` line
 count, and the suite's summary line, wall time and per-test call times;
-how many seeds the change won on each metric; and the machine: python,
-numpy, BLAS and the number of processors.
+how many seeds the change won on each metric; for each end-to-end metric
+the change/parent ratio of medians and whether it stays within the
+metric's BENCHMARK.json bound (no worse than 1 - bound of the parent's
+median where higher is better, 1 + bound where lower is); and the
+machine: python, numpy, BLAS and the number of processors.
 """
 
 from __future__ import annotations
@@ -73,6 +76,17 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def _against_bound(parent: float, change: float, metric: dict) -> dict:
+    """change/parent ratio of medians and whether it is within the bound."""
+    ratio = change / parent
+    if metric["better"] == "higher":
+        within = ratio >= 1.0 - metric["bound"]
+    else:
+        within = ratio <= 1.0 + metric["bound"]
+    return {"ratio": ratio, "bound": metric["bound"],
+            "better": metric["better"], "within_bound": bool(within)}
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
@@ -120,13 +134,19 @@ def main(argv=None) -> int:
                             for name, m in lines[0]["metrics"].items()}}
         report["checkouts"][label] = entry
     base, new = (report["checkouts"][label]["workloads"] for label in checkouts)
-    higher = {m["name"]: m["better"] == "higher"
-              for m in BENCHMARK["end_to_end"]}
+    ends = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+    higher = {name: m["better"] == "higher" for name, m in ends.items()}
     report["wins_of_change"] = {
         workload: {name: sum((b > a) if higher[name] else (b < a)
                              for a, b in zip(base[workload]["metrics"][name]
                                              ["runs"], m["runs"]))
                    for name, m in new[workload]["metrics"].items()}
+        for workload in new}
+    report["bounds_of_change"] = {
+        workload: {name: _against_bound(
+            base[workload]["metrics"][name]["median"], m["median"],
+            ends[name]) for name, m in new[workload]["metrics"].items()
+            if name in ends}
         for workload in new}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
