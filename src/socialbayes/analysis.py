@@ -14,6 +14,10 @@ machine-verifiable statements about finite windows of a concrete schedule:
 * truth-pull accumulation - truth-pull weights summed over a hearing window
   are at least the reciprocal of the window-end precision.
 
+Every window and identity check reads the W_t stacks of
+expected._transition_pieces, never one transition bundle at a time: the
+window products are batched matrix products over groups of windows.
+
 Every check is reported as a BoundCheck with margin = rhs - lhs; a check
 passes when the margin is no more negative than the shared tolerance.
 Checks whose hypotheses fail (no truth hearing, burn-in not reached, degree
@@ -24,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .dynamics import SystemParams, run_ensemble
-from .expected import ExpectedTrajectory, run_expected, transition_bundles
+from .expected import ExpectedTrajectory, _transition_pieces, run_expected
 from .schedules import (CounterexampleSchedule, GraphSchedule, max_degree,
                         make_periodic_schedule, make_random_schedule)
 
@@ -80,114 +83,143 @@ class BoundCheck:
 
 
 def _skipped(name: str, reason: str, **detail) -> BoundCheck:
-    detail = dict(detail)
-    detail["reason"] = reason
-    return BoundCheck(name, math.nan, math.nan, "precondition unmet", detail)
+    return BoundCheck(name, math.nan, math.nan, "precondition unmet",
+                      {**detail, "reason": reason})
 
 
-def _window_bundles(walk, kappa: int):
-    """The next kappa bundles of a walk plus the ledger at both ends."""
-    bundles = list(islice(walk, kappa))
-    return bundles, bundles[0].ledger_before, bundles[-1].ledger_after
+def _windows(schedule: GraphSchedule, params: SystemParams, start: int,
+             stop: int, kappa: int):
+    """W stacks of steps [start, stop) in whole windows of kappa steps.
+
+    Regroups the pieces of _transition_pieces into (W, ledger rows before,
+    ledger rows after), each shaped (windows, kappa, ...): the windows the
+    pieces read so far complete, about _STACK_BUDGET bytes of W at a time.
+    """
+    held, have = [], 0
+    for blk in schedule.compiled.blocks(start, stop):
+        for _, _, *piece in _transition_pieces(blk, params.ratio):
+            held.append(piece)
+            have += len(piece[0])
+            cut = have - have % kappa
+            if cut:
+                joined = [np.concatenate(x) for x in zip(*held)]
+                yield [x[:cut].reshape(-1, kappa, *x.shape[1:])
+                       for x in joined]
+                held, have = [[x[cut:] for x in joined]], have - cut
 
 
-def _window_at(schedule: GraphSchedule, params: SystemParams, s: int,
-               kappa: int):
-    return _window_bundles(transition_bundles(schedule, params, s, s + kappa),
-                           kappa)
+def _window_core(schedule: GraphSchedule, params: SystemParams, s: int,
+                 kappa: int, stop: int):
+    """Windows [s + j*kappa, s + (j+1)*kappa) inside [s, stop), by groups.
+
+    Yields per group, a row per window: the ledger rows at its start and
+    end (from the `after` rows, as ledger_after); its product
+    B_{s+kappa-1} ... B_s, built newest on the left in step order; its
+    suffix-product diagonals (row l for steps [s+l+1, s+kappa), ones at
+    l = kappa-1); its truth pull summed in step order from zeros.  The
+    products by the identity are exact, so they are skipped.
+    """
+    if kappa < 1:
+        raise ValueError("window length kappa must be >= 1")
+    stop = s + (stop - s) // kappa * kappa
+    for w, before, after in _windows(schedule, params, s, stop, kappa):
+        b = w[:, :, 1:, 1:]
+        prod = b[:, 0]
+        for k in range(1, kappa):
+            prod = np.matmul(b[:, k], prod)
+        diags = np.ones(b.shape[:3])
+        suffix = b[:, -1]
+        for u in range(kappa - 2, -1, -1):
+            diags[:, u] = np.diagonal(suffix, axis1=1, axis2=2)
+            if u:
+                suffix = np.matmul(suffix, b[:, u])
+        pull = np.zeros(diags[:, 0].shape)
+        for k in range(kappa):
+            pull = pull + w[:, k, 1:, 0]
+        yield before[:, 0], after[:, -1], prod, diags, pull
 
 
-def _window_hears(bundles) -> bool:
-    """True when every agent hears the truth at some step of the window."""
-    pull = np.zeros_like(bundles[0].truth_pull)
-    for b in bundles:
-        pull = pull + b.truth_pull
-    return bool(np.all(pull > 0.0))
+def _window_checks(schedule: GraphSchedule, params: SystemParams, s: int,
+                   kappa: int, stop: int) -> list[BoundCheck]:
+    """The diagonal, contraction and truth-pull checks of each window of
+    _window_core, window by window."""
+    checks = []
+    for p_start, p_end, prod, diags, pull in _window_core(
+            schedule, params, s, kappa, stop):
+        ratio = p_start[:, 1:] / p_end[:, 1:]
+        # the first (l, i) of least margin, as offsets then agents go up
+        offset, agent = np.divmod(np.argmin((diags - ratio[:, None]).reshape(
+            len(ratio), -1), axis=1), ratio.shape[1])
+        norms = np.abs(prod).sum(axis=2).max(axis=1)
+        shrink = 1.0 - np.min(p_start[:, 1:] / p_end[:, 1:] ** 2, axis=1)
+        floor = 1.0 / p_end[:, 1:]
+        nearest = np.argmin(pull - floor, axis=1)
+        hears = np.all(pull > 0.0, axis=1)
+        for j, (off, i, k) in enumerate(zip(offset.tolist(), agent.tolist(),
+                                            nearest.tolist())):
+            tag = f"[s={s},kappa={kappa}]"
+            checks.append(BoundCheck(
+                "diagonal_bound" + tag, float(ratio[j, i]),
+                float(diags[j, off, i]),
+                detail={"s": s, "kappa": kappa, "l": off, "agent": i + 1}))
+            if hears[j]:
+                checks += [BoundCheck("contraction" + tag, float(norms[j]),
+                                      float(shrink[j]),
+                                      detail={"s": s, "kappa": kappa}),
+                           BoundCheck("truth_pull" + tag, float(floor[j, k]),
+                                      float(pull[j, k]), detail={
+                                          "s": s, "kappa": kappa,
+                                          "agent": k + 1})]
+            else:
+                checks += [_skipped(name + tag, "truth hearing fails in "
+                                    "window", s=s, kappa=kappa)
+                           for name in ("contraction", "truth_pull")]
+            s += kappa
+    return checks
 
 
 def check_diagonal_bound(schedule: GraphSchedule, params: SystemParams,
-                         s: int, kappa: int, l: int | None = None,
-                         _bundles=None) -> BoundCheck:
+                         s: int, kappa: int) -> BoundCheck:
     """Partial window products keep diagonal mass above the precision ratio.
 
     For each offset l in [0, kappa), the product of reduced blocks over steps
     [s+l+1, s+kappa) has (i, i) entry at least (P_s)_ii / (P_{s+kappa})_ii.
     Holds for any schedule; no hearing assumption needed.  l = kappa-1 gives
-    the empty product (identity).  Reports the worst (l, i) margin, or the
-    single offset when l is given.
+    the empty product (identity).  Reports the worst (l, i) margin.
     """
-    if not (l is None or 0 <= l <= kappa - 1):
-        raise ValueError("offset l must lie in [0, kappa)")
-    bundles, p_start, p_end = _bundles or _window_at(schedule, params, s,
-                                                     kappa)
-    bound = p_start[1:] / p_end[1:]
-    offsets = range(kappa) if l is None else (l,)
-    worst = None
-    # suffix[l] = product of reduced blocks over steps [s+l+1, s+kappa)
-    suffix = np.eye(schedule.n)
-    diag_by_offset = {kappa - 1: np.diag(suffix).copy()}
-    for u in range(kappa - 2, -1, -1):
-        suffix = suffix @ bundles[u + 1].reduced
-        diag_by_offset[u] = np.diag(suffix).copy()
-    for off in offsets:
-        diag = diag_by_offset[off]
-        i = int(np.argmin(diag - bound))
-        cand = (float(bound[i]), float(diag[i]), off, i + 1)
-        if worst is None or cand[1] - cand[0] < worst[1] - worst[0]:
-            worst = cand
-    lhs, rhs, off, agent = worst
-    return BoundCheck(f"diagonal_bound[s={s},kappa={kappa}]", lhs, rhs,
-                      detail={"s": s, "kappa": kappa, "l": off, "agent": agent})
+    return _window_checks(schedule, params, s, kappa, s + kappa)[0]
 
 
 def check_contraction(schedule: GraphSchedule, params: SystemParams,
-                      s: int, kappa: int, _bundles=None) -> BoundCheck:
+                      s: int, kappa: int) -> BoundCheck:
     """Window product contracts the sup norm when everyone hears the truth.
 
     ||product over [s, s+kappa)||_inf <= 1 - min_i (P_s)_ii/(P_{s+kappa})_ii^2.
     Requires each agent to hear the truth at least once in the window;
     otherwise the checkpoint is reported as precondition unmet.
     """
-    name = f"contraction[s={s},kappa={kappa}]"
-    bundles, p_start, p_end = _bundles or _window_at(schedule, params, s,
-                                                     kappa)
-    if not _window_hears(bundles):
-        return _skipped(name, "truth hearing fails in window", s=s, kappa=kappa)
-    prod = np.eye(schedule.n)
-    for b in bundles:
-        prod = b.reduced @ prod
-    lhs = norm_inf(prod)
-    rhs = 1.0 - float(np.min(p_start[1:] / p_end[1:] ** 2))
-    return BoundCheck(name, lhs, rhs, detail={"s": s, "kappa": kappa})
+    return _window_checks(schedule, params, s, kappa, s + kappa)[1]
 
 
 def check_truth_pull_accumulation(schedule: GraphSchedule,
-                                  params: SystemParams, s: int, kappa: int,
-                                  _bundles=None) -> BoundCheck:
+                                  params: SystemParams, s: int,
+                                  kappa: int) -> BoundCheck:
     """Truth-pull weights over a hearing window exceed 1/(P_{s+kappa})_ii.
 
     Each hearing step contributes pull 1/(P_{u+1})_ii >= 1/(P_{s+kappa})_ii,
     so one hear per window suffices.  Skipped when hearing fails.
     """
-    name = f"truth_pull[s={s},kappa={kappa}]"
-    bundles, _, p_end = _bundles or _window_at(schedule, params, s, kappa)
-    if not _window_hears(bundles):
-        return _skipped(name, "truth hearing fails in window", s=s, kappa=kappa)
-    pull = np.zeros(schedule.n)
-    for b in bundles:
-        pull = pull + b.truth_pull
-    bound = 1.0 / p_end[1:]
-    i = int(np.argmin(pull - bound))
-    return BoundCheck(name, float(bound[i]), float(pull[i]),
-                      detail={"s": s, "kappa": kappa, "agent": i + 1})
+    return _window_checks(schedule, params, s, kappa, s + kappa)[2]
 
 
 def burn_in_threshold(params: SystemParams, kappa: int, d: int) -> float:
     """Window index past which the harmonic product decay bound applies.
 
     m* = 2*d*kappa/delta + (tau0/tau)/(d*kappa*tau_ratio_unit), with
-    delta = min(tau0/tau, 1).
+    delta = min(tau0/tau, 1).  Needs kappa >= 1 and d >= 1.
     """
+    if kappa < 1 or d < 1:
+        raise ValueError("need window length kappa >= 1 and degree cap d >= 1")
     delta = min(params.ratio, 1.0)
     return 2.0 * d * kappa / delta + params.ratio / (d * kappa)
 
@@ -200,6 +232,8 @@ def check_product_decay(schedule: GraphSchedule, params: SystemParams,
         <= exp(-(1/(2*d*kappa)) * sum_{j=2}^{m+1} 1/(m0+j))
     valid once m0 >= burn-in threshold, every window hears the truth, and d
     really caps the receive degrees over the span.  m = 0 passes trivially.
+    The product is one sequential product over the steps of the span, read
+    from the W stacks.
     """
     name = f"product_decay[m0={m0},m={m},kappa={kappa}]"
     if m < 0 or m0 < 0:
@@ -209,24 +243,21 @@ def check_product_decay(schedule: GraphSchedule, params: SystemParams,
         return _skipped(name, f"burn-in not reached (m* = {mstar:.3f})",
                         m0=m0, m=m, kappa=kappa, d=d)
     s, e = m0 * kappa, (m0 + m) * kappa
-    walk = transition_bundles(schedule, params, s, e)
-    prod = np.eye(schedule.n)
-    hears_all = True
-    deg_cap = 0
-    for _ in range(m):
-        bundles = list(islice(walk, kappa))
-        hears_all = hears_all and _window_hears(bundles)
-        for b in bundles:
-            deg_cap = max(deg_cap, round(float(
-                (b.ledger_after - b.ledger_before).max())))
-            prod = b.reduced @ prod
+    prod, hears_all, deg_cap = None, True, 0
+    for w, before, after in _windows(schedule, params, s, e, kappa):
+        # a window's pull sums nonnegative terms: it is positive iff one is
+        hears_all = hears_all and bool(np.all(np.any(w[:, :, 1:, 0] > 0.0,
+                                                     axis=1)))
+        deg_cap = max(deg_cap, round(float((after - before).max())))
+        for b in w.reshape(-1, *w.shape[2:])[:, 1:, 1:]:
+            prod = b if prod is None else b @ prod
     if not hears_all:
         return _skipped(name, "truth hearing fails in some window",
                         m0=m0, m=m, kappa=kappa, d=d)
     if deg_cap > d:
         return _skipped(name, f"degree cap {d} exceeded (saw {deg_cap})",
                         m0=m0, m=m, kappa=kappa, d=d)
-    lhs = norm_inf(prod)
+    lhs = 1.0 if prod is None else norm_inf(prod)
     harmonic = sum(1.0 / (m0 + j) for j in range(2, m + 2))
     rhs = math.exp(-harmonic / (2.0 * d * kappa))
     return BoundCheck(name, lhs, rhs,
@@ -235,32 +266,35 @@ def check_product_decay(schedule: GraphSchedule, params: SystemParams,
 
 
 def check_transition_identities(schedule: GraphSchedule, params: SystemParams,
-                                horizon: int, _bundles=None) -> list[BoundCheck]:
+                                horizon: int, _fault: bool = False
+                                ) -> list[BoundCheck]:
     """Stochasticity and reduction identities over every step t < horizon.
 
-    Reports the worst |row sum - 1| of the full transition and the worst
-    |truth_pull + reduced row sum - 1| as two equality checks (lhs = worst
-    deviation, rhs = 0), each with the step where it occurs.  _bundles
-    replaces the walk over [0, horizon).
+    Reports the worst |row sum - 1| of W_t and the worst
+    |truth_pull + reduced row sum - 1|, i.e. W[:, 1:, 0] plus the row sums
+    of W[:, 1:, 1:], as two equality checks (lhs = worst deviation,
+    rhs = 0), each with the first step where it occurs.  _fault adds 1e-3
+    to W[0, 1, 1] of a copy of the first W stack: the fault that
+    `inject_fault = transition` injects.
     """
-    if _bundles is None:
-        _bundles = transition_bundles(schedule, params, 0, horizon)
-    worst_rows = 0.0
-    worst_red = 0.0
-    at_rows = at_red = -1
-    for b in _bundles:
-        dev_rows = float(np.max(np.abs(b.full.sum(axis=1) - 1.0)))
-        dev_red = float(np.max(np.abs(
-            b.truth_pull + b.reduced.sum(axis=1) - 1.0)))
-        if dev_rows > worst_rows:
-            worst_rows, at_rows = dev_rows, b.t
-        if dev_red > worst_red:
-            worst_red, at_red = dev_red, b.t
+    worst, at = [0.0, 0.0], [-1, -1]
+    for blk in schedule.compiled.blocks(0, horizon):
+        for t0, _, w, _, _ in _transition_pieces(blk, params.ratio):
+            if _fault and t0 == 0:
+                w = w.copy()
+                w[0, 1, 1] += 1e-3
+            devs = (np.abs(w.sum(axis=2) - 1.0).max(axis=1),
+                    np.abs(w[:, 1:, 0] + w[:, 1:, 1:].sum(axis=2)
+                           - 1.0).max(axis=1))
+            for k, dev in enumerate(devs):
+                j = int(np.argmax(dev))
+                if dev[j] > worst[k]:
+                    worst[k], at[k] = float(dev[j]), t0 + j
     return [
-        BoundCheck(f"stochasticity[T={horizon}]", worst_rows, 0.0,
-                   detail={"worst_t": at_rows}),
-        BoundCheck(f"reduction[T={horizon}]", worst_red, 0.0,
-                   detail={"worst_t": at_red}),
+        BoundCheck(f"stochasticity[T={horizon}]", worst[0], 0.0,
+                   detail={"worst_t": at[0]}),
+        BoundCheck(f"reduction[T={horizon}]", worst[1], 0.0,
+                   detail={"worst_t": at[1]}),
     ]
 
 
@@ -298,25 +332,14 @@ def sweep_window_checks(schedule: GraphSchedule, params: SystemParams,
                         horizon: int, kappa: int) -> list[BoundCheck]:
     """All window-anchored checks over aligned windows within the horizon.
 
-    Walks window starts s = 0, kappa, 2*kappa, ... as slices of one bundle
-    walk; at each start runs the diagonal, contraction, and
-    truth-pull checks, then adds product-decay checks at the first admissible
+    Reads the windows s = 0, kappa, 2*kappa, ... from the W stacks in one
+    pass; at each start it runs the diagonal, contraction and truth-pull
+    checks, then adds product-decay checks at the first admissible
     burn-in for each length of _DECAY_LENGTHS that fits the horizon, d the
     schedule's max_degree below the horizon.
     """
-    checks: list[BoundCheck] = []
-    n_windows = horizon // kappa
     d = max_degree(schedule, horizon)
-    walk = transition_bundles(schedule, params, 0, n_windows * kappa)
-    for j in range(n_windows):
-        s = j * kappa
-        shared = _window_bundles(walk, kappa)
-        checks.append(check_diagonal_bound(schedule, params, s, kappa,
-                                           _bundles=shared))
-        checks.append(check_contraction(schedule, params, s, kappa,
-                                        _bundles=shared))
-        checks.append(check_truth_pull_accumulation(schedule, params, s,
-                                                    kappa, _bundles=shared))
+    checks = _window_checks(schedule, params, 0, kappa, horizon)
     if d > 0:
         m0 = math.ceil(burn_in_threshold(params, kappa, d))
         for m in _DECAY_LENGTHS:
@@ -399,12 +422,6 @@ class MomentReport:
     n_runs: int
 
 
-def fourth_moment_summary(deviations: np.ndarray) -> np.ndarray:
-    """Mean of the fourth power over the run axis of an (M, K, n) array."""
-    dev = np.asarray(deviations, dtype=np.float64)
-    return np.mean(dev ** 4, axis=0)
-
-
 def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
                                horizon: int, n_runs: int, x0=None,
                                times=None) -> MomentReport:
@@ -430,7 +447,7 @@ def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
     ensemble = run_ensemble(schedule, params, int(times[-1]), n_runs, x0,
                             record_times=times)
     dev = ensemble.means[:, :, 1:] - expected.means[times][None, :, 1:]
-    moments = fourth_moment_summary(dev)
+    moments = np.mean(dev ** 4, axis=0)
     max_moments = moments.max(axis=1)
     positive = (times > 0) & (max_moments > 0.0)
     if positive.sum() >= 2:
@@ -504,44 +521,6 @@ def counterexample_check(schedule: CounterexampleSchedule,
                                      [], counts, horizon, traj)
     return CounterexampleVerdict("pass" if ok else "fail", min_shifted,
                                  realized, margins, counts, horizon, traj)
-
-
-@dataclass(frozen=True)
-class ConsensusVerdict:
-    """Did the final state reach the truth with diverging precisions?"""
-
-    passed: bool
-    cause: str
-    max_mean_error: float
-    min_precision: float
-    isolated_agents: tuple[int, ...]
-
-
-def consensus_verdict(final_means: np.ndarray, final_ledger: np.ndarray,
-                      params: SystemParams, eps_mean: float,
-                      precision_floor: float) -> ConsensusVerdict:
-    """Check max_i |x_i - truth| <= eps_mean and precisions above the floor.
-
-    Agents whose ledger never moved off the prior are flagged as isolated and
-    reported as the cause when they also block the precision floor.
-    """
-    means = np.asarray(final_means, dtype=np.float64)
-    ledger = np.asarray(final_ledger, dtype=np.float64)
-    err = float(np.max(np.abs(means[1:] - params.truth)))
-    precisions = params.tau * ledger[1:]
-    min_prec = float(precisions.min())
-    isolated = tuple(int(i) for i in range(1, params.n + 1)
-                     if ledger[i] == params.ratio)
-    if err > eps_mean and isolated:
-        return ConsensusVerdict(False, "isolated agent", err, min_prec,
-                                isolated)
-    if err > eps_mean:
-        return ConsensusVerdict(False, "mean beyond tolerance", err, min_prec,
-                                isolated)
-    if min_prec < precision_floor:
-        cause = "isolated agent" if isolated else "precision below floor"
-        return ConsensusVerdict(False, cause, err, min_prec, isolated)
-    return ConsensusVerdict(True, "", err, min_prec, isolated)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .config import (
     load_config,
 )
 from .dynamics import Trajectory, _record_times, run_ensemble
-from .expected import run_expected, transition_bundles
+from .expected import run_expected
 from .schedules import (
     ScheduleConstructionError,
     ScheduleHorizonError,
@@ -116,21 +116,6 @@ def cmd_expected(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _with_transition_fault(bundles):
-    """The bundle walk with step 0's full transition corrupted.
-
-    The perturbed entry breaks exact stochasticity by 1e-3, so the
-    identity checks must go red; the schedule itself is untouched.
-    """
-    for b in bundles:
-        if b.t == 0:
-            full = b.full.copy()
-            full[1, 1] += 1e-3
-            b = dataclasses.replace(b, full=full, reduced=full[1:, 1:],
-                                    truth_pull=full[1:, 0])
-        yield b
-
-
 @functools.cache
 def _norm_checks() -> tuple:
     """The norm sweep has a fixed seed and no config input: run it once."""
@@ -142,11 +127,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     selected = cfg.verify.checks
     checks = []
     if "identities" in selected:
-        bundles = transition_bundles(schedule, cfg.params, 0, cfg.horizon)
-        if cfg.verify.inject_fault == "transition":
-            bundles = _with_transition_fault(bundles)
         checks.extend(analysis.check_transition_identities(
-            schedule, cfg.params, cfg.horizon, _bundles=bundles))
+            schedule, cfg.params, cfg.horizon,
+            _fault=cfg.verify.inject_fault == "transition"))
     windowed = [name for name in selected if name in _WINDOW_CHECKS]
     if windowed:
         kappa = cfg.verify.kappa

@@ -11,8 +11,8 @@ long products of the B blocks control how fast everyone converges - or fails
 to.  The noise-mixing block M_t = (P_{t+1}^{-1} A_t)[1:, 1:] plays the same
 role for the deviation process in the stochastic recursion.
 
-The bundle walk and the narrow mean process share one source, the W_t
-stacks that _transition_pieces builds from a compiled block.
+The bundle walk, the narrow mean process and the window and identity
+checks share one source: the W_t stacks that _transition_pieces builds.
 """
 
 from __future__ import annotations

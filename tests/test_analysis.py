@@ -1,6 +1,6 @@
 """Bound checks, rate fits, moment estimates, and verdicts."""
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,23 +15,23 @@ from socialbayes.analysis import (
     check_product_decay,
     check_transition_identities,
     check_truth_pull_accumulation,
-    consensus_verdict,
     counterexample_check,
     estimate_deviation_moments,
     fit_rate,
-    fourth_moment_summary,
     norm_inf,
     norm_max,
     standard_schedule_set,
     sweep_window_checks,
 )
-from socialbayes.dynamics import SystemParams, run_simulation
+from socialbayes.dynamics import SystemParams
 from socialbayes.expected import transition_bundles
 from socialbayes.schedules import (
+    _BLOCK_STEPS,
     make_counterexample_schedule,
     make_periodic_schedule,
     make_random_schedule,
     make_table_schedule,
+    max_degree,
 )
 
 
@@ -129,18 +129,17 @@ def test_transition_identities_tight():
 
 
 def test_transition_identities_catch_a_corrupted_bundle():
+    """The seam of `inject_fault = transition`: 1e-3 on W[0, 1, 1]."""
     sched = make_random_schedule(6, 3, 0.4, seed=2)
     params = SystemParams(n=6, seed=0)
-    walk = list(transition_bundles(sched, params, 0, 50))
-    full = walk[0].full.copy()
-    full[1, 1] += 1e-3
-    walk[0] = dataclasses.replace(walk[0], full=full, reduced=full[1:, 1:],
-                                  truth_pull=full[1:, 0])
-    checks = check_transition_identities(sched, params, 50, _bundles=walk)
+    checks = check_transition_identities(sched, params, 50, _fault=True)
     for c in checks:
         assert not c.passed and not c.gated
         assert c.detail["worst_t"] == 0
         assert abs(c.lhs - 1e-3) <= 1e-12
+    # the fault touches a copy: the schedule's own stacks stay exact
+    for c in check_transition_identities(sched, params, 50):
+        assert c.passed
 
 
 def test_norm_helpers():
@@ -199,12 +198,124 @@ def test_sweep_window_checks_all_pass_on_periodic_ring():
     assert families["product_decay"] >= 1
 
 
-def test_fourth_moment_summary_shape():
-    dev = np.array([[[1.0, 2.0]], [[3.0, 0.0]]])  # (M=2, K=1, n=2)
-    out = fourth_moment_summary(dev)
-    assert out.shape == (1, 2)
-    assert out[0, 0] == pytest.approx((1.0 + 81.0) / 2)
-    assert out[0, 1] == pytest.approx(8.0)
+@pytest.mark.parametrize("kappa", [0, -2])
+@pytest.mark.parametrize("call", [
+    lambda s, p, k: check_diagonal_bound(s, p, 0, k),
+    lambda s, p, k: check_contraction(s, p, 0, k),
+    lambda s, p, k: check_truth_pull_accumulation(s, p, 0, k),
+    lambda s, p, k: sweep_window_checks(s, p, 30, k),
+    lambda s, p, k: check_product_decay(s, p, 20, 1, k, 2),
+    lambda s, p, k: burn_in_threshold(p, k, 2),
+], ids=["diagonal", "contraction", "truth_pull", "sweep", "decay", "burn_in"])
+def test_window_length_below_one_is_rejected(call, kappa):
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    with pytest.raises(ValueError, match="kappa"):
+        call(sched, SystemParams(n=4, seed=0), kappa)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_product_decay_rejects_degree_cap_below_one(d):
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    with pytest.raises(ValueError, match="degree cap"):
+        check_product_decay(sched, SystemParams(n=4, seed=0), 20, 1, 3, d)
+
+
+def _reference_checks(schedule, params, horizon, kappa):
+    """The identity and window checks by per-bundle loops over
+    transition_bundles: one TransitionBundle and one `@` at a time."""
+    walk = list(transition_bundles(schedule, params, 0, horizon))
+    checks = []
+    for name, dev in (
+            ("stochasticity", lambda b: b.full.sum(axis=1) - 1.0),
+            ("reduction",
+             lambda b: b.truth_pull + b.reduced.sum(axis=1) - 1.0)):
+        devs = [float(np.max(np.abs(dev(b)))) for b in walk]
+        worst = max(devs, default=0.0)
+        checks.append(BoundCheck(f"{name}[T={horizon}]", worst, 0.0, detail={
+            "worst_t": devs.index(worst) if worst > 0.0 else -1}))
+
+    def hears(win):
+        return bool(np.all(sum(b.truth_pull for b in win) > 0.0))
+
+    for s in range(0, horizon - kappa + 1, kappa):
+        win, at = walk[s:s + kappa], {"s": s, "kappa": kappa}
+        p0, p1 = win[0].ledger_before[1:], win[-1].ledger_after[1:]
+        suffix, cands = np.eye(schedule.n), []
+        for off in range(kappa - 1, -1, -1):  # product over [s+off+1, s+k)
+            margins = np.diag(suffix) - p0 / p1
+            i = int(np.argmin(margins))
+            cands.append((margins[i], off, i, np.diag(suffix)[i]))
+            suffix = suffix @ win[off].reduced
+        _, off, i, diag = min(reversed(cands), key=lambda c: c[0])
+        tag = f"[s={s},kappa={kappa}]"
+        checks.append(BoundCheck("diagonal_bound" + tag, float((p0 / p1)[i]),
+                                 float(diag),
+                                 detail={**at, "l": off, "agent": i + 1}))
+        if not hears(win):
+            for name in ("contraction", "truth_pull"):
+                checks.append(BoundCheck(
+                    name + tag, math.nan, math.nan, "precondition unmet",
+                    {**at, "reason": "truth hearing fails in window"}))
+            continue
+        prod = np.eye(schedule.n)
+        pull = np.zeros(schedule.n)
+        for b in win:
+            prod = b.reduced @ prod
+            pull = pull + b.truth_pull
+        checks.append(BoundCheck("contraction" + tag, norm_inf(prod),
+                                 1.0 - float(np.min(p0 / p1 ** 2)),
+                                 detail=dict(at)))
+        i = int(np.argmin(pull - 1.0 / p1))
+        checks.append(BoundCheck("truth_pull" + tag, float(1.0 / p1[i]),
+                                 float(pull[i]), detail={**at, "agent": i + 1}))
+    d = max_degree(schedule, horizon)  # so no degree-cap gate can show
+    for m in (1, 5, 20) if d > 0 else ():
+        m0 = math.ceil(burn_in_threshold(params, kappa, d))
+        s, e = m0 * kappa, (m0 + m) * kappa
+        if e > horizon:
+            continue
+        name = f"product_decay[m0={m0},m={m},kappa={kappa}]"
+        at = {"m0": m0, "m": m, "kappa": kappa, "d": d}
+        if not all(hears(walk[u:u + kappa]) for u in range(s, e, kappa)):
+            checks.append(BoundCheck(
+                name, math.nan, math.nan, "precondition unmet",
+                {**at, "reason": "truth hearing fails in some window"}))
+            continue
+        prod = np.eye(schedule.n)
+        for b in walk[s:e]:
+            prod = b.reduced @ prod
+        harmonic = sum(1.0 / (m0 + j) for j in range(2, m + 2))
+        checks.append(BoundCheck(name, norm_inf(prod),
+                                 math.exp(-harmonic / (2.0 * d * kappa)),
+                                 detail={**at, "span": (s, e)}))
+    return checks
+
+
+def _fields(check):
+    """Every field of a check, floats by their bits (so nan equals nan)."""
+    return (check.name, np.float64(check.lhs).tobytes(),
+            np.float64(check.rhs).tobytes(), check.status, check.detail)
+
+
+@pytest.mark.parametrize("schedule,horizon,kappa", [
+    # windows cross the pieces of W (34 steps at n = 30)
+    (make_random_schedule(30, 4, 0.1, seed=11, horizon=300), 300, 4),
+    # the span crosses a compiled block boundary; decay checks are issued
+    (make_periodic_schedule(4, 3, peer_rule="ring"), _BLOCK_STEPS + 110, 3),
+    # agent 3 hears the truth every 5th step: some windows are gated
+    (make_table_schedule(3, [(t, 1, 0) for t in range(0, 80, 2)]
+                         + [(t, 2, 1) for t in range(80)]
+                         + [(t, 3, 0) for t in range(0, 80, 5)], 80), 80, 2),
+    (make_periodic_schedule(4, 3, peer_rule="ring"), 0, 3),
+    (make_periodic_schedule(4, 3, peer_rule="ring"), 2, 3),  # no window
+], ids=["random-n30", "ring-blocks", "table-gated", "horizon-0",
+        "below-kappa"])
+def test_batched_checks_match_per_bundle_reference(schedule, horizon, kappa):
+    params = SystemParams(n=schedule.n, tau0=1.0 / 3.0, seed=0)
+    got = (check_transition_identities(schedule, params, horizon)
+           + sweep_window_checks(schedule, params, horizon, kappa))
+    want = _reference_checks(schedule, params, horizon, kappa)
+    assert [_fields(c) for c in got] == [_fields(c) for c in want]
 
 
 def test_estimate_deviation_moments_small_grid():
@@ -241,26 +352,6 @@ def test_counterexample_check_insufficient_horizon():
     sched = make_counterexample_schedule(1.0, 10)
     verdict = counterexample_check(sched, SystemParams(n=2, seed=0))
     assert verdict.status == "insufficient horizon"
-
-
-def test_consensus_verdict_pass_and_causes():
-    params = SystemParams(n=2, seed=3)
-    sched = make_periodic_schedule(2, 2, peer_rule="ring")
-    traj = run_simulation(sched, params, 4000, x0=2.0)
-    verdict = consensus_verdict(traj.means[-1], traj.ledger[-1], params,
-                                eps_mean=0.2, precision_floor=100.0)
-    assert verdict.passed and verdict.cause == ""
-
-    strict = consensus_verdict(traj.means[-1], traj.ledger[-1], params,
-                               eps_mean=1e-9, precision_floor=100.0)
-    assert not strict.passed and "mean" in strict.cause
-
-    frozen = consensus_verdict(np.array([0.0, 0.0, 2.0]),
-                               np.array([1.0, 500.0, 1.0]), params,
-                               eps_mean=0.5, precision_floor=100.0)
-    assert not frozen.passed
-    assert "isolated" in frozen.cause
-    assert frozen.isolated_agents == (2,)
 
 
 def test_standard_schedule_set_composition():

@@ -1,9 +1,13 @@
-"""The package surface: exports, the benchmark's traced layers, no asserts."""
+"""The package surface: exports, the benchmark's traced layers, no asserts,
+and the scripts outside tests/ that call the window checks."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,8 @@ import socialbayes
 
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
-           "reduced_product", "step_expected", "rng_stream")
+           "reduced_product", "step_expected", "rng_stream",
+           "consensus_verdict", "ConsensusVerdict", "fourth_moment_summary")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -48,7 +53,8 @@ def test_removed_names_are_gone():
                          "every"),
                         (socialbayes.tables.write_switch_table, "meta"),
                         (socialbayes.sweep_window_checks, "d"),
-                        (socialbayes.sweep_window_checks, "decay_lengths")):
+                        (socialbayes.sweep_window_checks, "decay_lengths"),
+                        (socialbayes.check_diagonal_bound, "l")):
         assert param not in inspect.signature(func).parameters, func
     # the step kernels keep truth and idle rows by arithmetic, with no mask
     assert not hasattr(socialbayes.schedules.Block, "idle")
@@ -66,3 +72,16 @@ def test_traced_layers_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+@pytest.mark.parametrize("script", ["demos/03_window_bounds.py",
+                                    "benchmark/selftest.py"])
+def test_window_check_callers_run(script):
+    """The demo and the benchmark's self-test call the window checks from
+    outside tests/: each must run to exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / script)], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
