@@ -13,6 +13,15 @@ which keeps beliefs Gaussian and gives the closed-form update
 for k received signals.  Precisions are therefore schedule-determined: we
 track them as ledger values tau0/tau + (integer signal counts) and scale by
 tau on demand, so incremental and from-scratch accounting agree exactly.
+
+With a signal's sample and observation noise drawn as raw normals g, the
+step is linear: x_{t+1} = W_t x_t + [Nu_t | Ne_t] g_t, W_t the mean
+process's stochastic matrix.  For narrow n the runs therefore step by
+chunks of steps: a chunk's end state is one matrix-vector product of a
+gain shared by every run with the run's start state and normals.  Past
+that cutoff they step one at a time.  Either way a run's arithmetic is
+its own matrix-vector products, so an ensemble member is bit for bit the
+run it would be alone.
 """
 
 from __future__ import annotations
@@ -26,10 +35,18 @@ from .schedules import GraphSchedule
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
 
-# Noise is drawn in blocks of steps holding at most _NOISE_BUDGET standard
-# normals (512 KiB) over all runs together, so memory stays flat in the
-# number of runs and the horizon.
+# Noise is drawn in windows of steps holding at most _NOISE_BUDGET standard
+# normals (512 KiB) over the runs drawn together, so memory stays flat in
+# the number of runs and the horizon.  The chunk-gain kernel draws for a
+# group of runs at a time, each stream filling whole chunks per call, so
+# many runs do not shrink a window to a few steps.
 _NOISE_BUDGET = 2 ** 16
+
+# The runs step by chunk gains while n <= _GAIN_MAX_N, past it one step at
+# a time.  Measured per call on rings at M = 1, 2, 40 and 2000 runs with
+# records every step, every 5 and at 5 times (CHANGES.md): the gains won
+# every case up to n = 8 and lost with dense records at n = 16.
+_GAIN_MAX_N = 8
 
 
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
@@ -193,18 +210,31 @@ class Trajectory:
         return p
 
 
+def _integral(values, name: str) -> np.ndarray:
+    """values as int64, or ValueError for a non-finite or fractional one;
+    an integral float such as 3.0 is taken as 3."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        floats = values.astype(np.float64)
+        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
+            raise ValueError(f"{name} must be integers")
+    return values.astype(np.int64)
+
+
 def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
     """Sorted record times, the one rule for runs and written tables.
 
     Every record_every-th step plus the horizon, or the given times;
-    ValueError for a time outside [0, horizon].
+    ValueError for a time outside [0, horizon] and for a time or step
+    that is not an integer (an integral float such as 3.0 is one).
     """
     if record_times is not None:
-        times = np.unique(np.asarray(record_times, dtype=np.int64))
+        times = np.unique(_integral(record_times, "record times"))
         if times.size and (times[0] < 0 or times[-1] > horizon):
             raise ValueError("record times outside [0, horizon]")
         return times
-    step = 1 if record_every is None else int(record_every)
+    step = 1 if record_every is None else int(_integral(record_every,
+                                                       "record_every"))
     if step < 1:
         raise ValueError("record_every must be >= 1")
     times = np.arange(0, horizon + 1, step, dtype=np.int64)
@@ -219,13 +249,14 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
 
     x holds one row per run; the ledger is shared, taken as ratio + int64
-    receive counts like run_expected's.  Each compiled block of the
-    schedule is walked in chunks of B steps, B chosen so the noise buffer
-    (runs, B, 2, n+1) stays within _NOISE_BUDGET entries; each run fills
-    its slice from its own stream, which yields the values step-by-step
-    draws would.  So every member is bit-for-bit the run it would be
-    alone.  Returns means (M, K, n+1), ledger (K, n+1) and signals
-    (M, K, n+1) or None, at `times`.
+    receive counts like run_expected's.  Each run fills its noise from its
+    own stream in step order, whatever the window, so it draws the values
+    step-by-step draws would, and each run's arithmetic is its own
+    matrix-vector products: every member is bit-for-bit the run it would
+    be alone.  While n <= _GAIN_MAX_N the runs step by chunk gains
+    (_gain_steps), past it one step at a time (_increment_steps).  Returns
+    means (M, K, n+1), ledger (K, n+1) and signals (M, K, n+1) or None, at
+    `times`.
     """
     n1 = params.n + 1
     means = np.empty((n_runs, times.size, n1))
@@ -233,9 +264,165 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     signals = (np.full((n_runs, times.size, n1), np.nan) if record_signals
                else None)
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
+    streams = [run_stream(params.seed, run_index + r) for r in range(n_runs)]
+    kernel = _gain_steps if params.n <= _GAIN_MAX_N else _increment_steps
+    kernel(schedule, params, horizon, x, streams, times, means, ledger,
+           signals)
+    return means, ledger, signals
+
+
+def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
+                  width: int):
+    """Steps [0, horizon) in windows of width steps anchored at its multiples.
+
+    Yields per window of L steps from w0: w0; the step maps (L, n+1, 3(n+1)),
+    S_i = [W_i | Nu_i | Ne_i] with W_i from expected._transitions,
+    Nu_i = (A_i / P_{i+1}) diag(1/sqrt(tau P_i)) and
+    Ne_i = (A_i / P_{i+1}) / sqrt(tau), so x_{i+1} = S_i [x_i; g_i] for the
+    step's raw normals g_i = (g_u, g_e) (Nu's truth column is zero, and
+    Ne's where the truth emits no noise); and the ledger rows P_{w0} ..
+    P_{w0+L}.  A window that crosses a compiled-block boundary is carried
+    across it, so no window depends on where blocks cut.
+    """
+    from .expected import _transitions  # expected imports this module
+    held, n1 = [], params.n + 1
+    for blk in schedule.compiled.blocks(0, horizon):
+        before, after = blk.ledger(params.ratio)
+        patterns = np.asarray(blk.adjacency)
+        j = 0
+        while j < len(blk.slots):
+            k = min(width - (blk.start + j) % width, len(blk.slots) - j)
+            held.append((patterns[blk.slots[j:j + k]], before[j:j + k],
+                         after[j:j + k]))
+            j += k
+            t = blk.start + j
+            if t % width and t < horizon:
+                continue
+            a, p, q = (np.concatenate(parts) for parts in zip(*held))
+            held = []
+            maps = np.empty((len(a), n1, 3, n1))
+            maps[:, :, 0] = _transitions(a, p, q)
+            mix = a / q[:, :, None]  # A_i / P_{i+1}
+            np.divide(mix, np.sqrt(params.tau * p)[:, None], out=maps[:, :, 1])
+            np.multiply(mix, 1.0 / np.sqrt(params.tau), out=maps[:, :, 2])
+            maps[:, :, 1, 0] = 0.0  # the truth's sample is the truth itself
+            if not params.truth_noise:
+                maps[:, :, 2, 0] = 0.0
+            yield (t - len(a), maps.reshape(len(a), n1, 3 * n1),
+                   np.vstack([p, before[j]]))
+
+
+def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
+    """Gain G = [Phi | K_0 ... K_{c-1}] of each whole chunk of c step maps.
+
+    Phi = W_{c-1} ... W_0 and K_i = R_i [Nu_i | Ne_i], with the suffix
+    products R_{c-1} = I, R_i = R_{i+1} W_{i+1}, each built over all
+    chunks by one batched product, so x_c = G [x_0; g_0 .. g_{c-1}] for
+    the chunk's raw normals g_i in the order they are drawn.
+    """
+    k, n1 = len(maps) // c, maps.shape[1]
+    maps = maps[:k * c].reshape(k, c, n1, 3 * n1)
+    w = maps[..., :n1]
+    suffix = np.empty(w.shape)
+    suffix[:, -1] = np.eye(n1)
+    for i in range(c - 2, -1, -1):
+        np.matmul(suffix[:, i + 1], w[:, i + 1], out=suffix[:, i])
+    gains = np.empty((k, n1, n1 + 2 * n1 * c))
+    np.matmul(suffix[:, 0], w[:, 0], out=gains[:, :, :n1])
+    kicks = gains[:, :, n1:].reshape(k, n1, c, 2 * n1).transpose(0, 2, 1, 3)
+    np.matmul(suffix, maps[..., n1:], out=kicks)  # a view: K_i in place
+    return gains
+
+
+def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
+                x: np.ndarray, streams, times: np.ndarray, means: np.ndarray,
+                ledger: np.ndarray, signals: np.ndarray | None):
+    """Step every run by chunk gains, writing the records in place.
+
+    The recursion x_{i+1} = S_i [x_i; g_i] (_gain_windows) is linear in the
+    state and in the raw normals g_i, so over a chunk of c steps anchored
+    at a multiple of c (c from expected's _SCAN_CHUNKS table) a run ends
+    at one matrix-vector product of the chunk's gain (_chunk_gains),
+    shared by every run, with [x_a; the chunk's normals]: one np.matmul
+    item per run, never one product over the runs.  A time inside a chunk
+    (a record or the horizon) is walked to from the anchor a by the step
+    maps.  So x_t is a fixed function of x_a and the chunk's data,
+    whatever the number of runs, noise budget, block cuts, record set or
+    horizon.  Runs go in groups whose noise window of whole chunks stays
+    within _NOISE_BUDGET normals.
+    """
+    from .expected import _SCAN_CHUNKS  # expected imports this module
+    n_runs, n1 = x.shape
+    c = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
+    span = 2 * n1 * c  # one run's normals in one chunk
+    group = max(1, min(n_runs, _NOISE_BUDGET // span))
+    # a window's gains hold n+1 rows per normal of one run: they stay
+    # within the budget too
+    width = c * max(1, _NOISE_BUDGET // (max(group, n1) * span))
+    # A run's row holds x_a, then the window's normals.  Chunk j reads
+    # [x_a; g_a .. g_{a+c-1}] from offset j * span, so x_a goes over the
+    # last normals of chunk j - 1, spent by then; a walk writes x_{a+i+1}
+    # over the spent e-half of g_{a+i}, just before g_{a+i+1}.
+    buf = np.empty((group, n1 + width * 2 * n1))
+    pending = times.tolist() + [horizon + 1]  # no record is past horizon
+    k, p = 0, np.full((1, n1), params.ratio)  # p: the last window's ledger
+    for w0, maps, p in _gain_windows(schedule, params, horizon, width):
+        gains, first = _chunk_gains(maps, c), k
+        for r0 in range(0, n_runs, group):
+            rows = buf[:min(group, n_runs - r0)]
+            xs, k = x[r0:r0 + len(rows)], first
+            step = np.empty((len(rows), n1, 1))
+            for stream, row in zip(streams[r0:], rows):
+                stream.standard_normal(out=row[n1:n1 + 2 * n1 * len(maps)])
+            for j, a in enumerate(range(w0, w0 + len(maps), c)):
+                chunk = rows[:, j * span:j * span + n1 + span]
+                chunk[:, :n1] = xs
+                if a + c <= horizon:
+                    np.matmul(gains[j], chunk[..., None], out=xs[..., None])
+                stop, end = k, min(a + c, horizon + 1)
+                while pending[stop] < end:
+                    stop += 1
+                if stop == k:
+                    continue
+                at, i0 = np.array(pending[k:stop]) - a, a - w0
+                if signals is not None:  # the horizon emits none
+                    sent = at[a + at < horizon]
+                    g = chunk[:, n1:].reshape(len(rows), c, 2, n1)[:, sent]
+                for i in range(at[-1]):  # walk from the anchor
+                    s = chunk[:, 2 * n1 * i:2 * n1 * i + 3 * n1]
+                    np.matmul(maps[i0 + i], s[..., None], out=step)
+                    s[:, 2 * n1:] = step[..., 0]
+                states = chunk[:, np.add.outer(2 * n1 * at, np.arange(n1))]
+                means[r0:r0 + len(rows), k:stop] = states
+                ledger[k:stop] = p[i0 + at]
+                if signals is not None:
+                    u = g[:, :, 0] / np.sqrt(params.tau * p[i0 + sent])
+                    u[:, :, 0] = 0.0  # point mass: the truth's sample
+                    e = g[:, :, 1] * (1.0 / np.sqrt(params.tau))
+                    if not params.truth_noise:
+                        e[:, :, 0] = 0.0
+                    sig = states[:, :len(sent)] + u
+                    sig += e
+                    signals[r0:r0 + len(rows), k:k + len(sent)] = sig
+                k = stop
+    if pending[k] == horizon:  # the horizon is an anchor
+        means[:, k] = x
+        ledger[k] = p[-1]
+
+
+def _increment_steps(schedule: GraphSchedule, params: SystemParams,
+                     horizon: int, x: np.ndarray, streams, times: np.ndarray,
+                     means: np.ndarray, ledger: np.ndarray,
+                     signals: np.ndarray | None):
+    """Step every run one step at a time, writing the records in place.
+
+    Each compiled block of the schedule is walked in windows of B steps,
+    B chosen so the noise buffer (runs, B, 2, n+1) stays within
+    _NOISE_BUDGET entries.
+    """
+    n_runs, n1 = x.shape
     ratio, tau = params.ratio, params.tau
     width = max(1, min(_NOISE_BUDGET // (n_runs * 2 * n1), horizon))
-    streams = [run_stream(params.seed, run_index + r) for r in range(n_runs)]
     buf = np.empty((n_runs, width, 2, n1))
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
@@ -278,7 +465,6 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     if horizon == pending[k]:
         means[:, k] = x
         ledger[k] = before[-1] if horizon else ratio
-    return means, ledger, signals
 
 
 def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -315,6 +501,7 @@ def run_ensemble(schedule: GraphSchedule, params: SystemParams, horizon: int,
                  n_runs: int, x0=None, record_every=None,
                  record_times=None) -> EnsembleResult:
     """Independent runs over a shared schedule (run r uses stream index r)."""
+    n_runs = int(_integral(n_runs, "n_runs"))
     if n_runs < 1:
         raise ValueError("need at least one run")
     if horizon < 0:

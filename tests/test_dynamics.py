@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from socialbayes import dynamics
+from socialbayes import dynamics, expected, schedules
 from socialbayes.dynamics import (
     BeliefState,
     SignalBatch,
@@ -87,9 +87,12 @@ def test_per_agent_matches_matrix_path():
     from the kernel's own state and signal.  Summation order differs
     between the two paths (explicit sum vs BLAS), so agreement is to
     accumulation tolerance, not bitwise; the ledger is exact.  The
-    signals are those emit_signals draws from the run's stream.
+    signals are those emit_signals draws from the run's stream.  At n = 5
+    the kernel steps by chunk gains, every recorded state walked from its
+    chunk's anchor.
     """
     params = SystemParams(n=5, tau=2.0, tau0=3.0, truth=1.0, seed=11)
+    assert params.n <= dynamics._GAIN_MAX_N
     sched = make_random_schedule(5, 3, 0.4, seed=11)
     traj = run_simulation(sched, params, 100, x0=np.linspace(-2, 2, 5),
                           record_every=1, record_signals=True, run_index=2)
@@ -221,14 +224,18 @@ def test_ensemble_members_match_solo_runs():
 
 @pytest.mark.parametrize("n, rule, budget",
                          [(3, "ring", 64), (3, "ring", 24),
-                          (100, "complete", None)])
+                          (100, "complete", None),
+                          (dynamics._GAIN_MAX_N, "ring", None),
+                          (dynamics._GAIN_MAX_N + 1, "ring", None)])
 def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
                                                   budget):
-    """Members stay bitwise equal to solo runs when the noise buffer cuts
-    the horizon into many blocks (budget 64 gives the ensemble two steps
-    per block, budget 24 one) and at n=100 with ~100 senders per row, where
-    one matrix-matrix product over the runs would round differently from
-    each run's own matrix-vector product."""
+    """Members stay bitwise equal to solo runs when the noise budget is
+    below one run's chunk of normals (budgets 64 and 24 at n=3: the runs go
+    one per group, each noise window one whole chunk, over the budget) and
+    at n=100 with ~100 senders per row, where one matrix-matrix product
+    over the runs would round differently from each run's own
+    matrix-vector product; and at the chunk-gain cutoff n and one past
+    it, on either side of the kernel choice."""
     params = SystemParams(n=n, tau=0.5, seed=21)
     sched = make_periodic_schedule(n, 2, peer_rule=rule)
     solo = [run_simulation(sched, params, 60, x0=2.0, record_every=7,
@@ -285,3 +292,143 @@ def test_noise_shrinks_with_accumulated_precision():
     early = np.abs(np.diff(traj.means[1:20, 1]))
     late = np.abs(np.diff(traj.means[-20:, 1]))
     assert late.max() < early.max() / 10
+
+
+@pytest.mark.parametrize("kwargs", [{"record_times": [3.7]},
+                                    {"record_times": [np.nan]},
+                                    {"record_every": 2.5},
+                                    {"record_every": np.inf}])
+def test_fractional_or_non_finite_record_times_are_rejected(kwargs):
+    sched = make_periodic_schedule(2, 1)
+    with pytest.raises(ValueError, match="integers"):
+        run_simulation(sched, SystemParams(n=2), 10, **kwargs)
+
+
+@pytest.mark.parametrize("n_runs", [2.5, np.nan, np.inf])
+def test_fractional_or_non_finite_run_count_is_rejected(n_runs):
+    sched = make_periodic_schedule(2, 1)
+    with pytest.raises(ValueError, match="integers"):
+        run_ensemble(sched, SystemParams(n=2), 10, n_runs=n_runs)
+
+
+def test_integral_floats_count_as_integers():
+    params = SystemParams(n=2, seed=6)
+    sched = make_periodic_schedule(2, 1)
+    ints = run_ensemble(sched, params, 40, n_runs=2, record_times=[3, 17])
+    floats = run_ensemble(sched, params, 40, n_runs=2.0,
+                          record_times=[3.0, 17.0])
+    assert floats.n_runs == 2 and list(floats.times) == [3, 17]
+    assert np.array_equal(floats.means, ints.means)
+    every = run_simulation(sched, params, 40, record_every=2.0)
+    assert np.array_equal(every.times, np.arange(0, 41, 2))
+
+
+def _exact_variances(sched, params, horizon):
+    """Diagonals of the exact deviation covariance at t = 0 .. horizon.
+
+    Walks Sigma_{t+1} = W_t Sigma_t W_t^T + N_t Q_t N_t^T from the
+    schedule's arrays, with W_t = (P_t + A_t) / P_{t+1}, N_t = A_t / P_{t+1}
+    and Q_t = diag(1/(tau P_t) + 1/tau), whose truth entry is 1/tau, or 0
+    when the truth emits no noise.
+    """
+    ledger = np.full(params.n + 1, params.ratio)
+    sigma = np.zeros((params.n + 1, params.n + 1))
+    out = [np.diag(sigma).copy()]
+    for t in range(horizon):
+        a, deg = sched.arrays_at(t)
+        after = ledger + deg
+        w = (np.diag(ledger) + a) / after[:, None]
+        mix = a / after[:, None]
+        q = 1.0 / (params.tau * ledger) + 1.0 / params.tau
+        q[0] = 1.0 / params.tau if params.truth_noise else 0.0
+        sigma = w @ sigma @ w.T + (mix * q) @ mix.T
+        ledger = after
+        out.append(np.diag(sigma).copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("truth_noise", [True, False])
+def test_ensemble_variance_matches_exact_covariance(truth_noise):
+    """Each agent's sample variance over 4000 runs sits within 5 standard
+    errors, sigma^2 sqrt(2/(M-1)), of the exact variance at 3 times: a
+    wrong noise scale in the gains shows here, where the mean checks and
+    members == solo cannot see it."""
+    params = SystemParams(n=3, tau=3.0, tau0=1.0, seed=41,
+                          truth_noise=truth_noise)
+    sched = make_periodic_schedule(3, 3, peer_rule="ring")
+    times, m = [5, 20, 60], 4000
+    ens = run_ensemble(sched, params, 60, n_runs=m, x0=1.5,
+                       record_times=times)
+    exact = _exact_variances(sched, params, 60)[times, 1:]
+    sample = ens.means[:, :, 1:].var(axis=0, ddof=1)
+    assert np.all(np.abs(sample - exact) <= 5 * exact * np.sqrt(2 / (m - 1)))
+
+
+def _narrow_schedule(kind):
+    n = dynamics._GAIN_MAX_N
+    if kind == "periodic":
+        return make_periodic_schedule(n, 3, peer_rule="ring")
+    return make_random_schedule(n, 3, 0.5, seed=7)
+
+
+def _outputs(sched, params, horizon=450):
+    ens = run_ensemble(sched, params, horizon, n_runs=5, x0=2.0,
+                       record_every=7)
+    solo = run_simulation(sched, params, horizon, x0=2.0, record_every=1,
+                          record_signals=True, run_index=1)
+    return ens.means, ens.ledger, solo.means, solo.ledger, solo.signals
+
+
+@pytest.mark.parametrize("kind", ["periodic", "random"])
+def test_gain_path_ignores_block_cuts(monkeypatch, kind):
+    """Compiled blocks of 100 steps, not a multiple of the chunk length,
+    give bitwise the runs of the default blocks: a chunk that crosses a
+    block boundary is carried across it."""
+    params = SystemParams(n=dynamics._GAIN_MAX_N, tau=3.0, tau0=1.0, seed=5)
+    default = _outputs(_narrow_schedule(kind), params)
+    monkeypatch.setattr(schedules, "_BLOCK_STEPS", 100)
+    sched = _narrow_schedule(kind)
+    cut = _outputs(sched, params)
+    assert sched.compiled.steps == 100
+    for x, y in zip(default, cut):
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+@pytest.mark.parametrize("budget", [24, 64, "two-run groups",
+                                    "multi-chunk windows"])
+def test_gain_path_ignores_noise_budget(monkeypatch, budget):
+    """Runs one per group (24, 64: below one chunk of normals), two per
+    group with a short last group, and five per group over windows of
+    three chunks give bitwise the runs of the default budget."""
+    n = dynamics._GAIN_MAX_N
+    params = SystemParams(n=n, tau=3.0, tau0=1.0, seed=5, truth_noise=False)
+    sched = _narrow_schedule("random")
+    default = _outputs(sched, params, 300)
+    c = next(c for top, c in expected._SCAN_CHUNKS if n <= top)
+    span = 2 * (n + 1) * c  # one run's normals in one chunk
+    if budget == "two-run groups":
+        budget = 2 * span + 1
+    elif budget == "multi-chunk windows":
+        budget = 3 * (n + 1) * span
+    monkeypatch.setattr(dynamics, "_NOISE_BUDGET", budget)
+    for x, y in zip(default, _outputs(sched, params, 300)):
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+@pytest.mark.parametrize("t", [64, 77])
+def test_gain_path_ignores_record_set_and_horizon(t):
+    """x_t recorded alone, with every step, and at horizons t and t + 37 is
+    bitwise the same, at an anchor time and inside a chunk."""
+    params = SystemParams(n=dynamics._GAIN_MAX_N, tau=2.0, seed=13)
+    sched = _narrow_schedule("periodic")
+    seen = []
+    for horizon in (t, t + 37):
+        for kwargs in ({"record_times": [t]}, {"record_every": 1}):
+            traj = run_simulation(sched, params, horizon, x0=1.0,
+                                  run_index=2, **kwargs)
+            seen.append(traj.means[list(traj.times).index(t)])
+            ens = run_ensemble(sched, params, horizon, n_runs=3, x0=1.0,
+                               **kwargs)
+            seen.append(ens.means[2, list(ens.times).index(t)])
+    for x in seen[1:]:
+        assert np.array_equal(x, seen[0])

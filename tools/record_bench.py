@@ -6,10 +6,12 @@
 For every workload of BENCHMARK.json and every seed it runs
 `benchmark/run.py --trace 0` for the benchmark's run_seconds once in each
 checkout, the two taking turns at going first, and keeps the last JSON
-line of each run.  It also runs the tier-1 suite once in each checkout
-with `--durations=0`.  The file holds, per checkout, each metric's runs,
-median and quartiles, the share of failed operations, the `src/` line
-count, and the suite's summary line, wall time and per-test call times;
+line of each run.  It also runs the tier-1 suite with `--durations=0`
+TIER1_REPEATS times in each checkout, the two taking turns at going
+first.  The file holds, per checkout, each metric's runs, median and
+quartiles, the share of failed operations, the `src/` line count, and
+the suite's summary lines, wall times (runs, median and quartiles) and
+per-test median call times;
 how many seeds the change won on each metric; for each end-to-end metric
 the change/parent ratio of medians and whether it stays within the
 metric's BENCHMARK.json bound (no worse than 1 - bound of the parent's
@@ -34,6 +36,9 @@ import numpy as np
 
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+
+# Tier-1 runs per checkout: its times are medians, like every other figure.
+TIER1_REPEATS = 3
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -64,6 +69,16 @@ def tier1(checkout: Path) -> dict:
             calls[match[2]] = float(match[1])
     return {"summary": lines[-1].strip("= ") if lines else "", "wall_s": wall,
             "call_s": calls}
+
+
+def tier1_medians(runs: list[dict]) -> dict:
+    """Summary lines, wall times and per-test median call times of runs."""
+    tests = {name for run in runs for name in run["call_s"]}
+    return {"summary": [run["summary"] for run in runs],
+            "wall_s": summary([run["wall_s"] for run in runs]),
+            "call_s": {name: statistics.median(
+                run["call_s"][name] for run in runs if name in run["call_s"])
+                for name in sorted(tests)}}
 
 
 def src_lines(checkout: Path) -> int:
@@ -106,10 +121,14 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     results = {label: {} for label in checkouts}
-    suites = {}
-    for label, path in checkouts.items():
-        suites[label] = tier1(path)
-        print(label, "tier-1:", suites[label]["summary"], file=sys.stderr)
+    runs = {label: [] for label in checkouts}
+    for i in range(TIER1_REPEATS):
+        order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
+        for label in order:
+            runs[label].append(tier1(checkouts[label]))
+            print(label, "tier-1:", runs[label][-1]["summary"],
+                  file=sys.stderr)
+    suites = {label: tier1_medians(runs[label]) for label in checkouts}
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         for i, seed in enumerate(args.seeds):
             order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
