@@ -364,8 +364,7 @@ def test_ensemble_variance_matches_exact_covariance(truth_noise):
     assert np.all(np.abs(sample - exact) <= 5 * exact * np.sqrt(2 / (m - 1)))
 
 
-def _narrow_schedule(kind):
-    n = dynamics._GAIN_MAX_N
+def _narrow_schedule(kind, n=dynamics._GAIN_MAX_N):
     if kind == "periodic":
         return make_periodic_schedule(n, 3, peer_rule="ring")
     return make_random_schedule(n, 3, 0.5, seed=7)
@@ -379,15 +378,16 @@ def _outputs(sched, params, horizon=450):
     return ens.means, ens.ledger, solo.means, solo.ledger, solo.signals
 
 
+@pytest.mark.parametrize("n", [4, dynamics._GAIN_MAX_N])
 @pytest.mark.parametrize("kind", ["periodic", "random"])
-def test_gain_path_ignores_block_cuts(monkeypatch, kind):
+def test_gain_path_ignores_block_cuts(monkeypatch, kind, n):
     """Compiled blocks of 100 steps, not a multiple of the chunk length,
     give bitwise the runs of the default blocks: a chunk that crosses a
     block boundary is carried across it."""
-    params = SystemParams(n=dynamics._GAIN_MAX_N, tau=3.0, tau0=1.0, seed=5)
-    default = _outputs(_narrow_schedule(kind), params)
+    params = SystemParams(n=n, tau=3.0, tau0=1.0, seed=5)
+    default = _outputs(_narrow_schedule(kind, n), params)
     monkeypatch.setattr(schedules, "_BLOCK_STEPS", 100)
-    sched = _narrow_schedule(kind)
+    sched = _narrow_schedule(kind, n)
     cut = _outputs(sched, params)
     assert sched.compiled.steps == 100
     for x, y in zip(default, cut):
