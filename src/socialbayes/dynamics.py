@@ -21,7 +21,9 @@ chunks of steps: a chunk's end state is one matrix-vector product of a
 gain shared by every run with the run's start state and normals.  Past
 that cutoff they step one at a time.  Either way a run's arithmetic is
 its own matrix-vector products, so an ensemble member is bit for bit the
-run it would be alone.
+run it would be alone.  Run r draws from numpy's SeedSequence([seed, 201,
+r]) stream: run_stream is the definition, and an ensemble seeds its runs
+in one batched pass (schedules._streams) that gives the same generators.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import GraphSchedule
+from .schedules import GraphSchedule, _check_seed, _integral, _streams
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -79,8 +81,7 @@ class SystemParams:
             raise ValueError("tau, tau0 and truth must be finite")
         if self.tau <= 0 or self.tau0 <= 0:
             raise ValueError("precisions must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_seed(self.seed)
 
     @property
     def ratio(self) -> float:
@@ -210,17 +211,6 @@ class Trajectory:
         return p
 
 
-def _integral(values, name: str) -> np.ndarray:
-    """values as int64, or ValueError for a non-finite or fractional one;
-    an integral float such as 3.0 is taken as 3."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        floats = values.astype(np.float64)
-        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
-            raise ValueError(f"{name} must be integers")
-    return values.astype(np.int64)
-
-
 def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
     """Sorted record times, the one rule for runs and written tables.
 
@@ -264,7 +254,8 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     signals = (np.full((n_runs, times.size, n1), np.nan) if record_signals
                else None)
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
-    streams = [run_stream(params.seed, run_index + r) for r in range(n_runs)]
+    streams = _streams(params.seed, _TAG_RUN,
+                       np.arange(run_index, run_index + n_runs))
     kernel = _gain_steps if params.n <= _GAIN_MAX_N else _increment_steps
     kernel(schedule, params, horizon, x, streams, times, means, ledger,
            signals)

@@ -69,7 +69,10 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
     deg is the ledger degree vector, adjacency's row sums; the truth row
     of both is zero, as the truth hears nobody.  full is built by
     _transitions, the builder of every W stack, so it is bitwise the W_t
-    of a walk or of run_expected.  Only the inputs are validated here;
+    of a walk or of run_expected.  P_{t+1} = P_t + D_t; a ledger the
+    package makes, the ratio (the truth's entry) + integer counts, gets
+    ratio + (counts + D_t), rounded once, the next row of a walk's.
+    Only the inputs are validated here;
     check_transition_identities measures how far the result is from
     stochastic.
     """
@@ -86,7 +89,9 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
         raise ValueError("adjacency entries must be nonnegative")
     if not np.array_equal(a.sum(axis=1), deg):
         raise ValueError("degrees disagree with adjacency row sums")
-    p_after = p + deg
+    counts = np.rint(p - p[0])
+    p_after = (p[0] + (counts + deg) if np.array_equal(p[0] + counts, p)
+               else p + deg)
     full = _transitions(a[None], p[None], p_after[None])[0]
     noise_mix = a[1:, 1:] / p_after[1:, None]
     return TransitionBundle(t, full, full[1:, 1:], full[1:, 0], noise_mix, p,

@@ -8,18 +8,23 @@ receives nothing, it keeps its value.
 
 Schedules are deterministic objects: querying the same schedule twice at the
 same t yields identical edge sets (randomized schedules are seeded, with a
-stream independent of any learning-process randomness).
+stream independent of any learning-process randomness).  Step t of a random
+schedule draws from numpy's SeedSequence([seed, 101, t]) stream; edges_at
+builds it with numpy, the compile seeds a block's steps in one batched
+pass (_streams) that gives the same generators bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import numbers
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class ScheduleHorizonError(IndexError):
@@ -43,8 +48,95 @@ _BLOCK_STEPS = 4096
 _COMPILE_BUDGET = 2 ** 24
 
 
+def _integral(values, name: str) -> np.ndarray:
+    """values as int64, or ValueError for a non-finite or fractional one;
+    an integral float such as 3.0 is taken as 3."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        floats = values.astype(np.float64)
+        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
+            raise ValueError(f"{name} must be integers")
+    return values.astype(np.int64)
+
+
+def _check_seed(seed):
+    """ValueError for a negative seed and, by _integral's rule, for a
+    fractional or non-finite one; an int of any size passes as it is."""
+    if not isinstance(seed, numbers.Integral):
+        seed = _integral(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
+# _streams hashes a batch of at least _BATCH_MIN indices itself, a smaller
+# one through numpy: the batched hash has a fixed cost of about four numpy
+# SeedSequence builds (measured per call, CHANGES.md).
+_BATCH_MIN = 5
+
+
 def _schedule_rng(seed: int, tag: int, index: int) -> np.random.Generator:
+    """The stream of (seed, tag, index): the definition _streams follows."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
+
+
+def _hash_consts(init: int, mult: int, calls: int):
+    """(xor, mult) uint32 columns of a SeedSequence hash's first calls:
+    call j xors init * mult^j and multiplies by init * mult^(j+1)."""
+    h = np.array([init * pow(mult, j, 2 ** 32) % 2 ** 32
+                  for j in range(calls + 1)], dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+# numpy's SeedSequence hash of three entropy words into a pool of four:
+# calls 0-3 take in the words, calls 4-15 mix each pool word s into the
+# three others (here one (4, 1) round per word, a dummy at row s); then
+# generate_state's own hash draws 8 words from the pool.
+_POOL_HASH = _hash_consts(0x43b0d7e5, 0x931e8875, 16)
+_ROUNDS = [[np.insert(c[4 + 3 * s:7 + 3 * s], s, 0, axis=0)
+            for c in _POOL_HASH] for s in range(4)]
+_STATE_HASH = _hash_consts(0x8b51f9dd, 0x58f38ded, 8)
+
+
+def _hashmix(value, xor, mult):
+    value = value ^ xor
+    value *= mult
+    value ^= value >> np.uint32(16)
+    return value
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words computed ahead, handed to PCG64 as its SeedSequence's."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(seed: int, tag: int, indices) -> list[np.random.Generator]:
+    """_schedule_rng(seed, tag, i) for each i of indices, bit for bit.
+
+    A batch of _BATCH_MIN or more whose seed and indices fit in 32 bits
+    has its SeedSequence hashes and PCG64 seed words computed at once, in
+    uint32 array arithmetic; any other goes through _schedule_rng.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if (len(indices) < _BATCH_MIN or not 0 <= seed < 2 ** 32
+            or not 0 <= indices.min() <= indices.max() < 2 ** 32):
+        return [_schedule_rng(seed, tag, i) for i in indices.tolist()]
+    pool = np.zeros((4, len(indices)), dtype=np.uint32)
+    pool[0], pool[1], pool[2] = seed, tag, indices
+    pool = _hashmix(pool, _POOL_HASH[0][:4], _POOL_HASH[1][:4])
+    for s, consts in enumerate(_ROUNDS):
+        word = pool[s]
+        pool = np.uint32(0xca01f9dd) * pool
+        pool -= np.uint32(0x4973f715) * _hashmix(word, *consts)
+        pool ^= pool >> np.uint32(16)
+        pool[s] = word  # the dummy row: word s is not mixed into itself
+    words = _hashmix(np.tile(pool, (2, 1)), *_STATE_HASH)
+    words = np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 class Block(NamedTuple):
@@ -69,14 +161,15 @@ class Block(NamedTuple):
 
     def ledger(self, ratio: float):
         """(ledger rows before each step and after the last, each step's
-        divisor ledger + degrees).
+        divisor: the row after it).
 
         A ledger row is ratio + an int64 receive count, rounded once and
-        never a float running sum, so it does not drift whatever the ratio.
+        never a float running sum, so it does not drift whatever the ratio,
+        and a step's divisor is the next step's ledger bit for bit.
         """
-        degrees = self.step_degrees()
-        before = ratio + np.cumsum(np.vstack([self.received, degrees]), axis=0)
-        return before, before[:-1] + degrees
+        before = ratio + np.cumsum(np.vstack([self.received,
+                                              self.step_degrees()]), axis=0)
+        return before, before[1:]
 
 
 def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,6 +501,7 @@ class RandomSchedule(GraphSchedule):
         super().__init__(n, horizon)
         self.kappa = int(kappa)
         self.edge_probability = float(edge_probability)
+        _check_seed(seed)
         self.seed = int(seed)
         rng = _schedule_rng(seed, _TAG_PHASES, 0)
         self.phases = tuple(int(p) for p in rng.integers(0, kappa, size=n))
@@ -433,8 +527,8 @@ class RandomSchedule(GraphSchedule):
         stack[:, 1:, 0] = steps[:, None] % self.kappa == np.array(self.phases)
         if self.edge_probability > 0.0:
             draws = np.empty((n, n))  # one reused buffer: no fresh pages
-            for a, t in zip(stack, steps.tolist()):
-                _schedule_rng(self.seed, _TAG_PEERS, t).random(out=draws)
+            for a, rng in zip(stack, _streams(self.seed, _TAG_PEERS, steps)):
+                rng.random(out=draws)
                 np.less(draws, self.edge_probability, out=a[1:, 1:])
             learners = np.arange(1, n + 1)
             stack[:, learners, learners] = 0.0  # no self-loops

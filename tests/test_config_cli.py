@@ -290,14 +290,14 @@ def test_command_draws_each_random_step_once(tmp_path, monkeypatch, command):
     cfg = config_file(tmp_path, text)
     assert parse_config(text).verify.checks == CHECK_NAMES  # all six
     draws = []
-    real = schedules._schedule_rng
+    real = schedules._streams
 
-    def counted(seed, tag, index):
+    def counted(seed, tag, indices):
         if tag == schedules._TAG_PEERS:
-            draws.append(index)
-        return real(seed, tag, index)
+            draws.extend(np.asarray(indices).tolist())
+        return real(seed, tag, indices)
 
-    monkeypatch.setattr(schedules, "_schedule_rng", counted)
+    monkeypatch.setattr(schedules, "_streams", counted)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert sorted(draws) == list(range(300))
 

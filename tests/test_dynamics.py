@@ -432,3 +432,75 @@ def test_gain_path_ignores_record_set_and_horizon(t):
             seen.append(ens.means[2, list(ens.times).index(t)])
     for x in seen[1:]:
         assert np.array_equal(x, seen[0])
+
+
+@pytest.mark.parametrize("seed", [1.5, np.nan, np.inf, -1])
+def test_params_reject_bad_seed(seed):
+    """A seed is a nonnegative integer: 1.5 is not run as seed 1."""
+    with pytest.raises(ValueError):
+        SystemParams(n=2, seed=seed)
+
+
+def test_integral_float_seed_is_that_seed():
+    sched = make_periodic_schedule(2, 3, peer_rule="ring")
+    a = run_simulation(sched, SystemParams(n=2, seed=3.0), 20, x0=1.0)
+    b = run_simulation(sched, SystemParams(n=2, seed=3), 20, x0=1.0)
+    assert np.array_equal(a.means, b.means)
+
+
+def _noisy_longdouble_replay(sched, params, horizon, x0, n_runs):
+    """Every run's means at t = 0 .. horizon in np.longdouble, from edges_at
+    alone and the normals run_stream draws, two rows of n+1 a step:
+    sig = x + g_u / sqrt(tau P_t) + g_e / sqrt(tau), the truth's sample
+    the truth itself and its noise dropped when it emits none, then
+    x_i' = (P_i x_i + sum of received sig) / P_i', each P ratio + an exact
+    integer count."""
+    ld, n1 = np.longdouble, params.n + 1
+    tau, ratio = ld(params.tau), ld(params.ratio)
+    x = np.tile(initial_state(params, x0).means.astype(ld), (n_runs, 1))
+    draws = np.array([run_stream(params.seed, r).standard_normal(
+        (horizon, 2, n1)) for r in range(n_runs)]).astype(ld)
+    counts = np.zeros(n1, dtype=np.int64)
+    out = [x]
+    for t in range(horizon):
+        a = np.zeros((n1, n1), dtype=ld)
+        for i, j in sched.edges_at(t):
+            a[i, j] = 1
+        p = ratio + counts.astype(ld)
+        u = draws[:, t, 0] / np.sqrt(tau * p)
+        u[:, 0] = 0
+        e = draws[:, t, 1] / np.sqrt(tau)
+        if not params.truth_noise:
+            e[:, 0] = 0
+        deg = np.count_nonzero(a, axis=1)
+        x = (p * x + (x + u + e) @ a.T) / (ratio + (counts + deg).astype(ld))
+        counts += deg
+        out.append(x)
+    return np.array(out).transpose(1, 0, 2)
+
+
+_NOISY_ORACLE_CASES = {
+    # name: (schedule, n, horizon); all at ratio 1/3, 3 runs
+    "gains-ring-n4": (lambda: make_periodic_schedule(4, 3, "ring"), 10_000),
+    "gains-random-n8": (lambda: make_random_schedule(8, 3, 0.3, seed=5), 5000),
+    "per-step-random-n30": (lambda: make_random_schedule(30, 3, 0.1, seed=8),
+                            2000),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("case", sorted(_NOISY_ORACLE_CASES))
+def test_noisy_kernels_error_against_longdouble_replay(case):
+    """Both noisy kernels stay within 5e-14 of a long-double replay of the
+    same draws, like the mean process: the chunk gains at n = 4 and 8,
+    the per-step kernel past _GAIN_MAX_N."""
+    make, horizon = _NOISY_ORACLE_CASES[case]
+    sched = make()
+    params = SystemParams(n=sched.n, tau=3.0, tau0=1.0, truth=0.5, seed=23)
+    assert (sched.n <= dynamics._GAIN_MAX_N) == case.startswith("gains")
+    x0 = np.linspace(-1.0, 2.5, sched.n)
+    ens = run_ensemble(sched, params, horizon, n_runs=3, x0=x0,
+                       record_every=5)
+    exact = _noisy_longdouble_replay(sched, params, horizon, x0, 3)
+    assert float(np.max(np.abs(ens.means - exact[:, ens.times]))) <= 5e-14

@@ -242,7 +242,7 @@ def _lean_loop(schedule, params, horizon, x0):
     means = [y]
     for t in range(horizon):
         a, deg = schedule.arrays_at(t)
-        p_next = params.ratio + received + deg
+        p_next = params.ratio + (received + deg)
         y = y + ((a - np.diag(deg)) @ y) / p_next
         received = received + deg
         means.append(y)
@@ -415,3 +415,13 @@ def test_run_expected_keeps_schedule_horizon_check():
     periodic = make_periodic_schedule(2, 3, horizon=10)
     with pytest.raises(ScheduleHorizonError):
         run_expected(periodic, SystemParams(n=2), 11)
+
+
+def test_walked_bundles_chain_bitwise():
+    """Each step's divisor is the next step's ledger bit for bit: both are
+    ratio + an integer count, rounded once, at a non-dyadic ratio too."""
+    params = SystemParams(n=6, tau=3.0, tau0=1.0)
+    bundles = list(transition_bundles(make_random_schedule(6, 3, 0.3, seed=2),
+                                      params, 0, 400))
+    for b, nxt in zip(bundles, bundles[1:]):
+        assert np.array_equal(b.ledger_after, nxt.ledger_before), b.t

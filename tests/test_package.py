@@ -60,6 +60,49 @@ def test_removed_names_are_gone():
     assert not hasattr(socialbayes.schedules.Block, "idle")
 
 
+# Where src/ may build a generator itself: the stream definitions, which
+# _streams's small batches call, and the norm sweep's one generator;
+# _streams alone hands PCG64 precomputed seed words.  Every per-step and
+# per-run stream comes from _streams.
+_GENERATOR_SITES = {
+    ("SeedSequence", "schedules.py", "_schedule_rng"),
+    ("default_rng", "schedules.py", "_schedule_rng"),
+    ("SeedSequence", "dynamics.py", "run_stream"),
+    ("default_rng", "dynamics.py", "run_stream"),
+    ("default_rng", "analysis.py", "check_norm_inequalities"),
+    ("PCG64", "schedules.py", "_streams"),
+    ("Generator", "schedules.py", "_streams"),
+}
+
+
+def _generator_calls(path):
+    """(callee, file, enclosing function) of each call that builds a
+    numpy generator or seed sequence in path."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("SeedSequence", "default_rng", "PCG64",
+                            "Generator"):
+                    found.add((name, path.name, owner))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_generators_are_built_in_known_places():
+    found = set().union(*map(_generator_calls, (ROOT / "src" / "socialbayes")
+                             .glob("*.py")))
+    assert found == _GENERATOR_SITES
+
+
 def test_traced_layers_resolve():
     """Every function the benchmark's --trace 1 wraps still exists."""
     spec = importlib.util.spec_from_file_location(

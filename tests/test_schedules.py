@@ -350,3 +350,50 @@ def test_schedule_rejects_degenerate_sizes():
         make_periodic_schedule(2, 2, peer_rule="mesh")
     with pytest.raises(ValueError):
         make_periodic_schedule(2, 2, phases=[0, 5])
+
+
+_SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 3]
+_INDICES = list(range(64)) + [4095, 4096, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
+
+
+@pytest.mark.parametrize("tag", [schedules._TAG_PEERS,
+                                 schedules._TAG_PHASES, 201])
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_batched_streams_are_numpy_streams(seed, tag):
+    """_streams gives numpy's SeedSequence([seed, tag, i]) stream bit for
+    bit, on both sides of _BATCH_MIN and of 32-bit seeds and indices: the
+    first 64 uniforms and the first 64 normals of each stream."""
+    cut = schedules._BATCH_MIN
+    batches = [_INDICES, _INDICES[:-2], _INDICES[-cut - 2:-2],
+               _INDICES[-cut:], _INDICES[:cut - 1], *([i] for i in _INDICES[-5:])]
+    for indices in batches:
+        streams = schedules._streams(seed, tag, indices)
+        assert len(streams) == len(indices)
+        for i, rng in zip(indices, streams):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, tag, i]))
+            assert np.array_equal(rng.random(64), ref.random(64)), i
+            assert np.array_equal(rng.standard_normal(64),
+                                  ref.standard_normal(64)), i
+
+
+@pytest.mark.parametrize("size", [1, schedules._BATCH_MIN])
+def test_batched_streams_reject_negative_seed_or_index(size):
+    with pytest.raises(ValueError):
+        schedules._streams(-1, schedules._TAG_PEERS, range(size))
+    with pytest.raises(ValueError):
+        schedules._streams(3, schedules._TAG_PEERS, [-1] + [0] * (size - 1))
+
+
+@pytest.mark.parametrize("seed", [2.7, 1.5, np.nan, np.inf])
+def test_random_schedule_rejects_fractional_or_non_finite_seed(seed):
+    with pytest.raises(ValueError):
+        make_random_schedule(3, 3, 0.3, seed=seed)
+
+
+def test_random_schedule_seed_checks():
+    """An integral float seed is that integer; a negative one is refused."""
+    a = make_random_schedule(3, 3, 0.3, seed=2.0)
+    b = make_random_schedule(3, 3, 0.3, seed=2)
+    assert all(a.edges_at(t) == b.edges_at(t) for t in range(20))
+    with pytest.raises(ValueError):
+        make_random_schedule(3, 3, 0.3, seed=-1)
