@@ -15,8 +15,8 @@ machine-verifiable statements about finite windows of a concrete schedule:
   are at least the reciprocal of the window-end precision.
 
 Every window and identity check reads the W_t stacks of
-expected._transition_pieces, never one transition bundle at a time: the
-window products are batched matrix products over groups of windows.
+schedules._stacks, never one transition bundle at a time: the window
+products are batched matrix products over groups of windows.
 
 Every check is reported as a BoundCheck with margin = rhs - lhs; a check
 passes when the margin is no more negative than the shared tolerance.
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemParams, run_ensemble
-from .expected import ExpectedTrajectory, _transition_pieces, run_expected
-from .schedules import (CounterexampleSchedule, GraphSchedule, max_degree,
+from .expected import ExpectedTrajectory, run_expected
+from .schedules import (CounterexampleSchedule, GraphSchedule, _budget_steps,
+                        _integral, _stacks, max_degree,
                         make_periodic_schedule, make_random_schedule)
 
 TOL = 1e-12
@@ -89,23 +90,14 @@ def _skipped(name: str, reason: str, **detail) -> BoundCheck:
 
 def _windows(schedule: GraphSchedule, params: SystemParams, start: int,
              stop: int, kappa: int):
-    """W stacks of steps [start, stop) in whole windows of kappa steps.
-
-    Regroups the pieces of _transition_pieces into (W, ledger rows before,
-    ledger rows after), each shaped (windows, kappa, ...): the windows the
-    pieces read so far complete, about _STACK_BUDGET bytes of W at a time.
+    """W stacks of steps [start, stop), a whole number of windows of kappa
+    steps, as (W, ledger rows before, ledger rows after), each shaped
+    (windows, kappa, ...): the most whole windows _STACK_BUDGET bytes of W
+    hold at a time.
     """
-    held, have = [], 0
-    for blk in schedule.compiled.blocks(start, stop):
-        for _, _, *piece in _transition_pieces(blk, params.ratio):
-            held.append(piece)
-            have += len(piece[0])
-            cut = have - have % kappa
-            if cut:
-                joined = [np.concatenate(x) for x in zip(*held)]
-                yield [x[:cut].reshape(-1, kappa, *x.shape[1:])
-                       for x in joined]
-                held, have = [[x[cut:] for x in joined]], have - cut
+    steps = _budget_steps(schedule.n, kappa)
+    for _, _, *group in _stacks(schedule, params.ratio, start, stop, steps):
+        yield [x.reshape(-1, kappa, *x.shape[1:]) for x in group]
 
 
 def _window_core(schedule: GraphSchedule, params: SystemParams, s: int,
@@ -274,22 +266,20 @@ def check_transition_identities(schedule: GraphSchedule, params: SystemParams,
     |truth_pull + reduced row sum - 1|, i.e. W[:, 1:, 0] plus the row sums
     of W[:, 1:, 1:], as two equality checks (lhs = worst deviation,
     rhs = 0), each with the first step where it occurs.  _fault adds 1e-3
-    to W[0, 1, 1] of a copy of the first W stack: the fault that
-    `inject_fault = transition` injects.
+    to W[0, 1, 1] of the first W stack, built for this check alone: the
+    fault that `inject_fault = transition` injects.
     """
     worst, at = [0.0, 0.0], [-1, -1]
-    for blk in schedule.compiled.blocks(0, horizon):
-        for t0, _, w, _, _ in _transition_pieces(blk, params.ratio):
-            if _fault and t0 == 0:
-                w = w.copy()
-                w[0, 1, 1] += 1e-3
-            devs = (np.abs(w.sum(axis=2) - 1.0).max(axis=1),
-                    np.abs(w[:, 1:, 0] + w[:, 1:, 1:].sum(axis=2)
-                           - 1.0).max(axis=1))
-            for k, dev in enumerate(devs):
-                j = int(np.argmax(dev))
-                if dev[j] > worst[k]:
-                    worst[k], at[k] = float(dev[j]), t0 + j
+    for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon):
+        if _fault and t0 == 0:
+            w[0, 1, 1] += 1e-3
+        devs = (np.abs(w.sum(axis=2) - 1.0).max(axis=1),
+                np.abs(w[:, 1:, 0] + w[:, 1:, 1:].sum(axis=2)
+                       - 1.0).max(axis=1))
+        for k, dev in enumerate(devs):
+            j = int(np.argmax(dev))
+            if dev[j] > worst[k]:
+                worst[k], at[k] = float(dev[j]), t0 + j
     return [
         BoundCheck(f"stochasticity[T={horizon}]", worst[0], 0.0,
                    detail={"worst_t": at[0]}),
@@ -380,8 +370,10 @@ def fit_rate(times, norms, window: tuple[int, int], d: int, kappa: int,
 
     Uses only strictly positive norms at strictly positive times inside
     [window[0], window[1]].  Raises when the window retains fewer than two
-    points but some norms are positive.
+    points but some norms are positive, and for d < 1 or kappa < 1.
     """
+    if d < 1 or kappa < 1:
+        raise ValueError("need degree cap d >= 1 and window length kappa >= 1")
     times = np.asarray(times, dtype=np.float64)
     norms = np.asarray(norms, dtype=np.float64)
     if times.shape != norms.shape:
@@ -428,21 +420,21 @@ def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
     """Monte-Carlo fourth moments of x_t - y_t on a checkpoint grid.
 
     Default grid is geometric from t = 100 in half-decades up to the horizon.
-    Requires n_runs >= 100 for any reported fit.
+    Given times are taken by _integral's rule (3.0 is 3, 50.7 an error) and
+    must not be empty.  Requires n_runs >= 100 for any reported fit.
     """
     if n_runs < 100:
         raise ValueError("need at least 100 runs for moment estimates")
     if times is None:
         if horizon < 100:
             raise ValueError("default grid starts at t=100; give times")
-        grid = []
-        e = 2.0
+        times, e = [], 2.0
         while round(10.0 ** e) <= horizon:
-            grid.append(round(10.0 ** e))
+            times.append(round(10.0 ** e))
             e += 0.5
-        times = np.unique(np.asarray(grid, dtype=np.int64))
-    else:
-        times = np.unique(np.asarray(times, dtype=np.int64))
+    times = np.unique(_integral(times, "checkpoint times"))
+    if times.size == 0:
+        raise ValueError("need at least one checkpoint time")
     expected = run_expected(schedule, params, int(times[-1]), x0)
     ensemble = run_ensemble(schedule, params, int(times[-1]), n_runs, x0,
                             record_times=times)

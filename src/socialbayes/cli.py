@@ -64,10 +64,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _ext(cfg: ExperimentConfig) -> str:
-    return "csv" if cfg.out_format == "csv" else "jsonl"
-
-
 def _times(cfg: ExperimentConfig) -> np.ndarray:
     """Record times by the rule every run uses; a bad time is a config error."""
     try:
@@ -88,14 +84,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                        n_runs=cfg.ensemble, x0=_x0(cfg),
                        record_times=_times(cfg))
     out = _out_dir(cfg)
-    ext = _ext(cfg)
+    fmt = cfg.out_format
     for r in range(ens.n_runs):
         traj = Trajectory(times=ens.times, means=ens.means[r],
                           ledger=ens.ledger, params=cfg.params, run_index=r)
-        tables.write_trajectory(out / ("run-%04d.%s" % (r, ext)), traj,
-                                cfg.out_format)
-    summary = tables.write_ensemble_summary(out / ("summary." + ext), ens,
-                                            cfg.out_format)
+        tables.write_trajectory(out / ("run-%04d.%s" % (r, fmt)), traj, fmt)
+    summary = tables.write_ensemble_summary(out / ("summary." + fmt), ens, fmt)
     _say("simulated %d run(s), horizon %d; wrote %s" %
          (ens.n_runs, cfg.horizon, summary))
     return EXIT_OK
@@ -110,8 +104,9 @@ def cmd_expected(cfg: ExperimentConfig) -> int:
     expected = run_expected(schedule, cfg.params, cfg.horizon, x0=_x0(cfg))
     thinned = _thin_expected(expected, times)
     out = _out_dir(cfg)
-    path = tables.write_expected_trajectory(
-        out / ("expected." + _ext(cfg)), thinned, schedule, cfg.out_format)
+    fmt = cfg.out_format
+    path = tables.write_expected_trajectory(out / ("expected." + fmt),
+                                            thinned, schedule, fmt)
     _say("expected process over horizon %d; wrote %s" % (cfg.horizon, path))
     return EXIT_OK
 
@@ -148,7 +143,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     meta = {"kind": "check-report", "checks": len(checks),
             "inject_fault": cfg.verify.inject_fault}
-    tables.write_check_report(out / ("verify." + _ext(cfg)), checks,
+    tables.write_check_report(out / ("verify." + cfg.out_format), checks,
                               cfg.out_format, extra_meta=meta)
     text = tables.check_report_text(checks)
     (out / "verify.txt").write_text(
@@ -173,12 +168,12 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     verdict = analysis.counterexample_check(schedule, cfg.params, cfg.horizon)
 
     out = _out_dir(cfg)
-    ext = _ext(cfg)
-    tables.write_switch_table(out / ("switches." + ext), schedule.switches,
-                              fmt=cfg.out_format)
-    tables.write_expected_trajectory(out / ("trajectory." + ext),
+    fmt = cfg.out_format
+    tables.write_switch_table(out / ("switches." + fmt), schedule.switches,
+                              fmt)
+    tables.write_expected_trajectory(out / ("trajectory." + fmt),
                                      _thin_expected(verdict.trajectory, times),
-                                     schedule, cfg.out_format)
+                                     schedule, fmt)
     lines = [
         "status: %s" % verdict.status,
         "cycles realized: %d" % verdict.cycles_realized,
@@ -216,12 +211,11 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
     except ValueError as exc:  # too few samples of the table in the window
         raise ConfigError(str(exc), "ratefit", "window") from None
     out = _out_dir(cfg)
-    ext = _ext(cfg)
+    fmt = cfg.out_format
     meta = {"input": spec.input}
-    tables.write_rate_table(out / ("ratefit-points." + ext), times, norms,
-                            meta=meta, fmt=cfg.out_format)
-    tables.write_rate_report(out / ("ratefit." + ext), fit, meta=meta,
-                             fmt=cfg.out_format)
+    tables.write_rate_table(out / ("ratefit-points." + fmt), times, norms,
+                            meta=meta, fmt=fmt)
+    tables.write_rate_report(out / ("ratefit." + fmt), fit, meta, fmt)
     _say("rate fit over [%d, %d]: slope %.6f vs bound %.6f + slack %.2f (%s)"
          % (fit.window[0], fit.window[1], fit.slope, fit.theoretical_bound,
             fit.slack, fit.status))

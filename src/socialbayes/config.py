@@ -25,13 +25,13 @@ from .schedules import (
     make_random_schedule,
     make_table_schedule,
 )
+from .tables import FORMATS
 
 SCHEDULE_KINDS = ("periodic", "random", "counterexample", "explicit-table")
 PEER_RULES = ("none", "ring", "complete", "edges")
 CHECK_NAMES = ("identities", "diagonal", "contraction", "truth_pull",
                "decay", "norms")
 FAULT_HOOKS = ("none", "transition")
-OUTPUT_FORMATS = ("csv", "jsonl")
 
 
 class ConfigError(ValueError):
@@ -126,37 +126,23 @@ def _as_ints(raw: str) -> tuple:
     return tuple(int(p) for p in raw.replace(",", " ").split())
 
 
-def _parse_edge_lines(raw: str, name: str, key: str) -> tuple:
-    edges = []
+def _parse_lines(raw: str, name: str, key: str, form: str) -> tuple:
+    """One tuple of integers per line, as many as `form` ('t i j', 'i j')
+    names; blank lines and '#' comments are skipped."""
+    rows = []
     for lineno, line in enumerate(raw.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
-        if len(parts) != 3:
-            raise ConfigError("edge line %d: expected 't i j', got %r"
-                              % (lineno, line), name, key)
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != len(form.split()):
+            raise ConfigError("line %d: expected %r, got %r"
+                              % (lineno, form, line.strip()), name, key)
         try:
-            t, i, j = (int(p) for p in parts)
+            rows.append(tuple(int(p) for p in parts))
         except ValueError:
-            raise ConfigError("edge line %d: non-integer field in %r"
-                              % (lineno, line), name, key)
-        edges.append((t, i, j))
-    return tuple(edges)
-
-
-def _parse_peer_lines(raw: str, name: str, key: str) -> tuple:
-    pairs = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigError("peer edge line %d: expected 'i j', got %r"
-                              % (lineno, line), name, key)
-        pairs.append((int(parts[0]), int(parts[1])))
-    return tuple(pairs)
+            raise ConfigError("line %d: non-integer field in %r"
+                              % (lineno, line.strip()), name, key) from None
+    return tuple(rows)
 
 
 def _parse_params(cp) -> tuple:
@@ -208,7 +194,7 @@ def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
         peer_edges = ()
         if peer_rule == "edges":
             raw = _get(sec, "peer_edges", str, name=name)
-            peer_edges = _parse_peer_lines(raw, name, "peer_edges")
+            peer_edges = _parse_lines(raw, name, "peer_edges", "i j")
         return ScheduleSpec(kind=kind, kappa=kappa, peer_rule=peer_rule,
                             peer_edges=peer_edges)
     if kind == "random":
@@ -227,12 +213,12 @@ def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
     # explicit-table: inline edge lines, an external file, or both
     edges = ()
     if "edges" in sec:
-        edges += _parse_edge_lines(sec["edges"], name, "edges")
+        edges += _parse_lines(sec["edges"].strip(), name, "edges", "t i j")
     if "path" in sec:
         path = Path(sec["path"].strip())
         if not path.exists():
             raise ConfigError("edge file not found: %s" % path, name, "path")
-        edges += _parse_edge_lines(path.read_text(), name, "path")
+        edges += _parse_lines(path.read_text(), name, "path", "t i j")
     if not edges:
         raise ConfigError("explicit-table needs 'edges' lines or 'path'",
                           name, "kind")
@@ -313,9 +299,9 @@ def _parse_output(cp) -> tuple:
     sec = cp["output"]
     directory = _get(sec, "directory", str, "out", "output")
     fmt = _get(sec, "format", str, "csv", "output")
-    if fmt not in OUTPUT_FORMATS:
+    if fmt not in FORMATS:
         raise ConfigError("unknown format %r; expected one of %s"
-                          % (fmt, OUTPUT_FORMATS), "output", "format")
+                          % (fmt, FORMATS), "output", "format")
     return directory, fmt
 
 

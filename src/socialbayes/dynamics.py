@@ -18,7 +18,8 @@ With a signal's sample and observation noise drawn as raw normals g, the
 step is linear: x_{t+1} = W_t x_t + [Nu_t | Ne_t] g_t, W_t the mean
 process's stochastic matrix.  For narrow n the runs therefore step by
 chunks of steps: a chunk's end state is one matrix-vector product of a
-gain shared by every run with the run's start state and normals.  Past
+gain shared by every run with the run's start state and normals, the
+gains built from the W stacks of schedules._stacks.  Past
 that cutoff they step one at a time.  Either way a run's arithmetic is
 its own matrix-vector products, so an ensemble member is bit for bit the
 run it would be alone.  Run r draws from numpy's SeedSequence([seed, 201,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import GraphSchedule, _check_seed, _integral, _streams
+from .schedules import GraphSchedule, _check_seed, _integral, _stacks, _streams
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -104,9 +105,14 @@ class BeliefState:
 
     @property
     def precisions(self) -> np.ndarray:
-        p = self.params.tau * self.ledger
-        p[0] = np.inf  # point mass at the truth
-        return p
+        return _precisions(self.ledger, self.params.tau)
+
+
+def _precisions(ledger: np.ndarray, tau: float) -> np.ndarray:
+    """tau * ledger along the last axis, with the truth's entry inf."""
+    p = tau * np.asarray(ledger, dtype=np.float64)
+    p[..., 0] = np.inf  # point mass at the truth
+    return p
 
 
 def initial_state(params: SystemParams, x0=None) -> BeliefState:
@@ -202,13 +208,10 @@ class Trajectory:
     ledger: np.ndarray           # (K, n+1), schedule-determined
     params: SystemParams
     run_index: int = 0
-    signals: np.ndarray | None = None  # (K, n+1) emitted signals, optional
 
     @property
     def precisions(self) -> np.ndarray:
-        p = self.params.tau * self.ledger.copy()
-        p[:, 0] = np.inf
-        return p
+        return _precisions(self.ledger, self.params.tau)
 
 
 def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
@@ -234,8 +237,7 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
 
 
 def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
-              x0, times: np.ndarray, n_runs: int, run_index: int = 0,
-              record_signals: bool = False):
+              x0, times: np.ndarray, n_runs: int, run_index: int = 0):
     """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
 
     x holds one row per run; the ledger is shared, taken as ratio + int64
@@ -245,21 +247,17 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     matrix-vector products: every member is bit-for-bit the run it would
     be alone.  While n <= _GAIN_MAX_N the runs step by chunk gains
     (_gain_steps), past it one step at a time (_increment_steps).  Returns
-    means (M, K, n+1), ledger (K, n+1) and signals (M, K, n+1) or None, at
-    `times`.
+    means (M, K, n+1) and ledger (K, n+1) at `times`.
     """
     n1 = params.n + 1
     means = np.empty((n_runs, times.size, n1))
     ledger = np.empty((times.size, n1))
-    signals = (np.full((n_runs, times.size, n1), np.nan) if record_signals
-               else None)
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
     streams = _streams(params.seed, _TAG_RUN,
                        np.arange(run_index, run_index + n_runs))
     kernel = _gain_steps if params.n <= _GAIN_MAX_N else _increment_steps
-    kernel(schedule, params, horizon, x, streams, times, means, ledger,
-           signals)
-    return means, ledger, signals
+    kernel(schedule, params, horizon, x, streams, times, means, ledger)
+    return means, ledger
 
 
 def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -267,40 +265,25 @@ def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
     """Steps [0, horizon) in windows of width steps anchored at its multiples.
 
     Yields per window of L steps from w0: w0; the step maps (L, n+1, 3(n+1)),
-    S_i = [W_i | Nu_i | Ne_i] with W_i from expected._transitions,
+    S_i = [W_i | Nu_i | Ne_i] with W_i from _stacks,
     Nu_i = (A_i / P_{i+1}) diag(1/sqrt(tau P_i)) and
     Ne_i = (A_i / P_{i+1}) / sqrt(tau), so x_{i+1} = S_i [x_i; g_i] for the
     step's raw normals g_i = (g_u, g_e) (Nu's truth column is zero, and
     Ne's where the truth emits no noise); and the ledger rows P_{w0} ..
-    P_{w0+L}.  A window that crosses a compiled-block boundary is carried
-    across it, so no window depends on where blocks cut.
+    P_{w0+L}.  _stacks joins a window across compiled-block cuts, so no
+    window depends on where blocks cut.
     """
-    from .expected import _transitions  # expected imports this module
-    held, n1 = [], params.n + 1
-    for blk in schedule.compiled.blocks(0, horizon):
-        before, after = blk.ledger(params.ratio)
-        patterns = np.asarray(blk.adjacency)
-        j = 0
-        while j < len(blk.slots):
-            k = min(width - (blk.start + j) % width, len(blk.slots) - j)
-            held.append((patterns[blk.slots[j:j + k]], before[j:j + k],
-                         after[j:j + k]))
-            j += k
-            t = blk.start + j
-            if t % width and t < horizon:
-                continue
-            a, p, q = (np.concatenate(parts) for parts in zip(*held))
-            held = []
-            maps = np.empty((len(a), n1, 3, n1))
-            maps[:, :, 0] = _transitions(a, p, q)
-            mix = a / q[:, :, None]  # A_i / P_{i+1}
-            np.divide(mix, np.sqrt(params.tau * p)[:, None], out=maps[:, :, 1])
-            np.multiply(mix, 1.0 / np.sqrt(params.tau), out=maps[:, :, 2])
-            maps[:, :, 1, 0] = 0.0  # the truth's sample is the truth itself
-            if not params.truth_noise:
-                maps[:, :, 2, 0] = 0.0
-            yield (t - len(a), maps.reshape(len(a), n1, 3 * n1),
-                   np.vstack([p, before[j]]))
+    n1 = params.n + 1
+    for w0, a, w, p, q in _stacks(schedule, params.ratio, 0, horizon, width):
+        maps = np.empty((len(a), n1, 3, n1))
+        maps[:, :, 0] = w
+        mix = a / q[:, :, None]  # A_i / P_{i+1}
+        np.divide(mix, np.sqrt(params.tau * p)[:, None], out=maps[:, :, 1])
+        np.multiply(mix, 1.0 / np.sqrt(params.tau), out=maps[:, :, 2])
+        maps[:, :, 1, 0] = 0.0  # the truth's sample is the truth itself
+        if not params.truth_noise:
+            maps[:, :, 2, 0] = 0.0
+        yield w0, maps.reshape(len(a), n1, 3 * n1), np.vstack([p, q[-1]])
 
 
 def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
@@ -327,7 +310,7 @@ def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
 
 def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 x: np.ndarray, streams, times: np.ndarray, means: np.ndarray,
-                ledger: np.ndarray, signals: np.ndarray | None):
+                ledger: np.ndarray):
     """Step every run by chunk gains, writing the records in place.
 
     The recursion x_{i+1} = S_i [x_i; g_i] (_gain_windows) is linear in the
@@ -376,9 +359,6 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 if stop == k:
                     continue
                 at, i0 = np.array(pending[k:stop]) - a, a - w0
-                if signals is not None:  # the horizon emits none
-                    sent = at[a + at < horizon]
-                    g = chunk[:, n1:].reshape(len(rows), c, 2, n1)[:, sent]
                 for i in range(at[-1]):  # walk from the anchor
                     s = chunk[:, 2 * n1 * i:2 * n1 * i + 3 * n1]
                     np.matmul(maps[i0 + i], s[..., None], out=step)
@@ -386,15 +366,6 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 states = chunk[:, np.add.outer(2 * n1 * at, np.arange(n1))]
                 means[r0:r0 + len(rows), k:stop] = states
                 ledger[k:stop] = p[i0 + at]
-                if signals is not None:
-                    u = g[:, :, 0] / np.sqrt(params.tau * p[i0 + sent])
-                    u[:, :, 0] = 0.0  # point mass: the truth's sample
-                    e = g[:, :, 1] * (1.0 / np.sqrt(params.tau))
-                    if not params.truth_noise:
-                        e[:, :, 0] = 0.0
-                    sig = states[:, :len(sent)] + u
-                    sig += e
-                    signals[r0:r0 + len(rows), k:k + len(sent)] = sig
                 k = stop
     if pending[k] == horizon:  # the horizon is an anchor
         means[:, k] = x
@@ -403,8 +374,7 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
 def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                      horizon: int, x: np.ndarray, streams, times: np.ndarray,
-                     means: np.ndarray, ledger: np.ndarray,
-                     signals: np.ndarray | None):
+                     means: np.ndarray, ledger: np.ndarray):
     """Step every run one step at a time, writing the records in place.
 
     Each compiled block of the schedule is walked in windows of B steps,
@@ -440,8 +410,6 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                 if t == pending[k]:
                     means[:, k] = x
                     ledger[k] = p
-                    if signals is not None:
-                        signals[:, k] = sig
                     k += 1
                 # one matrix-vector product per run, as a solo run takes it;
                 # a single sig @ A.T rounds differently once rows have many
@@ -460,7 +428,6 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
 
 def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
                    x0=None, record_every=None, record_times=None,
-                   record_signals: bool = False,
                    run_index: int = 0) -> Trajectory:
     """Simulate one run of the noisy belief recursion.
 
@@ -471,10 +438,9 @@ def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    means, ledger, signals = _run_core(schedule, params, horizon, x0, times,
-                                       1, run_index, record_signals)
-    return Trajectory(times, means[0], ledger, params, run_index,
-                      None if signals is None else signals[0])
+    means, ledger = _run_core(schedule, params, horizon, x0, times, 1,
+                              run_index)
+    return Trajectory(times, means[0], ledger, params, run_index)
 
 
 @dataclass(frozen=True)
@@ -498,5 +464,5 @@ def run_ensemble(schedule: GraphSchedule, params: SystemParams, horizon: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     times = _record_times(horizon, record_every, record_times)
-    means, ledger, _ = _run_core(schedule, params, horizon, x0, times, n_runs)
+    means, ledger = _run_core(schedule, params, horizon, x0, times, n_runs)
     return EnsembleResult(times, means, ledger, params, n_runs)

@@ -11,8 +11,9 @@ long products of the B blocks control how fast everyone converges - or fails
 to.  The noise-mixing block M_t = (P_{t+1}^{-1} A_t)[1:, 1:] plays the same
 role for the deviation process in the stochastic recursion.
 
-The bundle walk, the narrow mean process and the window and identity
-checks share one source: the W_t stacks that _transition_pieces builds.
+The bundle walk, the narrow mean process, the window and identity checks
+and the ensemble's chunk gains share one source: the W_t stacks of
+schedules._stacks.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import Block, GraphSchedule
-
-# Bytes of W in one piece of a transition stack (256 KiB): scratch memory
-# stays flat in the horizon and a piece stays in cache while it is used.
-_STACK_BUDGET = 2 ** 18
+from .schedules import GraphSchedule, _stacks, _transitions
 
 # run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
 # per-pattern arithmetic is faster (measured on ring, truth-only and
@@ -98,37 +95,6 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
                             p_after)
 
 
-def _transitions(a: np.ndarray, before: np.ndarray,
-                 after: np.ndarray) -> np.ndarray:
-    """W_j = (P_j + A_j) / P_{j+1} for a (k, n+1, n+1) stack a, with
-    P_{j+1} = P_j + A_j 1.
-
-    Each W_j is stochastic, and a row that receives nothing, the truth row
-    among them, is a unit vector exactly.  Each entry is rounded as
-    (diag(P_j) + A_j) / P_{j+1} rounds it.
-    """
-    w = a / after[:, :, None]
-    diagonal = np.s_[:, ::a.shape[-1] + 1]
-    w.reshape(len(a), -1)[diagonal] = (
-        before + a.reshape(len(a), -1)[diagonal]) / after
-    return w
-
-
-def _transition_pieces(blk: Block, ratio: float):
-    """A compiled block's steps in pieces of at most _STACK_BUDGET bytes of W.
-
-    Yields (first step, adjacency stack, W stack, ledger rows before and
-    after each step), one entry per step of the piece.
-    """
-    before, after = blk.ledger(ratio)
-    patterns = np.asarray(blk.adjacency)  # no copy of a random block's stack
-    size = max(1, _STACK_BUDGET // patterns[0].nbytes)
-    for j in range(0, len(blk.slots), size):
-        slots = blk.slots[j:j + size]
-        a, p, q = patterns[slots], before[j:j + len(slots)], after[j:j + size]
-        yield blk.start + j, a, _transitions(a, p, q), p, q
-
-
 def transition_bundles(schedule: GraphSchedule, params: SystemParams,
                        start: int, stop: int) -> Iterator[TransitionBundle]:
     """Transition bundles of steps [start, stop), in order.
@@ -136,19 +102,18 @@ def transition_bundles(schedule: GraphSchedule, params: SystemParams,
     The walk reads the schedule's compiled blocks, whose ledger rows are
     ratio + (int64 receive count), so a walk from any start yields
     bitwise the bundles a walk from 0 reaches there.  Each bundle is a
-    view of one piece of _transition_pieces: full is the W_t that
-    run_expected steps by, noise_mix comes from the same block.
+    view of one group of _stacks: full is the W_t that run_expected steps
+    by, noise_mix comes from the same group.  The span is checked now.
     """
-    return _walk(schedule.compiled.blocks(start, stop), params.ratio)
+    return _bundles(_stacks(schedule, params.ratio, start, stop))
 
 
-def _walk(blocks, ratio: float):
-    for blk in blocks:
-        for t0, a, w, before, after in _transition_pieces(blk, ratio):
-            noise_mix = a[:, 1:, 1:] / after[:, 1:, None]
-            for j in range(len(w)):
-                yield TransitionBundle(t0 + j, w[j], w[j, 1:, 1:], w[j, 1:, 0],
-                                       noise_mix[j], before[j], after[j])
+def _bundles(stacks):
+    for t0, a, w, before, after in stacks:
+        noise_mix = a[:, 1:, 1:] / after[:, 1:, None]
+        for j in range(len(w)):
+            yield TransitionBundle(t0 + j, w[j], w[j, 1:, 1:], w[j, 1:, 0],
+                                   noise_mix[j], before[j], after[j])
 
 
 def bundle_at(schedule: GraphSchedule, params: SystemParams,
@@ -180,8 +145,8 @@ def _scan(w: np.ndarray, t0: int, c: int, carry, means: np.ndarray):
     w becomes in place the running products W_t ... W_a of each chunk, a
     its anchor step; carry is that product for step t0 - 1, needed when t0
     is not an anchor.  A chunk's means are its products times the mean at
-    its anchor, so they do not depend on where pieces or blocks cut.
-    Returns the carry for the piece that follows.
+    its anchor, so they do not depend on where groups or blocks cut.
+    Returns the carry for the group that follows.
     """
     s = t0 % c
     if s:
@@ -213,17 +178,18 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
                  x0=None) -> ExpectedTrajectory:
     """Run the deterministic mean recursion for `horizon` steps.
 
-    Exact linear iteration, no RNG, over the schedule's compiled blocks
-    with ledger rows P_t = ratio + (int64 receive counts).  While
-    n <= _STACK_MAX_N the means come by a chunked scan (_scan):
+    Exact linear iteration, no RNG, with ledger rows P_t = ratio + (int64
+    receive counts).  While n <= _STACK_MAX_N the means come by a chunked
+    scan (_scan) of the W stacks of _stacks:
     y_{t+1} = (W_t ... W_a) y_a, a the last multiple of the chunk length
     at or before t, each W_t bitwise the `full` of transition_bundle.  The
     truth row and zero-receiver rows of W_t are unit vectors, so those
     entries stay exactly as they are.  Past it a step is the increment
     y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built once per pattern of
-    a block; a row that receives nothing, the truth row among them, is a
-    zero row of L_t, so its entry stays exactly as it is.  Sup norms are
-    taken per block, so extra memory is one block, not the horizon.
+    a compiled block; a row that receives nothing, the truth row among
+    them, is a zero row of L_t, so its entry stays exactly as it is.  Sup
+    norms are taken per W stack or block, so extra memory is one of them,
+    not the horizon.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -233,16 +199,17 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     norms = np.empty(horizon + 1)
     means[0] = init.means
     norms[0] = np.max(np.abs(init.means[1:] - truth))
-    stacked = params.n <= _STACK_MAX_N
-    chunk = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
-    carry = None
-    for blk in schedule.compiled.blocks(0, horizon):
-        b0, b1 = blk.start, blk.start + len(blk.slots)
-        if stacked:
-            for t0, _, w, _, _ in _transition_pieces(blk, params.ratio):
-                carry = _scan(w, t0, chunk, carry, means)
-        else:
-            before, after = blk.ledger(params.ratio)
+    if params.n <= _STACK_MAX_N:
+        chunk = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
+        carry = None
+        for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon):
+            carry = _scan(w, t0, chunk, carry, means)
+            span = slice(t0 + 1, t0 + 1 + len(w))
+            norms[span] = np.max(np.abs(means[span, 1:] - truth), axis=1)
+    else:
+        for blk in schedule.compiled.blocks(0, horizon):
+            b0, b1 = blk.start, blk.start + len(blk.slots)
+            _, after = blk.ledger(params.ratio)
             lap = np.array(blk.adjacency)  # L_k = A_k - diag(D_k)
             lap.reshape(len(lap), -1)[:, ::lap.shape[-1] + 1] -= blk.degrees
             y = means[b0]
@@ -252,8 +219,8 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 row /= p_next
                 row += y
                 y = row
-        norms[b0 + 1:b1 + 1] = np.max(np.abs(means[b0 + 1:b1 + 1, 1:] - truth),
-                                      axis=1)
+            norms[b0 + 1:b1 + 1] = np.max(
+                np.abs(means[b0 + 1:b1 + 1, 1:] - truth), axis=1)
     return ExpectedTrajectory(np.arange(horizon + 1), means, norms, truth,
                               params)
 

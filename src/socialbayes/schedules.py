@@ -11,7 +11,9 @@ same t yields identical edge sets (randomized schedules are seeded, with a
 stream independent of any learning-process randomness).  Step t of a random
 schedule draws from numpy's SeedSequence([seed, 101, t]) stream; edges_at
 builds it with numpy, the compile seeds a block's steps in one batched
-pass (_streams) that gives the same generators bit for bit.
+pass (_streams) that gives the same generators bit for bit.  _stacks is
+the one builder of the mean process's transition stacks W_t from the
+compiled blocks.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ _BLOCK_STEPS = 4096
 # block takes at most an eighth, so at n = 100 a random schedule compiles
 # 25 steps per block and keeps its first 200 steps.
 _COMPILE_BUDGET = 2 ** 24
+
+# Bytes of W in one group of a transition stack (256 KiB) by default:
+# scratch memory stays flat in the horizon and a group stays in cache
+# while it is used.
+_STACK_BUDGET = 2 ** 18
 
 
 def _integral(values, name: str) -> np.ndarray:
@@ -326,6 +333,66 @@ def _joined(head: Block, tail: Block) -> Block:
 def _counts(degrees, slots: np.ndarray) -> np.ndarray:
     """int64 receive counts summed over steps using these pattern slots."""
     return np.bincount(slots, minlength=len(degrees)) @ np.asarray(degrees)
+
+
+def _transitions(a: np.ndarray, before: np.ndarray,
+                 after: np.ndarray) -> np.ndarray:
+    """W_j = (P_j + A_j) / P_{j+1} for a (k, n+1, n+1) stack a, with
+    P_{j+1} = P_j + A_j 1.
+
+    Each W_j is stochastic, and a row that receives nothing, the truth row
+    among them, is a unit vector exactly.  Each entry is rounded as
+    (diag(P_j) + A_j) / P_{j+1} rounds it.
+    """
+    w = a / after[:, :, None]
+    diagonal = np.s_[:, ::a.shape[-1] + 1]
+    w.reshape(len(a), -1)[diagonal] = (
+        before + a.reshape(len(a), -1)[diagonal]) / after
+    return w
+
+
+def _budget_steps(n: int, unit: int = 1) -> int:
+    """The most steps, a whole number of units, whose W stack fits in
+    _STACK_BUDGET bytes; one unit at least."""
+    return unit * max(1, _STACK_BUDGET // (8 * (n + 1) ** 2 * unit))
+
+
+def _stacks(schedule: GraphSchedule, ratio: float, start: int, stop: int,
+            steps: int | None = None):
+    """The W stacks of steps [start, stop), the one builder of them.
+
+    Yields per group of `steps` steps counted from start, the last cut at
+    stop (by default the steps _STACK_BUDGET bytes of W hold): its first
+    step, adjacency stack A, W stack (_transitions) and ledger rows
+    before and after each step, ratio + int64 receive counts.  A group is
+    joined across compiled-block cuts, so no group depends on where blocks
+    cut.  The span is checked now, not on the first group.
+    """
+    groups = _groups(schedule.compiled.blocks(start, stop), ratio, start,
+                     stop, steps or _budget_steps(schedule.n))
+    return ((t0, a, _transitions(a, p, q), p, q) for t0, a, p, q in groups)
+
+
+def _groups(blocks, ratio: float, start: int, stop: int, steps: int):
+    """(first step, A, ledger rows before, after) of each group of _stacks."""
+    held = []
+    for blk in blocks:
+        before, after = blk.ledger(ratio)
+        patterns = np.asarray(blk.adjacency)  # a random block's: no copy
+        j = 0
+        while j < len(blk.slots):
+            k = min(steps - (blk.start + j - start) % steps,
+                    len(blk.slots) - j)
+            held.append((patterns[blk.slots[j:j + k]], before[j:j + k],
+                         after[j:j + k]))
+            j += k
+            t = blk.start + j
+            if (t - start) % steps and t < stop:
+                continue
+            a, p, q = (x[0] if len(x) == 1 else np.concatenate(x)
+                       for x in zip(*held))
+            held = []
+            yield t - len(a), a, p, q
 
 
 def max_degree(schedule: GraphSchedule, horizon: int) -> int:

@@ -30,15 +30,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import EnsembleResult, SystemParams, Trajectory
+from .dynamics import EnsembleResult, SystemParams, Trajectory, _precisions
 from .expected import ExpectedTrajectory
 from .schedules import GraphSchedule
 
 FORMATS = ("csv", "jsonl")
 
 
+def _now() -> str:
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def timestamp_line() -> str:
-    return "# generated: " + datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return "# generated: " + _now()
 
 
 def format_value(x) -> str:
@@ -83,8 +87,7 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     else:
         # json.dumps emits bare Infinity for the truth agent's precision;
         # read_table parses it back, but strict JSON parsers will not.
-        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        lines = [json.dumps({"generated": stamp})]
+        lines = [json.dumps({"generated": _now()})]
         lines.append(json.dumps({"meta": {k: _jsonable(v) for k, v in meta.items()}}))
         for row in rows:
             lines.append(json.dumps(dict(zip(columns, (_jsonable(v) for v in row)))))
@@ -200,16 +203,9 @@ def _trajectory_rows(times, means, precisions):
                np.asarray(precisions, dtype=np.float64).ravel().tolist())
 
 
-def _precisions_from_ledger(ledger: np.ndarray, params: SystemParams) -> np.ndarray:
-    prec = params.tau * np.asarray(ledger, dtype=float)
-    prec[:, 0] = np.inf
-    return prec
-
-
 def write_trajectory(path, traj: Trajectory, fmt: str = "csv") -> Path:
     meta = _trajectory_meta(traj.params, "simulated", {"run": traj.run_index})
-    prec = _precisions_from_ledger(traj.ledger, traj.params)
-    rows = _trajectory_rows(traj.times, traj.means, prec)
+    rows = _trajectory_rows(traj.times, traj.means, traj.precisions)
     return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)
 
 
@@ -236,7 +232,7 @@ def write_expected_trajectory(path, expected: ExpectedTrajectory,
                               fmt: str = "csv") -> Path:
     """Expected-process table in the trajectory format, kind `expected`."""
     ledger = ledger_for_times(schedule, expected.params, expected.times)
-    prec = _precisions_from_ledger(ledger, expected.params)
+    prec = _precisions(ledger, expected.params.tau)
     meta = _trajectory_meta(expected.params, "expected", {"run": 0})
     rows = _trajectory_rows(expected.times, expected.means, prec)
     return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)

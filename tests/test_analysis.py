@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from socialbayes import schedules
 from socialbayes.analysis import (
     TOL,
     BoundCheck,
@@ -182,6 +183,15 @@ def test_fit_rate_needs_points_in_window():
         fit_rate(t, 1.0 / t, window=(1000, 2000), d=1, kappa=1)
 
 
+@pytest.mark.parametrize("d,kappa", [(0, 1), (-1, 1), (1, 0)])
+def test_fit_rate_rejects_bad_degree_cap_and_window(d, kappa):
+    """d = 0 divided by zero and d = -1 gave a positive bound that any
+    series passed: both are errors, like kappa < 1."""
+    t = np.arange(1, 50)
+    with pytest.raises(ValueError):
+        fit_rate(t, 1.0 / t, window=(10, 40), d=d, kappa=kappa)
+
+
 def test_sweep_window_checks_all_pass_on_periodic_ring():
     sched = make_periodic_schedule(4, 3, peer_rule="ring")
     checks = sweep_window_checks(sched, SystemParams(n=4, seed=0), 300, 3)
@@ -297,25 +307,39 @@ def _fields(check):
             np.float64(check.rhs).tobytes(), check.status, check.detail)
 
 
-@pytest.mark.parametrize("schedule,horizon,kappa", [
-    # windows cross the pieces of W (34 steps at n = 30)
-    (make_random_schedule(30, 4, 0.1, seed=11, horizon=300), 300, 4),
+@pytest.mark.parametrize("schedule,horizon,kappa,cuts", [
+    # the identity span crosses groups of W (34 steps at n = 30)
+    (make_random_schedule(30, 4, 0.1, seed=11, horizon=300), 300, 4, None),
     # the span crosses a compiled block boundary; decay checks are issued
-    (make_periodic_schedule(4, 3, peer_rule="ring"), _BLOCK_STEPS + 110, 3),
+    (make_periodic_schedule(4, 3, peer_rule="ring"), _BLOCK_STEPS + 110, 3,
+     None),
     # agent 3 hears the truth every 5th step: some windows are gated
     (make_table_schedule(3, [(t, 1, 0) for t in range(0, 80, 2)]
                          + [(t, 2, 1) for t in range(80)]
-                         + [(t, 3, 0) for t in range(0, 80, 5)], 80), 80, 2),
-    (make_periodic_schedule(4, 3, peer_rule="ring"), 0, 3),
-    (make_periodic_schedule(4, 3, peer_rule="ring"), 2, 3),  # no window
+                         + [(t, 3, 0) for t in range(0, 80, 5)], 80), 80, 2,
+     None),
+    (make_periodic_schedule(4, 3, peer_rule="ring"), 0, 3, None),
+    (make_periodic_schedule(4, 3, peer_rule="ring"), 2, 3, None),  # no window
+    # blocks of 10 steps and W stacks of 7 (windows: of 6), neither a
+    # multiple of kappa: windows and decay spans straddle both cuts
+    (make_random_schedule(4, 3, 0.3, seed=19), 300, 3, (10, 7 * 200)),
 ], ids=["random-n30", "ring-blocks", "table-gated", "horizon-0",
-        "below-kappa"])
-def test_batched_checks_match_per_bundle_reference(schedule, horizon, kappa):
+        "below-kappa", "small-cuts"])
+def test_batched_checks_match_per_bundle_reference(monkeypatch, schedule,
+                                                   horizon, kappa, cuts):
+    if cuts is not None:
+        monkeypatch.setattr(schedules, "_BLOCK_STEPS", cuts[0])
+        monkeypatch.setattr(schedules, "_STACK_BUDGET", cuts[1])
+        assert schedule.compiled.steps == cuts[0]
     params = SystemParams(n=schedule.n, tau0=1.0 / 3.0, seed=0)
     got = (check_transition_identities(schedule, params, horizon)
            + sweep_window_checks(schedule, params, horizon, kappa))
     want = _reference_checks(schedule, params, horizon, kappa)
     assert [_fields(c) for c in got] == [_fields(c) for c in want]
+    if cuts is not None:  # the case issues every family, decay included
+        assert {c.name.split("[")[0] for c in got} == {
+            "stochasticity", "reduction", "diagonal_bound", "contraction",
+            "truth_pull", "product_decay"}
 
 
 def test_estimate_deviation_moments_small_grid():
@@ -335,6 +359,16 @@ def test_estimate_deviation_moments_needs_enough_runs():
     with pytest.raises(ValueError):
         estimate_deviation_moments(sched, SystemParams(n=2, seed=0),
                                    horizon=100, n_runs=50)
+
+
+@pytest.mark.parametrize("times", [[], [50.7, 100]])
+def test_estimate_deviation_moments_rejects_bad_times(times):
+    """An empty grid and a fractional time are errors; 50.7 was taken as
+    50 before."""
+    with pytest.raises(ValueError):
+        estimate_deviation_moments(make_periodic_schedule(2, 2),
+                                   SystemParams(n=2, seed=0), horizon=100,
+                                   n_runs=100, times=times)
 
 
 def test_counterexample_check_passes_and_counts():

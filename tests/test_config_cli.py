@@ -123,6 +123,9 @@ def test_counterexample_needs_two_agents():
     assert "n = 2" in str(err.value)
 
 
+PEER_EDGES_1X = "peer_rule = edges\npeer_edges =\n    1 2\n    1 x"
+
+
 def test_bad_values_carry_section_and_key():
     cases = [
         (BASE.replace("kappa = 3", "kappa = three"), "schedule"),
@@ -140,6 +143,14 @@ def test_bad_values_carry_section_and_key():
         (BASE + "\n[output]\nformat = parquet\n", "format"),
         (BASE + "\n[ratefit]\ninput = a\nwindow = 9 3\nd = 2\nkappa = 3\n",
          "window"),
+        (BASE.replace("peer_rule = ring", PEER_EDGES_1X),
+         "[schedule].peer_edges: line 2"),
+        (BASE.replace("peer_rule = ring",
+                      "peer_rule = edges\npeer_edges =\n    1 2 3"),
+         "[schedule].peer_edges: line 1"),
+        (BASE.replace("kind = periodic\nkappa = 3\npeer_rule = ring",
+                      "kind = explicit-table\nedges =\n    0 1 0\n    1 x 0"),
+         "[schedule].edges: line 2"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as err:
@@ -496,6 +507,16 @@ def test_horizon_override(tmp_path):
                  "--horizon", "40"]) == 0
     table = read_table(out / "expected.csv")
     assert table["t"].max() == 40
+
+
+def test_non_integer_peer_edge_is_config_error(tmp_path, capsys):
+    """A peer edge line '1 x' is a config error, exit 2, not a traceback."""
+    cfg = config_file(tmp_path, BASE.replace("peer_rule = ring",
+                                             PEER_EDGES_1X))
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[schedule].peer_edges: line 2" in err and "Traceback" not in err
 
 
 def test_table_schedule_beyond_coverage_is_config_error(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from socialbayes import dynamics, expected, schedules
 from socialbayes.dynamics import (
     BeliefState,
-    SignalBatch,
     SystemParams,
     emit_signals,
     initial_state,
@@ -84,28 +83,24 @@ def test_per_agent_matches_matrix_path():
     """The per-agent oracle replays the batched kernel to 1e-12 per entry.
 
     Each recorded step of run_simulation is fed through step_per_agent
-    from the kernel's own state and signal.  Summation order differs
-    between the two paths (explicit sum vs BLAS), so agreement is to
-    accumulation tolerance, not bitwise; the ledger is exact.  The
-    signals are those emit_signals draws from the run's stream.  At n = 5
-    the kernel steps by chunk gains, every recorded state walked from its
-    chunk's anchor.
+    from the kernel's own state, with the signals emit_signals draws from
+    the run's stream.  Summation order differs between the two paths
+    (explicit sum vs BLAS), so agreement is to accumulation tolerance,
+    not bitwise; the ledger is exact.  At n = 5 the kernel steps by chunk
+    gains, every recorded state walked from its chunk's anchor.
     """
     params = SystemParams(n=5, tau=2.0, tau0=3.0, truth=1.0, seed=11)
     assert params.n <= dynamics._GAIN_MAX_N
     sched = make_random_schedule(5, 3, 0.4, seed=11)
     traj = run_simulation(sched, params, 100, x0=np.linspace(-2, 2, 5),
-                          record_every=1, record_signals=True, run_index=2)
+                          record_every=1, run_index=2)
     rng = run_stream(params.seed, 2)
     for t in range(100):
         state = BeliefState(traj.means[t], traj.ledger[t], t, params)
         drawn = emit_signals(state.means, state.ledger, params, rng)
-        assert np.max(np.abs(drawn.a - traj.signals[t])) <= 1e-12
-        batch = SignalBatch(traj.signals[t], np.zeros(6))
-        nxt = step_per_agent(state, sched.arrays_at(t)[0], batch)
+        nxt = step_per_agent(state, sched.arrays_at(t)[0], drawn)
         assert np.max(np.abs(nxt.means - traj.means[t + 1])) <= 1e-12
         assert np.array_equal(nxt.ledger, traj.ledger[t + 1])
-    assert np.all(np.isnan(traj.signals[-1]))  # the horizon emits no signal
 
 
 def test_no_edges_is_exact_identity():
@@ -199,14 +194,6 @@ def test_horizon_zero_single_row():
     traj = run_simulation(sched, params, 0, x0=1.5)
     assert traj.times.shape == (1,)
     assert list(traj.means[0]) == [0.0, 1.5, 1.5]
-
-
-def test_record_signals_shape():
-    params = SystemParams(n=2, seed=3)
-    sched = make_periodic_schedule(2, 1)
-    traj = run_simulation(sched, params, 20, record_signals=True)
-    assert traj.signals is not None
-    assert traj.signals.shape == (len(traj.times), 3)
 
 
 def test_ensemble_members_match_solo_runs():
@@ -374,8 +361,8 @@ def _outputs(sched, params, horizon=450):
     ens = run_ensemble(sched, params, horizon, n_runs=5, x0=2.0,
                        record_every=7)
     solo = run_simulation(sched, params, horizon, x0=2.0, record_every=1,
-                          record_signals=True, run_index=1)
-    return ens.means, ens.ledger, solo.means, solo.ledger, solo.signals
+                          run_index=1)
+    return ens.means, ens.ledger, solo.means, solo.ledger
 
 
 @pytest.mark.parametrize("n", [4, dynamics._GAIN_MAX_N])
@@ -391,7 +378,7 @@ def test_gain_path_ignores_block_cuts(monkeypatch, kind, n):
     cut = _outputs(sched, params)
     assert sched.compiled.steps == 100
     for x, y in zip(default, cut):
-        assert np.array_equal(x, y, equal_nan=True)
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("budget", [24, 64, "two-run groups",
@@ -412,7 +399,7 @@ def test_gain_path_ignores_noise_budget(monkeypatch, budget):
         budget = 3 * (n + 1) * span
     monkeypatch.setattr(dynamics, "_NOISE_BUDGET", budget)
     for x, y in zip(default, _outputs(sched, params, 300)):
-        assert np.array_equal(x, y, equal_nan=True)
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("t", [64, 77])

@@ -322,8 +322,8 @@ def test_run_expected_bitwise_matches_reference_loop(case, horizon):
 
 def test_run_expected_bitwise_across_blocks(monkeypatch):
     """The scan's chunks sit at multiples of their length, so the means do
-    not depend on where compiled blocks and W pieces cut: smaller blocks
-    and pieces, neither a multiple of any chunk length, change no bit."""
+    not depend on where compiled blocks and W stacks cut: smaller blocks
+    and stacks, neither a multiple of any chunk length, change no bit."""
     cases = [(lambda: make_periodic_schedule(4, 3, peer_rule="ring"),
               SystemParams(n=4, tau=3.0, tau0=1.0), 2.0,
               2 * _BLOCK_STEPS + 808),
@@ -335,7 +335,7 @@ def test_run_expected_bitwise_across_blocks(monkeypatch):
     whole = [run_expected(make(), params, horizon, x0=x0)
              for make, params, x0, horizon in cases]
     monkeypatch.setattr(schedules_module, "_BLOCK_STEPS", 700)
-    monkeypatch.setattr(expected_module, "_STACK_BUDGET", 3000)
+    monkeypatch.setattr(schedules_module, "_STACK_BUDGET", 3000)
     for (make, params, x0, horizon), want in zip(cases, whole):
         sched = make()
         assert sched.compiled.steps == 700

@@ -46,6 +46,8 @@ def test_removed_names_are_gone():
             assert not hasattr(importlib.import_module(
                 "socialbayes." + module), name), (module, name)
     for func, param in ((socialbayes.run_simulation, "zero_noise"),
+                        (socialbayes.run_simulation, "record_signals"),
+                        (socialbayes.Trajectory, "signals"),
                         (socialbayes.run_ensemble, "zero_noise"),
                         (socialbayes.Trajectory, "kind"),
                         (socialbayes.ExpectedTrajectory, "kind"),
@@ -75,9 +77,9 @@ _GENERATOR_SITES = {
 }
 
 
-def _generator_calls(path):
-    """(callee, file, enclosing function) of each call that builds a
-    numpy generator or seed sequence in path."""
+def _calls(path, names):
+    """(callee, file, enclosing function) of each call in path to a
+    function or method of one of these names."""
     found = set()
 
     def visit(node, owner):
@@ -88,8 +90,7 @@ def _generator_calls(path):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "attr", getattr(func, "id", None))
-                if name in ("SeedSequence", "default_rng", "PCG64",
-                            "Generator"):
+                if name in names:
                     found.add((name, path.name, owner))
             visit(child, owner)
 
@@ -97,10 +98,22 @@ def _generator_calls(path):
     return found
 
 
+def _package_calls(*names):
+    return set().union(*(_calls(path, names) for path in
+                         (ROOT / "src" / "socialbayes").glob("*.py")))
+
+
 def test_generators_are_built_in_known_places():
-    found = set().union(*map(_generator_calls, (ROOT / "src" / "socialbayes")
-                             .glob("*.py")))
-    assert found == _GENERATOR_SITES
+    assert _package_calls("SeedSequence", "default_rng", "PCG64",
+                          "Generator") == _GENERATOR_SITES
+
+
+def test_w_stacks_are_built_in_one_place():
+    """Compiled blocks become W stacks in schedules._stacks alone; the one
+    other builder of a W is the validated one-step transition_bundle."""
+    assert _package_calls("_transitions") == {
+        ("_transitions", "schedules.py", "_stacks"),
+        ("_transitions", "expected.py", "transition_bundle")}
 
 
 def test_traced_layers_resolve():
