@@ -34,8 +34,7 @@ import numpy as np
 from .dynamics import SystemParams, run_ensemble
 from .expected import ExpectedTrajectory, run_expected
 from .schedules import (CounterexampleSchedule, GraphSchedule, _budget_steps,
-                        _integral, _stacks, max_degree,
-                        make_periodic_schedule, make_random_schedule)
+                        _integral, _stacks, max_degree)
 
 TOL = 1e-12
 
@@ -513,27 +512,3 @@ def counterexample_check(schedule: CounterexampleSchedule,
                                      [], counts, horizon, traj)
     return CounterexampleVerdict("pass" if ok else "fail", min_shifted,
                                  realized, margins, counts, horizon, traj)
-
-
-@dataclass(frozen=True)
-class StandardCase:
-    """One entry of the standard verification suite."""
-
-    label: str
-    schedule: GraphSchedule
-    kappa: int
-
-
-def standard_schedule_set(horizon: int = 1000) -> list[StandardCase]:
-    """Periodic and random schedules over n x kappa grid used by the suite."""
-    cases = []
-    for n in (2, 4, 8, 10):
-        for kappa in (1, 3, 5):
-            cases.append(StandardCase(
-                f"periodic[n={n},kappa={kappa}]",
-                make_periodic_schedule(n, kappa, "ring"), kappa))
-            cases.append(StandardCase(
-                f"random[n={n},kappa={kappa}]",
-                make_random_schedule(n, kappa, 0.2, seed=7000 + 10 * n + kappa,
-                                     horizon=horizon), kappa))
-    return cases

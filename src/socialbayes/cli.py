@@ -141,10 +141,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         checks.extend(_norm_checks())
 
     out = _out_dir(cfg)
-    meta = {"kind": "check-report", "checks": len(checks),
-            "inject_fault": cfg.verify.inject_fault}
-    tables.write_check_report(out / ("verify." + cfg.out_format), checks,
-                              cfg.out_format, extra_meta=meta)
+    tables.write_check_report(
+        out / ("verify." + cfg.out_format), checks, cfg.out_format,
+        extra_meta={"inject_fault": cfg.verify.inject_fault})
     text = tables.check_report_text(checks)
     (out / "verify.txt").write_text(
         tables.timestamp_line() + "\n" + text + ("\n" if text else ""))
@@ -161,8 +160,6 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     if cfg.schedule.kind != "counterexample":
         raise ConfigError("this command needs kind = counterexample",
                           "schedule", "kind")
-    if cfg.params.n != 2:
-        raise ConfigError("needs exactly n = 2 learning agents", "params", "n")
     schedule = build_schedule(cfg)
     times = _times(cfg)
     verdict = analysis.counterexample_check(schedule, cfg.params, cfg.horizon)

@@ -2,17 +2,15 @@
 
 Sections: [params] (system parameters, master seed, initial means),
 [schedule] (graph schedule spec), [run] (horizon, ensemble size,
-recording cadence), and optional [verify], [ratefit], [output].
-``parse_config`` and ``serialize_config`` are inverse up to formatting,
-so configs can be normalized and diffed.  The master seed is mandatory:
-reruns of the same file must be reproducible, so there is no wall-clock
-fallback.
+recording cadence), and optional [verify], [ratefit], [output].  An
+unknown section or key is an error, so a typo cannot fall back to a
+default.  The master seed is mandatory: reruns of the same file must be
+reproducible, so there is no wall-clock fallback.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +30,17 @@ PEER_RULES = ("none", "ring", "complete", "edges")
 CHECK_NAMES = ("identities", "diagonal", "contraction", "truth_pull",
                "decay", "norms")
 FAULT_HOOKS = ("none", "transition")
+
+# The keys each section may hold; [schedule]'s are those of every kind.
+_KEYS = {
+    "params": ("n", "tau", "tau0", "truth", "seed", "truth_noise", "x0"),
+    "schedule": ("kind", "kappa", "peer_rule", "peer_edges",
+                 "edge_probability", "start", "edges", "path", "horizon"),
+    "run": ("horizon", "ensemble", "record_every", "record_times"),
+    "verify": ("checks", "kappa", "inject_fault"),
+    "ratefit": ("input", "window", "d", "kappa", "slack"),
+    "output": ("directory", "format"),
+}
 
 
 class ConfigError(ValueError):
@@ -312,6 +321,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser reports the offending line number itself
         raise ConfigError(str(exc))
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ConfigError("unknown section; expected one of %s"
+                              % (tuple(_KEYS),), name)
+        for key in cp[name]:
+            if key not in _KEYS[name]:
+                raise ConfigError("unknown key; expected one of %s"
+                                  % (_KEYS[name],), name, key)
     params, x0 = _parse_params(cp)
     schedule = _parse_schedule(cp, params)
     horizon, ensemble, record_every, record_times = _parse_run(cp)
@@ -329,79 +346,6 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError("config file not found: %s" % path)
     return parse_config(path.read_text())
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "on" if v else "off"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    out = io.StringIO()
-    p = cfg.params
-    out.write("[params]\n")
-    out.write("n = %d\n" % p.n)
-    out.write("tau = %s\n" % _fmt(p.tau))
-    out.write("tau0 = %s\n" % _fmt(p.tau0))
-    out.write("truth = %s\n" % _fmt(p.truth))
-    out.write("truth_noise = %s\n" % _fmt(p.truth_noise))
-    out.write("seed = %d\n" % p.seed)
-    out.write("x0 = %s\n" % " ".join(_fmt(float(v)) for v in cfg.x0))
-
-    s = cfg.schedule
-    out.write("\n[schedule]\n")
-    out.write("kind = %s\n" % s.kind)
-    if s.kind == "periodic":
-        out.write("kappa = %d\n" % s.kappa)
-        out.write("peer_rule = %s\n" % s.peer_rule)
-        if s.peer_rule == "edges":
-            out.write("peer_edges =\n")
-            for i, j in s.peer_edges:
-                out.write("    %d %d\n" % (i, j))
-    elif s.kind == "random":
-        out.write("kappa = %d\n" % s.kappa)
-        out.write("edge_probability = %s\n" % _fmt(s.edge_probability))
-    elif s.kind == "counterexample":
-        out.write("start = %s\n" % _fmt(s.start))
-    else:
-        if s.table_horizon is not None:
-            out.write("horizon = %d\n" % s.table_horizon)
-        out.write("edges =\n")
-        for t, i, j in s.edges:
-            out.write("    %d %d %d\n" % (t, i, j))
-
-    out.write("\n[run]\n")
-    out.write("horizon = %d\n" % cfg.horizon)
-    out.write("ensemble = %d\n" % cfg.ensemble)
-    if cfg.record_times is not None:
-        out.write("record_times = %s\n" % " ".join(str(t) for t in cfg.record_times))
-    else:
-        out.write("record_every = %d\n" % cfg.record_every)
-
-    v = cfg.verify
-    out.write("\n[verify]\n")
-    out.write("checks = %s\n" % " ".join(v.checks))
-    if v.kappa is not None:
-        out.write("kappa = %d\n" % v.kappa)
-    out.write("inject_fault = %s\n" % v.inject_fault)
-
-    if cfg.ratefit is not None:
-        r = cfg.ratefit
-        out.write("\n[ratefit]\n")
-        out.write("input = %s\n" % r.input)
-        out.write("window = %d %d\n" % r.window)
-        out.write("d = %d\n" % r.d)
-        out.write("kappa = %d\n" % r.kappa)
-        out.write("slack = %s\n" % _fmt(r.slack))
-
-    out.write("\n[output]\n")
-    out.write("directory = %s\n" % cfg.out_dir)
-    out.write("format = %s\n" % cfg.out_format)
-    return out.getvalue()
 
 
 def build_schedule(cfg: ExperimentConfig) -> GraphSchedule:

@@ -65,7 +65,8 @@ class SystemParams:
     tau is the observation precision (1/sigma^2), tau0 the shared prior
     precision.  truth_noise controls whether the truth agent's emitted signal
     carries observation noise like everyone else's; the mean process is
-    unaffected either way.
+    unaffected either way.  n is taken by _integral's rule: 3.0 is 3, 2.5
+    a ValueError.
     """
 
     n: int
@@ -76,6 +77,7 @@ class SystemParams:
     truth_noise: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "n", int(_integral(self.n, "n")))
         if self.n < 1:
             raise ValueError("need at least one learning agent")
         if not all(map(np.isfinite, (self.tau, self.tau0, self.truth))):

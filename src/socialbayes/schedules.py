@@ -210,7 +210,8 @@ class GraphSchedule:
     Subclasses implement edges_at(t), the receive edges among rows i >= 1
     (truth edges are (i, 0)), which is the definition, and _compile(start,
     stop), the same steps as a Block.  Walks read `compiled`; arrays_at is
-    the one-step query.
+    the one-step query.  n, and a kind's kappa, are taken by _integral's
+    rule: 3.0 is 3, 2.5 a ValueError.
     """
 
     kind = "base"
@@ -219,9 +220,9 @@ class GraphSchedule:
     _step_bytes = np.dtype(np.intp).itemsize
 
     def __init__(self, n: int, horizon: int | None = None):
-        if n < 1:
+        self.n = int(_integral(n, "n"))
+        if self.n < 1:
             raise ValueError("need at least one learning agent")
-        self.n = int(n)
         self.horizon = None if horizon is None else int(horizon)
 
     def edges_at(self, t: int) -> tuple[tuple[int, int], ...]:
@@ -462,11 +463,12 @@ class TableSchedule(GraphSchedule):
         if max_t >= horizon:
             raise ValueError("edge table extends past the given horizon")
         super().__init__(n, horizon)
-        self._by_time = {t: tuple(sorted(es)) for t, es in by_time.items()}
+        self._by_time = {t: tuple(sorted(set(es)))
+                         for t, es in by_time.items()}
         times = sorted(self._by_time)
         index = {(): 0}  # pattern 0 is the empty step
         slots = [index.setdefault(self._by_time[t], len(index)) for t in times]
-        self._patterns = _patterns(n, list(index))  # validates eagerly
+        self._patterns = _patterns(self.n, list(index))  # validates eagerly
         # listed times and their slots, ended by the horizon (slot 0)
         self._times = np.array(times + [horizon], dtype=np.int64)
         self._time_slots = np.array(slots + [0], dtype=np.intp)
@@ -495,10 +497,11 @@ class PeriodicSchedule(GraphSchedule):
 
     def __init__(self, n: int, kappa: int, peer_rule="none",
                  phases: list[int] | None = None, horizon: int | None = None):
+        super().__init__(n, horizon)
+        n = self.n
+        self.kappa = kappa = int(_integral(kappa, "kappa"))
         if kappa < 1:
             raise ValueError("window length must be >= 1")
-        super().__init__(n, horizon)
-        self.kappa = int(kappa)
         if phases is None:
             phases = [i % kappa for i in range(1, n + 1)]
         if len(phases) != n or any(not (0 <= p < kappa) for p in phases):
@@ -510,7 +513,7 @@ class PeriodicSchedule(GraphSchedule):
         for r in range(kappa):
             es = list(peers)
             es += [(i, 0) for i in range(1, n + 1) if self.phases[i - 1] == r]
-            self._residue_edges.append(tuple(sorted(es)))
+            self._residue_edges.append(tuple(sorted(set(es))))
         self._cycle = _patterns(n, self._residue_edges)
 
     def edges_at(self, t):
@@ -561,12 +564,13 @@ class RandomSchedule(GraphSchedule):
 
     def __init__(self, n: int, kappa: int, edge_probability: float, seed: int,
                  horizon: int | None = None):
+        super().__init__(n, horizon)
+        n = self.n
+        self.kappa = kappa = int(_integral(kappa, "kappa"))
         if kappa < 1:
             raise ValueError("window length must be >= 1")
         if not (0.0 <= edge_probability <= 1.0):
             raise ValueError("edge probability must lie in [0, 1]")
-        super().__init__(n, horizon)
-        self.kappa = int(kappa)
         self.edge_probability = float(edge_probability)
         _check_seed(seed)
         self.seed = int(seed)
@@ -661,10 +665,11 @@ class CounterexampleSchedule(GraphSchedule):
 
     kind = "counterexample"
 
-    def __init__(self, ratio: float, horizon: int, start: float = 2.0,
-                 tolerance_rule=default_pull_tolerance):
-        if ratio <= 0:
-            raise ValueError("precision ratio must be positive")
+    def __init__(self, ratio: float, horizon: int, start: float = 2.0):
+        if not 0 < ratio < np.inf:
+            raise ValueError("precision ratio must be positive and finite")
+        if not np.isfinite(start):
+            raise ValueError("start must be finite")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         super().__init__(2, horizon)
@@ -675,7 +680,7 @@ class CounterexampleSchedule(GraphSchedule):
         self.truth_times_2: list[int] = []
         self._starts: list[int] = []
         self._edges: list[tuple[tuple[int, int], ...]] = []
-        self._materialize(tolerance_rule)
+        self._materialize()
         self._patterns = _patterns(2, self._edges)  # one per interval
         self._start_times = np.array(self._starts, dtype=np.int64)
 
@@ -683,17 +688,14 @@ class CounterexampleSchedule(GraphSchedule):
         self._starts.append(start)
         self._edges.append((edge,))
 
-    def _materialize(self, tol_rule):
+    def _materialize(self):
         horizon = self.horizon
         z1 = z2 = self.start  # truth-shifted means; truth itself sits at 0
         p1 = p2 = self.ratio
         t = 0
         k = 1
         while t < horizon:
-            tol = float(tol_rule(k))
-            if tol <= 0:
-                raise ScheduleConstructionError(
-                    f"tolerance rule returned {tol} at k={k}")
+            tol = default_pull_tolerance(k)
             bound_t = 1.0 + 2.0 ** (-2 * k)
             bound_s = 1.0 + 2.0 ** (1 - 2 * k)
             t_k = t
@@ -760,12 +762,11 @@ class CounterexampleSchedule(GraphSchedule):
             self._start_times, np.arange(start, stop), side="right") - 1)
 
 
-def make_counterexample_schedule(ratio: float, horizon: int, start: float = 2.0,
-                                 tolerance_rule=default_pull_tolerance
-                                 ) -> CounterexampleSchedule:
+def make_counterexample_schedule(ratio: float, horizon: int,
+                                 start: float = 2.0) -> CounterexampleSchedule:
     """Two-agent alternating schedule defeating any fixed hearing window.
 
     `ratio` is tau0/tau and `start` the common truth-shifted initial mean;
     the canonical instance is ratio=1, start=2.
     """
-    return CounterexampleSchedule(ratio, horizon, start, tolerance_rule)
+    return CounterexampleSchedule(ratio, horizon, start)

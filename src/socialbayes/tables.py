@@ -118,7 +118,7 @@ def read_table(path) -> TableData:
     text = Path(path).read_text().splitlines()
     if not text:
         raise ValueError("empty table file: %s" % path)
-    if text[0].startswith("# ") or text[0].startswith("#"):
+    if text[0].startswith("#"):
         return _read_csv(text, path)
     return _read_jsonl(text)
 
@@ -271,15 +271,17 @@ def trajectory_norms(table: TableData):
 CHECK_COLUMNS = ["name", "lhs", "rhs", "margin", "status"]
 
 
+def _verdict(check) -> str:
+    return "pass" if check.passed else ("gated" if check.gated else "FAIL")
+
+
 def write_check_report(path, checks, fmt: str = "csv", extra_meta=None) -> Path:
     """One row per bound check: name, lhs, rhs, margin, pass/FAIL/gated."""
     meta = {"kind": "check-report", "checks": len(checks)}
     if extra_meta:
         meta.update(extra_meta)
-    rows = []
-    for c in checks:
-        status = "pass" if c.passed else ("gated" if c.gated else "FAIL")
-        rows.append((c.name, float(c.lhs), float(c.rhs), float(c.margin), status))
+    rows = [(c.name, float(c.lhs), float(c.rhs), float(c.margin), _verdict(c))
+            for c in checks]
     return write_table(path, meta, CHECK_COLUMNS, rows, fmt)
 
 
@@ -288,11 +290,10 @@ def check_report_text(checks) -> str:
     lines = []
     width = max([len(c.name) for c in checks], default=4)
     for c in checks:
-        status = "pass" if c.passed else ("gated" if c.gated else "FAIL")
         lines.append("%-*s  lhs=%-24s rhs=%-24s margin=%-24s %s"
                      % (width, c.name, format_value(float(c.lhs)),
                         format_value(float(c.rhs)), format_value(float(c.margin)),
-                        status))
+                        _verdict(c)))
     return "\n".join(lines)
 
 

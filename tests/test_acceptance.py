@@ -21,7 +21,6 @@ from socialbayes.analysis import (
     counterexample_check,
     estimate_deviation_moments,
     fit_rate,
-    standard_schedule_set,
     sweep_window_checks,
 )
 from socialbayes.cli import main
@@ -56,11 +55,11 @@ def test_criterion_1_closed_form_oracle():
             "max error %.3e, %.2f s" % (err, elapsed))
 
 
-def test_criterion_2_stochasticity_suite():
+def test_criterion_2_stochasticity_suite(standard_cases):
     """Every transition row sums to one; truth pull closes the reduction."""
     start = time.perf_counter()
     worst = 0.0
-    for case in standard_schedule_set():
+    for case in standard_cases:
         params = SystemParams(n=case.schedule.n, seed=0)
         for check in check_transition_identities(case.schedule, params, 1000):
             worst = max(worst, check.lhs)
@@ -71,14 +70,14 @@ def test_criterion_2_stochasticity_suite():
             % (worst, elapsed))
 
 
-def test_criterion_3_contraction_bound_suite():
+def test_criterion_3_contraction_bound_suite(standard_cases):
     """Diagonal, contraction, truth-pull, and decay bounds hold at every
     checkpoint whose preconditions are met."""
     start = time.perf_counter()
     issued = gated = 0
     worst_margin = np.inf
     failures = []
-    for case in standard_schedule_set():
+    for case in standard_cases:
         params = SystemParams(n=case.schedule.n, seed=0)
         checks = sweep_window_checks(case.schedule, params, 1000, case.kappa)
         for c in checks:

@@ -21,7 +21,6 @@ from socialbayes.analysis import (
     fit_rate,
     norm_inf,
     norm_max,
-    standard_schedule_set,
     sweep_window_checks,
 )
 from socialbayes.dynamics import SystemParams
@@ -388,11 +387,10 @@ def test_counterexample_check_insufficient_horizon():
     assert verdict.status == "insufficient horizon"
 
 
-def test_standard_schedule_set_composition():
-    cases = standard_schedule_set()
-    assert len(cases) == 24
-    labels = [c.label for c in cases]
+def test_standard_schedule_set_composition(standard_cases):
+    assert len(standard_cases) == 24
+    labels = [c.label for c in standard_cases]
     assert len(set(labels)) == 24
-    for case in cases:
+    for case in standard_cases:
         assert case.schedule.n in (2, 4, 8, 10)
         assert case.kappa in (1, 3, 5)

@@ -10,9 +10,10 @@ from socialbayes.cli import main
 from socialbayes.config import (
     CHECK_NAMES,
     ConfigError,
+    RatefitSpec,
+    VerifySpec,
     build_schedule,
     parse_config,
-    serialize_config,
 )
 from socialbayes.dynamics import SystemParams
 from socialbayes.expected import run_expected
@@ -56,24 +57,7 @@ def config_file(tmp_path, text, name="exp.ini"):
 # ---------------------------------------------------------------- config
 
 
-def test_round_trip_all_kinds():
-    variants = [
-        BASE,
-        BASE.replace("kind = periodic\nkappa = 3\npeer_rule = ring",
-                     "kind = random\nkappa = 2\nedge_probability = 0.25"),
-        BASE.replace("n = 4", "n = 2").replace(
-            "kind = periodic\nkappa = 3\npeer_rule = ring",
-            "kind = counterexample\nstart = 2.0"),
-        BASE.replace("n = 4", "n = 2").replace(
-            "kind = periodic\nkappa = 3\npeer_rule = ring",
-            "kind = explicit-table\nedges =\n    0 1 0\n    1 2 0"),
-    ]
-    for text in variants:
-        cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
-
-
-def test_round_trip_with_optional_sections():
+def test_parse_optional_sections():
     text = BASE + """
 [verify]
 checks = identities norms
@@ -91,9 +75,9 @@ directory = results
 format = jsonl
 """
     cfg = parse_config(text)
-    assert parse_config(serialize_config(cfg)) == cfg
-    assert cfg.out_format == "jsonl"
-    assert cfg.verify.checks == ("identities", "norms")
+    assert cfg.verify == VerifySpec(checks=("identities", "norms"), kappa=3)
+    assert cfg.ratefit == RatefitSpec("expected.csv", (10, 120), 2, 3)
+    assert (cfg.out_dir, cfg.out_format) == ("results", "jsonl")
 
 
 def test_build_schedule_kinds():
@@ -116,14 +100,15 @@ def test_missing_seed_rejected():
 
 
 def test_counterexample_needs_two_agents():
-    bad = BASE.replace("kind = periodic\nkappa = 3\npeer_rule = ring",
-                       "kind = counterexample")
+    bad = TRAP.replace("n = 2", "n = 4")
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert "n = 2" in str(err.value)
 
 
 PEER_EDGES_1X = "peer_rule = edges\npeer_edges =\n    1 2\n    1 x"
+TRAP = BASE.replace("n = 4", "n = 2").replace(
+    "kind = periodic\nkappa = 3\npeer_rule = ring", "kind = counterexample")
 
 
 def test_bad_values_carry_section_and_key():
@@ -151,11 +136,30 @@ def test_bad_values_carry_section_and_key():
         (BASE.replace("kind = periodic\nkappa = 3\npeer_rule = ring",
                       "kind = explicit-table\nedges =\n    0 1 0\n    1 x 0"),
          "[schedule].edges: line 2"),
+        # unknown keys and sections, never a silent default
+        (BASE.replace("record_every = 10", "record_evry = 5"),
+         "[run].record_evry: unknown key"),
+        (TRAP.replace("kind = counterexample",
+                      "kind = counterexample\nstrat = 3.0"),
+         "[schedule].strat: unknown key"),
+        (BASE.replace("seed = 11", "seed = 11\nkappa = 3"),
+         "[params].kappa: unknown key"),
+        (BASE + "\n[typo_section]\nchecks = norms\n",
+         "[typo_section]: unknown section"),
+        (BASE + "\n[output]\nformat = csv\ndirectory = o\ndir = p\n",
+         "[output].dir: unknown key"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert needle in str(err.value)
+
+
+def test_schedule_keys_of_any_kind_are_known():
+    """[schedule] knows the keys of every kind; a kind ignores the others'."""
+    text = BASE.replace("peer_rule = ring", "peer_rule = ring\nstart = 3.0\n"
+                        "edge_probability = 0.5")
+    assert parse_config(text).schedule == parse_config(BASE).schedule
 
 
 def test_external_edge_file(tmp_path):
@@ -517,6 +521,30 @@ def test_non_integer_peer_edge_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "[schedule].peer_edges: line 2" in err and "Traceback" not in err
+
+
+def test_unknown_key_is_config_error(tmp_path, capsys):
+    """A misspelt key stops the run with exit 2 before anything is
+    written."""
+    cfg = config_file(tmp_path, BASE.replace("record_every = 10",
+                                             "record_evry = 5"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[run].record_evry" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start", ["nan", "inf"])
+def test_non_finite_trap_start_is_config_error(tmp_path, capsys, start):
+    text = TRAP.replace("kind = counterexample",
+                        "kind = counterexample\nstart = " + start)
+    cfg = config_file(tmp_path, text.replace("horizon = 120",
+                                             "horizon = 2000"))
+    assert main(["counterexample", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[schedule]" in err and "start" in err and "Traceback" not in err
 
 
 def test_table_schedule_beyond_coverage_is_config_error(tmp_path):

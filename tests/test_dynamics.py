@@ -251,6 +251,16 @@ def test_params_reject_non_finite(field, value):
         SystemParams(n=2, **{field: value})
 
 
+def test_params_take_n_as_an_integer():
+    """n goes by _integral's rule: 3.0 is 3, and the mean process runs."""
+    params = SystemParams(n=3.0)
+    assert type(params.n) is int and params == SystemParams(n=3)
+    expected.run_expected(make_periodic_schedule(3, 2), params, 4)
+    for n in (2.5, np.nan):
+        with pytest.raises(ValueError):
+            SystemParams(n=n)
+
+
 @pytest.mark.parametrize("x0", [np.nan, [1.0, np.inf], [0.0, 1.0, np.nan]])
 def test_initial_state_rejects_non_finite_x0(x0):
     with pytest.raises(ValueError, match="finite"):

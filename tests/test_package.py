@@ -17,7 +17,8 @@ import socialbayes
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "reduced_product", "step_expected", "rng_stream",
-           "consensus_verdict", "ConsensusVerdict", "fourth_moment_summary")
+           "consensus_verdict", "ConsensusVerdict", "fourth_moment_summary",
+           "serialize_config", "standard_schedule_set", "StandardCase")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -41,8 +42,8 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in socialbayes.__all__
         assert not hasattr(socialbayes, name)
-        for module in ("analysis", "dynamics", "expected", "schedules",
-                       "tables"):
+        for module in ("analysis", "config", "dynamics", "expected",
+                       "schedules", "tables"):
             assert not hasattr(importlib.import_module(
                 "socialbayes." + module), name), (module, name)
     for func, param in ((socialbayes.run_simulation, "zero_noise"),
@@ -56,7 +57,11 @@ def test_removed_names_are_gone():
                         (socialbayes.tables.write_switch_table, "meta"),
                         (socialbayes.sweep_window_checks, "d"),
                         (socialbayes.sweep_window_checks, "decay_lengths"),
-                        (socialbayes.check_diagonal_bound, "l")):
+                        (socialbayes.check_diagonal_bound, "l"),
+                        (socialbayes.make_counterexample_schedule,
+                         "tolerance_rule"),
+                        (socialbayes.CounterexampleSchedule,
+                         "tolerance_rule")):
         assert param not in inspect.signature(func).parameters, func
     # the step kernels keep truth and idle rows by arithmetic, with no mask
     assert not hasattr(socialbayes.schedules.Block, "idle")

@@ -127,10 +127,11 @@ def test_table_schedule_declared_horizon_allows_quiet_tail():
 
 
 def _from_edges(sched, t):
-    """Step t's adjacency and receive counts built from edges_at alone."""
+    """Step t's adjacency and receive counts built from edges_at alone,
+    each listed edge counted."""
     a = np.zeros((sched.n + 1, sched.n + 1))
     for i, j in sched.edges_at(t):
-        a[i, j] = 1.0
+        a[i, j] += 1.0
     return a, a.sum(axis=1).astype(np.int64)
 
 
@@ -149,10 +150,13 @@ def _assert_block_matches(sched, blk, start, stop):
 
 
 def test_compiled_schedule_blocks_match_queries(monkeypatch):
+    # a repeated edge counts once, in edges_at as in the compiled form
     table = make_table_schedule(3, [(t, 1, 0) for t in range(0, 30, 4)]
-                                + [(t, 2, 3) for t in range(10, 50)],
-                                horizon=60)
+                                + [(t, 2, 3) for t in range(10, 50)]
+                                + [(12, 2, 3), (20, 1, 0)], horizon=60)
     for sched in (make_periodic_schedule(3, 4, peer_rule="ring"),
+                  make_periodic_schedule(3, 4, peer_rule=[(1, 2), (2, 3),
+                                                          (1, 2)]),
                   make_random_schedule(3, 2, 0.5, seed=4), table):
         compiled = CompiledSchedule(sched)
         for start, stop in [(0, 0), (0, 7), (7, 60), (5, 40)]:
@@ -339,6 +343,31 @@ def test_counterexample_is_two_agent_only():
 def test_default_pull_tolerance_halves_quadratically():
     assert default_pull_tolerance(1) == 2.0 ** -4
     assert default_pull_tolerance(3) == 2.0 ** -8
+
+
+def test_schedule_sizes_are_integers():
+    """n and kappa go by _integral's rule: 3.0 is 3, 2.5 is refused."""
+    for make in (lambda n, kappa: make_periodic_schedule(n, kappa, "ring"),
+                 lambda n, kappa: make_random_schedule(n, kappa, 0.3, seed=5),
+                 lambda n, kappa: make_table_schedule(n, [(1, 1, 0)])):
+        a, b = make(3.0, 2.0), make(3, 2)
+        assert type(a.n) is int and a.n == 3
+        assert getattr(a, "kappa", 2) == 2
+        assert all(a.edges_at(t) == b.edges_at(t) for t in range(2))
+        for n in (2.5, np.nan):
+            with pytest.raises(ValueError):
+                make(n, 2)
+    for make in (make_periodic_schedule,
+                 lambda n, kappa: make_random_schedule(n, kappa, 0.3, seed=5)):
+        with pytest.raises(ValueError):
+            make(3, 2.5)
+
+
+@pytest.mark.parametrize("ratio, start", [(np.nan, 2.0), (np.inf, 2.0),
+                                          (1.0, np.nan), (1.0, np.inf)])
+def test_counterexample_rejects_non_finite_inputs(ratio, start):
+    with pytest.raises(ValueError, match="ratio" if start == 2.0 else "start"):
+        make_counterexample_schedule(ratio, 2000, start=start)
 
 
 def test_schedule_rejects_degenerate_sizes():
