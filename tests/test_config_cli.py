@@ -47,6 +47,10 @@ ensemble = 2
 record_every = 10
 """
 
+# the same experiment on the two-agent trap schedule
+TRAP = BASE.replace("n = 4", "n = 2").replace(
+    "kind = periodic\nkappa = 3\npeer_rule = ring", "kind = counterexample")
+
 
 def config_file(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
@@ -107,8 +111,6 @@ def test_counterexample_needs_two_agents():
 
 
 PEER_EDGES_1X = "peer_rule = edges\npeer_edges =\n    1 2\n    1 x"
-TRAP = BASE.replace("n = 4", "n = 2").replace(
-    "kind = periodic\nkappa = 3\npeer_rule = ring", "kind = counterexample")
 
 
 def test_bad_values_carry_section_and_key():
