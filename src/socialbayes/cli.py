@@ -10,6 +10,7 @@ can gate CI jobs on the model's bound suite.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import sys
@@ -84,12 +85,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                        n_runs=cfg.ensemble, x0=_x0(cfg),
                        record_times=_times(cfg))
     out = _out_dir(cfg)
-    fmt = cfg.out_format
     for r in range(ens.n_runs):
         traj = Trajectory(times=ens.times, means=ens.means[r],
                           ledger=ens.ledger, params=cfg.params, run_index=r)
-        tables.write_trajectory(out / ("run-%04d.%s" % (r, fmt)), traj, fmt)
-    summary = tables.write_ensemble_summary(out / ("summary." + fmt), ens, fmt)
+        tables.write_trajectory(out / ("run-%04d.csv" % r), traj)
+    summary = tables.write_ensemble_summary(out / "summary.csv", ens)
     _say("simulated %d run(s), horizon %d; wrote %s" %
          (ens.n_runs, cfg.horizon, summary))
     return EXIT_OK
@@ -103,10 +103,8 @@ def cmd_expected(cfg: ExperimentConfig) -> int:
     times = _times(cfg)
     expected = run_expected(schedule, cfg.params, cfg.horizon, x0=_x0(cfg))
     thinned = _thin_expected(expected, times)
-    out = _out_dir(cfg)
-    fmt = cfg.out_format
-    path = tables.write_expected_trajectory(out / ("expected." + fmt),
-                                            thinned, schedule, fmt)
+    path = tables.write_expected_trajectory(_out_dir(cfg) / "expected.csv",
+                                            thinned, schedule)
     _say("expected process over horizon %d; wrote %s" % (cfg.horizon, path))
     return EXIT_OK
 
@@ -142,7 +140,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     out = _out_dir(cfg)
     tables.write_check_report(
-        out / ("verify." + cfg.out_format), checks, cfg.out_format,
+        out / "verify.csv", checks,
         extra_meta={"inject_fault": cfg.verify.inject_fault})
     text = tables.check_report_text(checks)
     (out / "verify.txt").write_text(
@@ -165,12 +163,10 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     verdict = analysis.counterexample_check(schedule, cfg.params, cfg.horizon)
 
     out = _out_dir(cfg)
-    fmt = cfg.out_format
-    tables.write_switch_table(out / ("switches." + fmt), schedule.switches,
-                              fmt)
-    tables.write_expected_trajectory(out / ("trajectory." + fmt),
+    tables.write_switch_table(out / "switches.csv", schedule.switches)
+    tables.write_expected_trajectory(out / "trajectory.csv",
                                      _thin_expected(verdict.trajectory, times),
-                                     schedule, fmt)
+                                     schedule)
     lines = [
         "status: %s" % verdict.status,
         "cycles realized: %d" % verdict.cycles_realized,
@@ -200,22 +196,30 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
     if cfg.ratefit is None:
         raise ConfigError("section missing", "ratefit")
     spec = cfg.ratefit
-    table = tables.read_table(_resolve_input(cfg, spec.input))
-    times, norms = tables.trajectory_norms(table)
+    path = _resolve_input(cfg, spec.input)
+    try:
+        times, norms = tables.trajectory_norms(tables.read_table(path))
+    except (OSError, ValueError, KeyError, IndexError, TypeError,
+            csv.Error) as exc:
+        raise ConfigError("cannot read %s as a trajectory table (%s: %s)"
+                          % (path, type(exc).__name__, exc),
+                          "ratefit", "input") from None
     try:
         fit = analysis.fit_rate(times, norms, window=spec.window, d=spec.d,
                                 kappa=spec.kappa, slack=spec.slack)
     except ValueError as exc:  # too few samples of the table in the window
         raise ConfigError(str(exc), "ratefit", "window") from None
     out = _out_dir(cfg)
-    fmt = cfg.out_format
     meta = {"input": spec.input}
-    tables.write_rate_table(out / ("ratefit-points." + fmt), times, norms,
-                            meta=meta, fmt=fmt)
-    tables.write_rate_report(out / ("ratefit." + fmt), fit, meta, fmt)
+    tables.write_rate_table(out / "ratefit-points.csv", times, norms,
+                            meta=meta)
+    tables.write_rate_report(out / "ratefit.csv", fit, meta)
+    verdict = "pass" if fit.passed else "FAIL"
+    if fit.status != "ok":
+        verdict = fit.status
     _say("rate fit over [%d, %d]: slope %.6f vs bound %.6f + slack %.2f (%s)"
          % (fit.window[0], fit.window[1], fit.slope, fit.theoretical_bound,
-            fit.slack, fit.status))
+            fit.slack, verdict))
     return EXIT_OK if fit.passed else EXIT_CHECK_FAILED
 
 

@@ -23,7 +23,6 @@ from .schedules import (
     make_random_schedule,
     make_table_schedule,
 )
-from .tables import FORMATS
 
 SCHEDULE_KINDS = ("periodic", "random", "counterexample", "explicit-table")
 PEER_RULES = ("none", "ring", "complete", "edges")
@@ -98,7 +97,6 @@ class ExperimentConfig:
     verify: VerifySpec = field(default_factory=VerifySpec)
     ratefit: RatefitSpec | None = None
     out_dir: str = "out"
-    out_format: str = "csv"
 
 
 def _get(section, key, conv, default=..., name=""):
@@ -299,19 +297,21 @@ def _parse_ratefit(cp) -> RatefitSpec | None:
     if d < 1 or kappa < 1:
         raise ConfigError("need d >= 1 and kappa >= 1", name, "d")
     slack = _get(sec, "slack", float, 0.05, name)
+    if not math.isfinite(slack):
+        raise ConfigError("must be finite", name, "slack")
     return RatefitSpec(input=inp, window=window, d=d, kappa=kappa, slack=slack)
 
 
-def _parse_output(cp) -> tuple:
+def _parse_output(cp) -> str:
+    """The output directory; `format` may only name csv, the one format."""
     if "output" not in cp:
-        return "out", "csv"
+        return "out"
     sec = cp["output"]
-    directory = _get(sec, "directory", str, "out", "output")
     fmt = _get(sec, "format", str, "csv", "output")
-    if fmt not in FORMATS:
-        raise ConfigError("unknown format %r; expected one of %s"
-                          % (fmt, FORMATS), "output", "format")
-    return directory, fmt
+    if fmt != "csv":
+        raise ConfigError("unknown format %r; tables are csv" % fmt,
+                          "output", "format")
+    return _get(sec, "directory", str, "out", "output")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -332,12 +332,12 @@ def parse_config(text: str) -> ExperimentConfig:
     params, x0 = _parse_params(cp)
     schedule = _parse_schedule(cp, params)
     horizon, ensemble, record_every, record_times = _parse_run(cp)
-    out_dir, out_format = _parse_output(cp)
+    out_dir = _parse_output(cp)
     return ExperimentConfig(
         params=params, schedule=schedule, horizon=horizon, ensemble=ensemble,
         x0=x0, record_every=record_every, record_times=record_times,
         verify=_parse_verify(cp), ratefit=_parse_ratefit(cp),
-        out_dir=out_dir, out_format=out_format,
+        out_dir=out_dir,
     )
 
 

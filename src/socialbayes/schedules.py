@@ -210,8 +210,8 @@ class GraphSchedule:
     Subclasses implement edges_at(t), the receive edges among rows i >= 1
     (truth edges are (i, 0)), which is the definition, and _compile(start,
     stop), the same steps as a Block.  Walks read `compiled`; arrays_at is
-    the one-step query.  n, and a kind's kappa, are taken by _integral's
-    rule: 3.0 is 3, 2.5 a ValueError.
+    the one-step query.  n, and a kind's kappa, phases and edges, are
+    taken by _integral's rule: 3.0 is 3, 2.5 a ValueError.
     """
 
     kind = "base"
@@ -453,11 +453,11 @@ class TableSchedule(GraphSchedule):
                  horizon: int | None = None):
         by_time: dict[int, list[tuple[int, int]]] = {}
         max_t = -1
-        for t, i, j in edges:
+        for t, i, j in _integral(edges, "edge table entries").tolist():
             if t < 0:
                 raise ValueError(f"negative time in edge table: {t}")
-            by_time.setdefault(int(t), []).append((int(i), int(j)))
-            max_t = max(max_t, int(t))
+            by_time.setdefault(t, []).append((i, j))
+            max_t = max(max_t, t)
         if horizon is None:
             horizon = max_t + 1 if max_t >= 0 else 0
         if max_t >= horizon:
@@ -504,9 +504,10 @@ class PeriodicSchedule(GraphSchedule):
             raise ValueError("window length must be >= 1")
         if phases is None:
             phases = [i % kappa for i in range(1, n + 1)]
+        phases = _integral(phases, "phases").tolist()
         if len(phases) != n or any(not (0 <= p < kappa) for p in phases):
             raise ValueError("need one phase in [0, kappa) per agent")
-        self.phases = tuple(int(p) for p in phases)
+        self.phases = tuple(phases)
         self.peer_rule = peer_rule
         peers = _peer_edges(n, peer_rule)
         self._residue_edges = []
@@ -541,7 +542,7 @@ def _peer_edges(n: int, peer_rule) -> list[tuple[int, int]]:
             return [(i, j) for i in range(1, n + 1)
                     for j in range(1, n + 1) if i != j]
         raise ValueError(f"unknown peer rule {peer_rule!r}")
-    edges = [(int(i), int(j)) for i, j in peer_rule]
+    edges = [(i, j) for i, j in _integral(peer_rule, "peer edges").tolist()]
     for i, j in edges:
         if not (1 <= i <= n) or not (1 <= j <= n) or i == j:
             raise ValueError(f"bad peer edge ({i}, {j})")

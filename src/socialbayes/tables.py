@@ -1,16 +1,10 @@
 """Tabular output for trajectories, summaries, and check reports.
 
-All files are plain text and append-only friendly: a timestamp line, a
-block of ``# key: value`` metadata, then fixed-order rows.  Two row
-encodings are supported:
-
-* ``csv``   - header ``t,agent,mean,precision`` (or the columns listed
-  in the header), one row per (time, agent) pair; a field holding a
-  comma (a check name such as ``diagonal_bound[s=0,kappa=3]``) is quoted
-  the way the ``csv`` module quotes it.
-* ``jsonl`` - one JSON object per line with the same keys in the same
-  order; the timestamp and metadata become leading ``{"generated": ..}``
-  and ``{"meta": {..}}`` objects.
+Every table is a CSV file: a timestamp line, a block of ``# key: value``
+metadata, then a header row (``t,agent,mean,precision`` or the columns
+of that table) and one row per (time, agent) pair or per check.  A field
+holding a comma (a check name such as ``diagonal_bound[s=0,kappa=3]``)
+is quoted the way the ``csv`` module quotes it.
 
 The first line of every file is the generation timestamp and is the only
 line excluded when comparing files for reproducibility; everything after
@@ -23,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,15 +27,9 @@ from .dynamics import EnsembleResult, SystemParams, Trajectory, _precisions
 from .expected import ExpectedTrajectory
 from .schedules import GraphSchedule
 
-FORMATS = ("csv", "jsonl")
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def timestamp_line() -> str:
-    return "# generated: " + _now()
+    return "# generated: " + datetime.now(timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%SZ")
 
 
 def format_value(x) -> str:
@@ -57,49 +44,26 @@ def format_value(x) -> str:
     return str(x)
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return ["# %s: %s" % (k, format_value(v)) for k, v in meta.items()]
-
-
-def _write_lines(path, lines) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") -> Path:
     """Write rows (iterable of tuples matching `columns`) under a meta block.
 
     Cells are strings, ints and floats (numpy float64 and integer scalars
     included).  The csv module writes a float with repr and an int with
-    str, which is what format_value gives them, so the CSV path passes
-    cells on as they are.
+    str, which is what format_value gives them, so cells pass on as they
+    are.  CSV is the only format: any `fmt` but "csv" is a ValueError.
     """
-    if fmt not in FORMATS:
-        raise ValueError("unknown format %r; expected one of %s" % (fmt, FORMATS))
-    if fmt == "csv":
-        body = io.StringIO()
-        writer = csv.writer(body, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        lines = [timestamp_line(), *_meta_lines(meta), body.getvalue()[:-1]]
-    else:
-        # json.dumps emits bare Infinity for the truth agent's precision;
-        # read_table parses it back, but strict JSON parsers will not.
-        lines = [json.dumps({"generated": _now()})]
-        lines.append(json.dumps({"meta": {k: _jsonable(v) for k, v in meta.items()}}))
-        for row in rows:
-            lines.append(json.dumps(dict(zip(columns, (_jsonable(v) for v in row)))))
-    return _write_lines(path, lines)
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+    if fmt != "csv":
+        raise ValueError("unknown format %r; tables are csv" % (fmt,))
+    body = io.StringIO()
+    body.writelines("# %s: %s\n" % (k, format_value(v))
+                    for k, v in meta.items())
+    writer = csv.writer(body, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(timestamp_line() + "\n" + body.getvalue())
+    return path
 
 
 @dataclass
@@ -114,19 +78,10 @@ class TableData:
 
 
 def read_table(path) -> TableData:
-    """Read a file written by write_table in either format."""
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ValueError("empty table file: %s" % path)
-    if text[0].startswith("#"):
-        return _read_csv(text, path)
-    return _read_jsonl(text)
-
-
-def _read_csv(lines, path) -> TableData:
+    """Read a file written by write_table."""
     meta = {}
     body = []
-    for line in lines:
+    for line in Path(path).read_text().splitlines():
         if line.startswith("# generated:"):
             continue
         if line.startswith("# "):
@@ -141,26 +96,6 @@ def _read_csv(lines, path) -> TableData:
     for j, name in enumerate(header):
         raw = [row[j] for row in data]
         cols[name] = _as_array(raw)
-    return TableData(meta=meta, columns=cols)
-
-
-def _read_jsonl(lines) -> TableData:
-    meta = {}
-    rows = []
-    for line in lines:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if "generated" in obj and len(obj) == 1:
-            continue
-        if "meta" in obj and len(obj) == 1:
-            meta = obj["meta"]
-            continue
-        rows.append(obj)
-    cols = {}
-    if rows:
-        for name in rows[0]:
-            cols[name] = _as_array([r.get(name) for r in rows])
     return TableData(meta=meta, columns=cols)
 
 
@@ -203,10 +138,10 @@ def _trajectory_rows(times, means, precisions):
                np.asarray(precisions, dtype=np.float64).ravel().tolist())
 
 
-def write_trajectory(path, traj: Trajectory, fmt: str = "csv") -> Path:
+def write_trajectory(path, traj: Trajectory) -> Path:
     meta = _trajectory_meta(traj.params, "simulated", {"run": traj.run_index})
     rows = _trajectory_rows(traj.times, traj.means, traj.precisions)
-    return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)
+    return write_table(path, meta, TRAJECTORY_COLUMNS, rows)
 
 
 def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np.ndarray:
@@ -228,27 +163,26 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np
 
 
 def write_expected_trajectory(path, expected: ExpectedTrajectory,
-                              schedule: GraphSchedule,
-                              fmt: str = "csv") -> Path:
+                              schedule: GraphSchedule) -> Path:
     """Expected-process table in the trajectory format, kind `expected`."""
     ledger = ledger_for_times(schedule, expected.params, expected.times)
     prec = _precisions(ledger, expected.params.tau)
     meta = _trajectory_meta(expected.params, "expected", {"run": 0})
     rows = _trajectory_rows(expected.times, expected.means, prec)
-    return write_table(path, meta, TRAJECTORY_COLUMNS, rows, fmt)
+    return write_table(path, meta, TRAJECTORY_COLUMNS, rows)
 
 
 SUMMARY_COLUMNS = ["t", "agent", "mean", "variance"]
 
 
-def write_ensemble_summary(path, ens: EnsembleResult, fmt: str = "csv") -> Path:
+def write_ensemble_summary(path, ens: EnsembleResult) -> Path:
     """Per-time, per-agent mean and across-run variance (ddof=1 when M > 1)."""
     meta = _trajectory_meta(ens.params, "ensemble-summary", {"runs": ens.n_runs})
     mean = ens.means.mean(axis=0)
     ddof = 1 if ens.n_runs > 1 else 0
     var = ens.means.var(axis=0, ddof=ddof)
     rows = _trajectory_rows(ens.times, mean, var)
-    return write_table(path, meta, SUMMARY_COLUMNS, rows, fmt)
+    return write_table(path, meta, SUMMARY_COLUMNS, rows)
 
 
 def trajectory_norms(table: TableData):
@@ -275,14 +209,14 @@ def _verdict(check) -> str:
     return "pass" if check.passed else ("gated" if check.gated else "FAIL")
 
 
-def write_check_report(path, checks, fmt: str = "csv", extra_meta=None) -> Path:
+def write_check_report(path, checks, extra_meta=None) -> Path:
     """One row per bound check: name, lhs, rhs, margin, pass/FAIL/gated."""
     meta = {"kind": "check-report", "checks": len(checks)}
     if extra_meta:
         meta.update(extra_meta)
     rows = [(c.name, float(c.lhs), float(c.rhs), float(c.margin), _verdict(c))
             for c in checks]
-    return write_table(path, meta, CHECK_COLUMNS, rows, fmt)
+    return write_table(path, meta, CHECK_COLUMNS, rows)
 
 
 def check_report_text(checks) -> str:
@@ -300,15 +234,15 @@ def check_report_text(checks) -> str:
 RATE_COLUMNS = ["t", "norm"]
 
 
-def write_rate_table(path, times, norms, meta=None, fmt: str = "csv") -> Path:
+def write_rate_table(path, times, norms, meta=None) -> Path:
     base = {"kind": "rate-table"}
     if meta:
         base.update(meta)
     rows = ((int(t), float(v)) for t, v in zip(times, norms))
-    return write_table(path, base, RATE_COLUMNS, rows, fmt)
+    return write_table(path, base, RATE_COLUMNS, rows)
 
 
-def write_rate_report(path, fit, meta=None, fmt: str = "csv") -> Path:
+def write_rate_report(path, fit, meta=None) -> Path:
     base = {"kind": "rate-report"}
     if meta:
         base.update(meta)
@@ -317,27 +251,26 @@ def write_rate_report(path, fit, meta=None, fmt: str = "csv") -> Path:
     row = (float(fit.slope), float(fit.intercept), float(fit.theoretical_bound),
            float(fit.slack), int(fit.window[0]), int(fit.window[1]),
            int(fit.n_points), fit.status)
-    return write_table(path, base, columns, [row], fmt)
+    return write_table(path, base, columns, [row])
 
 
 SWITCH_COLUMNS = ["k", "t_k", "s_k", "value_at_t", "bound_at_t",
                   "value_at_s", "bound_at_s"]
 
 
-def write_switch_table(path, switches, fmt: str = "csv") -> Path:
+def write_switch_table(path, switches) -> Path:
     meta = {"kind": "switch-table", "cycles": len(switches)}
     rows = (
         (int(sw.k), int(sw.t_k), int(sw.s_k), float(sw.value_at_t),
          float(sw.bound_at_t), float(sw.value_at_s), float(sw.bound_at_s))
         for sw in switches
     )
-    return write_table(path, meta, SWITCH_COLUMNS, rows, fmt)
+    return write_table(path, meta, SWITCH_COLUMNS, rows)
 
 
 def _comparable_lines(path) -> list[str]:
     lines = Path(path).read_text().splitlines()
-    if lines and (lines[0].startswith("# generated:")
-                  or lines[0].startswith('{"generated"')):
+    if lines and lines[0].startswith("# generated:"):
         lines = lines[1:]
     return lines
 

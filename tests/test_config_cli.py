@@ -76,12 +76,12 @@ kappa = 3
 
 [output]
 directory = results
-format = jsonl
+format = csv
 """
     cfg = parse_config(text)
     assert cfg.verify == VerifySpec(checks=("identities", "norms"), kappa=3)
     assert cfg.ratefit == RatefitSpec("expected.csv", (10, 120), 2, 3)
-    assert (cfg.out_dir, cfg.out_format) == ("results", "jsonl")
+    assert cfg.out_dir == "results"
 
 
 def test_build_schedule_kinds():
@@ -128,8 +128,11 @@ def test_bad_values_carry_section_and_key():
         (BASE + "\n[verify]\nkappa = 0\n", "[verify].kappa"),
         (BASE + "\n[verify]\nkappa = -3\n", "[verify].kappa"),
         (BASE + "\n[output]\nformat = parquet\n", "format"),
+        (BASE + "\n[output]\nformat = jsonl\n", "[output].format"),
         (BASE + "\n[ratefit]\ninput = a\nwindow = 9 3\nd = 2\nkappa = 3\n",
          "window"),
+        (BASE + "\n[ratefit]\ninput = a\nwindow = 3 9\nd = 2\nkappa = 3\n"
+         "slack = inf\n", "[ratefit].slack"),
         (BASE.replace("peer_rule = ring", PEER_EDGES_1X),
          "[schedule].peer_edges: line 2"),
         (BASE.replace("peer_rule = ring",
@@ -443,23 +446,76 @@ def test_counterexample_rejects_other_schedules(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_ratefit_on_expected_output(tmp_path):
-    text = BASE + """
+RATEFIT = """
 [ratefit]
 input = expected.csv
 window = 10 120
 d = 2
 kappa = 3
 """
-    cfg = config_file(tmp_path, text)
+
+
+def test_ratefit_on_expected_output(tmp_path, capsys):
+    cfg = config_file(tmp_path, BASE + RATEFIT)
     out = tmp_path / "out"
     assert main(["expected", "--config", cfg, "--out", str(out)]) == 0
     assert main(["ratefit", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("(pass)\n")
     report = read_table(out / "ratefit.csv")
     assert float(report["slope"][0]) < 0
     assert report["status"][0] == "ok"
     points = read_table(out / "ratefit-points.csv")
     assert len(points["t"]) > 5
+
+
+def test_ratefit_prints_the_verdict(tmp_path, capsys):
+    """A fit that misses its bound prints FAIL and exits 1; the report's
+    status column still says the fit itself went through."""
+    cfg = config_file(tmp_path, BASE + RATEFIT + "slack = -5\n")
+    out = tmp_path / "out"
+    assert main(["expected", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ratefit", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.endswith("(FAIL)\n")
+    assert read_table(out / "ratefit.csv")["status"][0] == "ok"
+
+
+@pytest.mark.parametrize("slack", ["inf", "-inf", "nan"])
+def test_non_finite_ratefit_slack_is_config_error(tmp_path, capsys, slack):
+    """slack = inf would pass every fit; nan would fail every fit."""
+    cfg = config_file(tmp_path, BASE + RATEFIT + "slack = %s\n" % slack)
+    out = tmp_path / "out"
+    assert main(["ratefit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[ratefit].slack" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_BAD_TABLES = {
+    "empty": "",
+    "no-header": "# generated: 2026-01-01T00:00:00Z\n# kind: expected\n",
+    "no-t-column": "# kind: expected\nagent,mean\n1,0.5\n",
+    "short-row": "t,agent,mean\n0,1,0.5\n1,1\n",
+    "text-mean": "t,agent,mean\n0,1,0.5\n1,1,high\n",
+    "jsonl": '{"generated": "2026-01-01T00:00:00Z"}\n'
+             '{"meta": {"kind": "expected"}}\n'
+             '{"t": 0, "agent": 1, "mean": 0.5}\n',
+}
+
+
+@pytest.mark.parametrize("content", list(_BAD_TABLES.values()),
+                         ids=list(_BAD_TABLES))
+def test_ratefit_bad_input_table_is_config_error(tmp_path, capsys, content):
+    """An input that is not a trajectory table is [ratefit].input, exit 2,
+    with nothing written."""
+    (tmp_path / "table.csv").write_text(content)
+    cfg = config_file(tmp_path, BASE + RATEFIT.replace(
+        "expected.csv", str(tmp_path / "table.csv")))
+    out = tmp_path / "out"
+    assert main(["ratefit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[ratefit].input" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("window", ["130 200", "115 125"])
@@ -558,14 +614,15 @@ def test_table_schedule_beyond_coverage_is_config_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_jsonl_output_round_trips(tmp_path):
-    text = BASE + "\n[output]\nformat = jsonl\n"
-    cfg = config_file(tmp_path, text)
+def test_jsonl_format_is_config_error(tmp_path, capsys):
+    """JSONL output is gone: asking for it stops the run before anything
+    is written."""
+    cfg = config_file(tmp_path, BASE + "\n[output]\nformat = jsonl\n")
     out = tmp_path / "out"
-    assert main(["expected", "--config", cfg, "--out", str(out)]) == 0
-    table = read_table(out / "expected.jsonl")
-    assert table.meta["kind"] == "expected"
-    assert len(table["t"]) > 0
+    assert main(["expected", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[output].format" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_pipeline_smoke(tmp_path):

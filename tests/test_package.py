@@ -18,7 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "reduced_product", "step_expected", "rng_stream",
            "consensus_verdict", "ConsensusVerdict", "fourth_moment_summary",
-           "serialize_config", "standard_schedule_set", "StandardCase")
+           "serialize_config", "standard_schedule_set", "StandardCase",
+           "FORMATS")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -36,6 +37,12 @@ def test_all_names_resolve():
                if not hasattr(socialbayes, name)]
     assert missing == []
     assert len(set(socialbayes.__all__)) == len(socialbayes.__all__)
+
+
+# Every writer of a table, all CSV: none takes a format.
+_TABLE_WRITERS = ("write_trajectory", "write_expected_trajectory",
+                  "write_ensemble_summary", "write_check_report",
+                  "write_rate_table", "write_rate_report", "write_switch_table")
 
 
 def test_removed_names_are_gone():
@@ -61,7 +68,10 @@ def test_removed_names_are_gone():
                         (socialbayes.make_counterexample_schedule,
                          "tolerance_rule"),
                         (socialbayes.CounterexampleSchedule,
-                         "tolerance_rule")):
+                         "tolerance_rule"),
+                        (socialbayes.ExperimentConfig, "out_format"),
+                        *((getattr(socialbayes.tables, writer), "fmt")
+                          for writer in _TABLE_WRITERS)):
         assert param not in inspect.signature(func).parameters, func
     # the step kernels keep truth and idle rows by arithmetic, with no mask
     assert not hasattr(socialbayes.schedules.Block, "idle")
@@ -121,18 +131,37 @@ def test_w_stacks_are_built_in_one_place():
         ("_transitions", "expected.py", "transition_bundle")}
 
 
-def test_traced_layers_resolve():
-    """Every function the benchmark's --trace 1 wraps still exists."""
+def _benchmark_spans():
     spec = importlib.util.spec_from_file_location(
         "_benchmark_spans", ROOT / "benchmark" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_layers_resolve():
+    """Every function the benchmark's --trace 1 wraps still exists."""
+    spans = _benchmark_spans()
     assert spans.LAYERS
     for module, attr, _ in spans.LAYERS:
         owner = importlib.import_module("socialbayes." + module)
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_traced_write_hook_counts_rows(tmp_path):
+    """The benchmark's write_table hook reads the call's fmt and meta and
+    counts the data rows of the file written."""
+    spans = _benchmark_spans()
+    tracer = spans.Tracer()
+    write = tracer.wrap("tables.write", socialbayes.tables.write_table,
+                        spans._HOOKS["write_table"])
+    rows = [(t, 0.5 * t) for t in range(7)]
+    write(tmp_path / "t.csv", {"kind": "x", "n": 2}, ["t", "v"], rows)
+    assert tracer.counts["tables.write.rows"] == len(rows)
+    assert tracer.counts["tables.write.bytes"] == \
+        (tmp_path / "t.csv").stat().st_size
 
 
 @pytest.mark.parametrize("script", ["demos/03_window_bounds.py",

@@ -363,6 +363,26 @@ def test_schedule_sizes_are_integers():
             make(3, 2.5)
 
 
+def test_table_and_periodic_inputs_are_integers():
+    """Edge times and endpoints, peer pairs and phases go by _integral's
+    rule: 3.0 is 3, a fraction is refused, never truncated."""
+    a = make_table_schedule(2, [(0.0, 1.0, 0), (1, 2.0, 0.0)], horizon=3)
+    b = make_table_schedule(2, [(0, 1, 0), (1, 2, 0)], horizon=3)
+    assert all(a.edges_at(t) == b.edges_at(t) for t in range(3))
+    p = make_periodic_schedule(3, 3, peer_rule=[(1.0, 2)], phases=[0.0, 2, 1])
+    assert p.phases == (0, 2, 1)
+    assert p.edges_at(0) == make_periodic_schedule(
+        3, 3, peer_rule=[(1, 2)], phases=[0, 2, 1]).edges_at(0)
+    bad = [lambda: make_table_schedule(2, [(0.5, 1, 0), (1, 2, 0)]),
+           lambda: make_table_schedule(2, [(0, 1, 0), (1, 2.7, 0)]),
+           lambda: make_table_schedule(2, [(0, 1, np.nan)]),
+           lambda: make_periodic_schedule(2, 3, phases=[0.5, 2.9]),
+           lambda: make_periodic_schedule(3, 3, peer_rule=[(1.5, 2)])]
+    for make in bad:
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+
+
 @pytest.mark.parametrize("ratio, start", [(np.nan, 2.0), (np.inf, 2.0),
                                           (1.0, np.nan), (1.0, np.inf)])
 def test_counterexample_rejects_non_finite_inputs(ratio, start):

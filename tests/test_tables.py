@@ -1,4 +1,4 @@
-"""Every table writer reads back exactly, in both formats."""
+"""Every table writer reads back exactly."""
 
 import csv
 import dataclasses
@@ -36,7 +36,8 @@ from socialbayes.tables import (
 PARAMS = SystemParams(n=3, tau=2.0, tau0=1.0, truth=0.5, seed=5)
 SCHEDULE = make_periodic_schedule(3, 3, peer_rule="ring")
 
-pytestmark = pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+# Each test keeps its [csv] id; tables have one format.
+pytestmark = pytest.mark.parametrize("fmt", ["csv"])
 
 
 def _assert_reads_back(path, columns, rows, kind=None):
@@ -59,13 +60,22 @@ def test_write_table_quotes_awkward_fields(tmp_path, fmt):
             ('say "hi", twice', float("inf"), 2),
             ("plain", -1e-300, 3)]
     path = write_table(tmp_path / ("t." + fmt), {"kind": "x, y"}, columns,
-                       rows, fmt)
+                       rows)
     _assert_reads_back(path, columns, rows, "x, y")
+
+
+def test_write_table_is_csv_only(tmp_path, fmt):
+    """fmt names the one format; any other value writes nothing."""
+    path = write_table(tmp_path / ("t." + fmt), {}, ["t"], [(1,)], fmt)
+    assert read_table(path)["t"].tolist() == [1]
+    with pytest.raises(ValueError, match="tables are csv"):
+        write_table(tmp_path / "t.jsonl", {}, ["t"], [(1,)], "jsonl")
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_write_trajectory(tmp_path, fmt):
     traj = run_simulation(SCHEDULE, PARAMS, 20, x0=2.0, record_every=3)
-    path = write_trajectory(tmp_path / ("run." + fmt), traj, fmt)
+    path = write_trajectory(tmp_path / ("run." + fmt), traj)
     _assert_reads_back(path, TRAJECTORY_COLUMNS, _trajectory_rows(
         traj.times, traj.means, traj.precisions), "simulated")
 
@@ -77,7 +87,7 @@ def test_write_expected_trajectory(tmp_path, fmt):
                                   means=expected.means[times],
                                   norms=expected.norms[times])
     path = write_expected_trajectory(tmp_path / ("e." + fmt), thinned,
-                                     SCHEDULE, fmt)
+                                     SCHEDULE)
     counts = np.cumsum([np.zeros(4, dtype=np.int64)]
                        + [SCHEDULE.arrays_at(t)[1] for t in range(20)], axis=0)
     precisions = PARAMS.tau * (PARAMS.ratio + counts[times])
@@ -94,7 +104,7 @@ def test_expected_precision_exact_at_non_dyadic_ratio(tmp_path, fmt):
     horizon = 3000
     expected = run_expected(schedule, params, horizon, x0=2.0)
     path = write_expected_trajectory(tmp_path / ("e." + fmt), expected,
-                                     schedule, fmt)
+                                     schedule)
     counts = np.cumsum([np.zeros(5, dtype=np.int64)]
                        + [schedule.arrays_at(t)[1] for t in range(horizon)],
                        axis=0)
@@ -106,7 +116,7 @@ def test_expected_precision_exact_at_non_dyadic_ratio(tmp_path, fmt):
 
 def test_write_ensemble_summary(tmp_path, fmt):
     ens = run_ensemble(SCHEDULE, PARAMS, 20, n_runs=3, x0=2.0, record_every=5)
-    path = write_ensemble_summary(tmp_path / ("s." + fmt), ens, fmt)
+    path = write_ensemble_summary(tmp_path / ("s." + fmt), ens)
     mean = ens.means.mean(axis=0)
     var = ens.means.var(axis=0, ddof=1)
     rows = [(int(t), i, mean[k, i], var[k, i])
@@ -119,7 +129,7 @@ def test_write_check_report(tmp_path, fmt):
     checks += [BoundCheck("gated[s=0,kappa=3]", 1.0, 0.0, status="burn-in"),
                BoundCheck("failing[pairs=2]", 2.0, 1.0)]
     assert any("," in c.name for c in checks)
-    path = write_check_report(tmp_path / ("verify." + fmt), checks, fmt)
+    path = write_check_report(tmp_path / ("verify." + fmt), checks)
     rows = [(c.name, c.lhs, c.rhs, c.margin,
              "pass" if c.passed else ("gated" if c.gated else "FAIL"))
             for c in checks]
@@ -129,13 +139,13 @@ def test_write_check_report(tmp_path, fmt):
 def test_write_rate_table_and_report(tmp_path, fmt):
     expected = run_expected(SCHEDULE, PARAMS, 200, x0=2.0)
     path = write_rate_table(tmp_path / ("points." + fmt), expected.times,
-                            expected.norms, fmt=fmt)
+                            expected.norms)
     _assert_reads_back(path, RATE_COLUMNS,
                        list(zip(expected.times.tolist(), expected.norms)),
                        "rate-table")
     fit = fit_rate(expected.times, expected.norms, window=(10, 200), d=3,
                    kappa=3)
-    path = write_rate_report(tmp_path / ("fit." + fmt), fit, fmt=fmt)
+    path = write_rate_report(tmp_path / ("fit." + fmt), fit)
     columns = ["slope", "intercept", "bound", "slack", "window_lo",
                "window_hi", "n_points", "status"]
     row = (fit.slope, fit.intercept, fit.theoretical_bound, fit.slack,
@@ -147,7 +157,7 @@ def test_write_switch_table(tmp_path, fmt):
     schedule = make_counterexample_schedule(1.0, 2000)
     switches = schedule.switches
     assert switches
-    path = write_switch_table(tmp_path / ("sw." + fmt), switches, fmt=fmt)
+    path = write_switch_table(tmp_path / ("sw." + fmt), switches)
     rows = [(sw.k, sw.t_k, sw.s_k, sw.value_at_t, sw.bound_at_t,
              sw.value_at_s, sw.bound_at_s) for sw in switches]
     _assert_reads_back(path, SWITCH_COLUMNS, rows, "switch-table")
@@ -166,13 +176,12 @@ def test_write_table_cells_as_format_value_writes_them(tmp_path, fmt):
             ("numpy", np.float64(0.1), np.int64(-7)),
             ("numpy-inf", np.float64(-np.inf), 8)]
     path = write_table(tmp_path / ("t." + fmt), {"kind": "cells"}, columns,
-                       rows, fmt)
+                       rows)
     table = read_table(path)
-    if fmt == "csv":
-        body = io.StringIO()
-        csv.writer(body, lineterminator="\n").writerows(
-            [columns] + [list(map(format_value, row)) for row in rows])
-        assert path.read_text().splitlines()[2:] == body.getvalue().splitlines()
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(
+        [columns] + [list(map(format_value, row)) for row in rows])
+    assert path.read_text().splitlines()[2:] == body.getvalue().splitlines()
     for j, name in enumerate(columns):
         want = np.array([row[j] for row in rows])
         assert np.array_equal(table[name], want,
@@ -188,7 +197,7 @@ def test_trajectory_norms_on_unsorted_rows(tmp_path, fmt):
         zip(times, rng.normal(size=times.size)))]
     rng.shuffle(rows)
     path = write_table(tmp_path / ("t." + fmt), {"truth": 0.25},
-                       TRAJECTORY_COLUMNS, rows, fmt)
+                       TRAJECTORY_COLUMNS, rows)
     got_times, got_norms = trajectory_norms(read_table(path))
     t = np.array([r[0] for r in rows])
     agent = np.array([r[1] for r in rows])
