@@ -5,6 +5,8 @@ and numerically verifies the contraction bounds, convergence rates, and
 the alternating counterexample schedule that the model supports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     TOL,
     BoundCheck,
@@ -87,72 +89,7 @@ from .tables import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TOL",
-    "BeliefState",
-    "BoundCheck",
-    "ConfigError",
-    "CounterexampleSchedule",
-    "CounterexampleVerdict",
-    "EnsembleResult",
-    "ExpectedTrajectory",
-    "ExperimentConfig",
-    "GraphSchedule",
-    "MomentReport",
-    "PeriodicSchedule",
-    "RandomSchedule",
-    "RateFit",
-    "RatefitSpec",
-    "ScheduleConstructionError",
-    "ScheduleHorizonError",
-    "ScheduleSpec",
-    "SignalBatch",
-    "SwitchRecord",
-    "SystemParams",
-    "TableSchedule",
-    "Trajectory",
-    "TransitionBundle",
-    "TruthHearingVerdict",
-    "VerifySpec",
-    "build_schedule",
-    "bundle_at",
-    "burn_in_threshold",
-    "check_contraction",
-    "check_diagonal_bound",
-    "check_norm_inequalities",
-    "check_product_decay",
-    "check_report_text",
-    "check_transition_identities",
-    "check_truth_pull_accumulation",
-    "counterexample_check",
-    "default_pull_tolerance",
-    "emit_signals",
-    "estimate_deviation_moments",
-    "files_match",
-    "fit_rate",
-    "initial_state",
-    "load_config",
-    "make_counterexample_schedule",
-    "make_periodic_schedule",
-    "make_random_schedule",
-    "make_table_schedule",
-    "max_degree",
-    "norm_inf",
-    "norm_max",
-    "parse_config",
-    "read_table",
-    "run_ensemble",
-    "run_expected",
-    "run_simulation",
-    "run_stream",
-    "step_per_agent",
-    "sweep_window_checks",
-    "trajectory_norms",
-    "transition_bundle",
-    "transition_bundles",
-    "update_agent",
-    "verify_truth_hearing",
-    "write_check_report",
-    "write_table",
-    "write_trajectory",
-]
+# Every public name imported above, and nothing else.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import SystemParams, run_ensemble
 from .expected import ExpectedTrajectory, run_expected
 from .schedules import (CounterexampleSchedule, GraphSchedule, _budget_steps,
-                        _integral, _stacks, max_degree)
+                        _count, _integral, _stacks, max_degree)
 
 TOL = 1e-12
 
@@ -110,8 +110,6 @@ def _window_core(schedule: GraphSchedule, params: SystemParams, s: int,
     l = kappa-1); its truth pull summed in step order from zeros.  The
     products by the identity are exact, so they are skipped.
     """
-    if kappa < 1:
-        raise ValueError("window length kappa must be >= 1")
     stop = s + (stop - s) // kappa * kappa
     for w, before, after in _windows(schedule, params, s, stop, kappa):
         b = w[:, :, 1:, 1:]
@@ -134,6 +132,7 @@ def _window_checks(schedule: GraphSchedule, params: SystemParams, s: int,
                    kappa: int, stop: int) -> list[BoundCheck]:
     """The diagonal, contraction and truth-pull checks of each window of
     _window_core, window by window."""
+    kappa = _count(kappa, "window length kappa")
     checks = []
     for p_start, p_end, prod, diags, pull in _window_core(
             schedule, params, s, kappa, stop):
@@ -207,10 +206,9 @@ def burn_in_threshold(params: SystemParams, kappa: int, d: int) -> float:
     """Window index past which the harmonic product decay bound applies.
 
     m* = 2*d*kappa/delta + (tau0/tau)/(d*kappa*tau_ratio_unit), with
-    delta = min(tau0/tau, 1).  Needs kappa >= 1 and d >= 1.
+    delta = min(tau0/tau, 1).  kappa and d are integers >= 1.
     """
-    if kappa < 1 or d < 1:
-        raise ValueError("need window length kappa >= 1 and degree cap d >= 1")
+    kappa, d = _count(kappa, "window length kappa"), _count(d, "degree cap d")
     delta = min(params.ratio, 1.0)
     return 2.0 * d * kappa / delta + params.ratio / (d * kappa)
 
@@ -226,9 +224,9 @@ def check_product_decay(schedule: GraphSchedule, params: SystemParams,
     The product is one sequential product over the steps of the span, read
     from the W stacks.
     """
+    m0, m = _count(m0, "m0", 0), _count(m, "m", 0)
+    kappa, d = _count(kappa, "window length kappa"), _count(d, "degree cap d")
     name = f"product_decay[m0={m0},m={m},kappa={kappa}]"
-    if m < 0 or m0 < 0:
-        raise ValueError("window indices must be nonnegative")
     mstar = burn_in_threshold(params, kappa, d)
     if m0 < mstar:
         return _skipped(name, f"burn-in not reached (m* = {mstar:.3f})",
@@ -369,10 +367,12 @@ def fit_rate(times, norms, window: tuple[int, int], d: int, kappa: int,
 
     Uses only strictly positive norms at strictly positive times inside
     [window[0], window[1]].  Raises when the window retains fewer than two
-    points but some norms are positive, and for d < 1 or kappa < 1.
+    points but some norms are positive, for d or kappa not an integer >= 1
+    and for a non-finite slack.
     """
-    if d < 1 or kappa < 1:
-        raise ValueError("need degree cap d >= 1 and window length kappa >= 1")
+    d, kappa = _count(d, "degree cap d"), _count(kappa, "window length kappa")
+    if not math.isfinite(slack):
+        raise ValueError("slack must be finite")
     times = np.asarray(times, dtype=np.float64)
     norms = np.asarray(norms, dtype=np.float64)
     if times.shape != norms.shape:
@@ -422,8 +422,7 @@ def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
     Given times are taken by _integral's rule (3.0 is 3, 50.7 an error) and
     must not be empty.  Requires n_runs >= 100 for any reported fit.
     """
-    if n_runs < 100:
-        raise ValueError("need at least 100 runs for moment estimates")
+    n_runs = _count(n_runs, "n_runs", 100)
     if times is None:
         if horizon < 100:
             raise ValueError("default grid starts at t=100; give times")

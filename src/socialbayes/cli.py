@@ -30,6 +30,7 @@ from .expected import run_expected
 from .schedules import (
     ScheduleConstructionError,
     ScheduleHorizonError,
+    _count,
 )
 
 EXIT_OK = 0
@@ -254,18 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(value: int, section: str, key: str, least: int) -> int:
+    """--seed or --horizon by its config key's rule (_count)."""
+    try:
+        return _count(value, key, least)
+    except ValueError as exc:
+        raise ConfigError(str(exc), section, key) from None
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("need seed >= 0", "params", "seed")
+        seed = _override(args.seed, "params", "seed", 0)
         cfg = dataclasses.replace(
-            cfg, params=dataclasses.replace(cfg.params, seed=args.seed))
+            cfg, params=dataclasses.replace(cfg.params, seed=seed))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.horizon is not None:
-        if args.horizon < 0:
-            raise ConfigError("need horizon >= 0", "run", "horizon")
-        cfg = dataclasses.replace(cfg, horizon=args.horizon)
+        cfg = dataclasses.replace(
+            cfg, horizon=_override(args.horizon, "run", "horizon", 0))
     return cfg
 
 

@@ -5,7 +5,9 @@ Sections: [params] (system parameters, master seed, initial means),
 recording cadence), and optional [verify], [ratefit], [output].  An
 unknown section or key is an error, so a typo cannot fall back to a
 default.  The master seed is mandatory: reruns of the same file must be
-reproducible, so there is no wall-clock fallback.
+reproducible, so there is no wall-clock fallback.  Keys are checked by
+the API's own rules, such as schedules._count for the integer keys, and
+a value that breaks one is a ConfigError naming its section and key.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 from .dynamics import SystemParams
 from .schedules import (
     GraphSchedule,
+    _count,
     make_counterexample_schedule,
     make_periodic_schedule,
     make_random_schedule,
@@ -122,6 +125,11 @@ def _as_bool(raw: str) -> bool:
     raise ValueError("expected on/off")
 
 
+def _as_count(key: str, least: int = 1):
+    """A _get converter: an int by the API's rule for counts (_count)."""
+    return lambda raw: _count(int(raw), key, least)
+
+
 def _as_floats(raw: str) -> tuple:
     parts = raw.replace(",", " ").split()
     if not parts:
@@ -157,9 +165,7 @@ def _parse_params(cp) -> tuple:
         raise ConfigError("section missing", "params")
     sec = cp["params"]
     name = "params"
-    n = _get(sec, "n", int, name=name)
-    if n < 1:
-        raise ConfigError("need n >= 1", name, "n")
+    n = _get(sec, "n", _as_count("n"), name=name)
     tau = _get(sec, "tau", float, 1.0, name)
     tau0 = _get(sec, "tau0", float, 1.0, name)
     if not (0 < tau < math.inf and 0 < tau0 < math.inf):
@@ -168,9 +174,7 @@ def _parse_params(cp) -> tuple:
     if not math.isfinite(truth):
         raise ConfigError("must be finite", name, "truth")
     # reproducibility first: the seed has no default
-    seed = _get(sec, "seed", int, name=name)
-    if seed < 0:
-        raise ConfigError("need seed >= 0", name, "seed")
+    seed = _get(sec, "seed", _as_count("seed", 0), name=name)
     truth_noise = _get(sec, "truth_noise", _as_bool, True, name)
     x0 = _get(sec, "x0", _as_floats, (truth,), name)
     if len(x0) not in (1, n, n + 1):
@@ -238,24 +242,19 @@ def _parse_run(cp) -> tuple:
         raise ConfigError("section missing", "run")
     sec = cp["run"]
     name = "run"
-    horizon = _get(sec, "horizon", int, name=name)
-    if horizon < 0:
-        raise ConfigError("need horizon >= 0", name, "horizon")
-    ensemble = _get(sec, "ensemble", int, 1, name)
-    if ensemble < 1:
-        raise ConfigError("need ensemble >= 1", name, "ensemble")
+    horizon = _get(sec, "horizon", _as_count("horizon", 0), name=name)
+    ensemble = _get(sec, "ensemble", _as_count("ensemble"), 1, name)
     record_times = _get(sec, "record_times", _as_ints, None, name)
     if record_times == ():
         raise ConfigError("need at least one record time", name,
                           "record_times")
-    record_every = _get(sec, "record_every", int, None, name)
+    record_every = _get(sec, "record_every", _as_count("record_every"), None,
+                        name)
     if record_times is not None and record_every is not None:
         raise ConfigError("record_every and record_times are exclusive",
                           name, "record_every")
     if record_times is None and record_every is None:
         record_every = 1
-    if record_every is not None and record_every < 1:
-        raise ConfigError("need record_every >= 1", name, "record_every")
     return horizon, ensemble, record_every, record_times
 
 
@@ -272,9 +271,7 @@ def _parse_verify(cp) -> VerifySpec:
                                   % (c, CHECK_NAMES), name, "checks")
     else:
         names = CHECK_NAMES
-    kappa = _get(sec, "kappa", int, None, name)
-    if kappa is not None and kappa < 1:
-        raise ConfigError("need kappa >= 1", name, "kappa")
+    kappa = _get(sec, "kappa", _as_count("kappa"), None, name)
     fault = _get(sec, "inject_fault", str, "none", name)
     if fault not in FAULT_HOOKS:
         raise ConfigError("unknown fault hook %r" % fault, name,
@@ -292,10 +289,8 @@ def _parse_ratefit(cp) -> RatefitSpec | None:
     if len(window) != 2 or not 0 < window[0] < window[1]:
         raise ConfigError("window needs two increasing positive times",
                           name, "window")
-    d = _get(sec, "d", int, name=name)
-    kappa = _get(sec, "kappa", int, name=name)
-    if d < 1 or kappa < 1:
-        raise ConfigError("need d >= 1 and kappa >= 1", name, "d")
+    d = _get(sec, "d", _as_count("d"), name=name)
+    kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
     slack = _get(sec, "slack", float, 0.05, name)
     if not math.isfinite(slack):
         raise ConfigError("must be finite", name, "slack")

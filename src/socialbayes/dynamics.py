@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import GraphSchedule, _check_seed, _integral, _stacks, _streams
+from .schedules import GraphSchedule, _count, _integral, _stacks, _streams
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -65,8 +65,8 @@ class SystemParams:
     tau is the observation precision (1/sigma^2), tau0 the shared prior
     precision.  truth_noise controls whether the truth agent's emitted signal
     carries observation noise like everyone else's; the mean process is
-    unaffected either way.  n is taken by _integral's rule: 3.0 is 3, 2.5
-    a ValueError.
+    unaffected either way.  n and seed go by schedules._count's rule: 3.0
+    is 3, 2.5 a ValueError.
     """
 
     n: int
@@ -77,14 +77,12 @@ class SystemParams:
     truth_noise: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(_integral(self.n, "n")))
-        if self.n < 1:
-            raise ValueError("need at least one learning agent")
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if not all(map(np.isfinite, (self.tau, self.tau0, self.truth))):
             raise ValueError("tau, tau0 and truth must be finite")
         if self.tau <= 0 or self.tau0 <= 0:
             raise ValueError("precisions must be positive")
-        _check_seed(self.seed)
 
     @property
     def ratio(self) -> float:
@@ -228,10 +226,7 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
         if times.size and (times[0] < 0 or times[-1] > horizon):
             raise ValueError("record times outside [0, horizon]")
         return times
-    step = 1 if record_every is None else int(_integral(record_every,
-                                                       "record_every"))
-    if step < 1:
-        raise ValueError("record_every must be >= 1")
+    step = 1 if record_every is None else _count(record_every, "record_every")
     times = np.arange(0, horizon + 1, step, dtype=np.int64)
     if times.size == 0 or times[-1] != horizon:
         times = np.append(times, horizon)
@@ -437,8 +432,7 @@ def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
     stream (seed, run tag, run_index).  horizon = 0 records only the initial
     state.  The deterministic mean process is run_expected.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    horizon = _count(horizon, "horizon", 0)
     times = _record_times(horizon, record_every, record_times)
     means, ledger = _run_core(schedule, params, horizon, x0, times, 1,
                               run_index)
@@ -460,11 +454,8 @@ def run_ensemble(schedule: GraphSchedule, params: SystemParams, horizon: int,
                  n_runs: int, x0=None, record_every=None,
                  record_times=None) -> EnsembleResult:
     """Independent runs over a shared schedule (run r uses stream index r)."""
-    n_runs = int(_integral(n_runs, "n_runs"))
-    if n_runs < 1:
-        raise ValueError("need at least one run")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    n_runs = _count(n_runs, "n_runs")
+    horizon = _count(horizon, "horizon", 0)
     times = _record_times(horizon, record_every, record_times)
     means, ledger = _run_core(schedule, params, horizon, x0, times, n_runs)
     return EnsembleResult(times, means, ledger, params, n_runs)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import GraphSchedule, _stacks, _transitions
+from .schedules import GraphSchedule, _count, _stacks, _transitions
 
 # run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
 # per-pattern arithmetic is faster (measured on ring, truth-only and
@@ -191,8 +191,7 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     norms are taken per W stack or block, so extra memory is one of them,
     not the horizon.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    horizon = _count(horizon, "horizon", 0)
     init = initial_state(params, x0)
     truth = params.truth
     means = np.empty((horizon + 1, params.n + 1))

@@ -66,13 +66,16 @@ def _integral(values, name: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _check_seed(seed):
-    """ValueError for a negative seed and, by _integral's rule, for a
-    fractional or non-finite one; an int of any size passes as it is."""
-    if not isinstance(seed, numbers.Integral):
-        seed = _integral(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an int, the one rule for counts, horizons and seeds: any
+    Integral passes as it is, so a seed may pass 2^64; another number goes
+    by _integral's rule (3.0 is 3; 2.5, nan and inf are errors).
+    ValueError below least."""
+    if not isinstance(value, numbers.Integral):
+        value = _integral(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
 
 
 # _streams hashes a batch of at least _BATCH_MIN indices itself, a smaller
@@ -210,8 +213,8 @@ class GraphSchedule:
     Subclasses implement edges_at(t), the receive edges among rows i >= 1
     (truth edges are (i, 0)), which is the definition, and _compile(start,
     stop), the same steps as a Block.  Walks read `compiled`; arrays_at is
-    the one-step query.  n, and a kind's kappa, phases and edges, are
-    taken by _integral's rule: 3.0 is 3, 2.5 a ValueError.
+    the one-step query.  n, the horizon and a kind's kappa go by _count's
+    rule, its phases and edges by _integral's: 3.0 is 3, 2.5 a ValueError.
     """
 
     kind = "base"
@@ -220,10 +223,9 @@ class GraphSchedule:
     _step_bytes = np.dtype(np.intp).itemsize
 
     def __init__(self, n: int, horizon: int | None = None):
-        self.n = int(_integral(n, "n"))
-        if self.n < 1:
-            raise ValueError("need at least one learning agent")
-        self.horizon = None if horizon is None else int(horizon)
+        self.n = _count(n, "n")
+        self.horizon = (None if horizon is None
+                        else _count(horizon, "horizon", 0))
 
     def edges_at(self, t: int) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
@@ -423,8 +425,7 @@ def verify_truth_hearing(schedule: GraphSchedule, kappa: int,
     violating (agent, window start), scanning windows in order and agents by
     index, or a passing verdict.
     """
-    if kappa < 1:
-        raise ValueError("window length must be >= 1")
+    kappa = _count(kappa, "window length kappa")
     heard = np.full(schedule.n, -1, dtype=np.int64)  # last hear per learner
     for blk in schedule.compiled.blocks(0, horizon):
         steps = np.arange(blk.start, blk.start + len(blk.slots))
@@ -499,9 +500,7 @@ class PeriodicSchedule(GraphSchedule):
                  phases: list[int] | None = None, horizon: int | None = None):
         super().__init__(n, horizon)
         n = self.n
-        self.kappa = kappa = int(_integral(kappa, "kappa"))
-        if kappa < 1:
-            raise ValueError("window length must be >= 1")
+        self.kappa = kappa = _count(kappa, "window length kappa")
         if phases is None:
             phases = [i % kappa for i in range(1, n + 1)]
         phases = _integral(phases, "phases").tolist()
@@ -567,15 +566,12 @@ class RandomSchedule(GraphSchedule):
                  horizon: int | None = None):
         super().__init__(n, horizon)
         n = self.n
-        self.kappa = kappa = int(_integral(kappa, "kappa"))
-        if kappa < 1:
-            raise ValueError("window length must be >= 1")
+        self.kappa = kappa = _count(kappa, "window length kappa")
         if not (0.0 <= edge_probability <= 1.0):
             raise ValueError("edge probability must lie in [0, 1]")
         self.edge_probability = float(edge_probability)
-        _check_seed(seed)
-        self.seed = int(seed)
-        rng = _schedule_rng(seed, _TAG_PHASES, 0)
+        self.seed = _count(seed, "seed", 0)
+        rng = _schedule_rng(self.seed, _TAG_PHASES, 0)
         self.phases = tuple(int(p) for p in rng.integers(0, kappa, size=n))
         self._step_bytes = 8 * ((n + 1) ** 2 + n + 2)
 
@@ -671,9 +667,7 @@ class CounterexampleSchedule(GraphSchedule):
             raise ValueError("precision ratio must be positive and finite")
         if not np.isfinite(start):
             raise ValueError("start must be finite")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        super().__init__(2, horizon)
+        super().__init__(2, _count(horizon, "horizon"))
         self.ratio = float(ratio)
         self.start = float(start)
         self.switches: list[SwitchRecord] = []

@@ -32,6 +32,7 @@ from socialbayes.schedules import (
     make_random_schedule,
     make_table_schedule,
     max_degree,
+    verify_truth_hearing,
 )
 
 
@@ -191,6 +192,14 @@ def test_fit_rate_rejects_bad_degree_cap_and_window(d, kappa):
         fit_rate(t, 1.0 / t, window=(10, 40), d=d, kappa=kappa)
 
 
+@pytest.mark.parametrize("slack", [math.inf, -math.inf, math.nan])
+def test_fit_rate_rejects_non_finite_slack(slack):
+    """slack = inf passed every fit, nan failed every one."""
+    t = np.arange(1, 50)
+    with pytest.raises(ValueError, match="slack"):
+        fit_rate(t, 1.0 / t, window=(2, 10), d=1, kappa=1, slack=slack)
+
+
 def test_sweep_window_checks_all_pass_on_periodic_ring():
     sched = make_periodic_schedule(4, 3, peer_rule="ring")
     checks = sweep_window_checks(sched, SystemParams(n=4, seed=0), 300, 3)
@@ -207,7 +216,7 @@ def test_sweep_window_checks_all_pass_on_periodic_ring():
     assert families["product_decay"] >= 1
 
 
-@pytest.mark.parametrize("kappa", [0, -2])
+@pytest.mark.parametrize("kappa", [0, -2, 2.5, math.nan])
 @pytest.mark.parametrize("call", [
     lambda s, p, k: check_diagonal_bound(s, p, 0, k),
     lambda s, p, k: check_contraction(s, p, 0, k),
@@ -227,6 +236,21 @@ def test_product_decay_rejects_degree_cap_below_one(d):
     sched = make_periodic_schedule(4, 3, peer_rule="ring")
     with pytest.raises(ValueError, match="degree cap"):
         check_product_decay(sched, SystemParams(n=4, seed=0), 20, 1, 3, d)
+
+
+def test_fractional_window_counts_are_rejected():
+    """A window that started at -0.5 and a TypeError become ValueErrors;
+    3.0 counts as 3."""
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    params = SystemParams(n=4, seed=0)
+    with pytest.raises(ValueError, match="kappa"):
+        verify_truth_hearing(sched, 2.5, 30)
+    for m0, m in ((20.5, 1), (20, 1.5), (-1, 1), (20, -1)):
+        with pytest.raises(ValueError, match="^m0 " if m == 1 else "^m "):
+            check_product_decay(sched, params, m0, m, 3, 2)
+    assert verify_truth_hearing(sched, 3.0, 30).kappa == 3
+    assert check_product_decay(sched, params, 20.0, 1.0, 3.0, 2.0) == \
+        check_product_decay(sched, params, 20, 1, 3, 2)
 
 
 def _reference_checks(schedule, params, horizon, kappa):

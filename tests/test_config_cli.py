@@ -133,6 +133,10 @@ def test_bad_values_carry_section_and_key():
          "window"),
         (BASE + "\n[ratefit]\ninput = a\nwindow = 3 9\nd = 2\nkappa = 3\n"
          "slack = inf\n", "[ratefit].slack"),
+        (BASE + "\n[ratefit]\ninput = a\nwindow = 3 9\nd = 2\nkappa = 0\n",
+         "[ratefit].kappa"),
+        (BASE + "\n[ratefit]\ninput = a\nwindow = 3 9\nd = 0\nkappa = 3\n",
+         "[ratefit].d"),
         (BASE.replace("peer_rule = ring", PEER_EDGES_1X),
          "[schedule].peer_edges: line 2"),
         (BASE.replace("peer_rule = ring",
@@ -226,6 +230,15 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--seed", "-3"]) == 2
     assert "[params].seed" in capsys.readouterr().err
+
+
+def test_negative_horizon_override_is_config_error(tmp_path, capsys):
+    cfg = config_file(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--horizon", "-1"]) == 2
+    assert "[run].horizon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "expected", "counterexample"])

@@ -318,6 +318,13 @@ def test_integral_floats_count_as_integers():
     assert np.array_equal(floats.means, ints.means)
     every = run_simulation(sched, params, 40, record_every=2.0)
     assert np.array_equal(every.times, np.arange(0, 41, 2))
+    # a horizon of 3.0 is 3 at every run entry
+    for run in (lambda h: expected.run_expected(sched, params, h),
+                lambda h: run_simulation(sched, params, h),
+                lambda h: run_ensemble(sched, params, h, n_runs=2)):
+        a, b = run(3.0), run(3)
+        assert list(a.times) == [0, 1, 2, 3]
+        assert np.array_equal(a.means, b.means)
 
 
 def _exact_variances(sched, params, horizon):

@@ -37,6 +37,10 @@ def test_all_names_resolve():
                if not hasattr(socialbayes, name)]
     assert missing == []
     assert len(set(socialbayes.__all__)) == len(socialbayes.__all__)
+    # __all__ is derived from the imports: no module, no private name
+    for name in socialbayes.__all__:
+        assert not name.startswith("_"), name
+        assert not inspect.ismodule(getattr(socialbayes, name)), name
 
 
 # Every writer of a table, all CSV: none takes a format.

@@ -399,6 +399,12 @@ def test_schedule_rejects_degenerate_sizes():
         make_periodic_schedule(2, 2, peer_rule="mesh")
     with pytest.raises(ValueError):
         make_periodic_schedule(2, 2, phases=[0, 5])
+    # a negative or fractional horizon is refused when the schedule is built
+    for horizon in (-5, 2.5):
+        with pytest.raises(ValueError, match="horizon"):
+            make_periodic_schedule(2, 3, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            make_random_schedule(2, 3, 0.5, seed=1, horizon=horizon)
 
 
 _SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 3]
