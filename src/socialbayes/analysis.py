@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import SystemParams, run_ensemble
 from .expected import ExpectedTrajectory, run_expected
 from .schedules import (CounterexampleSchedule, GraphSchedule, _budget_steps,
-                        _count, _integral, _stacks, max_degree)
+                        _count, _integral, _real, _stacks, max_degree)
 
 TOL = 1e-12
 
@@ -132,7 +132,7 @@ def _window_checks(schedule: GraphSchedule, params: SystemParams, s: int,
                    kappa: int, stop: int) -> list[BoundCheck]:
     """The diagonal, contraction and truth-pull checks of each window of
     _window_core, window by window."""
-    kappa = _count(kappa, "window length kappa")
+    s, kappa = _count(s, "s", 0), _count(kappa, "window length kappa")
     checks = []
     for p_start, p_end, prod, diags, pull in _window_core(
             schedule, params, s, kappa, stop):
@@ -266,6 +266,7 @@ def check_transition_identities(schedule: GraphSchedule, params: SystemParams,
     to W[0, 1, 1] of the first W stack, built for this check alone: the
     fault that `inject_fault = transition` injects.
     """
+    horizon = _count(horizon, "horizon", 0)
     worst, at = [0.0, 0.0], [-1, -1]
     for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon):
         if _fault and t0 == 0:
@@ -361,6 +362,13 @@ class RateFit:
         return self.slope <= self.theoretical_bound + self.slack
 
 
+def _window(window) -> tuple:
+    """fit_rate's window (lo, hi), ValueError unless 0 < lo < hi."""
+    if len(window) != 2 or not 0 < window[0] < window[1]:
+        raise ValueError("window must satisfy 0 < lo < hi")
+    return tuple(window)
+
+
 def fit_rate(times, norms, window: tuple[int, int], d: int, kappa: int,
              slack: float = 0.05) -> RateFit:
     """Fit log ||z_t|| against log t over a time window.
@@ -371,15 +379,12 @@ def fit_rate(times, norms, window: tuple[int, int], d: int, kappa: int,
     and for a non-finite slack.
     """
     d, kappa = _count(d, "degree cap d"), _count(kappa, "window length kappa")
-    if not math.isfinite(slack):
-        raise ValueError("slack must be finite")
+    slack = _real(slack, "slack")
     times = np.asarray(times, dtype=np.float64)
     norms = np.asarray(norms, dtype=np.float64)
     if times.shape != norms.shape:
         raise ValueError("times and norms must align")
-    lo, hi = window
-    if not (0 < lo < hi):
-        raise ValueError("window must satisfy 0 < lo < hi")
+    lo, hi = _window(window)
     inside = (times >= lo) & (times <= hi) & (times > 0)
     if not np.any(inside):
         raise ValueError("window contains no samples")
@@ -423,6 +428,7 @@ def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
     must not be empty.  Requires n_runs >= 100 for any reported fit.
     """
     n_runs = _count(n_runs, "n_runs", 100)
+    horizon = _count(horizon, "horizon", 0)
     if times is None:
         if horizon < 100:
             raise ValueError("default grid starts at t=100; give times")

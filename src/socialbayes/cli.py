@@ -54,12 +54,6 @@ def _warn(msg: str):
     print("warning: " + msg, file=sys.stderr)
 
 
-def _x0(cfg: ExperimentConfig):
-    if len(cfg.x0) == 1:
-        return float(cfg.x0[0])
-    return np.asarray(cfg.x0, dtype=float)
-
-
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -83,7 +77,7 @@ def _thin_expected(expected, times: np.ndarray):
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     schedule = build_schedule(cfg)
     ens = run_ensemble(schedule, cfg.params, cfg.horizon,
-                       n_runs=cfg.ensemble, x0=_x0(cfg),
+                       n_runs=cfg.ensemble, x0=cfg.x0,
                        record_times=_times(cfg))
     out = _out_dir(cfg)
     for r in range(ens.n_runs):
@@ -102,7 +96,7 @@ def cmd_expected(cfg: ExperimentConfig) -> int:
               % cfg.ensemble)
     schedule = build_schedule(cfg)
     times = _times(cfg)
-    expected = run_expected(schedule, cfg.params, cfg.horizon, x0=_x0(cfg))
+    expected = run_expected(schedule, cfg.params, cfg.horizon, x0=cfg.x0)
     thinned = _thin_expected(expected, times)
     path = tables.write_expected_trajectory(_out_dir(cfg) / "expected.csv",
                                             thinned, schedule)
@@ -182,12 +176,8 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
 
 
 def _resolve_input(cfg: ExperimentConfig, name: str) -> Path:
-    path = Path(name)
-    if path.is_absolute():
-        candidates = [path]
-    else:
-        candidates = [path, Path(cfg.out_dir) / path]
-    for cand in candidates:
+    # an absolute name joined to the output directory is itself
+    for cand in (Path(name), Path(cfg.out_dir) / name):
         if cand.exists():
             return cand
     raise ConfigError("input file not found: %s" % name, "ratefit", "input")

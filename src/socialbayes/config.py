@@ -5,22 +5,24 @@ Sections: [params] (system parameters, master seed, initial means),
 recording cadence), and optional [verify], [ratefit], [output].  An
 unknown section or key is an error, so a typo cannot fall back to a
 default.  The master seed is mandatory: reruns of the same file must be
-reproducible, so there is no wall-clock fallback.  Keys are checked by
-the API's own rules, such as schedules._count for the integer keys, and
-a value that breaks one is a ConfigError naming its section and key.
+reproducible, so there is no wall-clock fallback.  config keeps no rule
+of its own: each value is read through the API's rule for it (_count,
+_real, initial_state's, fit_rate's window), and a value that breaks one,
+or an unreadable file, is a ConfigError naming its section and key.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dynamics import SystemParams
+from .analysis import _window
+from .dynamics import SystemParams, initial_state
 from .schedules import (
     GraphSchedule,
     _count,
+    _real,
     make_counterexample_schedule,
     make_periodic_schedule,
     make_random_schedule,
@@ -110,8 +112,6 @@ def _get(section, key, conv, default=..., name=""):
     raw = section[key].strip()
     try:
         return conv(raw)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError("cannot parse %r (%s)" % (raw, exc), name, key)
 
@@ -130,11 +130,18 @@ def _as_count(key: str, least: int = 1):
     return lambda raw: _count(int(raw), key, least)
 
 
-def _as_floats(raw: str) -> tuple:
-    parts = raw.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty value")
-    return tuple(float(p) for p in parts)
+def _as_real(key: str, **bounds):
+    """A _get converter: a float by the API's rule for reals (_real)."""
+    return lambda raw: _real(float(raw), key, **bounds)
+
+
+def _as_x0(params: SystemParams):
+    """A _get converter: initial means, a tuple as initial_state takes it."""
+    def conv(raw: str) -> tuple:
+        x0 = tuple(float(p) for p in raw.replace(",", " ").split())
+        initial_state(params, x0)
+        return x0
+    return conv
 
 
 def _as_ints(raw: str) -> tuple:
@@ -165,26 +172,15 @@ def _parse_params(cp) -> tuple:
         raise ConfigError("section missing", "params")
     sec = cp["params"]
     name = "params"
-    n = _get(sec, "n", _as_count("n"), name=name)
-    tau = _get(sec, "tau", float, 1.0, name)
-    tau0 = _get(sec, "tau0", float, 1.0, name)
-    if not (0 < tau < math.inf and 0 < tau0 < math.inf):
-        raise ConfigError("precisions must be positive and finite", name, "tau")
-    truth = _get(sec, "truth", float, 0.0, name)
-    if not math.isfinite(truth):
-        raise ConfigError("must be finite", name, "truth")
-    # reproducibility first: the seed has no default
-    seed = _get(sec, "seed", _as_count("seed", 0), name=name)
-    truth_noise = _get(sec, "truth_noise", _as_bool, True, name)
-    x0 = _get(sec, "x0", _as_floats, (truth,), name)
-    if len(x0) not in (1, n, n + 1):
-        raise ConfigError("x0 needs 1, n, or n+1 values (got %d)" % len(x0),
-                          name, "x0")
-    if not all(map(math.isfinite, x0)):
-        raise ConfigError("values must be finite", name, "x0")
-    params = SystemParams(n=n, tau=tau, tau0=tau0, truth=truth, seed=seed,
-                          truth_noise=truth_noise)
-    return params, x0
+    params = SystemParams(
+        n=_get(sec, "n", _as_count("n"), name=name),
+        tau=_get(sec, "tau", _as_real("tau", low=0, strict=True), 1.0, name),
+        tau0=_get(sec, "tau0", _as_real("tau0", low=0, strict=True), 1.0, name),
+        truth=_get(sec, "truth", _as_real("truth"), 0.0, name),
+        # reproducibility first: the seed has no default
+        seed=_get(sec, "seed", _as_count("seed", 0), name=name),
+        truth_noise=_get(sec, "truth_noise", _as_bool, True, name))
+    return params, _get(sec, "x0", _as_x0(params), (params.truth,), name)
 
 
 def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
@@ -197,7 +193,7 @@ def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
         raise ConfigError("unknown kind %r; expected one of %s"
                           % (kind, SCHEDULE_KINDS), name, "kind")
     if kind == "periodic":
-        kappa = _get(sec, "kappa", int, name=name)
+        kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
         peer_rule = _get(sec, "peer_rule", str, "none", name)
         if peer_rule not in PEER_RULES:
             raise ConfigError("unknown peer_rule %r" % peer_rule, name,
@@ -209,31 +205,27 @@ def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
         return ScheduleSpec(kind=kind, kappa=kappa, peer_rule=peer_rule,
                             peer_edges=peer_edges)
     if kind == "random":
-        kappa = _get(sec, "kappa", int, name=name)
-        p = _get(sec, "edge_probability", float, 0.0, name)
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("edge_probability must lie in [0, 1]", name,
-                              "edge_probability")
+        kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
+        p = _get(sec, "edge_probability",
+                 _as_real("edge_probability", low=0, high=1), 0.0, name)
         return ScheduleSpec(kind=kind, kappa=kappa, edge_probability=p)
     if kind == "counterexample":
         if params.n != 2:
             raise ConfigError("counterexample schedule requires n = 2 "
                               "(got n = %d)" % params.n, name, "kind")
-        start = _get(sec, "start", float, 2.0, name)
+        start = _get(sec, "start", _as_real("start"), 2.0, name)
         return ScheduleSpec(kind=kind, start=start)
     # explicit-table: inline edge lines, an external file, or both
     edges = ()
     if "edges" in sec:
         edges += _parse_lines(sec["edges"].strip(), name, "edges", "t i j")
     if "path" in sec:
-        path = Path(sec["path"].strip())
-        if not path.exists():
-            raise ConfigError("edge file not found: %s" % path, name, "path")
-        edges += _parse_lines(path.read_text(), name, "path", "t i j")
+        edges += _parse_lines(_read(sec["path"].strip(), name, "path"), name,
+                              "path", "t i j")
     if not edges:
         raise ConfigError("explicit-table needs 'edges' lines or 'path'",
                           name, "kind")
-    table_horizon = _get(sec, "horizon", int, None, name)
+    table_horizon = _get(sec, "horizon", _as_count("horizon", 0), None, name)
     return ScheduleSpec(kind=kind, edges=edges, table_horizon=table_horizon)
 
 
@@ -285,15 +277,11 @@ def _parse_ratefit(cp) -> RatefitSpec | None:
     sec = cp["ratefit"]
     name = "ratefit"
     inp = _get(sec, "input", str, name=name)
-    window = _get(sec, "window", _as_ints, name=name)
-    if len(window) != 2 or not 0 < window[0] < window[1]:
-        raise ConfigError("window needs two increasing positive times",
-                          name, "window")
+    window = _get(sec, "window", lambda raw: _window(_as_ints(raw)),
+                  name=name)
     d = _get(sec, "d", _as_count("d"), name=name)
     kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
-    slack = _get(sec, "slack", float, 0.05, name)
-    if not math.isfinite(slack):
-        raise ConfigError("must be finite", name, "slack")
+    slack = _get(sec, "slack", _as_real("slack"), 0.05, name)
     return RatefitSpec(input=inp, window=window, d=d, kappa=kappa, slack=slack)
 
 
@@ -336,11 +324,17 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
+def _read(path, section: str | None = None, key: str | None = None) -> str:
+    """The UTF-8 text of a file; ConfigError if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %s (%s)" % (path, exc), section,
+                          key) from None
+
+
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError("config file not found: %s" % path)
-    return parse_config(path.read_text())
+    return parse_config(_read(path))
 
 
 def build_schedule(cfg: ExperimentConfig) -> GraphSchedule:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import GraphSchedule, _count, _integral, _stacks, _streams
+from .schedules import (GraphSchedule, _count, _integral, _real, _stacks,
+                        _streams)
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -65,8 +66,8 @@ class SystemParams:
     tau is the observation precision (1/sigma^2), tau0 the shared prior
     precision.  truth_noise controls whether the truth agent's emitted signal
     carries observation noise like everyone else's; the mean process is
-    unaffected either way.  n and seed go by schedules._count's rule: 3.0
-    is 3, 2.5 a ValueError.
+    unaffected either way.  n and seed go by schedules._count's rule (3.0
+    is 3, 2.5 a ValueError), tau, tau0 (both > 0) and truth by _real's.
     """
 
     n: int
@@ -77,12 +78,12 @@ class SystemParams:
     truth_noise: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _count(self.n, "n"))
-        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
-        if not all(map(np.isfinite, (self.tau, self.tau0, self.truth))):
-            raise ValueError("tau, tau0 and truth must be finite")
-        if self.tau <= 0 or self.tau0 <= 0:
-            raise ValueError("precisions must be positive")
+        for key, value in (("n", _count(self.n, "n")),
+                           ("seed", _count(self.seed, "seed", 0)),
+                           ("tau", _real(self.tau, "tau", 0, strict=True)),
+                           ("tau0", _real(self.tau0, "tau0", 0, strict=True)),
+                           ("truth", _real(self.truth, "truth"))):
+            object.__setattr__(self, key, value)
 
     @property
     def ratio(self) -> float:
@@ -116,23 +117,17 @@ def _precisions(ledger: np.ndarray, tau: float) -> np.ndarray:
 
 
 def initial_state(params: SystemParams, x0=None) -> BeliefState:
-    """State at t=0: given means (scalar broadcast or per-agent), prior ledger."""
-    m = np.empty(params.n + 1)
-    if x0 is None:
-        m[:] = params.truth
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
-        if x0.ndim == 0:
-            m[1:] = float(x0)
-        elif x0.size == params.n:
-            m[1:] = x0
-        elif x0.size == params.n + 1:
+    """State at t=0: prior ledger, means x0 by _real's rule, one value
+    broadcast or n values, or n+1 whose first, the truth's, is ignored."""
+    m = np.full(params.n + 1, params.truth)
+    if x0 is not None:
+        x0 = _real(x0, "x0")
+        if np.size(x0) == params.n + 1:
             m[1:] = x0[1:]
+        elif np.size(x0) in (1, params.n):
+            m[1:] = x0
         else:
-            raise ValueError("x0 must be scalar, length n, or length n+1")
-    m[0] = params.truth
+            raise ValueError("x0 must have 1, n or n+1 values")
     ledger = np.full(params.n + 1, params.ratio)
     return BeliefState(m, ledger, 0, params)
 

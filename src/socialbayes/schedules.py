@@ -67,15 +67,30 @@ def _integral(values, name: str) -> np.ndarray:
 
 
 def _count(value, name: str, least: int = 1) -> int:
-    """value as an int, the one rule for counts, horizons and seeds: any
-    Integral passes as it is, so a seed may pass 2^64; another number goes
-    by _integral's rule (3.0 is 3; 2.5, nan and inf are errors).
-    ValueError below least."""
+    """value as an int, the one rule for counts, horizons, seeds and walk
+    spans: any Integral passes as it is, so a seed may pass 2^64; another
+    number must be finite and whole and goes by int() (3.0 is 3, 1e19 is
+    10^19; 2.5, nan and inf are errors).  ValueError below least."""
     if not isinstance(value, numbers.Integral):
-        value = _integral(value, name)
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be integers")
+        value = int(float(value))
     if value < least:
         raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
+
+
+def _real(value, name: str, low=-np.inf, high=np.inf, strict=False):
+    """value as a float, or an array of them as float64: the one rule for
+    real inputs.  ValueError naming name unless every entry is finite and
+    within [low, high], or (low, high] when strict."""
+    values = np.asarray(value, dtype=np.float64)
+    above = values > low if strict else values >= low
+    if not np.all(np.isfinite(values) & above & (values <= high)):
+        raise ValueError(f"{name} must be finite" + ("" if low == -np.inf else
+                         f" and {'>' if strict else '>='} {low:g}")
+                         + ("" if high == np.inf else f" and <= {high:g}"))
+    return float(values) if values.ndim == 0 else values
 
 
 # _streams hashes a batch of at least _BATCH_MIN indices itself, a smaller
@@ -275,25 +290,27 @@ class CompiledSchedule:
         self._held: dict[int, Block] = {}
         self.nbytes = 0
 
-    def _checked(self, start: int, stop: int) -> GraphSchedule:
-        """The schedule, once [start, stop) is found within its horizon."""
-        if not 0 <= start <= stop:
-            raise ValueError("need 0 <= start <= stop")
+    def _checked(self, start: int, stop: int) -> tuple:
+        """(the schedule, start, stop) once start and stop pass _count's
+        rule and [start, stop) is found within the schedule's horizon."""
+        start = _count(start, "start", 0)
+        stop = _count(stop, "stop", start)
         schedule = self._schedule()
         if schedule is None:
             raise ReferenceError("the compiled schedule no longer exists")
         if stop > start:
             schedule._check_t(stop - 1)
-        return schedule
+        return schedule, start, stop
 
     def block(self, start: int, stop: int) -> Block:
         """Steps [start, stop) compiled afresh, within the schedule's horizon."""
-        return self._checked(start, stop)._compile(start, stop)
+        schedule, start, stop = self._checked(start, stop)
+        return schedule._compile(start, stop)
 
     def blocks(self, start: int, stop: int):
         """Iterator over the Blocks covering [start, stop) in order, cut to
         it.  The span is checked now, and the iterator holds the schedule."""
-        return self._blocks(self._checked(start, stop), start, stop)
+        return self._blocks(*self._checked(start, stop))
 
     def _blocks(self, schedule: GraphSchedule, start: int, stop: int):
         j = min(start // self.steps, len(self._counts) - 1)
@@ -400,6 +417,7 @@ def _groups(blocks, ratio: float, start: int, stop: int, steps: int):
 
 def max_degree(schedule: GraphSchedule, horizon: int) -> int:
     """Largest receive count over agents and steps t < horizon."""
+    horizon = _count(horizon, "horizon", 0)
     return max((int(blk.step_degrees().max())
                 for blk in schedule.compiled.blocks(0, horizon)), default=0)
 
@@ -426,6 +444,7 @@ def verify_truth_hearing(schedule: GraphSchedule, kappa: int,
     index, or a passing verdict.
     """
     kappa = _count(kappa, "window length kappa")
+    horizon = _count(horizon, "horizon", 0)
     heard = np.full(schedule.n, -1, dtype=np.int64)  # last hear per learner
     for blk in schedule.compiled.blocks(0, horizon):
         steps = np.arange(blk.start, blk.start + len(blk.slots))
@@ -567,9 +586,8 @@ class RandomSchedule(GraphSchedule):
         super().__init__(n, horizon)
         n = self.n
         self.kappa = kappa = _count(kappa, "window length kappa")
-        if not (0.0 <= edge_probability <= 1.0):
-            raise ValueError("edge probability must lie in [0, 1]")
-        self.edge_probability = float(edge_probability)
+        self.edge_probability = _real(edge_probability, "edge probability",
+                                      0, 1)
         self.seed = _count(seed, "seed", 0)
         rng = _schedule_rng(self.seed, _TAG_PHASES, 0)
         self.phases = tuple(int(p) for p in rng.integers(0, kappa, size=n))
@@ -663,13 +681,9 @@ class CounterexampleSchedule(GraphSchedule):
     kind = "counterexample"
 
     def __init__(self, ratio: float, horizon: int, start: float = 2.0):
-        if not 0 < ratio < np.inf:
-            raise ValueError("precision ratio must be positive and finite")
-        if not np.isfinite(start):
-            raise ValueError("start must be finite")
+        self.ratio = _real(ratio, "precision ratio", 0, strict=True)
+        self.start = _real(start, "start")
         super().__init__(2, _count(horizon, "horizon"))
-        self.ratio = float(ratio)
-        self.start = float(start)
         self.switches: list[SwitchRecord] = []
         self.truth_times_1: list[int] = []
         self.truth_times_2: list[int] = []

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import EnsembleResult, SystemParams, Trajectory, _precisions
 from .expected import ExpectedTrajectory
-from .schedules import GraphSchedule
+from .schedules import GraphSchedule, _integral
 
 def timestamp_line() -> str:
     return "# generated: " + datetime.now(timezone.utc).strftime(
@@ -148,9 +148,9 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np
     """Precision-ledger snapshots at the requested times, one blocked pass.
 
     Each row is ratio + (int64 receive count), from the schedule's
-    compiled blocks below the latest time.
+    compiled blocks below the latest time; times go by _integral's rule.
     """
-    times = np.asarray(times, dtype=np.int64)
+    times = _integral(times, "ledger times")
     if np.any(times < 0):
         raise ValueError("ledger times must be nonnegative")
     out = np.full((len(times), params.n + 1), params.ratio)

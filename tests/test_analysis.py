@@ -24,7 +24,7 @@ from socialbayes.analysis import (
     sweep_window_checks,
 )
 from socialbayes.dynamics import SystemParams
-from socialbayes.expected import transition_bundles
+from socialbayes.expected import run_expected, transition_bundles
 from socialbayes.schedules import (
     _BLOCK_STEPS,
     make_counterexample_schedule,
@@ -34,6 +34,7 @@ from socialbayes.schedules import (
     max_degree,
     verify_truth_hearing,
 )
+from socialbayes.tables import ledger_for_times
 
 
 def test_bound_check_semantics():
@@ -392,6 +393,65 @@ def test_estimate_deviation_moments_rejects_bad_times(times):
         estimate_deviation_moments(make_periodic_schedule(2, 2),
                                    SystemParams(n=2, seed=0), horizon=100,
                                    n_runs=100, times=times)
+
+
+def test_estimate_deviation_moments_takes_horizon_as_a_count():
+    """The horizon goes by the count rule: 150.5 is an error (it built a
+    default grid up to it), 150.0 is 150."""
+    sched = make_periodic_schedule(1, 1)
+    params = SystemParams(n=1, seed=3)
+    with pytest.raises(ValueError, match="horizon"):
+        estimate_deviation_moments(sched, params, horizon=150.5, n_runs=100)
+    got = estimate_deviation_moments(sched, params, horizon=150.0,
+                                     n_runs=100)
+    want = estimate_deviation_moments(sched, params, horizon=150, n_runs=100)
+    assert list(got.times) == list(want.times) == [100]
+    assert np.array_equal(got.moments, want.moments)
+
+
+_HORIZON_CHECKS = {
+    "verify_truth_hearing": lambda s, p, h: verify_truth_hearing(s, 3, h),
+    "check_transition_identities": check_transition_identities,
+    "sweep_window_checks": lambda s, p, h: sweep_window_checks(s, p, h, 3),
+    "max_degree": lambda s, p, h: max_degree(s, h),
+}
+
+
+@pytest.mark.parametrize("check", list(_HORIZON_CHECKS.values()),
+                         ids=list(_HORIZON_CHECKS))
+def test_check_horizons_go_by_the_count_rule(check):
+    """A horizon of 30.0 is 30 and 30.5 a ValueError, and the refused
+    call leaves the schedule's compiled blocks as they were: it held
+    float slots that broke every later walk."""
+    params = SystemParams(n=3, seed=2)
+
+    def ring():
+        return make_periodic_schedule(3, 3, peer_rule="ring")
+
+    sched = ring()
+    with pytest.raises(ValueError, match="horizon"):
+        check(sched, params, 30.5)
+    assert repr(check(sched, params, 30.0)) == repr(check(ring(), params, 30))
+    fresh = ring()
+    assert np.array_equal(run_expected(sched, params, 40, x0=2.0).means,
+                          run_expected(fresh, params, 40, x0=2.0).means)
+    assert np.array_equal(ledger_for_times(sched, params, [0, 7, 31, 40]),
+                          ledger_for_times(fresh, params, [0, 7, 31, 40]))
+
+
+def test_window_starts_and_walk_spans_go_by_the_count_rule():
+    """A window start s and a walk's start and stop are counts: 3.0 is 3,
+    and a fractional one or a stop before the start is a ValueError."""
+    sched = make_periodic_schedule(3, 3, peer_rule="ring")
+    params = SystemParams(n=3)
+    with pytest.raises(ValueError, match="^s "):
+        check_diagonal_bound(sched, params, 2.5, 3)
+    with pytest.raises(ValueError, match="^start "):
+        sched.compiled.blocks(2.5, 4)
+    with pytest.raises(ValueError, match="^stop "):
+        sched.compiled.blocks(5, 4)
+    assert repr(check_diagonal_bound(sched, params, 3.0, 3)) == \
+        repr(check_diagonal_bound(sched, params, 3, 3))
 
 
 def test_counterexample_check_passes_and_counts():

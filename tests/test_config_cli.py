@@ -164,6 +164,55 @@ def test_bad_values_carry_section_and_key():
         assert needle in str(err.value)
 
 
+PERIODIC = "kind = periodic\nkappa = 3\npeer_rule = ring"
+RANDOM = BASE.replace(PERIODIC, "kind = random\nkappa = 3\n"
+                      "edge_probability = 0.5")
+_RATEFIT_AT = "\n[ratefit]\ninput = a\nd = 2\nkappa = 3\nwindow = "
+
+# Values the API's rules refuse, each reported under its own key.
+_API_RULE_CASES = {
+    "periodic-kappa-0": (BASE.replace("kappa = 3", "kappa = 0"),
+                         "[schedule].kappa"),
+    "random-kappa-0": (RANDOM.replace("kappa = 3", "kappa = 0"),
+                       "[schedule].kappa"),
+    "edge-probability-1.5": (RANDOM.replace("= 0.5", "= 1.5"),
+                             "[schedule].edge_probability"),
+    "start-nan": (TRAP.replace("kind = counterexample",
+                               "kind = counterexample\nstart = nan"),
+                  "[schedule].start"),
+    "table-horizon--2": (BASE.replace(PERIODIC, "kind = explicit-table\n"
+                                      "horizon = -2\nedges =\n    0 1 0"),
+                         "[schedule].horizon"),
+    "tau0-nan": (BASE.replace("x0 = 2.0", "x0 = 2.0\ntau0 = nan"),
+                 "[params].tau0"),
+    "tau-0": (BASE.replace("x0 = 2.0", "x0 = 2.0\ntau = 0"), "[params].tau"),
+    "x0-two-of-four": (BASE.replace("x0 = 2.0", "x0 = 1 2"), "[params].x0"),
+    "window-three-times": (BASE + _RATEFIT_AT + "1 2 3\n",
+                           "[ratefit].window"),
+}
+
+
+@pytest.mark.parametrize("text, needle", list(_API_RULE_CASES.values()),
+                         ids=list(_API_RULE_CASES))
+def test_values_go_by_the_api_rules(text, needle):
+    """Each key is read through the API's rule for it, and a value that
+    breaks it names the key: the schedule's used to reach build_schedule,
+    which named no key, and tau0 was reported as tau."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert needle in str(err.value)
+
+
+def test_one_x0_value_broadcasts():
+    """A single x0 value is kept as one value, and every learner starts
+    at it, as with a scalar."""
+    cfg = parse_config(BASE)
+    assert cfg.x0 == (2.0,)
+    sched = build_schedule(cfg)
+    assert np.array_equal(run_expected(sched, cfg.params, 9, x0=cfg.x0).means,
+                          run_expected(sched, cfg.params, 9, x0=2.0).means)
+
+
 def test_schedule_keys_of_any_kind_are_known():
     """[schedule] knows the keys of every kind; a kind ignores the others'."""
     text = BASE.replace("peer_rule = ring", "peer_rule = ring\nstart = 3.0\n"
@@ -573,6 +622,30 @@ def test_ratefit_without_section(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "ghost.ini")]) == 2
+
+
+@pytest.mark.parametrize("where", ["config", "edge-file"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_file_is_config_error(tmp_path, capsys, kind, where):
+    """A directory or a file that is not UTF-8, given as the config or as
+    [schedule] path, is a config error (exit 2, nothing written), not an
+    IsADirectoryError or UnicodeDecodeError traceback."""
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"[params]\nn = 2\n# caf\xe9\n")
+    cfg = str(bad)
+    if where == "edge-file":
+        cfg = config_file(tmp_path, BASE.replace(
+            PERIODIC, "kind = explicit-table\npath = %s" % bad))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    if where == "edge-file":
+        assert "[schedule].path" in err
+    assert not out.exists()
 
 
 def test_horizon_override(tmp_path):

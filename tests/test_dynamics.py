@@ -1,5 +1,7 @@
 """Noisy belief dynamics: conjugate updates, RNG streams, trajectories."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,36 @@ def test_ledger_exact_at_non_dyadic_ratio():
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match="finite"):
         SystemParams(n=2, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("tau", np.nan), ("tau0", np.nan),
+                                          ("tau", 0.0), ("tau0", -1.0),
+                                          ("truth", np.inf)])
+def test_params_errors_name_their_field(field, value):
+    """Each real field goes by _real's rule and its message names it:
+    tau0 = nan read "tau, tau0 and truth must be finite"."""
+    with pytest.raises(ValueError, match="^%s must be finite" % field):
+        SystemParams(n=2, **{field: value})
+
+
+def test_whole_float_seed_past_int64_is_exact():
+    """A whole float seed is taken by int(), not through an int64 cast that
+    wrapped 1e19 with a RuntimeWarning; an int past 2^64 passes as it is."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SystemParams(n=2, seed=1e19).seed == 10 ** 19
+        assert SystemParams(n=2, seed=2 ** 64 + 3).seed == 2 ** 64 + 3
+        assert make_periodic_schedule(2, 3, horizon=1e19).horizon == 10 ** 19
+
+
+def test_initial_state_broadcasts_one_value():
+    params = SystemParams(n=3, truth=0.5)
+    want = initial_state(params, 2.0).means
+    assert list(want) == [0.5, 2.0, 2.0, 2.0]
+    for x0 in ([2.0], np.array([2.0]), (2,)):
+        assert np.array_equal(initial_state(params, x0).means, want)
+    with pytest.raises(ValueError, match="x0"):
+        initial_state(params, [1.0, 2.0])
 
 
 def test_params_take_n_as_an_integer():

@@ -1,4 +1,5 @@
 """The package surface: exports, the benchmark's traced layers, no asserts,
+where numbers are checked, the benchmark recorder's refusal of byte code,
 and the scripts outside tests/ that call the window checks."""
 
 import ast
@@ -96,9 +97,9 @@ _GENERATOR_SITES = {
 }
 
 
-def _calls(path, names):
-    """(callee, file, enclosing function) of each call in path to a
-    function or method of one of these names."""
+def _sites(path, pick):
+    """(name, file, enclosing function) of each node of path for which
+    pick(node) gives a name."""
     found = set()
 
     def visit(node, owner):
@@ -106,15 +107,32 @@ def _calls(path, names):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = getattr(func, "attr", getattr(func, "id", None))
-                if name in names:
-                    found.add((name, path.name, owner))
+            name = pick(child)
+            if name is not None:
+                found.add((name, path.name, owner))
             visit(child, owner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     return found
+
+
+def _calls(path, names):
+    """_sites of each call in path to a function or method of one of
+    these names."""
+    def pick(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            return name if name in names else None
+    return _sites(path, pick)
+
+
+def _references(path, name):
+    """_sites of each reference in path to `name`: a name, an attribute
+    or an import, called or not."""
+    return _sites(path, lambda node: name if name in (
+        getattr(node, "id", None), getattr(node, "attr", None),
+        getattr(node, "name", None)) else None)
 
 
 def _package_calls(*names):
@@ -133,6 +151,47 @@ def test_w_stacks_are_built_in_one_place():
     assert _package_calls("_transitions") == {
         ("_transitions", "schedules.py", "_stacks"),
         ("_transitions", "expected.py", "transition_bundle")}
+
+
+def test_finite_checks_live_in_the_rules():
+    """isfinite is referenced by the integer and real rules and by table
+    parsing alone: every other check of a number calls a rule."""
+    assert set().union(*(_references(path, "isfinite") for path in
+                         (ROOT / "src" / "socialbayes").glob("*.py"))) == {
+        ("isfinite", "schedules.py", "_integral"),
+        ("isfinite", "schedules.py", "_real"),
+        ("isfinite", "tables.py", "_as_array")}
+
+
+def test_config_keeps_no_range_check():
+    """config reads each value through the API's rule: it imports no math
+    and orders no two values itself."""
+    path = ROOT / "src" / "socialbayes" / "config.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _references(path, "math") == set()
+    orders = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Compare) and any(
+                  isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                  for op in node.ops)]
+    assert orders == []
+
+
+def test_record_bench_refuses_byte_code(tmp_path, capsys):
+    """A __pycache__ under src/ or benchmark/ of either checkout would
+    spare that side the compile setup_s measures: no run starts."""
+    spec = importlib.util.spec_from_file_location(
+        "_record_bench", ROOT / "tools" / "record_bench.py")
+    record_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_bench)
+    cached = tmp_path / "change" / "benchmark" / "__pycache__"
+    cached.mkdir(parents=True)
+    (tmp_path / "parent" / "src").mkdir(parents=True)
+    with pytest.raises(SystemExit) as stop:
+        record_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                           "--out", str(tmp_path / "b.json")])
+    assert stop.value.code == 2
+    assert str(cached) in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def _benchmark_spans():

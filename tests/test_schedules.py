@@ -407,6 +407,13 @@ def test_schedule_rejects_degenerate_sizes():
             make_random_schedule(2, 3, 0.5, seed=1, horizon=horizon)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+def test_edge_probability_goes_by_the_real_rule(p):
+    with pytest.raises(ValueError, match="^edge probability must be finite"):
+        make_random_schedule(3, 2, p, seed=1)
+    assert make_random_schedule(3, 2, 1, seed=1).edge_probability == 1.0
+
+
 _SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 3]
 _INDICES = list(range(64)) + [4095, 4096, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
 

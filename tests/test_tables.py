@@ -21,6 +21,7 @@ from socialbayes.tables import (
     SWITCH_COLUMNS,
     TRAJECTORY_COLUMNS,
     format_value,
+    ledger_for_times,
     read_table,
     trajectory_norms,
     write_check_report,
@@ -207,3 +208,14 @@ def test_trajectory_norms_on_unsorted_rows(tmp_path, fmt):
             for tk in want_times]
     assert np.array_equal(got_times, want_times)
     assert np.array_equal(got_norms, want)
+
+
+def test_ledger_times_go_by_the_integer_rule(fmt):
+    """2.5 is an error (it was truncated to the row of t = 2), 2.0 is 2,
+    and a negative time stays an error."""
+    want = ledger_for_times(SCHEDULE, PARAMS, [0, 2, 7])
+    assert np.array_equal(ledger_for_times(SCHEDULE, PARAMS, [0.0, 2.0, 7.0]),
+                          want)
+    for times in ([2.5], [np.nan], [-1]):
+        with pytest.raises(ValueError, match="ledger times"):
+            ledger_for_times(SCHEDULE, PARAMS, times)

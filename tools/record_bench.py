@@ -8,15 +8,16 @@ For every workload of BENCHMARK.json and every seed it runs
 checkout, the two taking turns at going first, and keeps the last JSON
 line of each run.  It also runs the tier-1 suite with `--durations=0`
 TIER1_REPEATS times in each checkout, the two taking turns at going
-first.  The file holds, per checkout, each metric's runs, median and
-quartiles, the share of failed operations, the `src/` line count, and
-the suite's summary lines, wall times (runs, median and quartiles) and
-per-test median call times;
-how many seeds the change won on each metric; for each end-to-end metric
-the change/parent ratio of medians and whether it stays within the
-metric's BENCHMARK.json bound (no worse than 1 - bound of the parent's
-median where higher is better, 1 + bound where lower is); and the
-machine: python, numpy, BLAS and the number of processors.
+first.  It refuses to start while either checkout holds a __pycache__
+under src/ or benchmark/.  The file holds, per checkout, each metric's
+runs, median and quartiles, the share of failed operations, the `src/`
+line count, and the suite's summary lines, wall times (runs, median and
+quartiles) and per-test median call times; how many seeds the change
+won on each metric; for each end-to-end metric the change/parent ratio
+of medians and whether it stays within the metric's BENCHMARK.json
+bound (no worse than 1 - bound of the parent's median where higher is
+better, 1 + bound where lower is); and the machine: python, numpy, BLAS
+and the number of processors.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ def main(argv=None) -> int:
         parser.error("need at least 3 seeds: figures are medians")
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
+    # byte code compiled earlier spares one side the compile that setup_s
+    # measures, so the two sides would not be alike
+    cached = [str(p) for path in checkouts.values()
+              for part in ("src", "benchmark")
+              for p in sorted((path / part).rglob("__pycache__"))]
+    if cached:
+        parser.error("remove the __pycache__ directories first: "
+                     + ", ".join(cached))
     results = {label: {} for label in checkouts}
     runs = {label: [] for label in checkouts}
     for i in range(TIER1_REPEATS):
