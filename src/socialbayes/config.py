@@ -22,6 +22,7 @@ from .dynamics import SystemParams, initial_state
 from .schedules import (
     GraphSchedule,
     _count,
+    _peer_edges,
     _real,
     make_counterexample_schedule,
     make_periodic_schedule,
@@ -201,7 +202,11 @@ def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
         peer_edges = ()
         if peer_rule == "edges":
             raw = _get(sec, "peer_edges", str, name=name)
-            peer_edges = _parse_lines(raw, name, "peer_edges", "i j")
+            rows = _parse_lines(raw, name, "peer_edges", "i j")
+            try:
+                peer_edges = tuple(_peer_edges(params.n, rows))
+            except ValueError as exc:
+                raise ConfigError(str(exc), name, "peer_edges") from None
         return ScheduleSpec(kind=kind, kappa=kappa, peer_rule=peer_rule,
                             peer_edges=peer_edges)
     if kind == "random":

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import GraphSchedule, _count, _stacks, _transitions
+from .schedules import (GraphSchedule, _budget_steps, _count, _stacks,
+                        _transitions)
 
 # run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
 # per-pattern arithmetic is faster (measured on ring, truth-only and
@@ -138,40 +139,30 @@ class ExpectedTrajectory:
         return self.means[:, 1:] - self.truth
 
 
-def _scan(w: np.ndarray, t0: int, c: int, carry, means: np.ndarray):
+def _scan(w: np.ndarray, t0: int, c: int, means: np.ndarray):
     """Write means[t0 + 1 : t0 + 1 + len(w)] from the W stack of steps
-    t0, t0 + 1, ... by chunks of c steps anchored at multiples of c.
+    t0, t0 + 1, ..., t0 a multiple of c, by chunks of c steps.
 
     w becomes in place the running products W_t ... W_a of each chunk, a
-    its anchor step; carry is that product for step t0 - 1, needed when t0
-    is not an anchor.  A chunk's means are its products times the mean at
-    its anchor, so they do not depend on where groups or blocks cut.
-    Returns the carry for the group that follows.
+    its first step.  A chunk's means are its products times the mean at
+    a, so they do not depend on where groups or blocks cut, as long as
+    each group starts on a chunk.
     """
-    s = t0 % c
-    if s:
-        np.matmul(w[0], carry, out=w[0])
     for j in range(1, c):
-        r = (j - s) % c or c  # first position of chunk index j
-        cur = w[r::c]
-        np.matmul(cur, w[r - 1::c][:len(cur)], out=cur)
-    rows, y = means[t0 + 1:t0 + 1 + len(w)], means[t0 - s]
-    head = min(len(w), -t0 % c)  # steps that close the chunk carried in
-    if head:
-        np.matmul(w[:head], y, out=rows[:head])
-        y = rows[head - 1]
-    body = len(w) - (len(w) - head) % c  # whole chunks end at step t0 + body
+        cur = w[j::c]
+        np.matmul(cur, w[j - 1::c][:len(cur)], out=cur)
+    rows, y = means[t0 + 1:t0 + 1 + len(w)], means[t0]
+    body = len(w) - len(w) % c  # whole chunks end at step t0 + body
     m = w.shape[-1]
     # A one-step chunk is one (m, m) @ (m,) product, cheapest by np.dot.
     shape, product = ((-1, c), np.matmul) if c > 1 else ((-1,), np.dot)
-    for wk, out, end in zip(w[head:body].reshape(*shape, m, m),
-                            rows[head:body].reshape(*shape, m),
-                            rows[head + c - 1:body:c]):
+    for wk, out, end in zip(w[:body].reshape(*shape, m, m),
+                            rows[:body].reshape(*shape, m),
+                            rows[c - 1:body:c]):
         product(wk, y, out=out)
         y = end
     if body < len(w):  # a partial last chunk
         np.matmul(w[body:], y, out=rows[body:])
-    return w[-1]
 
 
 def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -180,13 +171,13 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     Exact linear iteration, no RNG, with ledger rows P_t = ratio + (int64
     receive counts).  While n <= _STACK_MAX_N the means come by a chunked
-    scan (_scan) of the W stacks of _stacks:
+    scan (_scan) of the W stacks of _stacks, in groups of whole chunks:
     y_{t+1} = (W_t ... W_a) y_a, a the last multiple of the chunk length
     at or before t, each W_t bitwise the `full` of transition_bundle.  The
     truth row and zero-receiver rows of W_t are unit vectors, so those
     entries stay exactly as they are.  Past it a step is the increment
-    y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built once per pattern of
-    a compiled block; a row that receives nothing, the truth row among
+    y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built once per pattern a
+    compiled block uses; a row that receives nothing, the truth row among
     them, is a zero row of L_t, so its entry stays exactly as it is.  Sup
     norms are taken per W stack or block, so extra memory is one of them,
     not the horizon.
@@ -200,20 +191,21 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     norms[0] = np.max(np.abs(init.means[1:] - truth))
     if params.n <= _STACK_MAX_N:
         chunk = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
-        carry = None
-        for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon):
-            carry = _scan(w, t0, chunk, carry, means)
+        for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon,
+                                      _budget_steps(params.n, chunk)):
+            _scan(w, t0, chunk, means)
             span = slice(t0 + 1, t0 + 1 + len(w))
             norms[span] = np.max(np.abs(means[span, 1:] - truth), axis=1)
     else:
         for blk in schedule.compiled.blocks(0, horizon):
             b0, b1 = blk.start, blk.start + len(blk.slots)
             _, after = blk.ledger(params.ratio)
-            lap = np.array(blk.adjacency)  # L_k = A_k - diag(D_k)
-            lap.reshape(len(lap), -1)[:, ::lap.shape[-1] + 1] -= blk.degrees
+            used, slots = np.unique(blk.slots, return_inverse=True)
+            lap = blk.adjacency[used]  # L_k = A_k - diag(D_k), k used
+            lap.reshape(len(lap), -1)[:, ::params.n + 2] -= blk.degrees[used]
             y = means[b0]
-            for row, k, p_next in zip(means[b0 + 1:b1 + 1],
-                                      blk.slots.tolist(), after):
+            for row, k, p_next in zip(means[b0 + 1:b1 + 1], slots.tolist(),
+                                      after):
                 np.dot(lap[k], y, out=row)
                 row /= p_next
                 row += y

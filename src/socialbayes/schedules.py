@@ -56,12 +56,14 @@ _STACK_BUDGET = 2 ** 18
 
 
 def _integral(values, name: str) -> np.ndarray:
-    """values as int64, or ValueError for a non-finite or fractional one;
+    """values as int64, or ValueError for a non-finite or fractional one
+    or one whose float64 value is 2^63 or more in magnitude, past int64;
     an integral float such as 3.0 is taken as 3."""
     values = np.asarray(values)
-    if values.dtype.kind not in "iu":
+    if values.dtype.kind != "i":
         floats = values.astype(np.float64)
-        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
+        if not np.all(np.isfinite(floats) & (floats == np.round(floats))
+                      & (np.abs(floats) < 2.0 ** 63)):
             raise ValueError(f"{name} must be integers")
     return values.astype(np.int64)
 
@@ -167,22 +169,19 @@ def _streams(seed: int, tag: int, indices) -> list[np.random.Generator]:
 class Block(NamedTuple):
     """Steps [start, start + len(slots)) of a schedule as arrays.
 
-    Step start + j uses the read-only 0/1 matrix adjacency[slots[j]] and
-    its int64 receive counts degrees[slots[j]]; received counts the
-    receives before start (CompiledSchedule.blocks sets it).  A fixed
-    pattern set is a tuple, so a query hands out the same matrix each
-    time; a random block's patterns are one (steps, n+1, n+1) stack.
+    Step start + j uses the 0/1 matrix adjacency[slots[j]] and its int64
+    receive counts degrees[slots[j]]; received counts the receives before
+    start (CompiledSchedule.blocks sets it).  The patterns are one
+    read-only (k, n+1, n+1) stack and its (k, n+1) degree rows, as
+    _freeze makes them: a fixed pattern set's are made once and shared by
+    every block, a random block's hold one pattern per step.
     """
 
     start: int
-    adjacency: tuple | np.ndarray
-    degrees: tuple | np.ndarray  # one row per pattern
+    adjacency: np.ndarray
+    degrees: np.ndarray  # one row per pattern
     slots: np.ndarray
     received: np.ndarray | None = None
-
-    def step_degrees(self) -> np.ndarray:
-        """(steps, n+1) int64 receive counts, one row per step."""
-        return np.asarray(self.degrees)[self.slots]
 
     def ledger(self, ratio: float):
         """(ledger rows before each step and after the last, each step's
@@ -192,8 +191,8 @@ class Block(NamedTuple):
         never a float running sum, so it does not drift whatever the ratio,
         and a step's divisor is the next step's ledger bit for bit.
         """
-        before = ratio + np.cumsum(np.vstack([self.received,
-                                              self.step_degrees()]), axis=0)
+        before = ratio + np.cumsum(np.vstack([
+            self.received, self.degrees[self.slots]]), axis=0)
         return before, before[1:]
 
 
@@ -205,10 +204,9 @@ def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack, degrees
 
 
-def _patterns(n: int, edge_sets) -> tuple[tuple, tuple]:
-    """_freeze'd patterns of edge sets, degree rows as a tuple, so a fixed
-    pattern set hands out the same arrays each time; a repeated edge
-    counts once.  Raises ValueError on a bad edge."""
+def _patterns(n: int, edge_sets) -> tuple[np.ndarray, np.ndarray]:
+    """The _freeze'd (k, n+1, n+1) stack of k edge sets and its degree
+    rows; a repeated edge counts once.  Raises ValueError on a bad edge."""
     stack = np.zeros((len(edge_sets), n + 1, n + 1))
     for a, edges in zip(stack, edge_sets):
         i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
@@ -218,8 +216,7 @@ def _patterns(n: int, edge_sets) -> tuple[tuple, tuple]:
             raise ValueError(f"edge ({i[k]}, {j[k]}) is a self-loop or "
                              "out of node range")
         a[i, j] = 1.0
-    adjacency, degrees = _freeze(stack)
-    return tuple(adjacency), tuple(degrees)
+    return _freeze(stack)
 
 
 class GraphSchedule:
@@ -350,9 +347,9 @@ def _joined(head: Block, tail: Block) -> Block:
             [head.slots, tail.slots + len(head.adjacency)]))
 
 
-def _counts(degrees, slots: np.ndarray) -> np.ndarray:
+def _counts(degrees: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """int64 receive counts summed over steps using these pattern slots."""
-    return np.bincount(slots, minlength=len(degrees)) @ np.asarray(degrees)
+    return np.bincount(slots, minlength=len(degrees)) @ degrees
 
 
 def _transitions(a: np.ndarray, before: np.ndarray,
@@ -398,12 +395,11 @@ def _groups(blocks, ratio: float, start: int, stop: int, steps: int):
     held = []
     for blk in blocks:
         before, after = blk.ledger(ratio)
-        patterns = np.asarray(blk.adjacency)  # a random block's: no copy
         j = 0
         while j < len(blk.slots):
             k = min(steps - (blk.start + j - start) % steps,
                     len(blk.slots) - j)
-            held.append((patterns[blk.slots[j:j + k]], before[j:j + k],
+            held.append((blk.adjacency[blk.slots[j:j + k]], before[j:j + k],
                          after[j:j + k]))
             j += k
             t = blk.start + j
@@ -418,7 +414,7 @@ def _groups(blocks, ratio: float, start: int, stop: int, steps: int):
 def max_degree(schedule: GraphSchedule, horizon: int) -> int:
     """Largest receive count over agents and steps t < horizon."""
     horizon = _count(horizon, "horizon", 0)
-    return max((int(blk.step_degrees().max())
+    return max((int(blk.degrees[blk.slots].max())
                 for blk in schedule.compiled.blocks(0, horizon)), default=0)
 
 
@@ -448,7 +444,7 @@ def verify_truth_hearing(schedule: GraphSchedule, kappa: int,
     heard = np.full(schedule.n, -1, dtype=np.int64)  # last hear per learner
     for blk in schedule.compiled.blocks(0, horizon):
         steps = np.arange(blk.start, blk.start + len(blk.slots))
-        hears = np.array([a[1:, 0] for a in blk.adjacency])[blk.slots] > 0
+        hears = blk.adjacency[blk.slots, 1:, 0] > 0
         last = np.maximum.accumulate(np.vstack(
             [heard, np.where(hears, steps[:, None], -1)]), axis=0)[1:]
         # window [t - kappa + 1, t] misses agent i; none when t < kappa - 1
@@ -539,7 +535,7 @@ class PeriodicSchedule(GraphSchedule):
         self._check_t(t)
         return self._residue_edges[t % self.kappa]
 
-    def cycle_patterns(self) -> tuple[tuple, tuple]:
+    def cycle_patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """(adjacency, degrees) of one period; step t uses entry t % kappa."""
         return self._cycle
 
@@ -691,75 +687,60 @@ class CounterexampleSchedule(GraphSchedule):
         self._edges: list[tuple[tuple[int, int], ...]] = []
         self._materialize()
         self._patterns = _patterns(2, self._edges)  # one per interval
-        self._start_times = np.array(self._starts, dtype=np.int64)
-
-    def _add_interval(self, start: int, edge: tuple[int, int]):
-        self._starts.append(start)
-        self._edges.append((edge,))
 
     def _materialize(self):
-        horizon = self.horizon
-        z1 = z2 = self.start  # truth-shifted means; truth itself sits at 0
-        p1 = p2 = self.ratio
-        t = 0
-        k = 1
-        while t < horizon:
+        z = [0.0, self.start, self.start]  # truth-shifted means by agent,
+        p = [0.0, self.ratio, self.ratio]  # and ledgers; 0 is the truth
+        t, k = 0, 1
+        while t < self.horizon:
             tol = default_pull_tolerance(k)
             bound_t = 1.0 + 2.0 ** (-2 * k)
             bound_s = 1.0 + 2.0 ** (1 - 2 * k)
             t_k = t
-            if z2 < bound_t:
+            if z[2] < bound_t:
                 raise ScheduleConstructionError(
-                    f"agent 2 mean {z2} below bound {bound_t} entering cycle {k}")
-            if z2 + tol < bound_s:
+                    f"agent 2 mean {z[2]} below bound {bound_t} entering cycle {k}")
+            if z[2] + tol < bound_s:
                 raise ScheduleConstructionError(
-                    f"pull target {z2} cannot reach bound {bound_s} at cycle {k}")
-            # agent 1 hears the truth once, then pulls toward frozen agent 2
-            self._add_interval(t, (1, 0))
-            self.truth_times_1.append(t)
-            z1 = z1 * p1 / (p1 + 1.0)
-            p1 += 1.0
-            t += 1
-            if t >= horizon:
-                break
-            if abs(z1 - z2) > tol:
-                self._add_interval(t, (1, 2))
-                while abs(z1 - z2) > tol and t < horizon:
-                    z1 = (p1 * z1 + z2) / (p1 + 1.0)
-                    p1 += 1.0
-                    t += 1
-                if abs(z1 - z2) > tol:
-                    break  # horizon hit mid-pull; cycle k stays unrealized
-            if t >= horizon:
-                break  # gap closed exactly at the boundary; no room for s_k
-            s_k = t
-            if z1 < bound_s:
+                    f"pull target {z[2]} cannot reach bound {bound_s} at cycle {k}")
+            t = self._hear_and_pull(1, z, p, t, tol)
+            if t >= self.horizon:
+                break  # no room for s_k; a pull cut here leaves cycle k open
+            if z[1] < bound_s:
                 raise ScheduleConstructionError(
-                    f"agent 1 mean {z1} below bound {bound_s} at s_{k}={s_k}")
-            # agent 2 hears the truth once, then pulls toward frozen agent 1;
-            # z2 was frozen through the whole cycle, so it still holds its
-            # value from t_k.
-            self._add_interval(t, (2, 0))
-            self.truth_times_2.append(t)
+                    f"agent 1 mean {z[1]} below bound {bound_s} at s_{k}={t}")
+            # z[2] is agent 2's mean at t_k: it is frozen until s_k = t
             self.switches.append(
-                SwitchRecord(k, t_k, s_k, z1, bound_s, z2, bound_t))
-            z2 = z2 * p2 / (p2 + 1.0)
-            p2 += 1.0
-            t += 1
-            if t >= horizon:
-                break
+                SwitchRecord(k, t_k, t, z[1], bound_s, z[2], bound_t))
             next_bound = 1.0 + 2.0 ** (-2 * (k + 1))
-            if z1 + tol < next_bound:
+            if t + 1 < self.horizon and z[1] + tol < next_bound:
                 raise ScheduleConstructionError(
-                    f"pull target {z1} cannot reach bound {next_bound} "
+                    f"pull target {z[1]} cannot reach bound {next_bound} "
                     f"after s_{k}")
-            if abs(z2 - z1) > tol:
-                self._add_interval(t, (2, 1))
-                while abs(z2 - z1) > tol and t < horizon:
-                    z2 = (p2 * z2 + z1) / (p2 + 1.0)
-                    p2 += 1.0
-                    t += 1
+            t = self._hear_and_pull(2, z, p, t, tol)
             k += 1
+
+    def _hear_and_pull(self, a: int, z: list, p: list, t: int,
+                       tol: float) -> int:
+        """Agent a hears the truth once at step t, then pulls toward the
+        other agent, frozen, until their means are within tol or the
+        horizon is reached; z and p, the truth-shifted means and ledgers,
+        change in place.  Returns the step after the last."""
+        b = 3 - a
+        self._starts.append(t)
+        self._edges.append(((a, 0),))
+        (self.truth_times_1, self.truth_times_2)[a - 1].append(t)
+        z[a] = z[a] * p[a] / (p[a] + 1.0)
+        p[a] += 1.0
+        t += 1
+        if t < self.horizon and abs(z[a] - z[b]) > tol:
+            self._starts.append(t)
+            self._edges.append(((a, b),))
+            while abs(z[a] - z[b]) > tol and t < self.horizon:
+                z[a] = (p[a] * z[a] + z[b]) / (p[a] + 1.0)
+                p[a] += 1.0
+                t += 1
+        return t
 
     def edges_at(self, t):
         self._check_t(t)
@@ -768,7 +749,7 @@ class CounterexampleSchedule(GraphSchedule):
 
     def _compile(self, start, stop):
         return Block(start, *self._patterns, np.searchsorted(
-            self._start_times, np.arange(start, stop), side="right") - 1)
+            self._starts, np.arange(start, stop), side="right") - 1)
 
 
 def make_counterexample_schedule(ratio: float, horizon: int,

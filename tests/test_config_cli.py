@@ -667,6 +667,36 @@ def test_non_integer_peer_edge_is_config_error(tmp_path, capsys):
     assert "[schedule].peer_edges: line 2" in err and "Traceback" not in err
 
 
+def test_out_of_range_peer_edge_is_config_error(tmp_path, capsys):
+    """Peer edges are read through the schedule's rule when the config is
+    parsed: an agent past n is a config error, exit 2, nothing written."""
+    text = BASE.replace("n = 4", "n = 2").replace(
+        "peer_rule = ring", "peer_rule = edges\npeer_edges = 1 9")
+    with pytest.raises(ConfigError, match=r"^\[schedule\]\.peer_edges: bad "
+                       r"peer edge \(1, 9\)$"):
+        parse_config(text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config_file(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[schedule].peer_edges: bad peer edge (1, 9)" in err
+    assert not out.exists()
+
+
+def test_trap_construction_error_is_schedule_error(tmp_path, capsys):
+    """A trap start the construction cannot hold is exit 2, with the
+    construction's message, and writes nothing."""
+    text = TRAP.replace("kind = counterexample",
+                        "kind = counterexample\nstart = 1.0")
+    out = tmp_path / "o"
+    assert main(["counterexample", "--config", config_file(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("schedule error: agent 2 mean 1.0 below bound 1.25 "
+                   "entering cycle 1\n")
+    assert not out.exists()
+
+
 def test_unknown_key_is_config_error(tmp_path, capsys):
     """A misspelt key stops the run with exit 2 before anything is
     written."""

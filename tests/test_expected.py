@@ -322,8 +322,8 @@ def test_run_expected_bitwise_matches_reference_loop(case, horizon):
 
 def test_run_expected_bitwise_across_blocks(monkeypatch):
     """The scan's chunks sit at multiples of their length, so the means do
-    not depend on where compiled blocks and W stacks cut: smaller blocks
-    and stacks, neither a multiple of any chunk length, change no bit."""
+    not depend on where compiled blocks and W stacks cut: smaller blocks,
+    not a multiple of any chunk length, and smaller stacks change no bit."""
     cases = [(lambda: make_periodic_schedule(4, 3, peer_rule="ring"),
               SystemParams(n=4, tau=3.0, tau0=1.0), 2.0,
               2 * _BLOCK_STEPS + 808),
@@ -331,7 +331,11 @@ def test_run_expected_bitwise_across_blocks(monkeypatch):
               SystemParams(n=10, tau=3.0, tau0=1.0), np.linspace(0, 2, 10),
               4500),
              (lambda: make_random_schedule(16, 3, 0.3, seed=4),
-              SystemParams(n=16, truth=0.5), np.linspace(-1, 2, 16), 3000)]
+              SystemParams(n=16, truth=0.5), np.linspace(-1, 2, 16), 3000),
+             # one-step chunks (c = 1)
+             (lambda: make_periodic_schedule(20, 3, peer_rule="ring"),
+              SystemParams(n=20, tau=3.0, tau0=1.0), np.linspace(-1, 2, 20),
+              1500)]
     whole = [run_expected(make(), params, horizon, x0=x0)
              for make, params, x0, horizon in cases]
     monkeypatch.setattr(schedules_module, "_BLOCK_STEPS", 700)
@@ -344,13 +348,24 @@ def test_run_expected_bitwise_across_blocks(monkeypatch):
         assert np.array_equal(out.norms, want.norms)
 
 
-@pytest.mark.parametrize("kind", ["random", "truth-only"])
-def test_run_expected_above_stack_cutoff_matches_lean_loop(kind):
+def _table_with_unwalked_patterns(n):
+    # hears and ring pulls up to t = 300, then patterns no walk to 300 uses
+    rows = [(t, 1 + t % n, 0) for t in range(0, 300, 2)]
+    rows += [(t, 1 + t % n, 1 + (t + 1) % n) for t in range(1, 300, 3)]
+    rows += [(t, 1 + t % n, 1 + (t + 3) % n) for t in range(300, 400)]
+    return make_table_schedule(n, rows, horizon=400)
+
+
+@pytest.mark.parametrize("kind", ["random", "truth-only", "table"])
+def test_run_expected_above_stack_cutoff_matches_lean_loop(kind, monkeypatch):
     """Past _STACK_MAX_N the step is y + ((A - diag(D)) y) / P', bit for
-    bit; on the truth-only schedule most rows are idle at every step."""
+    bit; on the truth-only schedule most rows are idle at every step, and
+    the table's blocks of 64 steps each use a few of its patterns."""
+    monkeypatch.setattr(schedules_module, "_BLOCK_STEPS", 64)
     n = expected_module._STACK_MAX_N + 1
-    sched = (make_random_schedule(n, 3, 0.1, seed=8) if kind == "random"
-             else make_periodic_schedule(n, 3))
+    sched = {"random": lambda: make_random_schedule(n, 3, 0.1, seed=8),
+             "truth-only": lambda: make_periodic_schedule(n, 3),
+             "table": lambda: _table_with_unwalked_patterns(n)}[kind]()
     params = SystemParams(n=n, tau=3.0, tau0=1.0, truth=0.25)
     x0 = np.linspace(-1.0, 2.0, n)
     means, norms = _lean_loop(sched, params, 300, x0)

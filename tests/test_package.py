@@ -176,13 +176,18 @@ def test_config_keeps_no_range_check():
     assert orders == []
 
 
-def test_record_bench_refuses_byte_code(tmp_path, capsys):
-    """A __pycache__ under src/ or benchmark/ of either checkout would
-    spare that side the compile setup_s measures: no run starts."""
+def _record_bench():
     spec = importlib.util.spec_from_file_location(
         "_record_bench", ROOT / "tools" / "record_bench.py")
     record_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record_bench)
+    return record_bench
+
+
+def test_record_bench_refuses_byte_code(tmp_path, capsys):
+    """A __pycache__ under src/ or benchmark/ of either checkout would
+    spare that side the compile setup_s measures: no run starts."""
+    record_bench = _record_bench()
     cached = tmp_path / "change" / "benchmark" / "__pycache__"
     cached.mkdir(parents=True)
     (tmp_path / "parent" / "src").mkdir(parents=True)
@@ -192,6 +197,15 @@ def test_record_bench_refuses_byte_code(tmp_path, capsys):
     assert stop.value.code == 2
     assert str(cached) in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+def test_record_bench_counts_lines_by_module(tmp_path):
+    """A BENCH file names each module's line count under src/."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "a.py").write_text("z = 3\n")
+    assert _record_bench().src_lines_by_module(tmp_path) == {
+        "pkg/a.py": 1, "pkg/b.py": 3}
 
 
 def _benchmark_spans():

@@ -9,10 +9,12 @@ import pytest
 from socialbayes import schedules
 from socialbayes.dynamics import SystemParams
 from socialbayes.expected import transition_bundles
+from socialbayes.tables import ledger_for_times
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
     RandomSchedule,
+    ScheduleConstructionError,
     ScheduleHorizonError,
     default_pull_tolerance,
     make_counterexample_schedule,
@@ -72,7 +74,8 @@ def test_arrays_are_read_only_and_cached():
     sched = make_periodic_schedule(2, 2)
     a1, d1 = sched.arrays_at(0)
     a2, d2 = sched.arrays_at(2)
-    assert a1 is a2 and d1 is d2  # same residue -> same cached pattern
+    # same residue -> a view of the same cached pattern
+    assert np.shares_memory(a1, a2) and np.shares_memory(d1, d2)
     with pytest.raises(ValueError):
         a1[1, 0] = 5.0
 
@@ -137,8 +140,13 @@ def _from_edges(sched, t):
 
 def _assert_block_matches(sched, blk, start, stop):
     assert blk.start == start
+    # every kind's patterns are one read-only stack and its degree rows
+    for patterns in (blk.adjacency, blk.degrees):
+        assert isinstance(patterns, np.ndarray)
+        assert not patterns.flags.writeable
+    assert blk.adjacency.shape == (len(blk.degrees), sched.n + 1, sched.n + 1)
     assert blk.slots.shape == (stop - start,)
-    degrees = blk.step_degrees()
+    degrees = blk.degrees[blk.slots]
     assert degrees.shape == (stop - start, sched.n + 1)
     for row, t in enumerate(range(start, stop)):
         a, deg = sched.arrays_at(t)
@@ -334,6 +342,32 @@ def test_counterexample_truth_gaps_stretch():
         assert not verify_truth_hearing(sched, kappa, sched.horizon).passed
 
 
+def test_counterexample_intervals_are_pinned():
+    """The canonical trap's intervals over 30,000 steps: the first step
+    and the one receive edge of each, as the construction first gave them."""
+    sched = make_counterexample_schedule(1.0, 30_000)
+    slots = sched.compiled.block(0, 30_000).slots
+    starts = np.flatnonzero(np.diff(slots, prepend=-1))
+    assert starts.tolist() == [0, 1, 31, 32, 60, 61, 62, 159, 160, 472, 473,
+                               693, 694, 867, 868, 2069, 2070, 7062, 7063,
+                               11551, 11552, 14346, 14347]
+    assert [sched.edges_at(t)[0] for t in starts] == [
+        (1, 0), (1, 2), (2, 0), (2, 1), (1, 0), (2, 0), (2, 1)] + [
+        (1, 0), (1, 2), (2, 0), (2, 1)] * 4
+
+
+@pytest.mark.parametrize("start, message", [
+    (1.0, "agent 2 mean 1.0 below bound 1.25 entering cycle 1"),
+    (1.3, "pull target 1.3 cannot reach bound 1.5 at cycle 1"),
+    (1.5, "agent 1 mean 1.4375 below bound 1.5 at s_1=23")])
+def test_counterexample_construction_errors(start, message):
+    """A start too close to the truth breaks a defining bound, and the
+    construction says which, where."""
+    with pytest.raises(ScheduleConstructionError) as err:
+        make_counterexample_schedule(1.0, 30_000, start=start)
+    assert str(err.value) == message
+
+
 def test_counterexample_is_two_agent_only():
     sched = make_counterexample_schedule(1.0, 1000)
     assert sched.n == 2
@@ -379,6 +413,18 @@ def test_table_and_periodic_inputs_are_integers():
            lambda: make_periodic_schedule(2, 3, phases=[0.5, 2.9]),
            lambda: make_periodic_schedule(3, 3, peer_rule=[(1.5, 2)])]
     for make in bad:
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+
+
+@pytest.mark.filterwarnings("error")
+def test_integers_past_int64_are_refused():
+    """A value past int64 is refused by _integral's rule: not wrapped
+    (2^64 - 1 read as the time -1), overflowed or cast with a warning."""
+    for make in (lambda: make_table_schedule(2, [(2 ** 64 - 1, 1, 0)]),
+                 lambda: make_table_schedule(2, [(2 ** 70, 1, 0)]),
+                 lambda: ledger_for_times(make_periodic_schedule(2, 2),
+                                          SystemParams(n=2), [1e19])):
         with pytest.raises(ValueError, match="must be integers"):
             make()
 

@@ -11,7 +11,7 @@ TIER1_REPEATS times in each checkout, the two taking turns at going
 first.  It refuses to start while either checkout holds a __pycache__
 under src/ or benchmark/.  The file holds, per checkout, each metric's
 runs, median and quartiles, the share of failed operations, the `src/`
-line count, and the suite's summary lines, wall times (runs, median and
+line count in total and by module, and the suite's summary lines, wall times (runs, median and
 quartiles) and per-test median call times; how many seeds the change
 won on each metric; for each end-to-end metric the change/parent ratio
 of medians and whether it stays within the metric's BENCHMARK.json
@@ -82,9 +82,11 @@ def tier1_medians(runs: list[dict]) -> dict:
                 for name in sorted(tests)}}
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in (checkout / "src").rglob("*.py"))
+def src_lines_by_module(checkout: Path) -> dict:
+    """Line count of each module under src/, by its path there."""
+    src = checkout / "src"
+    return {p.relative_to(src).as_posix(): len(p.read_text().splitlines())
+            for p in sorted(src.rglob("*.py"))}
 
 
 def summary(values: list[float]) -> dict:
@@ -149,7 +151,9 @@ def main(argv=None) -> int:
     report = {"machine": machine(), "seeds": args.seeds,
               "seconds": BENCHMARK["run_seconds"], "checkouts": {}}
     for label, path in checkouts.items():
-        entry = {"src_lines": src_lines(path), "tier1": suites[label],
+        modules = src_lines_by_module(path)
+        entry = {"src_lines": sum(modules.values()),
+                 "src_lines_by_module": modules, "tier1": suites[label],
                  "workloads": {}}
         for workload, lines in results[label].items():
             entry["workloads"][workload] = {
