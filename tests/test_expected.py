@@ -359,8 +359,9 @@ def _table_with_unwalked_patterns(n):
 @pytest.mark.parametrize("kind", ["random", "truth-only", "table"])
 def test_run_expected_above_stack_cutoff_matches_lean_loop(kind, monkeypatch):
     """Past _STACK_MAX_N the step is y + ((A - diag(D)) y) / P', bit for
-    bit; on the truth-only schedule most rows are idle at every step, and
-    the table's blocks of 64 steps each use a few of its patterns."""
+    bit; on the truth-only schedule most rows are idle at every step; the
+    table holds patterns no walked block uses, and its 64-step blocks
+    each use a few of the rest."""
     monkeypatch.setattr(schedules_module, "_BLOCK_STEPS", 64)
     n = expected_module._STACK_MAX_N + 1
     sched = {"random": lambda: make_random_schedule(n, 3, 0.1, seed=8),

@@ -9,7 +9,6 @@ import pytest
 from socialbayes import schedules
 from socialbayes.dynamics import SystemParams
 from socialbayes.expected import transition_bundles
-from socialbayes.tables import ledger_for_times
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
@@ -24,6 +23,7 @@ from socialbayes.schedules import (
     max_degree,
     verify_truth_hearing,
 )
+from socialbayes.tables import ledger_for_times
 
 
 def test_periodic_truth_edges_once_per_window():
