@@ -11,13 +11,13 @@ TIER1_REPEATS times in each checkout, the two taking turns at going
 first.  It refuses to start while either checkout holds a __pycache__
 under src/ or benchmark/.  The file holds, per checkout, each metric's
 runs, median and quartiles, the share of failed operations, the `src/`
-line count in total and by module, and the suite's summary lines, wall times (runs, median and
-quartiles) and per-test median call times; how many seeds the change
-won on each metric; for each end-to-end metric the change/parent ratio
-of medians and whether it stays within the metric's BENCHMARK.json
-bound (no worse than 1 - bound of the parent's median where higher is
-better, 1 + bound where lower is); and the machine: python, numpy, BLAS
-and the number of processors.
+line count in total and by module, and the suite's summary lines, wall
+times (runs, median and quartiles) and per-test median call times; how
+many seeds the change won on each metric; for each end-to-end metric
+the change/parent ratio of medians and whether it stays within the
+metric's BENCHMARK.json bound (no worse than 1 - bound of the parent's
+median where higher is better, 1 + bound where lower is); and the
+machine: python, numpy, BLAS and the number of processors.
 """
 
 from __future__ import annotations
