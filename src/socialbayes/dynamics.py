@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import (GraphSchedule, _count, _integral, _real, _stacks,
-                        _streams)
+from .schedules import (GraphSchedule, _chunk_steps, _count, _integral,
+                        _real, _stacks, _streams)
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -270,9 +270,10 @@ def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
         maps = np.empty((len(a), n1, 3, n1))
         maps[:, :, 0] = w
         mix = a / q[:, :, None]  # A_i / P_{i+1}
-        np.divide(mix, np.sqrt(params.tau * p)[:, None], out=maps[:, :, 1])
+        # the truth's precision is inf: its sample is the truth itself
+        np.divide(mix, np.sqrt(_precisions(p, params.tau))[:, None],
+                  out=maps[:, :, 1])
         np.multiply(mix, 1.0 / np.sqrt(params.tau), out=maps[:, :, 2])
-        maps[:, :, 1, 0] = 0.0  # the truth's sample is the truth itself
         if not params.truth_noise:
             maps[:, :, 2, 0] = 0.0
         yield w0, maps.reshape(len(a), n1, 3 * n1), np.vstack([p, q[-1]])
@@ -307,7 +308,7 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     The recursion x_{i+1} = S_i [x_i; g_i] (_gain_windows) is linear in the
     state and in the raw normals g_i, so over a chunk of c steps anchored
-    at a multiple of c (c from expected's _SCAN_CHUNKS table) a run ends
+    at a multiple of c (c from schedules._chunk_steps) a run ends
     at one matrix-vector product of the chunk's gain (_chunk_gains),
     shared by every run, with [x_a; the chunk's normals]: one np.matmul
     item per run, never one product over the runs.  A time inside a chunk
@@ -317,9 +318,8 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
     horizon.  Runs go in groups whose noise window of whole chunks stays
     within _NOISE_BUDGET normals.
     """
-    from .expected import _SCAN_CHUNKS  # expected imports this module
     n_runs, n1 = x.shape
-    c = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
+    c = _chunk_steps(params.n)
     span = 2 * n1 * c  # one run's normals in one chunk
     group = max(1, min(n_runs, _NOISE_BUDGET // span))
     # a window's gains hold n+1 rows per normal of one run: they stay
@@ -389,8 +389,8 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
             noise = buf[:, :c1 - c0]
             for stream, out in zip(streams, noise):
                 stream.standard_normal(out=out)
-            noise[:, :, 0] /= np.sqrt(tau * before[c0:c1])
-            noise[:, :, 0, 0] = 0.0  # point mass: the truth agent's sample
+            # point mass: the truth's precision is inf, its sample 0
+            noise[:, :, 0] /= np.sqrt(_precisions(before[c0:c1], tau))
             noise[:, :, 1] *= 1.0 / np.sqrt(tau)
             if not params.truth_noise:
                 noise[:, :, 1, 0] = 0.0

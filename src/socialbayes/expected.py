@@ -24,20 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import (GraphSchedule, _budget_steps, _count, _stacks,
-                        _transitions)
+from .schedules import (GraphSchedule, _budget_steps, _chunk_steps, _count,
+                        _stacks, _transitions)
 
 # run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
 # per-pattern arithmetic is faster (measured on ring, truth-only and
 # random schedules: the stack wins up to n = 24, loses on a ring at 28).
 _STACK_MAX_N = 24
-
-# Chunk length c of run_expected's scan at n <= _STACK_MAX_N: the c of the
-# first (largest n, c) entry that holds n, else 1 (one product per step).
-# Measured per step on ring and random schedules, one BLAS thread: from
-# n = 18 on, a chunk's c - 1 matrix products cost more than the calls
-# they save.
-_SCAN_CHUNKS = ((4, 32), (10, 16), (16, 8))
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     means[0] = init.means
     norms[0] = np.max(np.abs(init.means[1:] - truth))
     if params.n <= _STACK_MAX_N:
-        chunk = next((c for top, c in _SCAN_CHUNKS if params.n <= top), 1)
+        chunk = _chunk_steps(params.n)
         for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon,
                                       _budget_steps(params.n, chunk)):
             _scan(w, t0, chunk, means)

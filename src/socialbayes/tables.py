@@ -11,6 +11,11 @@ line excluded when comparing files for reproducibility; everything after
 it is deterministic for a fixed config and seed.  Floats are rendered
 with ``repr`` (shortest round-trip form), so equal inputs give equal
 bytes.  The truth agent's precision is written as ``inf``.
+
+A column reads back by its written text: int64 if numpy parses every cell
+as one (``str`` of an int), else float64 if it parses every cell as one
+(``repr`` of a float, ``2.0``, ``inf`` and ``nan`` too), else the strings
+as an object array; an empty column is float64.
 """
 
 from __future__ import annotations
@@ -35,10 +40,7 @@ def timestamp_line() -> str:
 def format_value(x) -> str:
     """Deterministic text form: repr for floats, str for ints/strings."""
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
+        return repr(float(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return str(x)
@@ -78,7 +80,8 @@ class TableData:
 
 
 def read_table(path) -> TableData:
-    """Read a file written by write_table."""
+    """Read a file written by write_table, each column int64, else float64,
+    else strings, by its text as the module docstring says."""
     meta = {}
     body = []
     for line in Path(path).read_text().splitlines():
@@ -92,23 +95,20 @@ def read_table(path) -> TableData:
     if not body:
         raise ValueError("no header row in %s" % path)
     header, *data = csv.reader(body)
-    cols = {}
-    for j, name in enumerate(header):
-        raw = [row[j] for row in data]
-        cols[name] = _as_array(raw)
-    return TableData(meta=meta, columns=cols)
+    return TableData(meta=meta, columns={
+        name: _as_array([row[j] for row in data])
+        for j, name in enumerate(header)})
 
 
-def _as_array(values) -> np.ndarray:
-    try:
-        arr = np.array([float(v) for v in values])
-    except (TypeError, ValueError):
-        return np.array(values, dtype=object)
-    if arr.size and np.all(np.isfinite(arr)) and np.all(arr == np.round(arr)):
-        as_int = arr.astype(np.int64)
-        if np.all(as_int == arr):
-            return as_int
-    return arr
+def _as_array(cells) -> np.ndarray:
+    if not cells:
+        return np.empty(0)
+    for dtype in (np.int64, np.float64):
+        try:
+            return np.array(cells, dtype=dtype)
+        except (ValueError, OverflowError):
+            pass
+    return np.array(cells, dtype=object)
 
 
 TRAJECTORY_COLUMNS = ["t", "agent", "mean", "precision"]

@@ -158,6 +158,38 @@ def test_norm_inequalities_suite():
         assert 0 <= c.detail["worst_pair"] < 200
 
 
+def _norm_sweep_by_pair(n_pairs=1000, size=8, seed=4096):
+    """The norm sweep one pair at a time: R then S drawn per pair, and per
+    inequality the first pair of least margin kept as (lhs, rhs, pair)."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for idx in range(n_pairs):
+        r = rng.uniform(-1.0, 1.0, (size, size))
+        s = rng.uniform(-1.0, 1.0, (size, size))
+        rs = r @ s
+        for key, lhs, rhs in (
+                ("inf_submult", norm_inf(rs), norm_inf(r) * norm_inf(s)),
+                ("mixed_bound", norm_max(rs), norm_inf(r) * norm_max(s)),
+                ("congruence_bound", norm_max(r @ s @ r.T),
+                 norm_inf(r) ** 2 * norm_max(s))):
+            if key not in worst or rhs - lhs < worst[key][1] - worst[key][0]:
+                worst[key] = (lhs, rhs, idx)
+    return [(f"{key}[pairs={n_pairs}]", lhs, rhs, idx)
+            for key, (lhs, rhs, idx) in worst.items()]
+
+
+@pytest.mark.parametrize("args", [(), (50, 3, 1), (2000, 16, 7), (1, 8, 0)])
+def test_norm_inequalities_match_the_per_pair_sweep(args):
+    """The batched sweep reports bit for bit the checks of the per-pair
+    loop: names, sides, margins and the first pair of least margin."""
+    got = [(c.name, c.lhs.hex(), c.rhs.hex(), c.margin.hex(),
+            c.detail["worst_pair"], c.status)
+           for c in check_norm_inequalities(*args)]
+    assert got == [(name, lhs.hex(), rhs.hex(), (rhs - lhs).hex(), idx, "ok")
+                   for name, lhs, rhs, idx in _norm_sweep_by_pair(*args)]
+    assert all(type(row[4]) is int for row in got)
+
+
 def test_fit_rate_recovers_power_law():
     t = np.arange(1, 2001)
     norms = 3.0 * t ** -0.5

@@ -440,7 +440,7 @@ def test_gain_path_ignores_noise_budget(monkeypatch, budget):
     params = SystemParams(n=n, tau=3.0, tau0=1.0, seed=5, truth_noise=False)
     sched = _narrow_schedule("random")
     default = _outputs(sched, params, 300)
-    c = next(c for top, c in expected._SCAN_CHUNKS if n <= top)
+    c = schedules._chunk_steps(n)
     span = 2 * (n + 1) * c  # one run's normals in one chunk
     if budget == "two-run groups":
         budget = 2 * span + 1

@@ -154,13 +154,12 @@ def test_w_stacks_are_built_in_one_place():
 
 
 def test_finite_checks_live_in_the_rules():
-    """isfinite is referenced by the integer and real rules and by table
-    parsing alone: every other check of a number calls a rule."""
+    """isfinite is referenced by the integer and real rules alone: every
+    other check of a number calls a rule."""
     assert set().union(*(_references(path, "isfinite") for path in
                          (ROOT / "src" / "socialbayes").glob("*.py"))) == {
         ("isfinite", "schedules.py", "_integral"),
-        ("isfinite", "schedules.py", "_real"),
-        ("isfinite", "tables.py", "_as_array")}
+        ("isfinite", "schedules.py", "_real")}
 
 
 def test_config_keeps_no_range_check():
@@ -176,18 +175,18 @@ def test_config_keeps_no_range_check():
     assert orders == []
 
 
-def _record_bench():
+def _tool(name):
     spec = importlib.util.spec_from_file_location(
-        "_record_bench", ROOT / "tools" / "record_bench.py")
-    record_bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(record_bench)
-    return record_bench
+        "_" + name, ROOT / "tools" / (name + ".py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_record_bench_refuses_byte_code(tmp_path, capsys):
     """A __pycache__ under src/ or benchmark/ of either checkout would
     spare that side the compile setup_s measures: no run starts."""
-    record_bench = _record_bench()
+    record_bench = _tool("record_bench")
     cached = tmp_path / "change" / "benchmark" / "__pycache__"
     cached.mkdir(parents=True)
     (tmp_path / "parent" / "src").mkdir(parents=True)
@@ -204,8 +203,35 @@ def test_record_bench_counts_lines_by_module(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "b.py").write_text("x = 1\n\ny = 2\n")
     (tmp_path / "src" / "pkg" / "a.py").write_text("z = 3\n")
-    assert _record_bench().src_lines_by_module(tmp_path) == {
+    assert _tool("record_bench").src_lines_by_module(tmp_path) == {
         "pkg/a.py": 1, "pkg/b.py": 3}
+
+
+def _outputs(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_compare_outputs_names_each_difference(tmp_path):
+    """Output directories equal after each file's timestamp line compare
+    equal; a byte changed after it, or a file on one side only, is named."""
+    compare = _tool("compare_outputs").compare_dirs
+    body = "# kind: expected\nt,mean\n0,2.0\n"
+    parent = _outputs(tmp_path / "parent", {
+        "example/expected.csv": "# generated: 2026-01-01T00:00:00Z\n" + body,
+        "example/verify.txt": "# generated: 2026-01-01T00:00:00Z\nok\n"})
+    files = {"example/expected.csv": "# generated: 2026-01-02T09:30:00Z\n"
+             + body, "example/verify.txt": "# generated: x\nok\n"}
+    assert compare(parent, _outputs(tmp_path / "equal", files)) == []
+    byte = dict(files, **{"example/expected.csv": files[
+        "example/expected.csv"].replace("2.0", "2.1")})
+    assert compare(parent, _outputs(tmp_path / "byte", byte)) == [
+        "differs: example/expected.csv"]
+    del files["example/verify.txt"]
+    assert compare(parent, _outputs(tmp_path / "missing", files)) == [
+        "only in parent: example/verify.txt"]
 
 
 def _benchmark_spans():

@@ -379,6 +379,15 @@ def test_default_pull_tolerance_halves_quadratically():
     assert default_pull_tolerance(3) == 2.0 ** -8
 
 
+def test_pull_after_s_k_always_reaches_the_next_bound():
+    """Agent 1 leaves s_k at or above 1 + 2^(1-2k), and that plus the pull
+    tolerance reaches cycle k + 1's bound 1 + 2^(-2(k+1)) in float64, so
+    the trap needs no check that agent 2's pull target can reach it."""
+    for k in range(1, 41):
+        assert ((1.0 + 2.0 ** (1 - 2 * k)) + default_pull_tolerance(k)
+                >= 1.0 + 2.0 ** (-2 * (k + 1)))
+
+
 def test_schedule_sizes_are_integers():
     """n and kappa go by _integral's rule: 3.0 is 3, 2.5 is refused."""
     for make in (lambda n, kappa: make_periodic_schedule(n, kappa, "ring"),

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,49 @@ def test_write_table_cells_as_format_value_writes_them(tmp_path, fmt):
         assert np.array_equal(table[name], want,
                               equal_nan=want.dtype.kind == "f"), name
     assert np.signbit(table["value"][3])
+
+
+def _read_strictly(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return read_table(path)
+
+
+@pytest.mark.parametrize("cells, dtype", [
+    ([0.0, 2.0], np.float64),  # whole floats stay floats
+    ([0, 2], np.int64),
+    ([1e300, -1e300], np.float64),  # whole, far past int64
+    ([1, 2.5], np.float64),
+    (["ring", "x, y"], object)])
+def test_columns_read_back_by_their_text(tmp_path, fmt, cells, dtype):
+    """A column's type is the one its written text gives, not one guessed
+    from its values, and reading it raises no warning."""
+    path = write_table(tmp_path / ("t." + fmt), {}, ["v"],
+                       [(c,) for c in cells])
+    column = _read_strictly(path)["v"]
+    assert column.dtype == dtype
+    assert column.tolist() == cells
+
+
+def test_empty_table_columns_are_float(tmp_path, fmt):
+    path = write_table(tmp_path / ("t." + fmt), {}, CHECK_COLUMNS, [])
+    table = _read_strictly(path)
+    assert list(table.columns) == CHECK_COLUMNS
+    assert all(table[name].dtype == np.float64 and table[name].size == 0
+               for name in CHECK_COLUMNS)
+
+
+def test_expected_at_the_truth_reads_back_float(tmp_path, fmt):
+    """A run that starts at the truth writes 2.0 for every mean: the column
+    is still float64, beside the int64 t and agent columns."""
+    params = SystemParams(n=3, truth=2.0)
+    expected = run_expected(SCHEDULE, params, 12, x0=2.0)
+    path = write_expected_trajectory(tmp_path / ("e." + fmt), expected,
+                                     SCHEDULE)
+    table = _read_strictly(path)
+    assert table["mean"].dtype == np.float64
+    assert np.array_equal(table["mean"], expected.means.ravel())
+    assert table["t"].dtype == table["agent"].dtype == np.int64
 
 
 def test_trajectory_norms_on_unsorted_rows(tmp_path, fmt):
