@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import (GraphSchedule, _chunk_steps, _count, _integral,
-                        _real, _stacks, _streams)
+from .schedules import (GraphSchedule, _chunk_steps, _count, _float_windows,
+                        _integral, _real, _stacks, _streams)
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -369,8 +369,9 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                      means: np.ndarray, ledger: np.ndarray):
     """Step every run one step at a time, writing the records in place.
 
-    Each compiled block of the schedule is walked in windows of B steps,
-    B chosen so the noise buffer (runs, B, 2, n+1) stays within
+    Each compiled block of the schedule is walked in windows of at most B
+    steps (schedules._float_windows, which casts their patterns to
+    float64), B chosen so the noise buffer (runs, B, 2, n+1) stays within
     _NOISE_BUDGET entries.
     """
     n_runs, n1 = x.shape
@@ -382,9 +383,8 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
     for blk in schedule.compiled.blocks(0, horizon):
         before, after = blk.ledger(ratio)
         keep = before[:-1] / after  # P_t / P_{t+1}
-        adjacency, slots = blk.adjacency, blk.slots.tolist()
-        for c0 in range(0, len(slots), width):
-            c1 = min(c0 + width, len(slots))
+        for c0, _, adjacency, slots in _float_windows(blk, width):
+            c1 = c0 + len(slots)
             t0 = blk.start + c0
             noise = buf[:, :c1 - c0]
             for stream, out in zip(streams, noise):
@@ -395,7 +395,7 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
             if not params.truth_noise:
                 noise[:, :, 1, 0] = 0.0
             for t, slot, p, p_next, kept in zip(range(t0, blk.start + c1),
-                                                slots[c0:c1], before[c0:c1],
+                                                slots.tolist(), before[c0:c1],
                                                 after[c0:c1], keep[c0:c1]):
                 sig = x + noise[:, t - t0, 0]
                 sig += noise[:, t - t0, 1]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import SystemParams, initial_state
 from .schedules import (GraphSchedule, _budget_steps, _chunk_steps, _count,
-                        _stacks, _transitions)
+                        _float_windows, _stacks, _transitions)
 
 # run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
 # per-pattern arithmetic is faster (measured on ring, truth-only and
@@ -169,11 +169,11 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     at or before t, each W_t bitwise the `full` of transition_bundle.  The
     truth row and zero-receiver rows of W_t are unit vectors, so those
     entries stay exactly as they are.  Past it a step is the increment
-    y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built once per pattern a
-    compiled block uses; a row that receives nothing, the truth row among
-    them, is a zero row of L_t, so its entry stays exactly as it is.  Sup
-    norms are taken per W stack or block, so extra memory is one of them,
-    not the horizon.
+    y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built in float64 once per
+    pattern a block uses (schedules._float_windows); a row that receives
+    nothing, the truth row among them, is a zero row of L_t, so its entry
+    stays exactly as it is.  Sup norms are taken per W stack or block, so
+    extra memory is one of them, not the horizon.
     """
     horizon = _count(horizon, "horizon", 0)
     init = initial_state(params, x0)
@@ -193,16 +193,17 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
         for blk in schedule.compiled.blocks(0, horizon):
             b0, b1 = blk.start, blk.start + len(blk.slots)
             _, after = blk.ledger(params.ratio)
-            used, slots = np.unique(blk.slots, return_inverse=True)
-            lap = blk.adjacency[used]  # L_k = A_k - diag(D_k), k used
-            lap.reshape(len(lap), -1)[:, ::params.n + 2] -= blk.degrees[used]
-            y = means[b0]
-            for row, k, p_next in zip(means[b0 + 1:b1 + 1], slots.tolist(),
-                                      after):
-                np.dot(lap[k], y, out=row)
-                row /= p_next
-                row += y
-                y = row
+            # one window a block: each float stack turns into L once, in place
+            for j, used, lap, slots in _float_windows(blk, len(blk.slots)):
+                diagonal = lap.reshape(len(lap), -1)[:, ::params.n + 2]
+                diagonal -= blk.degrees[used]  # L_k = A_k - diag(D_k)
+                y = means[b0 + j]
+                for row, k, p_next in zip(means[b0 + j + 1:b1 + 1],
+                                          slots.tolist(), after[j:]):
+                    np.dot(lap[k], y, out=row)
+                    row /= p_next
+                    row += y
+                    y = row
             norms[b0 + 1:b1 + 1] = np.max(
                 np.abs(means[b0 + 1:b1 + 1, 1:] - truth), axis=1)
     return ExpectedTrajectory(np.arange(horizon + 1), means, norms, truth,

@@ -11,8 +11,9 @@ same t yields identical edge sets (randomized schedules are seeded, with a
 stream independent of any learning-process randomness).  Step t of a random
 schedule draws from numpy's SeedSequence([seed, 101, t]) stream; edges_at
 builds it with numpy, the compile seeds a block's steps in one batched
-pass (_streams) that gives the same generators bit for bit.  _stacks is
-the one builder of the mean process's transition stacks W_t from the
+pass (_streams) that gives the same generators bit for bit.  A compiled
+block holds its adjacency as a read-only bool stack; _stacks is the one
+builder of the mean process's float64 transition stacks W_t from the
 compiled blocks.
 """
 
@@ -46,7 +47,8 @@ _BLOCK_STEPS = 4096
 
 # Bytes of compiled blocks a schedule keeps for later walks (16 MiB); one
 # block takes at most an eighth, so at n = 100 a random schedule compiles
-# 25 steps per block and keeps its first 200 steps.
+# 190 steps per block and keeps its first 1,520 steps.  A per-pattern
+# kernel casts at most an eighth to float64 at once (_float_windows).
 _COMPILE_BUDGET = 2 ** 24
 
 # Bytes of W in one group of a transition stack (256 KiB) by default:
@@ -169,12 +171,13 @@ def _streams(seed: int, tag: int, indices) -> list[np.random.Generator]:
 class Block(NamedTuple):
     """Steps [start, start + len(slots)) of a schedule as arrays.
 
-    Step start + j uses the 0/1 matrix adjacency[slots[j]] and its int64
+    Step start + j uses the bool matrix adjacency[slots[j]] and its int64
     receive counts degrees[slots[j]]; received counts the receives before
     start (CompiledSchedule.blocks sets it).  The patterns are one
-    read-only (k, n+1, n+1) stack and its (k, n+1) degree rows, as
-    _freeze makes them: a fixed pattern set's are made once and shared by
-    every block, a random block's hold one pattern per step.
+    read-only (k, n+1, n+1) bool stack and its (k, n+1) int64 degree rows,
+    as _freeze makes them: a fixed pattern set's are made once and shared
+    by every block, a random block's hold one pattern per step.  Arithmetic
+    casts them where it needs floats (_transitions, _float_windows).
     """
 
     start: int
@@ -197,9 +200,9 @@ class Block(NamedTuple):
 
 
 def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (k, n+1, n+1) 0/1 stack made read-only, and its read-only (k, n+1)
-    receive counts, its row sums."""
-    degrees = stack.sum(axis=2).astype(np.int64)
+    """A (k, n+1, n+1) bool stack made read-only, and its read-only (k, n+1)
+    int64 receive counts, its row counts."""
+    degrees = np.count_nonzero(stack, axis=2).astype(np.int64, copy=False)
     stack.flags.writeable = degrees.flags.writeable = False
     return stack, degrees
 
@@ -207,7 +210,7 @@ def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _patterns(n: int, edge_sets) -> tuple[np.ndarray, np.ndarray]:
     """The _freeze'd (k, n+1, n+1) stack of k edge sets and its degree
     rows; a repeated edge counts once.  Raises ValueError on a bad edge."""
-    stack = np.zeros((len(edge_sets), n + 1, n + 1))
+    stack = np.zeros((len(edge_sets), n + 1, n + 1), dtype=bool)
     for a, edges in zip(stack, edge_sets):
         i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         bad = (i < 1) | (i > n) | (j < 0) | (j > n) | (i == j)
@@ -215,7 +218,7 @@ def _patterns(n: int, edge_sets) -> tuple[np.ndarray, np.ndarray]:
             k = int(np.argmax(bad))
             raise ValueError(f"edge ({i[k]}, {j[k]}) is a self-loop or "
                              "out of node range")
-        a[i, j] = 1.0
+        a[i, j] = True
     return _freeze(stack)
 
 
@@ -230,8 +233,8 @@ class GraphSchedule:
     """
 
     kind = "base"
-    # Bytes one step adds to a compiled block; a kind that makes a
-    # pattern per step adds a whole matrix.
+    # Bytes one step adds to a compiled block, its slot; a kind that makes
+    # a pattern per step adds its bool matrix and int64 degree row too.
     _step_bytes = np.dtype(np.intp).itemsize
 
     def __init__(self, n: int, horizon: int | None = None):
@@ -255,11 +258,12 @@ class GraphSchedule:
                 f"t={t} beyond schedule horizon {self.horizon}")
 
     def adjacency_at(self, t: int) -> np.ndarray:
-        """Dense (n+1)x(n+1) 0/1 adjacency at time t (read-only)."""
+        """Dense (n+1)x(n+1) bool adjacency at time t (read-only)."""
         return self.arrays_at(t)[0]
 
     def arrays_at(self, t: int):
-        """(adjacency, ledger degree vector) at time t, both read-only."""
+        """(bool adjacency, int64 ledger degree vector) at time t, both
+        read-only."""
         self._check_t(t)
         blk = self._compile(t, t + 1)
         return blk.adjacency[blk.slots[0]], blk.degrees[blk.slots[0]]
@@ -350,6 +354,27 @@ def _joined(head: Block, tail: Block) -> Block:
 def _counts(degrees: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """int64 receive counts summed over steps using these pattern slots."""
     return np.bincount(slots, minlength=len(degrees)) @ degrees
+
+
+def _float_windows(blk: Block, steps: int):
+    """(first offset, pattern indices, adjacency[indices] as float64, each
+    step's slot into it) per window of at most `steps` of blk's steps.
+    The patterns a block uses are cast once, one stack every window
+    yields, if their float64 fits an eighth of _COMPILE_BUDGET (a fixed
+    set's), else each window of at most that many steps casts its own (a
+    random block's, one per step)."""
+    cap = max(1, _COMPILE_BUDGET // 8 // (8 * blk.adjacency[0].size))
+    used, slots = np.unique(blk.slots, return_inverse=True)
+    if len(used) <= cap:
+        cast = blk.adjacency[used].astype(np.float64)
+        for j in range(0, len(slots), steps):
+            yield j, used, cast, slots[j:j + steps]
+        return
+    steps = min(steps, cap)
+    for j in range(0, len(slots), steps):
+        own = blk.slots[j:j + steps]
+        yield j, own, blk.adjacency[own].astype(np.float64), np.arange(
+            len(own))
 
 
 def _transitions(a: np.ndarray, before: np.ndarray,
@@ -451,7 +476,7 @@ def verify_truth_hearing(schedule: GraphSchedule, kappa: int,
     heard = np.full(schedule.n, -1, dtype=np.int64)  # last hear per learner
     for blk in schedule.compiled.blocks(0, horizon):
         steps = np.arange(blk.start, blk.start + len(blk.slots))
-        hears = blk.adjacency[blk.slots, 1:, 0] > 0
+        hears = blk.adjacency[blk.slots, 1:, 0]
         last = np.maximum.accumulate(np.vstack(
             [heard, np.where(hears, steps[:, None], -1)]), axis=0)[1:]
         # window [t - kappa + 1, t] misses agent i; none when t < kappa - 1
@@ -594,7 +619,7 @@ class RandomSchedule(GraphSchedule):
         self.seed = _count(seed, "seed", 0)
         rng = _schedule_rng(self.seed, _TAG_PHASES, 0)
         self.phases = tuple(int(p) for p in rng.integers(0, kappa, size=n))
-        self._step_bytes = 8 * ((n + 1) ** 2 + n + 2)
+        self._step_bytes = (n + 1) ** 2 + 8 * (n + 2)
 
     def edges_at(self, t):
         self._check_t(t)
@@ -612,7 +637,7 @@ class RandomSchedule(GraphSchedule):
     def _compile(self, start, stop):
         """edges_at's draws, thresholded straight into an adjacency stack."""
         n, steps = self.n, np.arange(start, stop)
-        stack = np.zeros((steps.size, n + 1, n + 1))
+        stack = np.zeros((steps.size, n + 1, n + 1), dtype=bool)
         stack[:, 1:, 0] = steps[:, None] % self.kappa == np.array(self.phases)
         if self.edge_probability > 0.0:
             draws = np.empty((n, n))  # one reused buffer: no fresh pages
@@ -620,7 +645,7 @@ class RandomSchedule(GraphSchedule):
                 rng.random(out=draws)
                 np.less(draws, self.edge_probability, out=a[1:, 1:])
             learners = np.arange(1, n + 1)
-            stack[:, learners, learners] = 0.0  # no self-loops
+            stack[:, learners, learners] = False  # no self-loops
         return Block(start, *_freeze(stack), np.arange(steps.size))
 
 

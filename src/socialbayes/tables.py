@@ -2,9 +2,11 @@
 
 Every table is a CSV file: a timestamp line, a block of ``# key: value``
 metadata, then a header row (``t,agent,mean,precision`` or the columns
-of that table) and one row per (time, agent) pair or per check.  A field
-holding a comma (a check name such as ``diagonal_bound[s=0,kappa=3]``)
-is quoted the way the ``csv`` module quotes it.
+of that table) and one row per (time, agent) pair or per check.  One
+writer, write_table, builds the body a column at a time and keeps the
+``csv`` module's quoting: a field holding a comma (a check name such as
+``diagonal_bound[s=0,kappa=3]``), a quote or a newline is quoted, so
+every file is byte for byte what ``csv.writer`` writes.
 
 The first line of every file is the generation timestamp and is the only
 line excluded when comparing files for reproducibility; everything after
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,22 +53,31 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     """Write rows (iterable of tuples matching `columns`) under a meta block.
 
     Cells are strings, ints and floats (numpy float64 and integer scalars
-    included).  The csv module writes a float with repr and an int with
-    str, which is what format_value gives them, so cells pass on as they
-    are.  CSV is the only format: any `fmt` but "csv" is a ValueError.
+    included).  The body is built a column at a time, header first, in
+    the bytes csv.writer writes: a cell's str (repr for a float, as
+    format_value gives it), quoted when it holds a comma, quote or newline,
+    and "" for a row of one empty cell.  A row with more or fewer cells
+    than `columns`, or any `fmt` but "csv", is a ValueError.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
-    body = io.StringIO()
-    body.writelines("# %s: %s\n" % (k, format_value(v))
-                    for k, v in meta.items())
-    writer = csv.writer(body, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+    cells = [list(map(str, column))
+             for column in zip(columns, *rows, strict=True)]
+    for column in cells:
+        if _QUOTED.search("".join(column)):
+            column[:] = ['"%s"' % c.replace('"', '""') if _QUOTED.search(c)
+                         else c for c in column]
+    if len(cells) == 1:
+        cells[0] = [cell or '""' for cell in cells[0]]
+    lines = ["# %s: %s" % (k, format_value(v)) for k, v in meta.items()]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(timestamp_line() + "\n" + body.getvalue())
+    path.write_text("\n".join([timestamp_line(), *lines, *map(
+        ",".join, zip(*cells))]) + "\n")
     return path
+
+
+_QUOTED = re.compile('[,"\n]')  # a cell the csv module quotes
 
 
 @dataclass
@@ -81,23 +93,32 @@ class TableData:
 
 def read_table(path) -> TableData:
     """Read a file written by write_table, each column int64, else float64,
-    else strings, by its text as the module docstring says."""
+    else strings, by its text as the module docstring says.  A body with
+    no quote is split at its commas, else csv.reader reads it; a row with
+    more or fewer cells than the header is a ValueError naming its line."""
+    lines = Path(path).read_text().split("\n")
     meta = {}
-    body = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# generated:"):
-            continue
+    for h, line in enumerate(lines):
         if line.startswith("# "):
             key, _, value = line[2:].partition(": ")
             meta[key] = value
         elif line.strip():
-            body.append(line)
-    if not body:
+            break
+    else:
         raise ValueError("no header row in %s" % path)
-    header, *data = csv.reader(body)
+    meta.pop("generated", None)
+    body = "\n".join(lines[h:])
+    header, *data = ([row for row in csv.reader(io.StringIO(body)) if row]
+                     if '"' in body else
+                     [line.split(",") for line in lines[h:] if line])
+    if set(map(len, data)) - {len(header)}:
+        reader = csv.reader(io.StringIO(body))
+        row = next(r for r in reader if r and len(r) != len(header))
+        raise ValueError("%s, line %d: %d cells under a %d-column header"
+                         % (path, h + reader.line_num, len(row), len(header)))
+    columns = zip(*data) if data else [()] * len(header)
     return TableData(meta=meta, columns={
-        name: _as_array([row[j] for row in data])
-        for j, name in enumerate(header)})
+        name: _as_array(cells) for name, cells in zip(header, columns)})
 
 
 def _as_array(cells) -> np.ndarray:
@@ -105,7 +126,8 @@ def _as_array(cells) -> np.ndarray:
         return np.empty(0)
     for dtype in (np.int64, np.float64):
         try:
-            return np.array(cells, dtype=dtype)
+            np.array(cells[:1], dtype)  # the first cell rules a type out
+            return np.array(cells, dtype)
         except (ValueError, OverflowError):
             pass
     return np.array(cells, dtype=object)

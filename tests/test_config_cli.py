@@ -558,6 +558,8 @@ _BAD_TABLES = {
     "no-header": "# generated: 2026-01-01T00:00:00Z\n# kind: expected\n",
     "no-t-column": "# kind: expected\nagent,mean\n1,0.5\n",
     "short-row": "t,agent,mean\n0,1,0.5\n1,1\n",
+    "long-row": "t,agent,mean\n0,1,0.5\n1,1,0.25,9\n2,1,0.125\n",
+    "quoted-long-row": 't,agent,mean\n0,1,"0.5"\n1,1,0.25,9\n',
     "text-mean": "t,agent,mean\n0,1,0.5\n1,1,high\n",
     "jsonl": '{"generated": "2026-01-01T00:00:00Z"}\n'
              '{"meta": {"kind": "expected"}}\n'

@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import FloatStacks
 from socialbayes import schedules
-from socialbayes.dynamics import SystemParams
-from socialbayes.expected import transition_bundles
+from socialbayes.analysis import (check_transition_identities,
+                                  sweep_window_checks)
+from socialbayes.dynamics import SystemParams, run_ensemble
+from socialbayes.expected import run_expected, transition_bundles
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
@@ -140,16 +143,20 @@ def _from_edges(sched, t):
 
 def _assert_block_matches(sched, blk, start, stop):
     assert blk.start == start
-    # every kind's patterns are one read-only stack and its degree rows
+    # every kind's patterns are one read-only bool stack and its int64
+    # degree rows, the stack's row counts
     for patterns in (blk.adjacency, blk.degrees):
         assert isinstance(patterns, np.ndarray)
         assert not patterns.flags.writeable
+    assert blk.adjacency.dtype == bool and blk.degrees.dtype == np.int64
+    assert np.array_equal(blk.degrees, blk.adjacency.sum(axis=2))
     assert blk.adjacency.shape == (len(blk.degrees), sched.n + 1, sched.n + 1)
     assert blk.slots.shape == (stop - start,)
     degrees = blk.degrees[blk.slots]
     assert degrees.shape == (stop - start, sched.n + 1)
     for row, t in enumerate(range(start, stop)):
         a, deg = sched.arrays_at(t)
+        assert a.dtype == bool and deg.dtype == np.int64
         assert np.array_equal(blk.adjacency[blk.slots[row]], a)
         assert np.array_equal(blk.degrees[blk.slots[row]], deg)
         assert np.array_equal(degrees[row], deg)
@@ -185,8 +192,9 @@ def test_compiled_schedule_blocks_match_queries(monkeypatch):
         lo, hi = max(t - 2, 0), min(t + 3, trap.horizon)
         _assert_block_matches(trap, compiled.block(lo, hi), lo, hi)
 
-    # a random schedule across many small blocks, most of them dropped
-    monkeypatch.setattr(schedules, "_COMPILE_BUDGET", 4096)
+    # a random schedule across many small blocks, most of them dropped:
+    # a step takes 16 + 8 * 5 = 56 bytes, so 3 steps a block
+    monkeypatch.setattr(schedules, "_COMPILE_BUDGET", 8 * 3 * 56)
     sched = make_random_schedule(3, 2, 0.5, seed=9)
     compiled = sched.compiled
     assert compiled.steps == 3
@@ -201,13 +209,13 @@ def test_compiled_schedule_blocks_match_queries(monkeypatch):
                 (sched.arrays_at(u)[1] for u in range(t)), np.zeros(4, int)))
             t += len(blk.slots)
         assert t == stop
-        assert compiled.nbytes <= 4096
+        assert compiled.nbytes <= 8 * 3 * 56
 
 
 def test_blocks_do_not_depend_on_walk_order(monkeypatch):
     """One-step walks in rising order leave full blocks for a later walk,
     and only blocks that fit the budget are held."""
-    monkeypatch.setattr(schedules, "_COMPILE_BUDGET", 4096)
+    monkeypatch.setattr(schedules, "_COMPILE_BUDGET", 8 * 3 * 56)
     sched = make_random_schedule(3, 2, 0.5, seed=9, horizon=50)
     compiled = sched.compiled
     for t in range(10):
@@ -215,9 +223,10 @@ def test_blocks_do_not_depend_on_walk_order(monkeypatch):
     assert [(blk.start, len(blk.slots)) for blk in compiled.blocks(0, 50)] \
         == [(s, 3) for s in range(0, 48, 3)] + [(48, 2)]
     assert len(compiled._counts) == 18  # one receive-count row per block
-    # 3 steps of 168 bytes a block: the first 8 blocks fit 4,096 bytes
+    # 3 steps of 56 bytes a block (a bool matrix, a degree row and a
+    # slot): the first 8 blocks fit 1,344 bytes
     assert sorted(compiled._held) == list(range(8))
-    assert compiled.nbytes == 8 * 3 * 168
+    assert compiled.nbytes == 8 * 3 * 56
 
 
 def test_walk_holds_its_schedule():
@@ -235,10 +244,11 @@ def test_walk_holds_its_schedule():
 
 def test_random_compile_holds_bounded_memory():
     """At n = 100 the compiled form holds the same bytes, and a walk peaks
-    at the same traced memory, after 500 and after 2,000 steps, up to
-    one block; what it holds stays within the budget."""
+    at the same traced memory, after 2,000 and after 8,000 steps, both
+    past the 1,520 steps the budget holds, up to one block; what it
+    holds stays within the budget."""
     held, peaks = [], []
-    for horizon in (500, 2000):
+    for horizon in (2000, 8000):
         sched = make_random_schedule(100, 3, 0.05, seed=1)
         tracemalloc.start()
         assert max_degree(sched, horizon) > 0
@@ -249,6 +259,52 @@ def test_random_compile_holds_bounded_memory():
     assert abs(held[1] - held[0]) <= one_block
     assert max(held) <= schedules._COMPILE_BUDGET
     assert abs(peaks[1] - peaks[0]) <= one_block
+
+
+def test_float_windows_cast_fixed_sets_once():
+    """A fixed pattern set is cast to float64 once per block, whatever the
+    window; a random block is cast a window of at most an eighth of the
+    budget at a time (25 steps at n = 100), never whole.  Each step's
+    float pattern is its bool one."""
+    for sched, stop, steps, lengths, casts in (
+            (make_periodic_schedule(100, 5, "ring"), 400, 16, [16] * 25, 1),
+            (make_random_schedule(100, 3, 0.01, seed=2), 190, 190,
+             [25] * 7 + [15], 8)):
+        blk = sched.compiled.block(0, stop)
+        windows = list(schedules._float_windows(blk, steps))
+        assert [len(w[3]) for w in windows] == lengths
+        assert len({id(w[2]) for w in windows}) == casts
+        for j, used, cast, slots in windows:
+            assert cast.dtype == np.float64
+            assert cast.nbytes <= schedules._COMPILE_BUDGET // 8
+            assert np.array_equal(cast[slots],
+                                  blk.adjacency[blk.slots[j:j + len(slots)]])
+            assert np.array_equal(blk.degrees[used][slots],
+                                  blk.degrees[blk.slots[j:j + len(slots)]])
+
+
+@pytest.mark.parametrize("truth_noise", [True, False])
+def test_bool_stacks_match_float_reference(truth_noise):
+    """At n = 100, p = 0.01 the mean process, an ensemble and the identity
+    and window checks over bool stacks in 190-step blocks are bitwise what
+    they are over float64 stacks in 25-step blocks (conftest.FloatStacks),
+    past the first bool block's end."""
+    horizon, x0 = 200, np.linspace(-1.0, 2.0, 100)
+    params = SystemParams(n=100, seed=3, truth_noise=truth_noise)
+    results = []
+    for sched, steps in ((make_random_schedule(100, 3, 0.01, seed=11), 190),
+                         (FloatStacks(make_random_schedule(
+                             100, 3, 0.01, seed=11)), 25)):
+        assert sched.compiled.steps == steps
+        mean = run_expected(sched, params, horizon, x0=x0)
+        ens = run_ensemble(sched, params, horizon, 3, x0=x0, record_every=7)
+        checks = (check_transition_identities(sched, params, horizon)
+                  + sweep_window_checks(sched, params, horizon, 3))
+        assert checks
+        results.append((mean.means, mean.norms, ens.means, ens.ledger,
+                        np.array([repr(c) for c in checks])))
+    for ours, reference in zip(*results):
+        assert np.array_equal(ours, reference)
 
 
 def test_truth_hearing_reports_first_violation():

@@ -191,6 +191,75 @@ def test_write_table_cells_as_format_value_writes_them(tmp_path, fmt):
     assert np.signbit(table["value"][3])
 
 
+def _csv_module_body(meta, columns, rows):
+    body = io.StringIO()
+    body.writelines("# %s: %s\n" % (k, format_value(v))
+                    for k, v in meta.items())
+    csv.writer(body, lineterminator="\n").writerows([columns] + rows)
+    return body.getvalue()
+
+
+def test_write_table_bytes_are_the_csv_modules(tmp_path, fmt):
+    """The column-wise writer gives csv.writer's bytes on awkward cells:
+    commas, quotes, CR and LF, an empty string as a first cell, a middle
+    cell and alone in a row, numpy scalars and extreme floats."""
+    rows = [("", 1.5, np.int64(3)),
+            ('a "quoted", cell', np.float64(0.1), ""),
+            ("cr\rand\nlf", float("inf"), -7),
+            ("x", float("nan"), np.int64(-2 ** 62)),
+            ("y", -1e-300, 0), ("z", 1e300, 1), ("", np.float64(-0.0), "")]
+    tables = {"three": (["name", "value", "count"], rows),
+              "one": ([""], [("",), ("a,b",), (" ",), ('"',), ("",)]),
+              "numbers": (["v"], [(v,) for v in (1e16, 1e-05, 0.5, 2.0)]),
+              "empty": (["a", "b"], [])}
+    for name, (columns, body) in tables.items():
+        path = write_table(tmp_path / (name + "." + fmt), {"kind": "a, b"},
+                           columns, body)
+        with open(path, newline="") as f:
+            assert f.read().split("\n", 1)[1] == _csv_module_body(
+                {"kind": "a, b"}, columns, body), name
+
+
+def test_write_table_refuses_ragged_rows(tmp_path, fmt):
+    """A row with a cell too many or too few writes nothing: the file
+    could not be read back."""
+    for rows in ([(1, 2.0), (2,)], [(1, 2.0, 3)]):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / ("t." + fmt), {}, ["t", "mean"], rows)
+    assert not (tmp_path / ("t." + fmt)).exists()
+
+
+def test_empty_and_one_column_tables_read_back_exactly(tmp_path, fmt):
+    """Empty string cells, blank-looking cells and a cell with a newline
+    in a one-column table, and a table with no rows, read back as written."""
+    cells = ["", "a,b", " ", "two\nlines", '"', ""]
+    path = write_table(tmp_path / ("one." + fmt), {}, ["name"],
+                       [(c,) for c in cells])
+    assert read_table(path)["name"].tolist() == cells
+    path = write_table(tmp_path / ("num." + fmt), {}, ["v"], [(0.5,), (2,)])
+    assert read_table(path)["v"].tolist() == [0.5, 2.0]
+    path = write_table(tmp_path / ("none." + fmt), {"kind": "x"}, ["a"], [])
+    table = read_table(path)
+    assert list(table.columns) == ["a"] and table["a"].size == 0
+    assert table.meta == {"kind": "x"}
+
+
+@pytest.mark.parametrize("body, line", [
+    ("t,mean\n1,2.0\n2,3.0,9\n3,4.0\n", 5),
+    ("t,mean\n1,2.0\n2\n3,4.0\n", 5),
+    ('t,name\n1,"a,b"\n2,"c",9\n', 5),
+    ('t,name\n1,"a\nb"\n2\n', 6)],
+    ids=["long", "short", "quoted-long", "short-after-newline-cell"])
+def test_ragged_rows_name_the_file_and_line(tmp_path, fmt, body, line):
+    """A row with a cell too many or too few is a ValueError naming the
+    file and its line (the timestamp is line 1), on the unquoted and the
+    quoted path; it was dropped or an IndexError."""
+    path = tmp_path / ("t." + fmt)
+    path.write_text("# generated: 2026-01-01T00:00:00Z\n# kind: x\n" + body)
+    with pytest.raises(ValueError, match=r"t\.%s, line %d: " % (fmt, line)):
+        read_table(path)
+
+
 def _read_strictly(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
