@@ -24,7 +24,6 @@ from .analysis import (
     estimate_deviation_moments,
     fit_rate,
     norm_inf,
-    norm_max,
     sweep_window_checks,
 )
 from .config import (
@@ -57,7 +56,6 @@ from .expected import (
     bundle_at,
     run_expected,
     transition_bundle,
-    transition_bundles,
 )
 from .schedules import (
     CounterexampleSchedule,

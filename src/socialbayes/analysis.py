@@ -48,11 +48,6 @@ def norm_inf(m: np.ndarray) -> float:
     return float(np.max(np.abs(m).sum(axis=1)))
 
 
-def norm_max(m: np.ndarray) -> float:
-    """Largest absolute entry."""
-    return float(np.max(np.abs(m)))
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One verified inequality lhs <= rhs.

@@ -2,13 +2,15 @@
 
 Sections: [params] (system parameters, master seed, initial means),
 [schedule] (graph schedule spec), [run] (horizon, ensemble size,
-recording cadence), and optional [verify], [ratefit], [output].  An
-unknown section or key is an error, so a typo cannot fall back to a
+recording cadence), and optional [verify], [ratefit], [output].  Each
+key is declared once, with its converter and its default (... if it is
+required), in _TABLE or, past [schedule]'s kind, in _KINDS; a section
+holds only the keys declared for it, so a typo cannot fall back to a
 default.  The master seed is mandatory: reruns of the same file must be
-reproducible, so there is no wall-clock fallback.  config keeps no rule
-of its own: each value is read through the API's rule for it (_count,
-_real, initial_state's, fit_rate's window), and a value that breaks one,
-or an unreadable file, is a ConfigError naming its section and key.
+reproducible, so there is no wall-clock fallback.  Each value is read
+through the API's rule for it (_count, _real, initial_state's, fit_rate's
+window), and a value that breaks one, or an unreadable file, is a
+ConfigError naming its section and key.  Only rules spanning keys are code.
 """
 
 from __future__ import annotations
@@ -35,17 +37,6 @@ PEER_RULES = ("none", "ring", "complete", "edges")
 CHECK_NAMES = ("identities", "diagonal", "contraction", "truth_pull",
                "decay", "norms")
 FAULT_HOOKS = ("none", "transition")
-
-# The keys each section may hold; [schedule]'s are those of every kind.
-_KEYS = {
-    "params": ("n", "tau", "tau0", "truth", "seed", "truth_noise", "x0"),
-    "schedule": ("kind", "kappa", "peer_rule", "peer_edges",
-                 "edge_probability", "start", "edges", "path", "horizon"),
-    "run": ("horizon", "ensemble", "record_every", "record_times"),
-    "verify": ("checks", "kappa", "inject_fault"),
-    "ratefit": ("input", "window", "d", "kappa", "slack"),
-    "output": ("directory", "format"),
-}
 
 
 class ConfigError(ValueError):
@@ -105,6 +96,111 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
+# A converter takes a value's stripped text and its key; _get reports its
+# ValueError as "cannot parse", its ConfigError with its own message.
+def _text(raw: str, key: str) -> str:
+    return raw
+
+
+def _flag(raw: str, key: str) -> bool:
+    """on/off, true/false, yes/no or 1/0, as configparser reads a flag."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("expected on/off") from None
+
+
+def _as_count(least: int = 1):
+    """An int by the API's rule for counts (_count)."""
+    return lambda raw, key: _count(int(raw), key, least)
+
+
+def _as_real(**bounds):
+    """A float by the API's rule for reals (_real)."""
+    return lambda raw, key: _real(float(raw), key, **bounds)
+
+
+def _numbers(kind):
+    """A tuple of at least one kind, split at spaces and commas."""
+    def conv(raw: str, key: str) -> tuple:
+        values = tuple(kind(p) for p in raw.replace(",", " ").split())
+        if not values:
+            raise ValueError("need at least one value")
+        return values
+    return conv
+
+
+def _one_of(names: tuple, many: bool = False):
+    """One of names, or with many a tuple of any of them split at spaces."""
+    def conv(raw: str, key: str):
+        for value in raw.split() if many else [raw]:
+            if value not in names:
+                raise ConfigError("unknown %s %r; expected one of %s"
+                                  % (key, value, names))
+        return tuple(raw.split()) if many else raw
+    return conv
+
+
+def _lines(form: str):
+    """One tuple of integers per line, as many as `form` ('t i j', 'i j')
+    names; blank lines and '#' comments are skipped."""
+    def conv(raw: str, key: str) -> tuple:
+        rows = []
+        for lineno, line in enumerate(raw.splitlines(), 1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != len(form.split()):
+                raise ConfigError("line %d: expected %r, got %r"
+                                  % (lineno, form, line.strip()))
+            try:
+                rows.append(tuple(int(p) for p in parts))
+            except ValueError:
+                raise ConfigError("line %d: non-integer field in %r"
+                                  % (lineno, line.strip())) from None
+        return tuple(rows)
+    return conv
+
+
+# section -> key -> (converter, default); ... marks a required key.
+_TABLE = {
+    "params": {"n": (_as_count(), ...),
+               "tau": (_as_real(low=0, strict=True), 1.0),
+               "tau0": (_as_real(low=0, strict=True), 1.0),
+               "truth": (_as_real(), 0.0), "seed": (_as_count(0), ...),
+               "truth_noise": (_flag, True), "x0": (_numbers(float), None)},
+    "schedule": {"kind": (_one_of(SCHEDULE_KINDS), ...)},
+    "run": {"horizon": (_as_count(0), ...), "ensemble": (_as_count(), 1),
+            "record_every": (_as_count(), None),
+            "record_times": (_numbers(int), None)},
+    "verify": {"checks": (_one_of(CHECK_NAMES, many=True), CHECK_NAMES),
+               "kappa": (_as_count(), None),
+               "inject_fault": (_one_of(FAULT_HOOKS), "none")},
+    "ratefit": {"input": (_text, ...), "window": (
+                    lambda raw, key: _window(_numbers(int)(raw, key)), ...),
+                "d": (_as_count(), ...), "kappa": (_as_count(), ...),
+                "slack": (_as_real(), 0.05)},
+    "output": {"directory": (_text, "out"),
+               "format": (_one_of(("csv",)), "csv")},
+}
+# [schedule]'s keys past kind, one table per kind, which reads only its own.
+_KINDS = {
+    "periodic": {"kappa": (_as_count(), ...),
+                 "peer_rule": (_one_of(PEER_RULES), "none"),
+                 "peer_edges": (_lines("i j"), None)},
+    "random": {"kappa": (_as_count(), ...),
+               "edge_probability": (_as_real(low=0, high=1), 0.0)},
+    "counterexample": {"start": (_as_real(), 2.0)},
+    "explicit-table": {
+        "edges": (_lines("t i j"), ()),
+        "path": (lambda raw, key: _lines("t i j")(_read(raw), key), ()),
+        "horizon": (_as_count(0), None)},
+}
+# The keys each section may hold; [schedule]'s are those of every kind.
+_KEYS = {name: tuple(keys) for name, keys in _TABLE.items()}
+_KEYS["schedule"] += tuple({k: 0 for kind in _KINDS.values() for k in kind})
+
+
 def _get(section, key, conv, default=..., name=""):
     if key not in section:
         if default is ...:
@@ -112,194 +208,47 @@ def _get(section, key, conv, default=..., name=""):
         return default
     raw = section[key].strip()
     try:
-        return conv(raw)
+        return conv(raw, key)
+    except ConfigError as exc:  # the converter's own message
+        raise ConfigError(str(exc), name, key) from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError("cannot parse %r (%s)" % (raw, exc), name, key)
+        raise ConfigError("cannot parse %r (%s)" % (raw, exc), name,
+                          key) from None
 
 
-def _as_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise ValueError("expected on/off")
+def _values(cp, section: str, keys: dict) -> dict:
+    """[section]'s value of each key in `keys`, a key table.  A section the
+    file leaves out reads as empty unless one of its keys is required."""
+    if section not in cp and ... in (d for _, d in keys.values()):
+        raise ConfigError("section missing", section)
+    sec = cp[section] if section in cp else {}
+    return {key: _get(sec, key, conv, default, section)
+            for key, (conv, default) in keys.items()}
 
 
-def _as_count(key: str, least: int = 1):
-    """A _get converter: an int by the API's rule for counts (_count)."""
-    return lambda raw: _count(int(raw), key, least)
-
-
-def _as_real(key: str, **bounds):
-    """A _get converter: a float by the API's rule for reals (_real)."""
-    return lambda raw: _real(float(raw), key, **bounds)
-
-
-def _as_x0(params: SystemParams):
-    """A _get converter: initial means, a tuple as initial_state takes it."""
-    def conv(raw: str) -> tuple:
-        x0 = tuple(float(p) for p in raw.replace(",", " ").split())
-        initial_state(params, x0)
-        return x0
-    return conv
-
-
-def _as_ints(raw: str) -> tuple:
-    return tuple(int(p) for p in raw.replace(",", " ").split())
-
-
-def _parse_lines(raw: str, name: str, key: str, form: str) -> tuple:
-    """One tuple of integers per line, as many as `form` ('t i j', 'i j')
-    names; blank lines and '#' comments are skipped."""
-    rows = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != len(form.split()):
-            raise ConfigError("line %d: expected %r, got %r"
-                              % (lineno, form, line.strip()), name, key)
-        try:
-            rows.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ConfigError("line %d: non-integer field in %r"
-                              % (lineno, line.strip()), name, key) from None
-    return tuple(rows)
-
-
-def _parse_params(cp) -> tuple:
-    if "params" not in cp:
-        raise ConfigError("section missing", "params")
-    sec = cp["params"]
-    name = "params"
-    params = SystemParams(
-        n=_get(sec, "n", _as_count("n"), name=name),
-        tau=_get(sec, "tau", _as_real("tau", low=0, strict=True), 1.0, name),
-        tau0=_get(sec, "tau0", _as_real("tau0", low=0, strict=True), 1.0, name),
-        truth=_get(sec, "truth", _as_real("truth"), 0.0, name),
-        # reproducibility first: the seed has no default
-        seed=_get(sec, "seed", _as_count("seed", 0), name=name),
-        truth_noise=_get(sec, "truth_noise", _as_bool, True, name))
-    return params, _get(sec, "x0", _as_x0(params), (params.truth,), name)
-
-
-def _parse_schedule(cp, params: SystemParams) -> ScheduleSpec:
-    if "schedule" not in cp:
-        raise ConfigError("section missing", "schedule")
-    sec = cp["schedule"]
-    name = "schedule"
-    kind = _get(sec, "kind", str, name=name)
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError("unknown kind %r; expected one of %s"
-                          % (kind, SCHEDULE_KINDS), name, "kind")
+def _schedule(cp, n: int) -> ScheduleSpec:
+    kind = _values(cp, "schedule", _TABLE["schedule"])["kind"]
+    if kind == "counterexample" and n != 2:
+        raise ConfigError("counterexample schedule requires n = 2 "
+                          "(got n = %d)" % n, "schedule", "kind")
+    spec = _values(cp, "schedule", _KINDS[kind])
     if kind == "periodic":
-        kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
-        peer_rule = _get(sec, "peer_rule", str, "none", name)
-        if peer_rule not in PEER_RULES:
-            raise ConfigError("unknown peer_rule %r" % peer_rule, name,
-                              "peer_rule")
-        peer_edges = ()
-        if peer_rule == "edges":
-            raw = _get(sec, "peer_edges", str, name=name)
-            rows = _parse_lines(raw, name, "peer_edges", "i j")
-            try:
-                peer_edges = tuple(_peer_edges(params.n, rows))
-            except ValueError as exc:
-                raise ConfigError(str(exc), name, "peer_edges") from None
-        return ScheduleSpec(kind=kind, kappa=kappa, peer_rule=peer_rule,
-                            peer_edges=peer_edges)
-    if kind == "random":
-        kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
-        p = _get(sec, "edge_probability",
-                 _as_real("edge_probability", low=0, high=1), 0.0, name)
-        return ScheduleSpec(kind=kind, kappa=kappa, edge_probability=p)
-    if kind == "counterexample":
-        if params.n != 2:
-            raise ConfigError("counterexample schedule requires n = 2 "
-                              "(got n = %d)" % params.n, name, "kind")
-        start = _get(sec, "start", _as_real("start"), 2.0, name)
-        return ScheduleSpec(kind=kind, start=start)
-    # explicit-table: inline edge lines, an external file, or both
-    edges = ()
-    if "edges" in sec:
-        edges += _parse_lines(sec["edges"].strip(), name, "edges", "t i j")
-    if "path" in sec:
-        edges += _parse_lines(_read(sec["path"].strip(), name, "path"), name,
-                              "path", "t i j")
-    if not edges:
-        raise ConfigError("explicit-table needs 'edges' lines or 'path'",
-                          name, "kind")
-    table_horizon = _get(sec, "horizon", _as_count("horizon", 0), None, name)
-    return ScheduleSpec(kind=kind, edges=edges, table_horizon=table_horizon)
-
-
-def _parse_run(cp) -> tuple:
-    if "run" not in cp:
-        raise ConfigError("section missing", "run")
-    sec = cp["run"]
-    name = "run"
-    horizon = _get(sec, "horizon", _as_count("horizon", 0), name=name)
-    ensemble = _get(sec, "ensemble", _as_count("ensemble"), 1, name)
-    record_times = _get(sec, "record_times", _as_ints, None, name)
-    if record_times == ():
-        raise ConfigError("need at least one record time", name,
-                          "record_times")
-    record_every = _get(sec, "record_every", _as_count("record_every"), None,
-                        name)
-    if record_times is not None and record_every is not None:
-        raise ConfigError("record_every and record_times are exclusive",
-                          name, "record_every")
-    if record_times is None and record_every is None:
-        record_every = 1
-    return horizon, ensemble, record_every, record_times
-
-
-def _parse_verify(cp) -> VerifySpec:
-    if "verify" not in cp:
-        return VerifySpec()
-    sec = cp["verify"]
-    name = "verify"
-    if "checks" in sec:
-        names = tuple(sec["checks"].split())
-        for c in names:
-            if c not in CHECK_NAMES:
-                raise ConfigError("unknown check %r; expected subset of %s"
-                                  % (c, CHECK_NAMES), name, "checks")
-    else:
-        names = CHECK_NAMES
-    kappa = _get(sec, "kappa", _as_count("kappa"), None, name)
-    fault = _get(sec, "inject_fault", str, "none", name)
-    if fault not in FAULT_HOOKS:
-        raise ConfigError("unknown fault hook %r" % fault, name,
-                          "inject_fault")
-    return VerifySpec(checks=names, kappa=kappa, inject_fault=fault)
-
-
-def _parse_ratefit(cp) -> RatefitSpec | None:
-    if "ratefit" not in cp:
-        return None
-    sec = cp["ratefit"]
-    name = "ratefit"
-    inp = _get(sec, "input", str, name=name)
-    window = _get(sec, "window", lambda raw: _window(_as_ints(raw)),
-                  name=name)
-    d = _get(sec, "d", _as_count("d"), name=name)
-    kappa = _get(sec, "kappa", _as_count("kappa"), name=name)
-    slack = _get(sec, "slack", _as_real("slack"), 0.05, name)
-    return RatefitSpec(input=inp, window=window, d=d, kappa=kappa, slack=slack)
-
-
-def _parse_output(cp) -> str:
-    """The output directory; `format` may only name csv, the one format."""
-    if "output" not in cp:
-        return "out"
-    sec = cp["output"]
-    fmt = _get(sec, "format", str, "csv", "output")
-    if fmt != "csv":
-        raise ConfigError("unknown format %r; tables are csv" % fmt,
-                          "output", "format")
-    return _get(sec, "directory", str, "out", "output")
+        rows = spec["peer_edges"]
+        if (rows is None) == (spec["peer_rule"] == "edges"):
+            raise ConfigError("required key missing" if rows is None else
+                              "needs peer_rule = edges", "schedule",
+                              "peer_edges")
+        try:
+            spec["peer_edges"] = tuple(_peer_edges(n, rows or ()))
+        except ValueError as exc:
+            raise ConfigError(str(exc), "schedule", "peer_edges") from None
+    if kind == "explicit-table":
+        spec["edges"] += spec.pop("path")  # inline lines, a file, or both
+        if not spec["edges"]:
+            raise ConfigError("explicit-table needs 'edges' lines or 'path'",
+                              "schedule", "kind")
+        spec["table_horizon"] = spec.pop("horizon")
+    return ScheduleSpec(kind=kind, **spec)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -317,25 +266,35 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in _KEYS[name]:
                 raise ConfigError("unknown key; expected one of %s"
                                   % (_KEYS[name],), name, key)
-    params, x0 = _parse_params(cp)
-    schedule = _parse_schedule(cp, params)
-    horizon, ensemble, record_every, record_times = _parse_run(cp)
-    out_dir = _parse_output(cp)
+    values = _values(cp, "params", _TABLE["params"])
+    x0 = values.pop("x0")
+    params = SystemParams(**values)
+    x0 = x0 or (params.truth,)
+    try:
+        initial_state(params, x0)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "params", "x0") from None
+    schedule = _schedule(cp, params.n)
+    run = _values(cp, "run", _TABLE["run"])
+    if run["record_times"] is None:
+        run["record_every"] = run["record_every"] or 1
+    elif run["record_every"] is not None:
+        raise ConfigError("record_every and record_times are exclusive",
+                          "run", "record_every")
     return ExperimentConfig(
-        params=params, schedule=schedule, horizon=horizon, ensemble=ensemble,
-        x0=x0, record_every=record_every, record_times=record_times,
-        verify=_parse_verify(cp), ratefit=_parse_ratefit(cp),
-        out_dir=out_dir,
-    )
+        params=params, schedule=schedule, x0=x0, **run,
+        verify=VerifySpec(**_values(cp, "verify", _TABLE["verify"])),
+        ratefit=(RatefitSpec(**_values(cp, "ratefit", _TABLE["ratefit"]))
+                 if "ratefit" in cp else None),
+        out_dir=_values(cp, "output", _TABLE["output"])["directory"])
 
 
-def _read(path, section: str | None = None, key: str | None = None) -> str:
+def _read(path) -> str:
     """The UTF-8 text of a file; ConfigError if it cannot be read."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot read %s (%s)" % (path, exc), section,
-                          key) from None
+        raise ConfigError("cannot read %s (%s)" % (path, exc)) from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -353,9 +312,8 @@ def build_schedule(cfg: ExperimentConfig) -> GraphSchedule:
             return make_random_schedule(p.n, s.kappa, s.edge_probability,
                                         seed=p.seed)
         if s.kind == "counterexample":
-            horizon = max(cfg.horizon, 1)
-            return make_counterexample_schedule(p.ratio, horizon,
-                                                start=s.start)
+            return make_counterexample_schedule(
+                p.ratio, max(cfg.horizon, 1), start=s.start)
         return make_table_schedule(p.n, s.edges, horizon=s.table_horizon)
     except (ValueError, IndexError) as exc:
         raise ConfigError("cannot build %s schedule: %s" % (s.kind, exc),

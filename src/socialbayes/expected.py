@@ -11,14 +11,14 @@ long products of the B blocks control how fast everyone converges - or fails
 to.  The noise-mixing block M_t = (P_{t+1}^{-1} A_t)[1:, 1:] plays the same
 role for the deviation process in the stochastic recursion.
 
-The bundle walk, the narrow mean process, the window and identity checks
-and the ensemble's chunk gains share one source: the W_t stacks of
-schedules._stacks.
+The narrow mean process, the window and identity checks and the
+ensemble's chunk gains share one source: the W_t stacks of
+schedules._stacks.  bundle_at gives one step's blocks, by the validated
+one-step builder transition_bundle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,31 +89,16 @@ def transition_bundle(adjacency: np.ndarray, deg: np.ndarray,
                             p_after)
 
 
-def transition_bundles(schedule: GraphSchedule, params: SystemParams,
-                       start: int, stop: int) -> Iterator[TransitionBundle]:
-    """Transition bundles of steps [start, stop), in order.
-
-    The walk reads the schedule's compiled blocks, whose ledger rows are
-    ratio + (int64 receive count), so a walk from any start yields
-    bitwise the bundles a walk from 0 reaches there.  Each bundle is a
-    view of one group of _stacks: full is the W_t that run_expected steps
-    by, noise_mix comes from the same group.  The span is checked now.
-    """
-    return _bundles(_stacks(schedule, params.ratio, start, stop))
-
-
-def _bundles(stacks):
-    for t0, a, w, before, after in stacks:
-        noise_mix = a[:, 1:, 1:] / after[:, 1:, None]
-        for j in range(len(w)):
-            yield TransitionBundle(t0 + j, w[j], w[j, 1:, 1:], w[j, 1:, 0],
-                                   noise_mix[j], before[j], after[j])
-
-
 def bundle_at(schedule: GraphSchedule, params: SystemParams,
               t: int) -> TransitionBundle:
-    """Transition bundle at time t, its ledger counted from step 0."""
-    return next(transition_bundles(schedule, params, t, t + 1))
+    """Transition bundle at time t, its ledger counted from step 0:
+    transition_bundle of the compiled step at t and its ledger row,
+    ratio + (int64 receive count), so bitwise the step's W in every W
+    stack (_stacks) and run_expected."""
+    blk = next(schedule.compiled.blocks(t, t + 1))
+    k = blk.slots[0]
+    return transition_bundle(blk.adjacency[k], blk.degrees[k],
+                             blk.ledger(params.ratio)[0][0], blk.start)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ of that table) and one row per (time, agent) pair or per check.  One
 writer, write_table, builds the body a column at a time and keeps the
 ``csv`` module's quoting: a field holding a comma (a check name such as
 ``diagonal_bound[s=0,kappa=3]``), a quote or a newline is quoted, so
-every file is byte for byte what ``csv.writer`` writes.
+every file is byte for byte what ``csv.writer`` writes, but for a field
+holding a bare carriage return, which is quoted too so that it reads
+back.  Files are UTF-8, written and read with no newline translation.
 
 The first line of every file is the generation timestamp and is the only
 line excluded when comparing files for reproducibility; everything after
@@ -55,9 +57,10 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     Cells are strings, ints and floats (numpy float64 and integer scalars
     included).  The body is built a column at a time, header first, in
     the bytes csv.writer writes: a cell's str (repr for a float, as
-    format_value gives it), quoted when it holds a comma, quote or newline,
-    and "" for a row of one empty cell.  A row with more or fewer cells
-    than `columns`, or any `fmt` but "csv", is a ValueError.
+    format_value gives it), quoted when it holds a comma, quote, newline
+    or carriage return, and "" for a row of one empty cell.  A row with
+    more or fewer cells than `columns`, or any `fmt` but "csv", is a
+    ValueError.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
@@ -73,11 +76,11 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([timestamp_line(), *lines, *map(
-        ",".join, zip(*cells))]) + "\n")
+        ",".join, zip(*cells))]) + "\n", encoding="utf-8", newline="")
     return path
 
 
-_QUOTED = re.compile('[,"\n]')  # a cell the csv module quotes
+_QUOTED = re.compile('[,"\n\r]')  # a cell the writer quotes
 
 
 @dataclass
@@ -94,9 +97,10 @@ class TableData:
 def read_table(path) -> TableData:
     """Read a file written by write_table, each column int64, else float64,
     else strings, by its text as the module docstring says.  A body with
-    no quote is split at its commas, else csv.reader reads it; a row with
-    more or fewer cells than the header is a ValueError naming its line."""
-    lines = Path(path).read_text().split("\n")
+    no quote or carriage return is split at its commas, else csv.reader
+    reads it; a row with more or fewer cells than the header is a
+    ValueError naming its line."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
     meta = {}
     for h, line in enumerate(lines):
         if line.startswith("# "):
@@ -109,7 +113,7 @@ def read_table(path) -> TableData:
     meta.pop("generated", None)
     body = "\n".join(lines[h:])
     header, *data = ([row for row in csv.reader(io.StringIO(body)) if row]
-                     if '"' in body else
+                     if '"' in body or "\r" in body else
                      [line.split(",") for line in lines[h:] if line])
     if set(map(len, data)) - {len(header)}:
         reader = csv.reader(io.StringIO(body))
@@ -291,7 +295,7 @@ def write_switch_table(path, switches) -> Path:
 
 
 def _comparable_lines(path) -> list[str]:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if lines and lines[0].startswith("# generated:"):
         lines = lines[1:]
     return lines

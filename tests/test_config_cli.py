@@ -1,6 +1,8 @@
 """Config files and the command-line runner."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from socialbayes.config import (
     ConfigError,
     RatefitSpec,
     VerifySpec,
+    _KEYS,
+    _KINDS,
     build_schedule,
     parse_config,
 )
@@ -29,6 +33,8 @@ from socialbayes.tables import (
     read_table,
     write_expected_trajectory,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = """
 [params]
@@ -218,6 +224,42 @@ def test_schedule_keys_of_any_kind_are_known():
     text = BASE.replace("peer_rule = ring", "peer_rule = ring\nstart = 3.0\n"
                         "edge_probability = 0.5")
     assert parse_config(text).schedule == parse_config(BASE).schedule
+
+
+@pytest.mark.parametrize("command", ["simulate", "expected", "verify",
+                                     "ratefit", "counterexample"])
+def test_peer_edges_need_peer_rule_edges(tmp_path, capsys, command):
+    """Periodic peer_edges under another peer_rule, or none, stop every
+    subcommand with exit 2; they used to be dropped in silence."""
+    for rule in ("", "peer_rule = ring\n"):
+        text = BASE.replace("peer_rule = ring", rule + "peer_edges = 1 2")
+        with pytest.raises(ConfigError, match=r"^\[schedule\]\.peer_edges: "
+                           r"needs peer_rule = edges$"):
+            parse_config(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", config_file(tmp_path, text),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[schedule].peer_edges" in err and "Traceback" not in err
+        assert not out.exists()
+    # another kind's keys stay known and unread
+    assert parse_config(RANDOM.replace("kappa = 3", "kappa = 3\npeer_edges = "
+                                       "1 2")) == parse_config(RANDOM)
+
+
+def test_example_config_shows_every_key():
+    """configs/example.ini shows each key of the key tables in its
+    section, set or commented out, and no key they do not declare."""
+    shown, section = {}, None
+    for line in (ROOT / "configs" / "example.ini").read_text().splitlines():
+        head = re.fullmatch(r"\[(\w+)\]", line)
+        key = re.match(r"[#;]?\s*(\w+)\s*=", line)
+        if head:
+            section = head[1]
+        elif key and section:
+            shown.setdefault(section, set()).add(key[1])
+    assert shown == {name: set(keys) for name, keys in _KEYS.items()}
+    assert set(_KEYS["schedule"]) == {"kind"}.union(*_KINDS.values())
 
 
 def test_external_edge_file(tmp_path):

@@ -10,10 +10,10 @@ from socialbayes.expected import (
     bundle_at,
     run_expected,
     transition_bundle,
-    transition_bundles,
 )
 from socialbayes.schedules import (
     _BLOCK_STEPS,
+    _stacks,
     ScheduleHorizonError,
     make_counterexample_schedule,
     make_periodic_schedule,
@@ -125,10 +125,11 @@ def test_expected_shifted_property():
 
 
 def _reduced_product(sched, params, s, t):
-    """Product of the walk's reduced blocks over [s, t), newest on the left."""
+    """Product of bundle_at's reduced blocks over [s, t), newest on the
+    left."""
     acc = np.eye(sched.n)
-    for b in transition_bundles(sched, params, s, t):
-        acc = b.reduced @ acc
+    for u in range(s, t):
+        acc = bundle_at(sched, params, u).reduced @ acc
     return acc
 
 
@@ -146,43 +147,56 @@ def test_reduced_product_propagates_shifted_means():
 
 
 def test_reduced_product_rejects_reversed_window():
+    """The compiled walk refuses a reversed span, bundle_at a negative t."""
     sched = make_periodic_schedule(2, 1)
     with pytest.raises(ValueError):
-        transition_bundles(sched, SystemParams(n=2), 5, 3)
+        sched.compiled.blocks(5, 3)
     with pytest.raises(ValueError):
-        transition_bundles(sched, SystemParams(n=2), -1, 3)
+        bundle_at(sched, SystemParams(n=2), -1)
 
 
 @pytest.mark.parametrize("offset", [-6, 0, 4])
 def test_bundle_walk_slices_match_walk_from_zero(offset):
-    """A walk started at s yields bitwise the bundles a walk from 0 reaches
-    at s..s+k-1, also when [s, s+k) crosses a compile-block boundary."""
+    """bundle_at at s..s+k-1 on a schedule first walked from s is bitwise
+    what it gives after a walk from 0, and its W is that walk's W stack,
+    also when [s, s+k) crosses a compile-block boundary."""
     params = SystemParams(n=4, tau=3.0, tau0=1.0)  # ratio 1/3, not dyadic
     sched = make_periodic_schedule(4, 3, peer_rule="ring")
     start, k = _BLOCK_STEPS + offset, 12
-    whole = list(transition_bundles(sched, params, 0, start + k))[start:]
-    part = list(transition_bundles(sched, params, start, start + k))
+    part = [bundle_at(sched, params, t) for t in range(start, start + k)]
     assert [b.t for b in part] == list(range(start, start + k))
-    for a, b in zip(whole, part, strict=True):
+    walked = make_periodic_schedule(4, 3, peer_rule="ring")
+    w = np.concatenate([g[2] for g in _stacks(walked, params.ratio, 0,
+                                              start + k)])
+    for a, b in zip(part, (bundle_at(walked, params, t)
+                           for t in range(start, start + k))):
         for name in ("full", "reduced", "truth_pull", "noise_mix",
                      "ledger_before", "ledger_after"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(bundle_at(sched, params, start).full, part[0].full)
+        assert np.array_equal(a.full, w[a.t])
 
 
 def test_bundle_walk_matches_transition_bundle():
-    """Every field of a walked bundle is bitwise the validated one-step
-    bundle on the ledger ratio + (integer receive counts)."""
+    """The W stacks of a walk and bundle_at are bitwise the validated
+    one-step bundle of the queried arrays on the ledger ratio + (integer
+    receive counts), field by field."""
     params = SystemParams(n=5, tau=3.0, tau0=1.0)
     sched = make_random_schedule(5, 3, 0.4, seed=2)
     received = np.zeros(6, dtype=np.int64)
-    for b in transition_bundles(sched, params, 0, 60):
-        a, deg = sched.arrays_at(b.t)
-        want = transition_bundle(a, deg, params.ratio + received, b.t)
-        for name in ("full", "reduced", "truth_pull", "noise_mix",
-                     "ledger_before", "ledger_after"):
-            assert np.array_equal(getattr(b, name), getattr(want, name)), name
-        received += deg
+    for t0, _, w, before, after in _stacks(sched, params.ratio, 0, 60, 7):
+        for j, t in enumerate(range(t0, t0 + len(w))):
+            a, deg = sched.arrays_at(t)
+            want = transition_bundle(a, deg, params.ratio + received, t)
+            b = bundle_at(sched, params, t)
+            for name in ("full", "reduced", "truth_pull", "noise_mix",
+                         "ledger_before", "ledger_after"):
+                assert np.array_equal(getattr(b, name),
+                                      getattr(want, name)), name
+            assert np.array_equal(w[j], want.full)
+            assert np.array_equal(before[j], want.ledger_before)
+            assert np.array_equal(after[j], want.ledger_after)
+            received += deg
+    assert t == 59
 
 
 def test_run_expected_horizon_zero():
@@ -437,7 +451,7 @@ def test_walked_bundles_chain_bitwise():
     """Each step's divisor is the next step's ledger bit for bit: both are
     ratio + an integer count, rounded once, at a non-dyadic ratio too."""
     params = SystemParams(n=6, tau=3.0, tau0=1.0)
-    bundles = list(transition_bundles(make_random_schedule(6, 3, 0.3, seed=2),
-                                      params, 0, 400))
+    sched = make_random_schedule(6, 3, 0.3, seed=2)
+    bundles = [bundle_at(sched, params, t) for t in range(400)]
     for b, nxt in zip(bundles, bundles[1:]):
         assert np.array_equal(b.ledger_after, nxt.ledger_before), b.t

@@ -20,7 +20,7 @@ REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "reduced_product", "step_expected", "rng_stream",
            "consensus_verdict", "ConsensusVerdict", "fourth_moment_summary",
            "serialize_config", "standard_schedule_set", "StandardCase",
-           "FORMATS")
+           "FORMATS", "transition_bundles", "norm_max")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")

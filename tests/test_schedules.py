@@ -11,7 +11,7 @@ from socialbayes import schedules
 from socialbayes.analysis import (check_transition_identities,
                                   sweep_window_checks)
 from socialbayes.dynamics import SystemParams, run_ensemble
-from socialbayes.expected import run_expected, transition_bundles
+from socialbayes.expected import bundle_at, run_expected
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
@@ -232,10 +232,10 @@ def test_blocks_do_not_depend_on_walk_order(monkeypatch):
 def test_walk_holds_its_schedule():
     """A walk over a schedule nothing else holds runs to its end; the
     compiled form alone says its schedule is gone."""
-    walk = transition_bundles(make_random_schedule(3, 2, 0.5, seed=4),
-                              SystemParams(n=3), 0, 8)
+    walk = schedules._stacks(make_random_schedule(3, 2, 0.5, seed=4), 1.0,
+                             0, 8, 1)
     gc.collect()
-    assert [b.t for b in walk] == list(range(8))
+    assert [t0 for t0, *_ in walk] == list(range(8))
     compiled = make_periodic_schedule(3, 4).compiled
     gc.collect()
     with pytest.raises(ReferenceError):
@@ -361,11 +361,10 @@ def test_truth_hearing_fails_for_too_small_window():
 
 def test_precision_ledger_exact_integer_accumulation():
     sched = make_periodic_schedule(3, 2, peer_rule="ring")
-    walk = list(transition_bundles(sched, SystemParams(n=3), 0, 8))
     total = np.zeros(4, dtype=np.int64)
     for t in range(7):
         total += sched.arrays_at(t)[1]
-    led = walk[7].ledger_before
+    led = bundle_at(sched, SystemParams(n=3), 7).ledger_before
     assert np.array_equal(led, 1.0 + total)
     assert led[0] == 1.0  # truth entry never grows
 

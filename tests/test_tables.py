@@ -220,6 +220,22 @@ def test_write_table_bytes_are_the_csv_modules(tmp_path, fmt):
                 {"kind": "a, b"}, columns, body), name
 
 
+@pytest.mark.parametrize("cells", [
+    ["a\rb", "plain", ""],
+    ["a\r\nb", "x,y", "c\rd", 'say "hi"', "\r", "e\n"]],
+    ids=["alone", "with-other-quoted-cells"])
+def test_carriage_returns_read_back(tmp_path, fmt, cells):
+    """A cell holding a carriage return, bare or before a newline, is
+    quoted and reads back as written, beside other quoted cells or none;
+    it used to split its row or lose the carriage return."""
+    path = write_table(tmp_path / ("t." + fmt), {"kind": "x"}, ["t", "name"],
+                       list(enumerate(cells)))
+    assert path.read_bytes().count(b'"a\r') == 1
+    table = read_table(path)
+    assert table["name"].tolist() == cells
+    assert table["t"].tolist() == list(range(len(cells)))
+
+
 def test_write_table_refuses_ragged_rows(tmp_path, fmt):
     """A row with a cell too many or too few writes nothing: the file
     could not be read back."""
