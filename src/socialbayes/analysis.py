@@ -15,8 +15,11 @@ machine-verifiable statements about finite windows of a concrete schedule:
   are at least the reciprocal of the window-end precision.
 
 Every window and identity check reads the W_t stacks of
-schedules._stacks, never one transition bundle at a time: the window
-products are batched matrix products over groups of windows.
+schedules._stacks, never one transition bundle at a time.  One pass,
+_window_checks, takes each group of whole windows and builds every
+window's product, suffix diagonals and truth pull as batched matrix
+products, then its diagonal, contraction and truth-pull checks.
+norm_inf is the one infinity norm, of a matrix or of a stack.
 
 Every check is reported as a BoundCheck with margin = rhs - lhs; a check
 passes when the margin is no more negative than the shared tolerance.
@@ -42,10 +45,13 @@ TOL = 1e-12
 _DECAY_LENGTHS = (1, 5, 20)
 
 
-def norm_inf(m: np.ndarray) -> float:
-    """Operator infinity norm: largest absolute row sum."""
+def norm_inf(m: np.ndarray):
+    """Operator infinity norm, the largest absolute row sum: a float for a
+    matrix (a vector is one row), an array of them for a stack of
+    matrices over its last two axes."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    return float(np.max(np.abs(m).sum(axis=1)))
+    norms = np.abs(m).sum(axis=-1).max(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
 
 
 @dataclass(frozen=True)
@@ -94,18 +100,22 @@ def _windows(schedule: GraphSchedule, params: SystemParams, start: int,
         yield [x.reshape(-1, kappa, *x.shape[1:]) for x in group]
 
 
-def _window_core(schedule: GraphSchedule, params: SystemParams, s: int,
-                 kappa: int, stop: int):
-    """Windows [s + j*kappa, s + (j+1)*kappa) inside [s, stop), by groups.
+def _window_checks(schedule: GraphSchedule, params: SystemParams, s: int,
+                   kappa: int, stop: int) -> list[BoundCheck]:
+    """The diagonal, contraction and truth-pull checks of each window
+    [s + j*kappa, s + (j+1)*kappa) inside [s, stop), window by window.
 
-    Yields per group, a row per window: the ledger rows at its start and
-    end (from the `after` rows, as ledger_after); its product
-    B_{s+kappa-1} ... B_s, built newest on the left in step order; its
-    suffix-product diagonals (row l for steps [s+l+1, s+kappa), ones at
-    l = kappa-1); its truth pull summed in step order from zeros.  The
-    products by the identity are exact, so they are skipped.
+    For each group of windows from _windows it reads, a row per window,
+    the ledger rows at the window's start and end, and builds its product
+    B_{s+kappa-1} ... B_s newest on the left in step order, its suffix-
+    product diagonals (row l for steps [s+l+1, s+kappa), ones at
+    l = kappa-1) with the suffix products built oldest on the right, and
+    its truth pull summed in step order from zeros.  The products by the
+    identity are exact, so they are skipped.
     """
+    s, kappa = _count(s, "s", 0), _count(kappa, "window length kappa")
     stop = s + (stop - s) // kappa * kappa
+    checks = []
     for w, before, after in _windows(schedule, params, s, stop, kappa):
         b = w[:, :, 1:, 1:]
         prod = b[:, 0]
@@ -120,44 +130,32 @@ def _window_core(schedule: GraphSchedule, params: SystemParams, s: int,
         pull = np.zeros(diags[:, 0].shape)
         for k in range(kappa):
             pull = pull + w[:, k, 1:, 0]
-        yield before[:, 0], after[:, -1], prod, diags, pull
-
-
-def _window_checks(schedule: GraphSchedule, params: SystemParams, s: int,
-                   kappa: int, stop: int) -> list[BoundCheck]:
-    """The diagonal, contraction and truth-pull checks of each window of
-    _window_core, window by window."""
-    s, kappa = _count(s, "s", 0), _count(kappa, "window length kappa")
-    checks = []
-    for p_start, p_end, prod, diags, pull in _window_core(
-            schedule, params, s, kappa, stop):
-        ratio = p_start[:, 1:] / p_end[:, 1:]
+        p_start, p_end = before[:, 0, 1:], after[:, -1, 1:]
+        ratio = p_start / p_end
         # the first (l, i) of least margin, as offsets then agents go up
         offset, agent = np.divmod(np.argmin((diags - ratio[:, None]).reshape(
             len(ratio), -1), axis=1), ratio.shape[1])
-        norms = np.abs(prod).sum(axis=2).max(axis=1)
-        shrink = 1.0 - np.min(p_start[:, 1:] / p_end[:, 1:] ** 2, axis=1)
-        floor = 1.0 / p_end[:, 1:]
+        norms = norm_inf(prod)
+        shrink = 1.0 - np.min(p_start / p_end ** 2, axis=1)
+        floor = 1.0 / p_end
         nearest = np.argmin(pull - floor, axis=1)
         hears = np.all(pull > 0.0, axis=1)
         for j, (off, i, k) in enumerate(zip(offset.tolist(), agent.tolist(),
                                             nearest.tolist())):
-            tag = f"[s={s},kappa={kappa}]"
+            tag, at = f"[s={s},kappa={kappa}]", {"s": s, "kappa": kappa}
             checks.append(BoundCheck(
                 "diagonal_bound" + tag, float(ratio[j, i]),
-                float(diags[j, off, i]),
-                detail={"s": s, "kappa": kappa, "l": off, "agent": i + 1}))
+                float(diags[j, off, i]), detail={**at, "l": off,
+                                                 "agent": i + 1}))
             if hears[j]:
                 checks += [BoundCheck("contraction" + tag, float(norms[j]),
-                                      float(shrink[j]),
-                                      detail={"s": s, "kappa": kappa}),
+                                      float(shrink[j]), detail=at),
                            BoundCheck("truth_pull" + tag, float(floor[j, k]),
-                                      float(pull[j, k]), detail={
-                                          "s": s, "kappa": kappa,
-                                          "agent": k + 1})]
+                                      float(pull[j, k]),
+                                      detail={**at, "agent": k + 1})]
             else:
                 checks += [_skipped(name + tag, "truth hearing fails in "
-                                    "window", s=s, kappa=kappa)
+                                    "window", **at)
                            for name in ("contraction", "truth_pull")]
             s += kappa
     return checks
@@ -293,13 +291,15 @@ def check_norm_inequalities(n_pairs: int = 1000, size: int = 8,
     first pair that has it.  The pairs are drawn as one (n_pairs, 2, size,
     size) array, R then S of each pair, in the order per-pair draws fill.
     """
+    n_pairs, size = _count(n_pairs, "n_pairs"), _count(size, "size")
+    seed = _count(seed, "seed", 0)
     r, s = np.random.default_rng(seed).uniform(
         -1.0, 1.0, (n_pairs, 2, size, size)).transpose(1, 0, 2, 3)
     rs = r @ s
-    inf_r, inf_s = (np.abs(m).sum(axis=2).max(axis=1) for m in (r, s))
+    inf_r, inf_s = norm_inf(r), norm_inf(s)
     max_s = np.abs(s).max(axis=(1, 2))
     sides = {
-        "inf_submult": (np.abs(rs).sum(axis=2).max(axis=1), inf_r * inf_s),
+        "inf_submult": (norm_inf(rs), inf_r * inf_s),
         "mixed_bound": (np.abs(rs).max(axis=(1, 2)), inf_r * max_s),
         "congruence_bound": (np.abs(rs @ r.transpose(0, 2, 1)).max(axis=(1, 2)),
                              inf_r ** 2 * max_s)}
@@ -486,8 +486,8 @@ def counterexample_check(schedule: CounterexampleSchedule,
     """
     if not isinstance(schedule, CounterexampleSchedule):
         raise ValueError("needs a counterexample schedule")
-    if horizon is None:
-        horizon = schedule.horizon
+    horizon = (schedule.horizon if horizon is None
+               else _count(horizon, "horizon", 0))
     if horizon > schedule.horizon:
         raise ValueError("horizon beyond the materialized schedule")
     x0 = params.truth + schedule.start
@@ -495,20 +495,18 @@ def counterexample_check(schedule: CounterexampleSchedule,
     shifted = traj.shifted  # (T+1, 2)
     min_shifted = float(shifted.min())
     margins = []
-    realized = 0
     ok = min_shifted >= 1.0 - TOL
     for rec in schedule.switches:
         if rec.s_k > horizon:
             break
-        realized += 1
         m_s = float(shifted[rec.s_k, 0] - rec.bound_at_s)
         m_t = float(shifted[rec.t_k, 1] - rec.bound_at_t)
         margins.append((rec.k, m_s, m_t))
         ok = ok and m_s >= -TOL and m_t >= -TOL
     counts = (sum(1 for t in schedule.truth_times_1 if t < horizon),
               sum(1 for t in schedule.truth_times_2 if t < horizon))
-    if realized == 0:
+    if not margins:
         return CounterexampleVerdict("insufficient horizon", min_shifted, 0,
                                      [], counts, horizon, traj)
     return CounterexampleVerdict("pass" if ok else "fail", min_shifted,
-                                 realized, margins, counts, horizon, traj)
+                                 len(margins), margins, counts, horizon, traj)

@@ -172,7 +172,7 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
         tables.timestamp_line() + "\n" + "\n".join(lines) + "\n")
     for line in lines:
         _say(line)
-    return EXIT_OK if verdict.status == "pass" else EXIT_CHECK_FAILED
+    return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
 
 
 def _resolve_input(cfg: ExperimentConfig, name: str) -> Path:

@@ -32,7 +32,6 @@ from .schedules import (
     make_table_schedule,
 )
 
-SCHEDULE_KINDS = ("periodic", "random", "counterexample", "explicit-table")
 PEER_RULES = ("none", "ring", "complete", "edges")
 CHECK_NAMES = ("identities", "diagonal", "contraction", "truth_pull",
                "decay", "norms")
@@ -162,6 +161,20 @@ def _lines(form: str):
     return conv
 
 
+# [schedule]'s keys past kind, one table per kind, which reads only its own.
+_KINDS = {
+    "periodic": {"kappa": (_as_count(), ...),
+                 "peer_rule": (_one_of(PEER_RULES), "none"),
+                 "peer_edges": (_lines("i j"), None)},
+    "random": {"kappa": (_as_count(), ...),
+               "edge_probability": (_as_real(low=0, high=1), 0.0)},
+    "counterexample": {"start": (_as_real(), 2.0)},
+    "explicit-table": {
+        "edges": (_lines("t i j"), ()),
+        "path": (lambda raw, key: _lines("t i j")(_read(raw), key), ()),
+        "horizon": (_as_count(0), None)},
+}
+SCHEDULE_KINDS = tuple(_KINDS)
 # section -> key -> (converter, default); ... marks a required key.
 _TABLE = {
     "params": {"n": (_as_count(), ...),
@@ -182,19 +195,6 @@ _TABLE = {
                 "slack": (_as_real(), 0.05)},
     "output": {"directory": (_text, "out"),
                "format": (_one_of(("csv",)), "csv")},
-}
-# [schedule]'s keys past kind, one table per kind, which reads only its own.
-_KINDS = {
-    "periodic": {"kappa": (_as_count(), ...),
-                 "peer_rule": (_one_of(PEER_RULES), "none"),
-                 "peer_edges": (_lines("i j"), None)},
-    "random": {"kappa": (_as_count(), ...),
-               "edge_probability": (_as_real(low=0, high=1), 0.0)},
-    "counterexample": {"start": (_as_real(), 2.0)},
-    "explicit-table": {
-        "edges": (_lines("t i j"), ()),
-        "path": (lambda raw, key: _lines("t i j")(_read(raw), key), ()),
-        "horizon": (_as_count(0), None)},
 }
 # The keys each section may hold; [schedule]'s are those of every kind.
 _KEYS = {name: tuple(keys) for name, keys in _TABLE.items()}

@@ -23,8 +23,8 @@ gains built from the W stacks of schedules._stacks.  Past
 that cutoff they step one at a time.  Either way a run's arithmetic is
 its own matrix-vector products, so an ensemble member is bit for bit the
 run it would be alone.  Run r draws from numpy's SeedSequence([seed, 201,
-r]) stream: run_stream is the definition, and an ensemble seeds its runs
-in one batched pass (schedules._streams) that gives the same generators.
+r]) stream, run_stream's by schedules._schedule_rng; an ensemble seeds
+its runs in one batched pass (schedules._streams) giving the same ones.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import (GraphSchedule, _chunk_steps, _count, _float_windows,
-                        _integral, _real, _stacks, _streams)
+                        _integral, _real, _schedule_rng, _stacks, _streams)
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -55,8 +55,7 @@ _GAIN_MAX_N = 8
 
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
     """Dynamics stream for one run; distinct runs never share draws."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), _TAG_RUN, int(run_index)]))
+    return _schedule_rng(seed, _TAG_RUN, run_index)
 
 
 @dataclass(frozen=True)
@@ -217,10 +216,7 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
     that is not an integer (an integral float such as 3.0 is one).
     """
     if record_times is not None:
-        times = np.unique(_integral(record_times, "record times"))
-        if times.size and (times[0] < 0 or times[-1] > horizon):
-            raise ValueError("record times outside [0, horizon]")
-        return times
+        return np.unique(_integral(record_times, "record times", 0, horizon))
     step = 1 if record_every is None else _count(record_every, "record_every")
     times = np.arange(0, horizon + 1, step, dtype=np.int64)
     if times.size == 0 or times[-1] != horizon:

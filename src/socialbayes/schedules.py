@@ -57,17 +57,24 @@ _COMPILE_BUDGET = 2 ** 24
 _STACK_BUDGET = 2 ** 18
 
 
-def _integral(values, name: str) -> np.ndarray:
-    """values as int64, or ValueError for a non-finite or fractional one
-    or one whose float64 value is 2^63 or more in magnitude, past int64;
-    an integral float such as 3.0 is taken as 3."""
+def _integral(values, name: str, low=None, high=None) -> np.ndarray:
+    """values as int64, the one rule for integer arrays: an integral float
+    such as 3.0 is taken as 3.  ValueError naming name for a non-finite or
+    fractional value, one whose float64 value is 2^63 or more in magnitude,
+    past int64, or one outside [low, high], a bound of None left open."""
+    rule = (f"{name} must be integers" + ("" if low is None else
+            f" and >= {low}") + ("" if high is None else f" and <= {high}"))
     values = np.asarray(values)
     if values.dtype.kind != "i":
         floats = values.astype(np.float64)
         if not np.all(np.isfinite(floats) & (floats == np.round(floats))
                       & (np.abs(floats) < 2.0 ** 63)):
-            raise ValueError(f"{name} must be integers")
-    return values.astype(np.int64)
+            raise ValueError(rule)
+    values = values.astype(np.int64)
+    if ((low is not None and np.any(values < low))
+            or (high is not None and np.any(values > high))):
+        raise ValueError(rule)
+    return values
 
 
 def _count(value, name: str, least: int = 1) -> int:
@@ -104,7 +111,8 @@ _BATCH_MIN = 5
 
 
 def _schedule_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    """The stream of (seed, tag, index): the definition _streams follows."""
+    """The stream of (seed, tag, index), a schedule's or a run's: the one
+    definition, which _streams follows."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
@@ -229,10 +237,10 @@ class GraphSchedule:
     (truth edges are (i, 0)), which is the definition, and _compile(start,
     stop), the same steps as a Block.  Walks read `compiled`; arrays_at is
     the one-step query.  n, the horizon and a kind's kappa go by _count's
-    rule, its phases and edges by _integral's: 3.0 is 3, 2.5 a ValueError.
+    rule, its phases (in [0, kappa)) and edge entries (>= 0) by
+    _integral's: 3.0 is 3, 2.5 a ValueError.
     """
 
-    kind = "base"
     # Bytes one step adds to a compiled block, its slot; a kind that makes
     # a pattern per step adds its bool matrix and int64 degree row too.
     _step_bytes = np.dtype(np.intp).itemsize
@@ -495,15 +503,11 @@ class TableSchedule(GraphSchedule):
     carries no rule for extrapolation.
     """
 
-    kind = "explicit-table"
-
     def __init__(self, n: int, edges: list[tuple[int, int, int]],
                  horizon: int | None = None):
         by_time: dict[int, list[tuple[int, int]]] = {}
         max_t = -1
-        for t, i, j in _integral(edges, "edge table entries").tolist():
-            if t < 0:
-                raise ValueError(f"negative time in edge table: {t}")
+        for t, i, j in _integral(edges, "edge table entries", 0).tolist():
             by_time.setdefault(t, []).append((i, j))
             max_t = max(max_t, t)
         if horizon is None:
@@ -541,8 +545,6 @@ class PeriodicSchedule(GraphSchedule):
     explicit list of (i, j) pairs.
     """
 
-    kind = "periodic"
-
     def __init__(self, n: int, kappa: int, peer_rule="none",
                  phases: list[int] | None = None, horizon: int | None = None):
         super().__init__(n, horizon)
@@ -550,8 +552,8 @@ class PeriodicSchedule(GraphSchedule):
         self.kappa = kappa = _count(kappa, "window length kappa")
         if phases is None:
             phases = [i % kappa for i in range(1, n + 1)]
-        phases = _integral(phases, "phases").tolist()
-        if len(phases) != n or any(not (0 <= p < kappa) for p in phases):
+        phases = _integral(phases, "phases", 0, kappa - 1).tolist()
+        if len(phases) != n:
             raise ValueError("need one phase in [0, kappa) per agent")
         self.phases = tuple(phases)
         self.peer_rule = peer_rule
@@ -606,8 +608,6 @@ class RandomSchedule(GraphSchedule):
     one.  All draws are functions of (seed, t) only, so queries are
     deterministic and need no table.
     """
-
-    kind = "random"
 
     def __init__(self, n: int, kappa: int, edge_probability: float, seed: int,
                  horizon: int | None = None):
@@ -705,8 +705,6 @@ class CounterexampleSchedule(GraphSchedule):
     ScheduleConstructionError.  The schedule is materialized up to `horizon`
     and immutable afterwards.
     """
-
-    kind = "counterexample"
 
     def __init__(self, ratio: float, horizon: int, start: float = 2.0):
         self.ratio = _real(ratio, "precision ratio", 0, strict=True)

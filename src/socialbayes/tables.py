@@ -59,11 +59,15 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     the bytes csv.writer writes: a cell's str (repr for a float, as
     format_value gives it), quoted when it holds a comma, quote, newline
     or carriage return, and "" for a row of one empty cell.  A row with
-    more or fewer cells than `columns`, or any `fmt` but "csv", is a
-    ValueError.
+    more or fewer cells than `columns`, any `fmt` but "csv", or a meta
+    key or value whose text holds a line break is a ValueError.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
+    lines = ["# %s: %s" % (k, format_value(v)) for k, v in meta.items()]
+    for key, line in zip(meta, lines):
+        if "\n" in line or "\r" in line:
+            raise ValueError("meta %r holds a line break" % (key,))
     cells = [list(map(str, column))
              for column in zip(columns, *rows, strict=True)]
     for column in cells:
@@ -72,7 +76,6 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
                          else c for c in column]
     if len(cells) == 1:
         cells[0] = [cell or '""' for cell in cells[0]]
-    lines = ["# %s: %s" % (k, format_value(v)) for k, v in meta.items()]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([timestamp_line(), *lines, *map(
@@ -141,7 +144,7 @@ TRAJECTORY_COLUMNS = ["t", "agent", "mean", "precision"]
 
 
 def _trajectory_meta(params: SystemParams, kind: str, extra=None) -> dict:
-    meta = {
+    return {
         "kind": kind,
         "n": params.n,
         "truth": float(params.truth),
@@ -149,10 +152,8 @@ def _trajectory_meta(params: SystemParams, kind: str, extra=None) -> dict:
         "tau0": float(params.tau0),
         "truth_noise": "on" if params.truth_noise else "off",
         "seed": params.seed,
+        **(extra or {}),
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _trajectory_rows(times, means, precisions):
@@ -174,11 +175,10 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np
     """Precision-ledger snapshots at the requested times, one blocked pass.
 
     Each row is ratio + (int64 receive count), from the schedule's
-    compiled blocks below the latest time; times go by _integral's rule.
+    compiled blocks below the latest time; times go by _integral's rule,
+    at least 0.
     """
-    times = _integral(times, "ledger times")
-    if np.any(times < 0):
-        raise ValueError("ledger times must be nonnegative")
+    times = _integral(times, "ledger times", 0)
     out = np.full((len(times), params.n + 1), params.ratio)
     last = int(times.max(initial=0))
     for blk in schedule.compiled.blocks(0, last):
@@ -237,9 +237,7 @@ def _verdict(check) -> str:
 
 def write_check_report(path, checks, extra_meta=None) -> Path:
     """One row per bound check: name, lhs, rhs, margin, pass/FAIL/gated."""
-    meta = {"kind": "check-report", "checks": len(checks)}
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {"kind": "check-report", "checks": len(checks), **(extra_meta or {})}
     rows = [(c.name, float(c.lhs), float(c.rhs), float(c.margin), _verdict(c))
             for c in checks]
     return write_table(path, meta, CHECK_COLUMNS, rows)
@@ -261,23 +259,19 @@ RATE_COLUMNS = ["t", "norm"]
 
 
 def write_rate_table(path, times, norms, meta=None) -> Path:
-    base = {"kind": "rate-table"}
-    if meta:
-        base.update(meta)
     rows = ((int(t), float(v)) for t, v in zip(times, norms))
-    return write_table(path, base, RATE_COLUMNS, rows)
+    return write_table(path, {"kind": "rate-table", **(meta or {})},
+                       RATE_COLUMNS, rows)
 
 
 def write_rate_report(path, fit, meta=None) -> Path:
-    base = {"kind": "rate-report"}
-    if meta:
-        base.update(meta)
     columns = ["slope", "intercept", "bound", "slack", "window_lo", "window_hi",
                "n_points", "status"]
     row = (float(fit.slope), float(fit.intercept), float(fit.theoretical_bound),
            float(fit.slack), int(fit.window[0]), int(fit.window[1]),
            int(fit.n_points), fit.status)
-    return write_table(path, base, columns, [row])
+    return write_table(path, {"kind": "rate-report", **(meta or {})},
+                       columns, [row])
 
 
 SWITCH_COLUMNS = ["k", "t_k", "s_k", "value_at_t", "bound_at_t",
@@ -294,13 +288,14 @@ def write_switch_table(path, switches) -> Path:
     return write_table(path, meta, SWITCH_COLUMNS, rows)
 
 
-def _comparable_lines(path) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if lines and lines[0].startswith("# generated:"):
-        lines = lines[1:]
-    return lines
+def _comparable_bytes(path) -> bytes:
+    """The file's bytes, past its first line when that is a timestamp."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"# generated:"):
+        data = data.partition(b"\n")[2]
+    return data
 
 
 def files_match(path_a, path_b) -> bool:
     """Byte-level equality ignoring each file's leading timestamp line."""
-    return _comparable_lines(path_a) == _comparable_lines(path_b)
+    return _comparable_bytes(path_a) == _comparable_bytes(path_b)

@@ -47,8 +47,6 @@ class FloatStacks(GraphSchedule):
     the same results on both, so casting a bool pattern to float64 where
     the arithmetic needs it changes no bit."""
 
-    kind = "float-stacks"
-
     def __init__(self, schedule: RandomSchedule):
         super().__init__(schedule.n, schedule.horizon)
         self._schedule = schedule

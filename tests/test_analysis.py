@@ -145,7 +145,12 @@ def test_transition_identities_catch_a_corrupted_bundle():
 
 def test_norm_helpers():
     m = np.array([[1.0, -2.0], [0.5, 0.25]])
-    assert norm_inf(m) == 3.0
+    assert norm_inf(m) == 3.0 and type(norm_inf(m)) is float
+    assert norm_inf([1.0, -2.0]) == 3.0  # a vector is one row
+    # a stack gives each matrix's norm, over its last two axes
+    stack = np.stack([m, -2.0 * m, m.T])
+    assert np.array_equal(norm_inf(stack), [3.0, 6.0, 2.25])
+    assert np.array_equal(norm_inf(stack[None]), [[3.0, 6.0, 2.25]])
 
 
 def _norm_max(m):
@@ -193,6 +198,25 @@ def test_norm_inequalities_match_the_per_pair_sweep(args):
     assert all(type(row[4]) is int for row in got)
 
 
+_NORM_SWEEP_COUNTS = {"n_pairs=0": ({"n_pairs": 0}, "^n_pairs "),
+                      "n_pairs=2.5": ({"n_pairs": 2.5}, "^n_pairs "),
+                      "size=0": ({"size": 0}, "^size "),
+                      "seed=-1": ({"seed": -1}, "^seed "),
+                      "seed=1.5": ({"seed": 1.5}, "^seed ")}
+
+
+@pytest.mark.parametrize("kwargs, match", list(_NORM_SWEEP_COUNTS.values()),
+                         ids=list(_NORM_SWEEP_COUNTS))
+def test_norm_inequalities_counts_go_by_the_count_rule(kwargs, match):
+    """n_pairs = 0 died in numpy's argmin, 2.5 raised a bare TypeError and
+    size = 0 failed a zero-size reduction: each is a ValueError naming its
+    input, and 3.0 is 3."""
+    with pytest.raises(ValueError, match=match):
+        check_norm_inequalities(**kwargs)
+    assert repr(check_norm_inequalities(3.0, 4.0, 9.0)) == repr(
+        check_norm_inequalities(3, 4, 9))
+
+
 def test_fit_rate_recovers_power_law():
     t = np.arange(1, 2001)
     norms = 3.0 * t ** -0.5
@@ -217,6 +241,8 @@ def test_fit_rate_needs_points_in_window():
     t = np.arange(1, 50)
     with pytest.raises(ValueError):
         fit_rate(t, 1.0 / t, window=(1000, 2000), d=1, kappa=1)
+    with pytest.raises(ValueError, match="align"):
+        fit_rate(t, 1.0 / t[1:], window=(10, 40), d=1, kappa=1)
 
 
 @pytest.mark.parametrize("d,kappa", [(0, 1), (-1, 1), (1, 0)])
@@ -418,6 +444,10 @@ def test_estimate_deviation_moments_needs_enough_runs():
     with pytest.raises(ValueError):
         estimate_deviation_moments(sched, SystemParams(n=2, seed=0),
                                    horizon=100, n_runs=50)
+    # the default grid starts at t = 100
+    with pytest.raises(ValueError, match="t=100"):
+        estimate_deviation_moments(sched, SystemParams(n=2, seed=0),
+                                   horizon=99, n_runs=100)
 
 
 @pytest.mark.parametrize("times", [[], [50.7, 100]])
@@ -503,7 +533,27 @@ def test_counterexample_check_passes_and_counts():
 def test_counterexample_check_insufficient_horizon():
     sched = make_counterexample_schedule(1.0, 10)
     verdict = counterexample_check(sched, SystemParams(n=2, seed=0))
-    assert verdict.status == "insufficient horizon"
+    assert verdict.status == "insufficient horizon" and not verdict.passed
+    assert verdict.cycles_realized == 0 and verdict.cycle_margins == []
+
+
+def test_counterexample_check_horizon_goes_by_the_count_rule():
+    """50.0 is 50 (the verdict held the float 50.0); 50.5 and -1 are
+    errors, as are a horizon past the trap's and a schedule that is not
+    the trap."""
+    sched = make_counterexample_schedule(1.0, 2000)
+    params = SystemParams(n=2, seed=0)
+    verdict = counterexample_check(sched, params, 50.0)
+    assert type(verdict.horizon) is int and verdict.passed
+    assert repr(verdict) == repr(counterexample_check(sched, params, 50))
+    assert verdict.cycles_realized == len(verdict.cycle_margins) > 0
+    for horizon in (50.5, -1):
+        with pytest.raises(ValueError, match="^horizon "):
+            counterexample_check(sched, params, horizon)
+    with pytest.raises(ValueError, match="beyond the materialized"):
+        counterexample_check(sched, params, 2001)
+    with pytest.raises(ValueError, match="counterexample schedule"):
+        counterexample_check(make_periodic_schedule(2, 2), params)
 
 
 def test_standard_schedule_set_composition(standard_cases):

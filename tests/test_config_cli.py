@@ -17,6 +17,7 @@ from socialbayes.config import (
     _KEYS,
     _KINDS,
     build_schedule,
+    load_config,
     parse_config,
 )
 from socialbayes.dynamics import SystemParams
@@ -32,6 +33,7 @@ from socialbayes.tables import (
     files_match,
     read_table,
     write_expected_trajectory,
+    write_table,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -763,6 +765,73 @@ def test_non_finite_trap_start_is_config_error(tmp_path, capsys, start):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "[schedule]" in err and "start" in err and "Traceback" not in err
+
+
+# Config faults each command stops on with exit 2, and what stderr says.
+_EXIT_2_CASES = {
+    "truth-noise-maybe": (BASE.replace("x0 = 2.0", "x0 = 2.0\ntruth_noise = "
+                                       "maybe"), "[params].truth_noise"),
+    "no-params": (BASE.replace("[params]\nn = 4\nseed = 11\nx0 = 2.0\n", ""),
+                  "[params]: section missing"),
+    "record-every-and-times": (BASE.replace(
+        "record_every = 10", "record_every = 10\nrecord_times = 0 5"),
+        "[run].record_every: record_every and record_times are exclusive"),
+    "table-without-edges": (BASE.replace(PERIODIC, "kind = explicit-table\n"
+                                         "horizon = 5"),
+                            "explicit-table needs 'edges' lines or 'path'"),
+    "syntax-error": (BASE + "\njust words\n", "parsing errors"),
+    "table-edge-past-n": (BASE.replace(PERIODIC, "kind = explicit-table\n"
+                                       "edges = 0 9 0"),
+                          "[schedule]: cannot build explicit-table schedule"),
+}
+
+
+@pytest.mark.parametrize("text, needle", list(_EXIT_2_CASES.values()),
+                         ids=list(_EXIT_2_CASES))
+def test_config_faults_exit_2(tmp_path, capsys, text, needle):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config_file(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_truth_noise_flag_parses():
+    """truth_noise reads a configparser flag; the example sets it on."""
+    assert parse_config(BASE.replace("x0 = 2.0", "x0 = 2.0\ntruth_noise = "
+                                     "off")).params.truth_noise is False
+    assert load_config(ROOT / "configs" / "example.ini").params.truth_noise
+
+
+def test_window_checks_on_a_table_need_verify_kappa(tmp_path, capsys):
+    """An explicit table has no kappa, so the window checks need
+    [verify] kappa: exit 2 without it, nothing written."""
+    text = BASE.replace(PERIODIC, "kind = explicit-table\nhorizon = 120\n"
+                        "edges = 0 1 0")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", config_file(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert "[verify].kappa" in capsys.readouterr().err
+    assert not out.exists()
+    text += "\n[verify]\nchecks = diagonal\nkappa = 3\n"
+    assert main(["verify", "--config", config_file(tmp_path, text),
+                 "--out", str(out)]) == 0
+
+
+def test_ratefit_on_a_converged_series(tmp_path, capsys):
+    """A series whose norms are all zero in the window passes, printed as
+    converged before window."""
+    rows = [(t, a, 0.0, 1.0) for t in range(0, 121, 10) for a in range(5)]
+    write_table(tmp_path / "flat.csv", {"kind": "expected", "truth": 0.0},
+                ["t", "agent", "mean", "precision"], rows)
+    cfg = config_file(tmp_path, BASE + RATEFIT.replace(
+        "expected.csv", str(tmp_path / "flat.csv")))
+    out = tmp_path / "out"
+    assert main(["ratefit", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("(converged before window)\n")
+    assert read_table(out / "ratefit.csv")["status"][0] == (
+        "converged before window")
 
 
 def test_table_schedule_beyond_coverage_is_config_error(tmp_path):

@@ -186,8 +186,10 @@ def test_record_times_subset():
     sched = make_periodic_schedule(1, 1)
     traj = run_simulation(sched, params, 100, record_times=[0, 7, 99])
     assert list(traj.times) == [0, 7, 99]
-    with pytest.raises(ValueError):
-        run_simulation(sched, params, 100, record_times=[101])
+    for times in ([101], [-1, 5]):
+        with pytest.raises(ValueError, match="^record times must be "
+                           "integers and >= 0 and <= 100$"):
+            run_simulation(sched, params, 100, record_times=times)
 
 
 def test_horizon_zero_single_row():

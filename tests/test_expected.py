@@ -86,6 +86,8 @@ def test_transition_bundle_validates_inputs():
     leaky[0, 1] = 1.0  # truth row must stay inert
     with pytest.raises(ValueError):
         transition_bundle(leaky, deg, led)
+    with pytest.raises(ValueError, match="degrees disagree"):
+        transition_bundle(a, np.array([0, 2, 0]), led)
 
 
 @pytest.mark.parametrize("n", [3, expected_module._STACK_MAX_N + 1])

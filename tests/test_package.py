@@ -78,19 +78,22 @@ def test_removed_names_are_gone():
                         *((getattr(socialbayes.tables, writer), "fmt")
                           for writer in _TABLE_WRITERS)):
         assert param not in inspect.signature(func).parameters, func
+    # schedule kinds are named by config's key tables alone
+    for cls in (socialbayes.GraphSchedule, socialbayes.PeriodicSchedule,
+                socialbayes.RandomSchedule, socialbayes.TableSchedule,
+                socialbayes.CounterexampleSchedule):
+        assert not hasattr(cls, "kind"), cls
     # the step kernels keep truth and idle rows by arithmetic, with no mask
     assert not hasattr(socialbayes.schedules.Block, "idle")
 
 
-# Where src/ may build a generator itself: the stream definitions, which
-# _streams's small batches call, and the norm sweep's one generator;
-# _streams alone hands PCG64 precomputed seed words.  Every per-step and
-# per-run stream comes from _streams.
+# Where src/ may build a generator itself: the one stream definition,
+# _schedule_rng, which run_stream and _streams's small batches call, and
+# the norm sweep's one generator; _streams alone hands PCG64 precomputed
+# seed words.  Every per-step and per-run stream comes from _streams.
 _GENERATOR_SITES = {
     ("SeedSequence", "schedules.py", "_schedule_rng"),
     ("default_rng", "schedules.py", "_schedule_rng"),
-    ("SeedSequence", "dynamics.py", "run_stream"),
-    ("default_rng", "dynamics.py", "run_stream"),
     ("default_rng", "analysis.py", "check_norm_inequalities"),
     ("PCG64", "schedules.py", "_streams"),
     ("Generator", "schedules.py", "_streams"),

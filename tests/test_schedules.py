@@ -125,6 +125,55 @@ def test_table_schedule_validates_endpoints():
         make_table_schedule(2, [(-1, 1, 0)])
 
 
+def test_integer_inputs_carry_their_ranges():
+    """_integral takes bounds as _real does and states the whole rule in
+    its one message; the negative table time, the phase outside
+    [0, kappa) and the record and ledger times outside their ranges are
+    refused by it."""
+    assert schedules._integral([0, 3.0, 5], "x", 0, 5).tolist() == [0, 3, 5]
+    assert schedules._integral([], "x", 0, 5).tolist() == []
+    for values, low, high, rule in (
+            ([-1], 0, None, "x must be integers and >= 0"),
+            ([6], 0, 5, "x must be integers and >= 0 and <= 5"),
+            ([2.5], 0, 5, "x must be integers and >= 0 and <= 5"),
+            ([6.0], None, 5, "x must be integers and <= 5"),
+            ([np.nan], None, None, "x must be integers"),
+            ([2 ** 63 + 1], 0, None, "x must be integers and >= 0")):
+        with pytest.raises(ValueError, match="^%s$" % rule):
+            schedules._integral(values, "x", low, high)
+    with pytest.raises(ValueError, match="^edge table entries must be "
+                       "integers and >= 0$"):
+        make_table_schedule(2, [(-1, 1, 0)])
+    with pytest.raises(ValueError, match="^phases must be integers and >= 0 "
+                       "and <= 2$"):
+        make_periodic_schedule(2, 3, phases=[0, 3])
+    with pytest.raises(ValueError, match="one phase in .* per agent"):
+        make_periodic_schedule(2, 3, phases=[0])
+
+
+def test_one_step_queries_refuse_negative_times():
+    for sched in (make_periodic_schedule(2, 2),
+                  make_random_schedule(2, 2, 0.5, seed=1),
+                  make_table_schedule(2, [(0, 1, 0)]),
+                  make_counterexample_schedule(1.0, 50)):
+        for query in (sched.arrays_at, sched.edges_at):
+            with pytest.raises(ScheduleHorizonError, match="negative time"):
+                query(-1)
+
+
+def test_table_edges_lie_below_a_given_horizon():
+    for t in (3, 4):
+        with pytest.raises(ValueError, match="past the given horizon"):
+            make_table_schedule(2, [(0, 1, 0), (t, 2, 0)], horizon=3)
+    sched = make_table_schedule(2, [(2, 2, 0)], horizon=3)
+    assert sched.edges_at(2) == ((2, 0),)
+
+
+def test_ring_of_one_agent_has_no_peer_edges():
+    sched = make_periodic_schedule(1, 2, peer_rule="ring")
+    assert [sched.edges_at(t) for t in range(4)] == [(), ((1, 0),)] * 2
+
+
 def test_table_schedule_declared_horizon_allows_quiet_tail():
     sched = make_table_schedule(2, [(0, 1, 0)], horizon=5)
     assert sched.edges_at(4) == ()
@@ -344,7 +393,7 @@ def test_truth_hearing_matches_edges_at_tally(kappa):
         for k in (kappa, 10 * kappa, 300 * kappa):
             verdict = verify_truth_hearing(sched, k, horizon)
             expected = _truth_hearing_tally(sched, k, horizon)
-            assert verdict.violation == expected, (sched.kind, k)
+            assert verdict.violation == expected, (type(sched).__name__, k)
             assert verdict.passed == (expected is None)
 
 

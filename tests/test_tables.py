@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from socialbayes.tables import (
     SUMMARY_COLUMNS,
     SWITCH_COLUMNS,
     TRAJECTORY_COLUMNS,
+    files_match,
     format_value,
     ledger_for_times,
     read_table,
@@ -234,6 +236,42 @@ def test_carriage_returns_read_back(tmp_path, fmt, cells):
     table = read_table(path)
     assert table["name"].tolist() == cells
     assert table["t"].tolist() == list(range(len(cells)))
+
+
+@pytest.mark.parametrize("meta", [{"kind": "x\ny"}, {"kind": "x\ry"},
+                                  {"a\nb": 1}, {"n": 2, "kind": "x\r\n"}])
+def test_write_table_refuses_line_breaks_in_meta(tmp_path, fmt, meta):
+    """A meta key or value holding a line break would end the meta block
+    ({"kind": "x\ny"} read back as kind x and a column y): refused,
+    naming the key, and nothing is written."""
+    key = next(k for k, v in meta.items() if set("\r\n") & set(k + str(v)))
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^meta %s holds a line break$"
+                       % re.escape(repr(key))):
+        write_table(path, meta, ["t"], [(1,)])
+    assert not path.exists()
+
+
+def test_files_match_compares_bytes_past_the_timestamp(tmp_path, fmt):
+    """files_match skips a first line only when it is a timestamp and
+    compares the rest byte for byte, line breaks included."""
+    cells = ["p\rq", "p\nq", "p\rq"]
+    a, b, c = (write_table(tmp_path / ("%d.csv" % k), {"kind": "x"},
+                           ["t", "name"], [(1, cell)])
+               for k, cell in enumerate(cells))
+    assert read_table(a)["name"][0] == "p\rq" and not files_match(a, b)
+    assert files_match(a, c)
+    body = "# kind: x\nt\n1\n"
+    files = {"early": "# generated: 2026-01-01T00:00:00Z\n" + body,
+             "late": "# generated: 2026-06-30T12:00:00Z\n" + body,
+             "crlf": "# generated: 2026-01-01T00:00:00Z\n"
+                     + body.replace("\n", "\r\n"),
+             "untimed": "# kind: y\n" + body, "other": "# kind: z\n" + body}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode())
+    assert files_match(tmp_path / "early", tmp_path / "late")
+    assert not files_match(tmp_path / "early", tmp_path / "crlf")
+    assert not files_match(tmp_path / "untimed", tmp_path / "other")
 
 
 def test_write_table_refuses_ragged_rows(tmp_path, fmt):
