@@ -23,8 +23,7 @@ gains built from the W stacks of schedules._stacks.  Past
 that cutoff they step one at a time.  Either way a run's arithmetic is
 its own matrix-vector products, so an ensemble member is bit for bit the
 run it would be alone.  Run r draws from numpy's SeedSequence([seed, 201,
-r]) stream, run_stream's by schedules._schedule_rng; an ensemble seeds
-its runs in one batched pass (schedules._streams) giving the same ones.
+r]) stream, run_stream's, whether it runs alone or in an ensemble.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import (GraphSchedule, _chunk_steps, _count, _float_windows,
-                        _integral, _real, _schedule_rng, _stacks, _streams)
+                        _integral, _real, _stacks)
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -54,8 +53,10 @@ _GAIN_MAX_N = 8
 
 
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
-    """Dynamics stream for one run; distinct runs never share draws."""
-    return _schedule_rng(seed, _TAG_RUN, run_index)
+    """Dynamics stream for one run, numpy's SeedSequence([seed, 201,
+    run_index]): the one definition, so distinct runs never share draws."""
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed), _TAG_RUN, int(run_index)]))
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,8 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     means = np.empty((n_runs, times.size, n1))
     ledger = np.empty((times.size, n1))
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
-    streams = _streams(params.seed, _TAG_RUN,
-                       np.arange(run_index, run_index + n_runs))
+    streams = [run_stream(params.seed, r)
+               for r in range(run_index, run_index + n_runs)]
     kernel = _gain_steps if params.n <= _GAIN_MAX_N else _increment_steps
     kernel(schedule, params, horizon, x, streams, times, means, ledger)
     return means, ledger

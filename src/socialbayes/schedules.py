@@ -8,11 +8,12 @@ receives nothing, it keeps its value.
 
 Schedules are deterministic objects: querying the same schedule twice at the
 same t yields identical edge sets (randomized schedules are seeded, with a
-stream independent of any learning-process randomness).  Step t of a random
-schedule draws from numpy's SeedSequence([seed, 101, t]) stream; edges_at
-builds it with numpy, the compile seeds a block's steps in one batched
-pass (_streams) that gives the same generators bit for bit.  A compiled
-block holds its adjacency as a read-only bool stack; _stacks is the one
+stream independent of any learning-process randomness).  A random
+schedule reads its peer draws from one numpy stream, (seed, 101) by
+_schedule_rng, in step order, n * n uniforms a step: edges_at and a
+compiled block starting at step t both advance the stream to t * n * n
+outputs, so they give the same edges bit for bit.  A compiled block
+holds its adjacency as a read-only bool stack; _stacks is the one
 builder of the mean process's float64 transition stacks W_t from the
 compiled blocks.
 """
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 
 class ScheduleHorizonError(IndexError):
@@ -104,76 +104,13 @@ def _real(value, name: str, low=-np.inf, high=np.inf, strict=False):
     return float(values) if values.ndim == 0 else values
 
 
-# _streams hashes a batch of at least _BATCH_MIN indices itself, a smaller
-# one through numpy: the batched hash has a fixed cost of about four numpy
-# SeedSequence builds (measured per call, CHANGES.md).
-_BATCH_MIN = 5
-
-
-def _schedule_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    """The stream of (seed, tag, index), a schedule's or a run's: the one
-    definition, which _streams follows."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
-
-
-def _hash_consts(init: int, mult: int, calls: int):
-    """(xor, mult) uint32 columns of a SeedSequence hash's first calls:
-    call j xors init * mult^j and multiplies by init * mult^(j+1)."""
-    h = np.array([init * pow(mult, j, 2 ** 32) % 2 ** 32
-                  for j in range(calls + 1)], dtype=np.uint32)[:, None]
-    return h[:-1], h[1:]
-
-
-# numpy's SeedSequence hash of three entropy words into a pool of four:
-# calls 0-3 take in the words, calls 4-15 mix each pool word s into the
-# three others (here one (4, 1) round per word, a dummy at row s); then
-# generate_state's own hash draws 8 words from the pool.
-_POOL_HASH = _hash_consts(0x43b0d7e5, 0x931e8875, 16)
-_ROUNDS = [[np.insert(c[4 + 3 * s:7 + 3 * s], s, 0, axis=0)
-            for c in _POOL_HASH] for s in range(4)]
-_STATE_HASH = _hash_consts(0x8b51f9dd, 0x58f38ded, 8)
-
-
-def _hashmix(value, xor, mult):
-    value = value ^ xor
-    value *= mult
-    value ^= value >> np.uint32(16)
-    return value
-
-
-class _SeedWords(ISeedSequence):
-    """Seed words computed ahead, handed to PCG64 as its SeedSequence's."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _streams(seed: int, tag: int, indices) -> list[np.random.Generator]:
-    """_schedule_rng(seed, tag, i) for each i of indices, bit for bit.
-
-    A batch of _BATCH_MIN or more whose seed and indices fit in 32 bits
-    has its SeedSequence hashes and PCG64 seed words computed at once, in
-    uint32 array arithmetic; any other goes through _schedule_rng.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    if (len(indices) < _BATCH_MIN or not 0 <= seed < 2 ** 32
-            or not 0 <= indices.min() <= indices.max() < 2 ** 32):
-        return [_schedule_rng(seed, tag, i) for i in indices.tolist()]
-    pool = np.zeros((4, len(indices)), dtype=np.uint32)
-    pool[0], pool[1], pool[2] = seed, tag, indices
-    pool = _hashmix(pool, _POOL_HASH[0][:4], _POOL_HASH[1][:4])
-    for s, consts in enumerate(_ROUNDS):
-        word = pool[s]
-        pool = np.uint32(0xca01f9dd) * pool
-        pool -= np.uint32(0x4973f715) * _hashmix(word, *consts)
-        pool ^= pool >> np.uint32(16)
-        pool[s] = word  # the dummy row: word s is not mixed into itself
-    words = _hashmix(np.tile(pool, (2, 1)), *_STATE_HASH)
-    words = np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+def _schedule_rng(seed: int, tag: int, skip: int = 0) -> np.random.Generator:
+    """The stream of (seed, tag), advanced by skip outputs: the one
+    definition of a schedule's stream.  A float64 from random() takes one
+    output, so step t of an (n, n)-a-step draw starts at skip t * n * n
+    (PCG64 advances in O(log skip) steps)."""
+    bits = np.random.PCG64(np.random.SeedSequence([int(seed), tag]))
+    return np.random.Generator(bits.advance(skip))
 
 
 class Block(NamedTuple):
@@ -603,10 +540,11 @@ class RandomSchedule(GraphSchedule):
     Peer edges (i, j), i != j, i,j >= 1 appear independently with probability
     edge_probability at every step.  Each agent additionally hears the truth
     exactly once per aligned window [m*kappa, (m+1)*kappa), at a per-agent
-    phase drawn uniformly once from the schedule stream; consecutive hears are
-    then exactly kappa apart, so every sliding length-kappa window contains
-    one.  All draws are functions of (seed, t) only, so queries are
-    deterministic and need no table.
+    phase drawn uniformly once from the (seed, 102) stream; consecutive
+    hears are then exactly kappa apart, so every sliding length-kappa window
+    contains one.  Step t's peer draws are the (n, n) uniforms at t * n * n
+    of the (seed, 101) stream, which any query reaches by advancing it, so
+    queries are deterministic and need no table.
     """
 
     def __init__(self, n: int, kappa: int, edge_probability: float, seed: int,
@@ -617,31 +555,33 @@ class RandomSchedule(GraphSchedule):
         self.edge_probability = _real(edge_probability, "edge probability",
                                       0, 1)
         self.seed = _count(seed, "seed", 0)
-        rng = _schedule_rng(self.seed, _TAG_PHASES, 0)
+        rng = _schedule_rng(self.seed, _TAG_PHASES)
         self.phases = tuple(int(p) for p in rng.integers(0, kappa, size=n))
         self._step_bytes = (n + 1) ** 2 + 8 * (n + 2)
 
     def edges_at(self, t):
         self._check_t(t)
-        es = [(i, 0) for i in range(1, self.n + 1)
+        n, p = self.n, self.edge_probability
+        es = [(i, 0) for i in range(1, n + 1)
               if t % self.kappa == self.phases[i - 1]]
-        p = self.edge_probability
         if p > 0.0:
-            rng = _schedule_rng(self.seed, _TAG_PEERS, t)
-            draws = rng.random((self.n, self.n))
+            rng = _schedule_rng(self.seed, _TAG_PEERS, int(t) * n * n)
+            draws = rng.random((n, n))
             np.fill_diagonal(draws, 1.0)  # no self-loops
             for i0, j0 in np.argwhere(draws < p):
                 es.append((int(i0) + 1, int(j0) + 1))
         return tuple(sorted(es))
 
     def _compile(self, start, stop):
-        """edges_at's draws, thresholded straight into an adjacency stack."""
+        """edges_at's draws, read from one stream in step order and
+        thresholded straight into an adjacency stack."""
         n, steps = self.n, np.arange(start, stop)
         stack = np.zeros((steps.size, n + 1, n + 1), dtype=bool)
         stack[:, 1:, 0] = steps[:, None] % self.kappa == np.array(self.phases)
         if self.edge_probability > 0.0:
+            rng = _schedule_rng(self.seed, _TAG_PEERS, int(start) * n * n)
             draws = np.empty((n, n))  # one reused buffer: no fresh pages
-            for a, rng in zip(stack, _streams(self.seed, _TAG_PEERS, steps)):
+            for a in stack:
                 rng.random(out=draws)
                 np.less(draws, self.edge_probability, out=a[1:, 1:])
             learners = np.arange(1, n + 1)

@@ -59,8 +59,10 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     the bytes csv.writer writes: a cell's str (repr for a float, as
     format_value gives it), quoted when it holds a comma, quote, newline
     or carriage return, and "" for a row of one empty cell.  A row with
-    more or fewer cells than `columns`, any `fmt` but "csv", or a meta
-    key or value whose text holds a line break is a ValueError.
+    more or fewer cells than `columns`, any `fmt` but "csv", a meta key
+    or value whose text holds a line break, or a meta key read_table
+    would not give back (one holding ": " or named generated, the
+    timestamp's key) is a ValueError.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
@@ -68,6 +70,8 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     for key, line in zip(meta, lines):
         if "\n" in line or "\r" in line:
             raise ValueError("meta %r holds a line break" % (key,))
+        if ": " in str(key) or str(key) == "generated":
+            raise ValueError("meta key %r does not read back" % (key,))
     cells = [list(map(str, column))
              for column in zip(columns, *rows, strict=True)]
     for column in cells:

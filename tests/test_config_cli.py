@@ -415,17 +415,16 @@ def test_command_draws_each_random_step_once(tmp_path, monkeypatch, command):
         "horizon = 120", "horizon = 300")
     cfg = config_file(tmp_path, text)
     assert parse_config(text).verify.checks == CHECK_NAMES  # all six
-    draws = []
-    real = schedules._streams
+    steps = []
+    real = schedules.RandomSchedule._compile
 
-    def counted(seed, tag, indices):
-        if tag == schedules._TAG_PEERS:
-            draws.extend(np.asarray(indices).tolist())
-        return real(seed, tag, indices)
+    def counted(self, start, stop):
+        steps.extend(range(start, stop))
+        return real(self, start, stop)
 
-    monkeypatch.setattr(schedules, "_streams", counted)
+    monkeypatch.setattr(schedules.RandomSchedule, "_compile", counted)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert sorted(draws) == list(range(300))
+    assert sorted(steps) == list(range(300))
 
 
 def test_verify_empty_selection_succeeds(tmp_path):

@@ -479,6 +479,15 @@ def test_params_reject_bad_seed(seed):
         SystemParams(n=2, seed=seed)
 
 
+@pytest.mark.parametrize("run_index", [0, 5, 2 ** 32])
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 + 3])
+def test_run_stream_is_numpy_stream(seed, run_index):
+    """A run draws from numpy's SeedSequence([seed, 201, r]) stream."""
+    ref = np.random.default_rng(np.random.SeedSequence([seed, 201, run_index]))
+    assert np.array_equal(run_stream(seed, run_index).standard_normal(64),
+                          ref.standard_normal(64))
+
+
 def test_integral_float_seed_is_that_seed():
     sched = make_periodic_schedule(2, 3, peer_rule="ring")
     a = run_simulation(sched, SystemParams(n=2, seed=3.0), 20, x0=1.0)

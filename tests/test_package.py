@@ -20,7 +20,9 @@ REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "reduced_product", "step_expected", "rng_stream",
            "consensus_verdict", "ConsensusVerdict", "fourth_moment_summary",
            "serialize_config", "standard_schedule_set", "StandardCase",
-           "FORMATS", "transition_bundles", "norm_max")
+           "FORMATS", "transition_bundles", "norm_max", "_streams",
+           "_BATCH_MIN", "_hash_consts", "_POOL_HASH", "_ROUNDS",
+           "_STATE_HASH", "_hashmix", "_SeedWords", "ISeedSequence")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -87,16 +89,16 @@ def test_removed_names_are_gone():
     assert not hasattr(socialbayes.schedules.Block, "idle")
 
 
-# Where src/ may build a generator itself: the one stream definition,
-# _schedule_rng, which run_stream and _streams's small batches call, and
-# the norm sweep's one generator; _streams alone hands PCG64 precomputed
-# seed words.  Every per-step and per-run stream comes from _streams.
+# Where src/ may build a generator itself: a schedule's stream,
+# _schedule_rng, advanced to the step a query or block starts at; a run's
+# stream, run_stream; and the norm sweep's one generator.
 _GENERATOR_SITES = {
     ("SeedSequence", "schedules.py", "_schedule_rng"),
-    ("default_rng", "schedules.py", "_schedule_rng"),
+    ("PCG64", "schedules.py", "_schedule_rng"),
+    ("Generator", "schedules.py", "_schedule_rng"),
+    ("SeedSequence", "dynamics.py", "run_stream"),
+    ("default_rng", "dynamics.py", "run_stream"),
     ("default_rng", "analysis.py", "check_norm_inequalities"),
-    ("PCG64", "schedules.py", "_streams"),
-    ("Generator", "schedules.py", "_streams"),
 }
 
 

@@ -573,36 +573,30 @@ def test_edge_probability_goes_by_the_real_rule(p):
     assert make_random_schedule(3, 2, 1, seed=1).edge_probability == 1.0
 
 
-_SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 3]
-_INDICES = list(range(64)) + [4095, 4096, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
-
-
-@pytest.mark.parametrize("tag", [schedules._TAG_PEERS,
-                                 schedules._TAG_PHASES, 201])
-@pytest.mark.parametrize("seed", _SEEDS)
-def test_batched_streams_are_numpy_streams(seed, tag):
-    """_streams gives numpy's SeedSequence([seed, tag, i]) stream bit for
-    bit, on both sides of _BATCH_MIN and of 32-bit seeds and indices: the
-    first 64 uniforms and the first 64 normals of each stream."""
-    cut = schedules._BATCH_MIN
-    batches = [_INDICES, _INDICES[:-2], _INDICES[-cut - 2:-2],
-               _INDICES[-cut:], _INDICES[:cut - 1], *([i] for i in _INDICES[-5:])]
-    for indices in batches:
-        streams = schedules._streams(seed, tag, indices)
-        assert len(streams) == len(indices)
-        for i, rng in zip(indices, streams):
-            ref = np.random.default_rng(np.random.SeedSequence([seed, tag, i]))
-            assert np.array_equal(rng.random(64), ref.random(64)), i
-            assert np.array_equal(rng.standard_normal(64),
-                                  ref.standard_normal(64)), i
-
-
-@pytest.mark.parametrize("size", [1, schedules._BATCH_MIN])
-def test_batched_streams_reject_negative_seed_or_index(size):
-    with pytest.raises(ValueError):
-        schedules._streams(-1, schedules._TAG_PEERS, range(size))
-    with pytest.raises(ValueError):
-        schedules._streams(3, schedules._TAG_PEERS, [-1] + [0] * (size - 1))
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 + 3])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_random_peers_read_one_stream_in_step_order(n, seed):
+    """Step t's peer edges are slice t of one long draw from numpy's
+    SeedSequence([seed, 101]) stream, thresholded with the diagonal
+    dropped: through edges_at, through blocks compiled from step 0 and
+    through blocks compiled from inside the stream."""
+    steps, p = 40, 0.3
+    ref = np.random.default_rng(np.random.SeedSequence(
+        [seed, schedules._TAG_PEERS])).random((steps, n, n)) < p
+    ref[:, np.arange(n), np.arange(n)] = False
+    sched = make_random_schedule(n, 3, p, seed=seed)
+    for t in range(steps):
+        peers = np.zeros((n, n), dtype=bool)
+        for i, j in sched.edges_at(t):
+            peers[i - 1, j - 1] = j > 0
+        assert np.array_equal(peers, ref[t]), t
+    for start, stop in ((0, steps), (0, 9), (9, 26), (26, steps), (13, 14)):
+        blk = sched._compile(start, stop)
+        assert np.array_equal(blk.adjacency[blk.slots][:, 1:, 1:],
+                              ref[start:stop]), (start, stop)
+    phases = np.random.default_rng(np.random.SeedSequence(
+        [seed, schedules._TAG_PHASES])).integers(0, 3, size=n)
+    assert sched.phases == tuple(phases.tolist())
 
 
 @pytest.mark.parametrize("seed", [2.7, 1.5, np.nan, np.inf])

@@ -252,6 +252,23 @@ def test_write_table_refuses_line_breaks_in_meta(tmp_path, fmt, meta):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("key", ["a: b", "generated"])
+def test_write_table_refuses_meta_keys_that_do_not_read_back(tmp_path, fmt,
+                                                             key):
+    """read_table splits a meta line at its first ": " and drops the
+    timestamp's key, so {"a: b": 1} would read back as {"a": "b: 1"} and
+    a generated key not at all: refused, naming the key, and nothing is
+    written."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^meta key %s does not read back$"
+                       % re.escape(repr(key))):
+        write_table(path, {key: 1, "kind": "x"}, ["t"], [(1,)])
+    assert not path.exists()
+    meta = {"a:": "b", "a b": ":c", "generated_at": 1}  # these read back
+    assert read_table(write_table(path, meta, ["t"], [(1,)])).meta == {
+        k: str(v) for k, v in meta.items()}
+
+
 def test_files_match_compares_bytes_past_the_timestamp(tmp_path, fmt):
     """files_match skips a first line only when it is a timestamp and
     compares the rest byte for byte, line breaks included."""

@@ -3,12 +3,14 @@
     python3 tools/compare_outputs.py ../parent .
 
 Each checkout runs the five subcommands (simulate, expected, verify,
-counterexample, ratefit) on three configs: its configs/example.ini, its
-configs/counterexample.ini, and a copy of its example.ini with
-inject_fault = transition.  Each side runs in its own empty working
-directory, every config writing to its own --out directory there, with
-no byte code left under src/.  The exit codes and every written file are
-compared, a file by tables.files_match (equal after its timestamp line).
+counterexample, ratefit) on four configs: its configs/example.ini, its
+configs/counterexample.ini, a copy of its example.ini with
+inject_fault = transition, and a copy with a random schedule
+(kind = random, edge_probability = 0.2).  Each side runs in its own
+empty working directory, every config writing to its own --out
+directory there, with no byte code left under src/.  The exit codes
+and every written file are compared, a file by tables.files_match
+(equal after its timestamp line).
 Prints one line per difference; exit status 1 on any, else 0.
 """
 
@@ -28,15 +30,17 @@ COMMANDS = ("simulate", "expected", "verify", "counterexample", "ratefit")
 
 
 def configs(checkout: Path, workdir: Path) -> dict:
-    """Label -> config path of the three configs, the fault copy made in
-    workdir."""
+    """Label -> config path of the four configs, the fault and random
+    copies made in workdir."""
     example = checkout / "configs" / "example.ini"
-    fault = workdir / "fault.ini"
+    fault, random = workdir / "fault.ini", workdir / "random.ini"
     fault.write_text(example.read_text().replace(
         "inject_fault = none", "inject_fault = transition"))
+    random.write_text(example.read_text().replace(
+        "\nkind = periodic\n", "\nkind = random\nedge_probability = 0.2\n"))
     return {"example": example,
             "counterexample": checkout / "configs" / "counterexample.ini",
-            "fault": fault}
+            "fault": fault, "random": random}
 
 
 def run_side(checkout: Path, workdir: Path) -> dict:
