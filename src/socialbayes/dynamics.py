@@ -22,18 +22,23 @@ gain shared by every run with the run's start state and normals, the
 gains built from the W stacks of schedules._stacks.  Past
 that cutoff they step one at a time.  Either way a run's arithmetic is
 its own matrix-vector products, so an ensemble member is bit for bit the
-run it would be alone.  Run r draws from numpy's SeedSequence([seed, 201,
-r]) stream, run_stream's, whether it runs alone or in an ensemble.
+run it would be alone: past the cutoff a pattern with at most two
+senders a row (a ring plus the truth, or the truth alone) is applied as
+its rows' two signals summed by index for all runs at once, which is
+each run's product bit for bit (_increment_steps).  Run r draws from
+numpy's SeedSequence([seed, 201, r]) stream, run_stream's, whether it
+runs alone or in an ensemble.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .schedules import (GraphSchedule, _chunk_steps, _count, _float_windows,
-                        _integral, _real, _stacks)
+from .schedules import (Block, GraphSchedule, _chunk_steps, _count,
+                        _float_windows, _integral, _real, _stacks)
 
 # Stream tag for per-run dynamics generators; schedules use their own tags.
 _TAG_RUN = 201
@@ -50,6 +55,13 @@ _NOISE_BUDGET = 2 ** 16
 # records every step, every 5 and at 5 times (CHANGES.md): the gains won
 # every case up to n = 8 and lost with dense records at n = 16.
 _GAIN_MAX_N = 8
+
+# Past _GAIN_MAX_N the runs sum a pattern with at most two senders a row
+# by index where their products would take at least _GATHER_MIN
+# multiply-adds a step (runs * n^2).  Measured on rings at n = 9 .. 100
+# and 1 .. 40 runs (CHANGES.md): the sum won from there on and lost up
+# to 8% below it, where a small product costs less than its extra calls.
+_GATHER_MIN = 10_000
 
 
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
@@ -361,26 +373,68 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
         ledger[k] = p[-1]
 
 
+def _operators(blk: Block, indices: np.ndarray, gather: bool) -> list:
+    """Each pattern of indices as _increment_steps applies it: where gather
+    and no row has more than two senders, its (first, second) sender
+    columns, n + 1, the signal buffer's +0 column, where a row has fewer;
+    else the pattern as float64.  Eligibility is read from the degree rows
+    first, so a pattern with a busier row costs no index work."""
+    two = np.zeros(len(indices), dtype=bool)
+    if gather:
+        two = blk.degrees[indices].max(axis=1) <= 2
+    ops = [None] * len(indices)
+    dense, served = np.flatnonzero(~two), np.flatnonzero(two)
+    for k, a in zip(dense, blk.adjacency[indices[dense]].astype(np.float64)):
+        ops[k] = a
+    a, d = blk.adjacency[indices[served]], blk.degrees[indices[served]]
+    n1 = blk.adjacency.shape[1]
+    first = np.where(d > 0, a.argmax(axis=2), n1)
+    second = np.where(d > 1, n1 - 1 - a[:, :, ::-1].argmax(axis=2), n1)
+    for k, f, s in zip(served.tolist(), first, second):
+        ops[k] = (f, s)
+    return ops
+
+
+def _two_sender_sum(ext: np.ndarray, first: np.ndarray,
+                    second: np.ndarray) -> np.ndarray:
+    """A sig for every run from ext, the (runs, n+2) signals and a +0
+    column: each row's two senders' signals summed, then +0 added, as a
+    product's sum starts from +0 (so -0 + -0 gives +0)."""
+    new = ext.take(first, axis=1)
+    new += ext.take(second, axis=1)
+    new += 0.0
+    return new
+
+
 def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                      horizon: int, x: np.ndarray, streams, times: np.ndarray,
                      means: np.ndarray, ledger: np.ndarray):
     """Step every run one step at a time, writing the records in place.
 
     Each compiled block of the schedule is walked in windows of at most B
-    steps (schedules._float_windows, which casts their patterns to
-    float64), B chosen so the noise buffer (runs, B, 2, n+1) stays within
-    _NOISE_BUDGET entries.
+    steps (schedules._float_windows), B chosen so the noise buffer (runs,
+    B, 2, n+1) stays within _NOISE_BUDGET entries.  A step's A_t sig is a
+    matrix-vector product per run with the pattern cast to float64, or,
+    for a pattern with at most two senders a row where _GATHER_MIN says
+    so, the sum of each row's two signals gathered by index over all runs
+    at once, a missing sender read from a +0 column.  The two agree bit
+    for bit on finite signals: a row's product is +0 plus its senders'
+    signals plus exact zero terms, so in any summation order, with or
+    without FMA, it is the correctly rounded a + b (or a, or +0).
     """
     n_runs, n1 = x.shape
     ratio, tau = params.ratio, params.tau
     width = max(1, min(_NOISE_BUDGET // (n_runs * 2 * n1), horizon))
     buf = np.empty((n_runs, width, 2, n1))
+    ext = np.zeros((n_runs, n1 + 1))  # each run's signals, then +0
+    signals = ext[:, :n1]
+    cast = partial(_operators, gather=n_runs * params.n ** 2 >= _GATHER_MIN)
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
     for blk in schedule.compiled.blocks(0, horizon):
         before, after = blk.ledger(ratio)
         keep = before[:-1] / after  # P_t / P_{t+1}
-        for c0, _, adjacency, slots in _float_windows(blk, width):
+        for c0, _, ops, slots in _float_windows(blk, width, cast):
             c1 = c0 + len(slots)
             t0 = blk.start + c0
             noise = buf[:, :c1 - c0]
@@ -394,16 +448,22 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
             for t, slot, p, p_next, kept in zip(range(t0, blk.start + c1),
                                                 slots.tolist(), before[c0:c1],
                                                 after[c0:c1], keep[c0:c1]):
-                sig = x + noise[:, t - t0, 0]
-                sig += noise[:, t - t0, 1]
                 if t == pending[k]:
                     means[:, k] = x
                     ledger[k] = p
                     k += 1
-                # one matrix-vector product per run, as a solo run takes it;
-                # a single sig @ A.T rounds differently once rows have many
-                # senders
-                new = np.matmul(adjacency[slot], sig[:, :, None])[:, :, 0]
+                op = ops[slot]
+                if type(op) is tuple:
+                    np.add(x + noise[:, t - t0, 0], noise[:, t - t0, 1],
+                           out=signals)
+                    new = _two_sender_sum(ext, *op)
+                else:
+                    sig = x + noise[:, t - t0, 0]
+                    sig += noise[:, t - t0, 1]
+                    # one matrix-vector product per run, as a solo run takes
+                    # it; a single sig @ A.T rounds differently once rows
+                    # have many senders
+                    new = np.matmul(op, sig[:, :, None])[:, :, 0]
                 new /= p_next
                 # (P_t / P_{t+1}) x + A_t sig / P_{t+1}: a row that receives
                 # nothing, the truth row among them, adds 0 to exactly 1 * x,

@@ -146,8 +146,9 @@ class Block(NamedTuple):
 
 def _freeze(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A (k, n+1, n+1) bool stack made read-only, and its read-only (k, n+1)
-    int64 receive counts, its row counts."""
-    degrees = np.count_nonzero(stack, axis=2).astype(np.int64, copy=False)
+    int64 receive counts, its row counts: its bytes summed in int32, exact
+    for any row length below 2^31 and cheaper than count_nonzero's."""
+    degrees = stack.view(np.uint8).sum(axis=2, dtype=np.int32).astype(np.int64)
     stack.flags.writeable = degrees.flags.writeable = False
     return stack, degrees
 
@@ -301,25 +302,29 @@ def _counts(degrees: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.bincount(slots, minlength=len(degrees)) @ degrees
 
 
-def _float_windows(blk: Block, steps: int):
-    """(first offset, pattern indices, adjacency[indices] as float64, each
-    step's slot into it) per window of at most `steps` of blk's steps.
-    The patterns a block uses are cast once, one stack every window
+def _as_float64(blk: Block, indices: np.ndarray) -> np.ndarray:
+    return blk.adjacency[indices].astype(np.float64)
+
+
+def _float_windows(blk: Block, steps: int, cast=_as_float64):
+    """(first offset, pattern indices, cast(blk, indices), each step's slot
+    into it) per window of at most `steps` of blk's steps; a cast is
+    indexed like its indices, by default adjacency[indices] as float64.
+    The patterns a block uses are cast once, one cast every window
     yields, if their float64 fits an eighth of _COMPILE_BUDGET (a fixed
     set's), else each window of at most that many steps casts its own (a
     random block's, one per step)."""
     cap = max(1, _COMPILE_BUDGET // 8 // (8 * blk.adjacency[0].size))
     used, slots = np.unique(blk.slots, return_inverse=True)
     if len(used) <= cap:
-        cast = blk.adjacency[used].astype(np.float64)
+        ops = cast(blk, used)
         for j in range(0, len(slots), steps):
-            yield j, used, cast, slots[j:j + steps]
+            yield j, used, ops, slots[j:j + steps]
         return
     steps = min(steps, cap)
     for j in range(0, len(slots), steps):
         own = blk.slots[j:j + steps]
-        yield j, own, blk.adjacency[own].astype(np.float64), np.arange(
-            len(own))
+        yield j, own, cast(blk, own), np.arange(len(own))
 
 
 def _transitions(a: np.ndarray, before: np.ndarray,

@@ -213,29 +213,178 @@ def test_ensemble_members_match_solo_runs():
     assert np.array_equal(ens.times, solo.times)
 
 
-@pytest.mark.parametrize("n, rule, budget",
-                         [(3, "ring", 64), (3, "ring", 24),
-                          (100, "complete", None),
-                          (dynamics._GAIN_MAX_N, "ring", None),
-                          (dynamics._GAIN_MAX_N + 1, "ring", None)])
+def _mixed_table(n=12, horizon=60):
+    """A table past _GAIN_MAX_N whose steps mix patterns: a ring plus the
+    truth (at most two senders a row), three agents hearing three senders
+    each, and nobody hearing (the table's empty pattern)."""
+    edges = []
+    for t in range(horizon):
+        if t % 3 == 0:
+            edges += [(t, i, i % n + 1) for i in range(1, n + 1)]
+            edges += [(t, i, 0) for i in range(1 + t % 2, n + 1, 2)]
+        elif t % 3 == 1:
+            edges += [(t, i, j) for i in (1, 2, 3) for j in (0, 4, 4 + i)]
+    return make_table_schedule(n, edges, horizon)
+
+
+def _force_sum(monkeypatch, gather):
+    """Make the per-step kernel sum every pattern with at most two senders
+    a row by index (gather True) or multiply every pattern (False); count
+    the index sums it takes."""
+    calls = []
+    inner = dynamics._two_sender_sum
+    monkeypatch.setattr(dynamics, "_GATHER_MIN", 0 if gather else 2 ** 62)
+    monkeypatch.setattr(dynamics, "_two_sender_sum",
+                        lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+_CUT = dynamics._GAIN_MAX_N
+
+
+@pytest.mark.parametrize("n, rule, budget, n_runs, gather", [
+    pytest.param(3, "ring", 64, 4, None, id="3-ring-64"),
+    pytest.param(3, "ring", 24, 4, None, id="3-ring-24"),
+    pytest.param(100, "complete", None, 4, None, id="100-complete-None"),
+    pytest.param(_CUT, "ring", None, 4, None, id=f"{_CUT}-ring-None"),
+    pytest.param(_CUT + 1, "ring", None, 4, None, id=f"{_CUT + 1}-ring-None"),
+    pytest.param(100, "ring", None, 20, None, id="100-ring-20runs-rule"),
+    pytest.param(100, "ring", None, 20, True, id="100-ring-20runs-sum"),
+    pytest.param(100, "ring", None, 20, False, id="100-ring-20runs-product"),
+    pytest.param(12, "table", None, 4, None, id="12-table-rule"),
+    pytest.param(12, "table", None, 4, True, id="12-table-sum"),
+    pytest.param(12, "table", None, 4, False, id="12-table-product")])
 def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
-                                                  budget):
+                                                  budget, n_runs, gather):
     """Members stay bitwise equal to solo runs when the noise budget is
     below one run's chunk of normals (budgets 64 and 24 at n=3: the runs go
     one per group, each noise window one whole chunk, over the budget) and
     at n=100 with ~100 senders per row, where one matrix-matrix product
     over the runs would round differently from each run's own
-    matrix-vector product; and at the chunk-gain cutoff n and one past
-    it, on either side of the kernel choice."""
+    matrix-vector product; at the chunk-gain cutoff n and one past it, on
+    either side of the kernel choice; and past it, on a ring at 20 runs
+    and a table mixing two- and three-sender patterns, with the cost rule
+    left as it is or forced to each side, so a solo run and the ensemble
+    may take different paths."""
     params = SystemParams(n=n, tau=0.5, seed=21)
-    sched = make_periodic_schedule(n, 2, peer_rule=rule)
+    if rule == "table":
+        sched = _mixed_table(n)
+    else:
+        sched = make_periodic_schedule(n, 2, peer_rule=rule)
     solo = [run_simulation(sched, params, 60, x0=2.0, record_every=7,
-                           run_index=r).means for r in range(4)]
+                           run_index=r).means for r in range(n_runs)]
     if budget is not None:
         monkeypatch.setattr(dynamics, "_NOISE_BUDGET", budget)
-    ens = run_ensemble(sched, params, 60, n_runs=4, x0=2.0, record_every=7)
-    for r in range(4):
+    if gather is not None:
+        _force_sum(monkeypatch, gather)
+    ens = run_ensemble(sched, params, 60, n_runs=n_runs, x0=2.0,
+                       record_every=7)
+    for r in range(n_runs):
         assert np.array_equal(ens.means[r], solo[r])
+
+
+def _dense_steps(sched, params, horizon, x0, n_runs):
+    """Every run's means at t = 0 .. horizon by the per-step kernel's
+    arithmetic with every pattern multiplied as float64:
+    sig = (x + g_u / sqrt(tau P_t)) + g_e / sqrt(tau), the truth's g_u
+    over an infinite precision and its g_e dropped when it emits no
+    noise, then x' = (A_t sig) / P_{t+1} + (P_t / P_{t+1}) x with one
+    np.matmul item per run, P ratio + an int64 count."""
+    n1 = params.n + 1
+    x = np.tile(initial_state(params, x0).means, (n_runs, 1))
+    draws = np.array([run_stream(params.seed, r).standard_normal(
+        (horizon, 2, n1)) for r in range(n_runs)])
+    counts = np.zeros(n1, dtype=np.int64)
+    out = [x]
+    for t in range(horizon):
+        a, deg = sched.arrays_at(t)
+        p, p_next = params.ratio + counts, params.ratio + (counts + deg)
+        u = draws[:, t, 0] / np.sqrt(dynamics._precisions(p, params.tau))
+        e = draws[:, t, 1] * (1.0 / np.sqrt(params.tau))
+        if not params.truth_noise:
+            e[:, 0] = 0.0
+        sig = x + u
+        sig += e
+        x = np.matmul(a.astype(np.float64), sig[:, :, None])[:, :, 0]
+        x /= p_next
+        x += (p / p_next) * out[-1]
+        counts += deg
+        out.append(x)
+    return np.array(out).transpose(1, 0, 2)
+
+
+_DENSE_CASES = {
+    # name: (schedule, truth, truth_noise); every row of the first four
+    # has at most two senders, the mixed table's some, the others' none
+    "ring-n100": (lambda: make_periodic_schedule(100, 3, "ring"), 0.5, True),
+    "ring-n100-truth0-quiet": (
+        lambda: make_periodic_schedule(100, 3, "ring"), 0.0, False),
+    "truth-only-n50": (lambda: make_periodic_schedule(50, 4), 0.5, True),
+    "truth-only-n50-quiet": (lambda: make_periodic_schedule(50, 4), 0.5,
+                             False),
+    "mixed-table-n12": (_mixed_table, 0.5, True),
+    "random-n30": (lambda: make_random_schedule(30, 3, 0.1, seed=4), 0.5,
+                   True),
+    "random-n30-sparse": (lambda: make_random_schedule(30, 3, 0.02, seed=4),
+                          0.5, True),
+    "complete-n100": (lambda: make_periodic_schedule(100, 3, "complete"),
+                      0.5, True),
+}
+
+
+@pytest.mark.parametrize("gather", [True, False])
+@pytest.mark.parametrize("case", sorted(_DENSE_CASES))
+def test_increment_kernel_is_the_dense_steps(monkeypatch, case, gather):
+    """The per-step kernel equals the dense per-step arithmetic bit for bit
+    whichever way the cost rule goes, record times inside and across
+    windows; x0 holds -0.0 and +0.0, so states start at both zeros.  The
+    index sum runs exactly where a used pattern has at most two senders a
+    row and the rule allows it."""
+    make, truth, truth_noise = _DENSE_CASES[case]
+    sched = make()
+    params = SystemParams(n=sched.n, tau=0.7, tau0=1.3, truth=truth, seed=3,
+                          truth_noise=truth_noise)
+    assert sched.n > dynamics._GAIN_MAX_N
+    horizon, n_runs = 60, 3
+    x0 = np.linspace(-3.0, 3.0, sched.n)
+    x0[:2] = -0.0, 0.0
+    calls = _force_sum(monkeypatch, gather)
+    ens = run_ensemble(sched, params, horizon, n_runs=n_runs, x0=x0,
+                       record_every=7)
+    want = _dense_steps(sched, params, horizon, x0, n_runs)[:, ens.times]
+    assert np.array_equal(ens.means.view(np.uint64), want.view(np.uint64))
+    served = [sched.arrays_at(t)[1].max() <= 2 for t in range(horizon)]
+    assert len(calls) == (sum(served) if gather else 0)
+
+
+def test_two_sender_sum_is_the_product_bit_for_bit():
+    """For rows with 0, 1 and 2 senders the index sum equals the float64
+    product bit for bit, over every ordered pair (a, b) of signals from
+    +-0, subnormals, 1e-300 .. 1e300 and the largest finite value (whose
+    sums overflow to inf either way), with a = -b cancellation among
+    them: the product's sum starts from +0, so -0 + -0 gives +0."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2250738585072014e-308,
+              -2.2250738585072014e-308, 1e-300, -1e-300, 0.1, -0.3, 1.0,
+              -1.0, 1e300, -1e300, np.finfo(np.float64).max,
+              -np.finfo(np.float64).max]
+    a, b = (v.ravel() for v in np.meshgrid(values, values))
+    sig = np.stack([a, b, -a, -b, 0.5 * a, b], axis=1)
+    rows = [(), (5,), (0, 1), (0, 2), (1, 3), (2, 5)]  # senders per row
+    stack = np.zeros((1, 6, 6), dtype=bool)
+    for i, senders in enumerate(rows):
+        stack[0, i, list(senders)] = True
+    blk = schedules.Block(0, *schedules._freeze(stack),
+                          np.zeros(1, dtype=np.intp))
+    (op,) = dynamics._operators(blk, np.arange(1), True)
+    ext = np.zeros((len(sig), 7))
+    ext[:, :6] = sig
+    with np.errstate(over="ignore"):
+        got = dynamics._two_sender_sum(ext, *op)
+        want = np.matmul(stack[0].astype(np.float64),
+                         sig[:, :, None])[:, :, 0]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isinf(want).any() and not np.signbit(want[:, 0]).any()
 
 
 def test_ledger_exact_at_non_dyadic_ratio():

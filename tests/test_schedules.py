@@ -310,6 +310,21 @@ def test_random_compile_holds_bounded_memory():
     assert abs(peaks[1] - peaks[0]) <= one_block
 
 
+@pytest.mark.parametrize("n", [1, 8, 100, 300])
+def test_freeze_degrees_are_row_counts(n):
+    """_freeze's degree rows equal count_nonzero's row counts, all-true
+    and all-false rows included; at n = 300 a row holds more ones than a
+    uint8 sum could."""
+    stack = np.random.default_rng(n).random((5, n + 1, n + 1)) < 0.3
+    stack[0] = True
+    stack[1] = False
+    stack[2, ::2] = True
+    frozen, degrees = schedules._freeze(stack.copy())
+    assert np.array_equal(frozen, stack)
+    assert degrees.dtype == np.int64 and not degrees.flags.writeable
+    assert np.array_equal(degrees, np.count_nonzero(stack, axis=2))
+
+
 def test_float_windows_cast_fixed_sets_once():
     """A fixed pattern set is cast to float64 once per block, whatever the
     window; a random block is cast a window of at most an eighth of the

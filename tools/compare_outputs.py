@@ -3,10 +3,12 @@
     python3 tools/compare_outputs.py ../parent .
 
 Each checkout runs the five subcommands (simulate, expected, verify,
-counterexample, ratefit) on four configs: its configs/example.ini, its
-configs/counterexample.ini, a copy of its example.ini with
-inject_fault = transition, and a copy with a random schedule
-(kind = random, edge_probability = 0.2).  Each side runs in its own
+counterexample, ratefit) on six configs: its configs/example.ini, its
+configs/counterexample.ini, and four copies of its example.ini
+(DERIVED): one with inject_fault = transition, one with a random
+schedule (kind = random, edge_probability = 0.2), and two wide ones at
+horizon 300, n = 100 on the ring and n = 30 on a random schedule with
+edge_probability = 0.1.  Each side runs in its own
 empty working directory, every config writing to its own --out
 directory there, with no byte code left under src/.  The exit codes
 and every written file are compared, a file by tables.files_match
@@ -29,18 +31,38 @@ from socialbayes.tables import files_match  # noqa: E402
 COMMANDS = ("simulate", "expected", "verify", "counterexample", "ratefit")
 
 
+# label: the (old, new) text replacements that derive a config from
+# example.ini.  The wide configs reach past n = 8 for the noisy kernel
+# (n = 100 on a ring, whose rows have at most two senders, and a random
+# n = 30) and past n = 24 for run_expected.
+DERIVED = {
+    "fault": (("inject_fault = none", "inject_fault = transition"),),
+    "random": (("\nkind = periodic\n",
+                "\nkind = random\nedge_probability = 0.2\n"),),
+    "wide-ring": (("\nn = 4\n", "\nn = 100\n"),
+                  ("\nhorizon = 1000\n", "\nhorizon = 300\n")),
+    "wide-random": (("\nn = 4\n", "\nn = 30\n"),
+                    ("\nkind = periodic\n",
+                     "\nkind = random\nedge_probability = 0.1\n"),
+                    ("\nhorizon = 1000\n", "\nhorizon = 300\n")),
+}
+
+
 def configs(checkout: Path, workdir: Path) -> dict:
-    """Label -> config path of the four configs, the fault and random
-    copies made in workdir."""
+    """Label -> config path of the six configs, the DERIVED ones written
+    in workdir; ValueError when example.ini lacks a replaced text."""
     example = checkout / "configs" / "example.ini"
-    fault, random = workdir / "fault.ini", workdir / "random.ini"
-    fault.write_text(example.read_text().replace(
-        "inject_fault = none", "inject_fault = transition"))
-    random.write_text(example.read_text().replace(
-        "\nkind = periodic\n", "\nkind = random\nedge_probability = 0.2\n"))
-    return {"example": example,
-            "counterexample": checkout / "configs" / "counterexample.ini",
-            "fault": fault, "random": random}
+    paths = {"example": example,
+             "counterexample": checkout / "configs" / "counterexample.ini"}
+    for label, replacements in DERIVED.items():
+        text = example.read_text()
+        for old, new in replacements:
+            if old not in text:
+                raise ValueError(f"{example} has no {old.strip()!r}")
+            text = text.replace(old, new)
+        paths[label] = workdir / (label + ".ini")
+        paths[label].write_text(text)
+    return paths
 
 
 def run_side(checkout: Path, workdir: Path) -> dict:
