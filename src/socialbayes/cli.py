@@ -3,8 +3,9 @@
 Subcommands: simulate | expected | verify | counterexample | ratefit.
 Every subcommand takes --config PATH plus optional --seed, --out, and
 --horizon overrides.  Exit status: 0 when all selected checks pass, 1 on
-a check failure, 2 on configuration or precondition errors, so the tool
-can gate CI jobs on the model's bound suite.
+a check failure, 2 on configuration or precondition errors and on a run
+whose means overflow, so the tool can gate CI jobs on the model's bound
+suite.
 """
 
 from __future__ import annotations
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ScheduleHorizonError, ScheduleConstructionError) as exc:
         print("schedule error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except FloatingPointError as exc:
+        print("run error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -13,6 +13,9 @@ which keeps beliefs Gaussian and gives the closed-form update
 for k received signals.  Precisions are therefore schedule-determined: we
 track them as ledger values tau0/tau + (integer signal counts) and scale by
 tau on demand, so incremental and from-scratch accounting agree exactly.
+The kernels write means only: a run's recorded ledger is read once from
+the schedule by ledger_for_times, which written tables read too, and a
+run whose recorded means overflow raises FloatingPointError.
 
 With a signal's sample and observation noise drawn as raw normals g, the
 step is linear: x_{t+1} = W_t x_t + [Nu_t | Ne_t] g_t, W_t the mean
@@ -128,6 +131,24 @@ def _precisions(ledger: np.ndarray, tau: float) -> np.ndarray:
     return p
 
 
+def ledger_for_times(schedule: GraphSchedule, params: SystemParams,
+                     times) -> np.ndarray:
+    """Ledger rows at the requested times, the one producer of a recorded
+    ledger, for runs and written tables alike.
+
+    Each row is ratio + (int64 receive count), from Block.ledger of the
+    schedule's compiled blocks below the latest time, in one pass; times
+    go by _integral's rule, at least 0.
+    """
+    times = _integral(times, "ledger times", 0)
+    out = np.full((len(times), params.n + 1), params.ratio)
+    for blk in schedule.compiled.blocks(0, int(times.max(initial=0))):
+        before = blk.ledger(params.ratio)[0]
+        inside = (times >= blk.start) & (times < blk.start + len(before))
+        out[inside] = before[times[inside] - blk.start]
+    return out
+
+
 def initial_state(params: SystemParams, x0=None) -> BeliefState:
     """State at t=0: prior ledger, means x0 by _real's rule, one value
     broadcast or n values, or n+1 whose first, the truth's, is ignored."""
@@ -241,24 +262,27 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
               x0, times: np.ndarray, n_runs: int, run_index: int = 0):
     """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
 
-    x holds one row per run; the ledger is shared, taken as ratio + int64
-    receive counts like run_expected's.  Each run fills its noise from its
-    own stream in step order, whatever the window, so it draws the values
+    x holds one row per run.  Each run fills its noise from its own stream
+    in step order, whatever the window, so it draws the values
     step-by-step draws would, and each run's arithmetic is its own
     matrix-vector products: every member is bit-for-bit the run it would
     be alone.  While n <= _GAIN_MAX_N the runs step by chunk gains
-    (_gain_steps), past it one step at a time (_increment_steps).  Returns
-    means (M, K, n+1) and ledger (K, n+1) at `times`.
+    (_gain_steps), past it one step at a time (_increment_steps), either
+    writing means only.  Returns means (M, K, n+1) at `times` and their
+    ledger (K, n+1) by ledger_for_times.  A record that is not finite (a
+    sum overflowed) is a FloatingPointError naming the first in time order.
     """
-    n1 = params.n + 1
-    means = np.empty((n_runs, times.size, n1))
-    ledger = np.empty((times.size, n1))
+    means = np.empty((n_runs, times.size, params.n + 1))
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
     streams = [run_stream(params.seed, r)
                for r in range(run_index, run_index + n_runs)]
     kernel = _gain_steps if params.n <= _GAIN_MAX_N else _increment_steps
-    kernel(schedule, params, horizon, x, streams, times, means, ledger)
-    return means, ledger
+    kernel(schedule, params, horizon, x, streams, times, means)
+    if not np.isfinite(means).all():
+        k, r, i = np.argwhere(~np.isfinite(means.swapaxes(0, 1)))[0]
+        raise FloatingPointError(f"run {run_index + r} is not finite at "
+                                 f"t = {times[k]}, agent {i}")
+    return means, ledger_for_times(schedule, params, times)
 
 
 def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -270,9 +294,8 @@ def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
     Nu_i = (A_i / P_{i+1}) diag(1/sqrt(tau P_i)) and
     Ne_i = (A_i / P_{i+1}) / sqrt(tau), so x_{i+1} = S_i [x_i; g_i] for the
     step's raw normals g_i = (g_u, g_e) (Nu's truth column is zero, and
-    Ne's where the truth emits no noise); and the ledger rows P_{w0} ..
-    P_{w0+L}.  _stacks joins a window across compiled-block cuts, so no
-    window depends on where blocks cut.
+    Ne's where the truth emits no noise).  _stacks joins a window across
+    compiled-block cuts, so no window depends on where blocks cut.
     """
     n1 = params.n + 1
     for w0, a, w, p, q in _stacks(schedule, params.ratio, 0, horizon, width):
@@ -285,7 +308,7 @@ def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
         np.multiply(mix, 1.0 / np.sqrt(params.tau), out=maps[:, :, 2])
         if not params.truth_noise:
             maps[:, :, 2, 0] = 0.0
-        yield w0, maps.reshape(len(a), n1, 3 * n1), np.vstack([p, q[-1]])
+        yield w0, maps.reshape(len(a), n1, 3 * n1)
 
 
 def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
@@ -311,9 +334,8 @@ def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
 
 
 def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
-                x: np.ndarray, streams, times: np.ndarray, means: np.ndarray,
-                ledger: np.ndarray):
-    """Step every run by chunk gains, writing the records in place.
+                x: np.ndarray, streams, times: np.ndarray, means: np.ndarray):
+    """Step every run by chunk gains, writing the means in place.
 
     The recursion x_{i+1} = S_i [x_i; g_i] (_gain_windows) is linear in the
     state and in the raw normals g_i, so over a chunk of c steps anchored
@@ -340,8 +362,8 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
     # over the spent e-half of g_{a+i}, just before g_{a+i+1}.
     buf = np.empty((group, n1 + width * 2 * n1))
     pending = times.tolist() + [horizon + 1]  # no record is past horizon
-    k, p = 0, np.full((1, n1), params.ratio)  # p: the last window's ledger
-    for w0, maps, p in _gain_windows(schedule, params, horizon, width):
+    k = 0
+    for w0, maps in _gain_windows(schedule, params, horizon, width):
         gains, first = _chunk_gains(maps, c), k
         for r0 in range(0, n_runs, group):
             rows = buf[:min(group, n_runs - r0)]
@@ -366,11 +388,9 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                     s[:, 2 * n1:] = step[..., 0]
                 states = chunk[:, np.add.outer(2 * n1 * at, np.arange(n1))]
                 means[r0:r0 + len(rows), k:stop] = states
-                ledger[k:stop] = p[i0 + at]
                 k = stop
     if pending[k] == horizon:  # the horizon is an anchor
         means[:, k] = x
-        ledger[k] = p[-1]
 
 
 def _operators(blk: Block, indices: np.ndarray, gather: bool) -> list:
@@ -408,8 +428,8 @@ def _two_sender_sum(ext: np.ndarray, first: np.ndarray,
 
 def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                      horizon: int, x: np.ndarray, streams, times: np.ndarray,
-                     means: np.ndarray, ledger: np.ndarray):
-    """Step every run one step at a time, writing the records in place.
+                     means: np.ndarray):
+    """Step every run one step at a time, writing the means in place.
 
     Each compiled block of the schedule is walked in windows of at most B
     steps (schedules._float_windows), B chosen so the noise buffer (runs,
@@ -445,12 +465,11 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
             noise[:, :, 1] *= 1.0 / np.sqrt(tau)
             if not params.truth_noise:
                 noise[:, :, 1, 0] = 0.0
-            for t, slot, p, p_next, kept in zip(range(t0, blk.start + c1),
-                                                slots.tolist(), before[c0:c1],
-                                                after[c0:c1], keep[c0:c1]):
+            for t, slot, p_next, kept in zip(range(t0, blk.start + c1),
+                                             slots.tolist(), after[c0:c1],
+                                             keep[c0:c1]):
                 if t == pending[k]:
                     means[:, k] = x
-                    ledger[k] = p
                     k += 1
                 op = ops[slot]
                 if type(op) is tuple:
@@ -472,7 +491,6 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                 x = new
     if horizon == pending[k]:
         means[:, k] = x
-        ledger[k] = before[-1] if horizon else ratio
 
 
 def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,

@@ -14,7 +14,9 @@ role for the deviation process in the stochastic recursion.
 The narrow mean process, the window and identity checks and the
 ensemble's chunk gains share one source: the W_t stacks of
 schedules._stacks.  bundle_at gives one step's blocks, by the validated
-one-step builder transition_bundle.
+one-step builder transition_bundle.  run_expected takes the sup norms of
+z_t in one pass after stepping; a norm that overflowed raises
+FloatingPointError.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import (GraphSchedule, _budget_steps, _chunk_steps, _count,
-                        _float_windows, _stacks, _transitions)
+from .schedules import (_STACK_BUDGET, GraphSchedule, _budget_steps,
+                        _chunk_steps, _count, _float_windows, _stacks,
+                        _transitions)
 
 # run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
 # per-pattern arithmetic is faster (measured on ring, truth-only and
@@ -108,13 +111,12 @@ class ExpectedTrajectory:
     times: np.ndarray      # (T+1,)
     means: np.ndarray      # (T+1, n+1), row t is y_t
     norms: np.ndarray      # (T+1,), max_i |y_{t,i} - truth| over i >= 1
-    truth: float
     params: SystemParams
 
     @property
     def shifted(self) -> np.ndarray:
         """z_t = y_t[1:] - truth, one row per time."""
-        return self.means[:, 1:] - self.truth
+        return self.means[:, 1:] - self.params.truth
 
 
 def _scan(w: np.ndarray, t0: int, c: int, means: np.ndarray):
@@ -157,40 +159,40 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built in float64 once per
     pattern a block uses (schedules._float_windows); a row that receives
     nothing, the truth row among them, is a zero row of L_t, so its entry
-    stays exactly as it is.  Sup norms are taken per W stack or block, so
-    extra memory is one of them, not the horizon.
+    stays exactly as it is.  The sup norms are taken in one pass after
+    stepping, over slices of _STACK_BUDGET bytes of means, so extra
+    memory is one slice, not the horizon.  A norm that is not finite (a
+    mean, or its distance from the truth, overflowed) is a
+    FloatingPointError naming the first t.
     """
     horizon = _count(horizon, "horizon", 0)
-    init = initial_state(params, x0)
-    truth = params.truth
     means = np.empty((horizon + 1, params.n + 1))
-    norms = np.empty(horizon + 1)
-    means[0] = init.means
-    norms[0] = np.max(np.abs(init.means[1:] - truth))
+    means[0] = initial_state(params, x0).means
     if params.n <= _STACK_MAX_N:
         chunk = _chunk_steps(params.n)
         for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon,
                                       _budget_steps(params.n, chunk)):
             _scan(w, t0, chunk, means)
-            span = slice(t0 + 1, t0 + 1 + len(w))
-            norms[span] = np.max(np.abs(means[span, 1:] - truth), axis=1)
     else:
         for blk in schedule.compiled.blocks(0, horizon):
-            b0, b1 = blk.start, blk.start + len(blk.slots)
             _, after = blk.ledger(params.ratio)
             # one window a block: each float stack turns into L once, in place
             for j, used, lap, slots in _float_windows(blk, len(blk.slots)):
                 diagonal = lap.reshape(len(lap), -1)[:, ::params.n + 2]
                 diagonal -= blk.degrees[used]  # L_k = A_k - diag(D_k)
-                y = means[b0 + j]
-                for row, k, p_next in zip(means[b0 + j + 1:b1 + 1],
+                y = means[blk.start + j]
+                for row, k, p_next in zip(means[blk.start + j + 1:],
                                           slots.tolist(), after[j:]):
                     np.dot(lap[k], y, out=row)
                     row /= p_next
                     row += y
                     y = row
-            norms[b0 + 1:b1 + 1] = np.max(
-                np.abs(means[b0 + 1:b1 + 1, 1:] - truth), axis=1)
-    return ExpectedTrajectory(np.arange(horizon + 1), means, norms, truth,
-                              params)
+    norms, rows = np.empty(horizon + 1), _STACK_BUDGET // (8 * params.n) + 1
+    for r0 in range(0, horizon + 1, rows):
+        np.max(np.abs(means[r0:r0 + rows, 1:] - params.truth), axis=1,
+               out=norms[r0:r0 + rows])
+    if not np.isfinite(norms).all():
+        raise FloatingPointError("mean process is not finite at t = %d"
+                                 % np.argmin(np.isfinite(norms)))
+    return ExpectedTrajectory(np.arange(horizon + 1), means, norms, params)
 

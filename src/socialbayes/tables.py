@@ -14,7 +14,8 @@ The first line of every file is the generation timestamp and is the only
 line excluded when comparing files for reproducibility; everything after
 it is deterministic for a fixed config and seed.  Floats are rendered
 with ``repr`` (shortest round-trip form), so equal inputs give equal
-bytes.  The truth agent's precision is written as ``inf``.
+bytes.  The truth agent's precision is written as ``inf``; every
+precision column comes from the ledger rows of dynamics.ledger_for_times.
 
 A column reads back by its written text: int64 if numpy parses every cell
 as one (``str`` of an int), else float64 if it parses every cell as one
@@ -33,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import EnsembleResult, SystemParams, Trajectory, _precisions
+from .dynamics import (EnsembleResult, SystemParams, Trajectory,
+                       _precisions, ledger_for_times)
 from .expected import ExpectedTrajectory
-from .schedules import GraphSchedule, _integral
+from .schedules import GraphSchedule
 
 def timestamp_line() -> str:
     return "# generated: " + datetime.now(timezone.utc).strftime(
@@ -173,23 +175,6 @@ def write_trajectory(path, traj: Trajectory) -> Path:
     meta = _trajectory_meta(traj.params, "simulated", {"run": traj.run_index})
     rows = _trajectory_rows(traj.times, traj.means, traj.precisions)
     return write_table(path, meta, TRAJECTORY_COLUMNS, rows)
-
-
-def ledger_for_times(schedule: GraphSchedule, params: SystemParams, times) -> np.ndarray:
-    """Precision-ledger snapshots at the requested times, one blocked pass.
-
-    Each row is ratio + (int64 receive count), from the schedule's
-    compiled blocks below the latest time; times go by _integral's rule,
-    at least 0.
-    """
-    times = _integral(times, "ledger times", 0)
-    out = np.full((len(times), params.n + 1), params.ratio)
-    last = int(times.max(initial=0))
-    for blk in schedule.compiled.blocks(0, last):
-        before = blk.ledger(params.ratio)[0]
-        inside = (times >= blk.start) & (times < blk.start + len(before))
-        out[inside] = before[times[inside] - blk.start]
-    return out
 
 
 def write_expected_trajectory(path, expected: ExpectedTrajectory,

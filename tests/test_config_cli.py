@@ -318,6 +318,20 @@ def test_seed_override_changes_output(tmp_path):
     assert not files_match(a / "run-0000.csv", b / "run-0000.csv")
 
 
+@pytest.mark.parametrize("command", ["simulate", "expected"])
+def test_overflowing_run_exits_2(tmp_path, capsys, command):
+    """Finite inputs whose step sums overflow are a run error, exit 2,
+    before anything is written."""
+    text = BASE.replace("n = 4", "n = 30\ntruth = 1.7e308") \
+               .replace("x0 = 2.0", "x0 = 1.7e308")
+    cfg = config_file(tmp_path, text)
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "\nrun error: " in "\n" + capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys):
     cfg = config_file(tmp_path, BASE)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),

@@ -1,6 +1,7 @@
 """Noisy belief dynamics: conjugate updates, RNG streams, trajectories."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from socialbayes.dynamics import (
     SystemParams,
     emit_signals,
     initial_state,
+    ledger_for_times,
     run_ensemble,
     run_simulation,
     run_stream,
@@ -395,6 +397,78 @@ def test_ledger_exact_at_non_dyadic_ratio():
     traj = run_simulation(sched, params, 3000, x0=2.0, record_every=1)
     counts = np.cumsum([sched.arrays_at(t)[1] for t in range(3000)], axis=0)
     assert np.array_equal(traj.ledger[1:], params.ratio + counts)
+
+
+_TALLY_SCHEDULES = {
+    "ring-n4": lambda: make_periodic_schedule(4, 3, peer_rule="ring"),
+    "mixed-table-n12": _mixed_table,
+    "ring-n100": lambda: make_periodic_schedule(100, 3, peer_rule="ring"),
+    # horizon 400 passes its 190-step compiled-block cut
+    "random-n100": lambda: make_random_schedule(100, 3, 0.03, seed=5),
+}
+
+
+@pytest.mark.parametrize("record", ["horizon-0", "first", "last", "every"])
+@pytest.mark.parametrize("kind", list(_TALLY_SCHEDULES))
+def test_recorded_ledger_is_the_degree_tally(kind, record):
+    """A run's recorded ledger is ratio + the cumulative arrays_at degrees
+    at its record times, on both noisy kernels, at horizon 0, at {0},
+    at {horizon} and at every step; so is ledger_for_times at those
+    times repeated and shuffled."""
+    sched = _TALLY_SCHEDULES[kind]()
+    horizon = 0 if record == "horizon-0" else (sched.horizon or 400)
+    params = SystemParams(n=sched.n, tau=3.0, tau0=1.0, seed=4)
+    times = {"horizon-0": [0], "first": [0], "last": [horizon],
+             "every": np.arange(horizon + 1)}[record]
+    traj = run_simulation(sched, params, horizon, x0=2.0, record_times=times)
+    counts = np.zeros((horizon + 1, sched.n + 1), dtype=np.int64)
+    for t in range(horizon):
+        counts[t + 1] = counts[t] + sched.arrays_at(t)[1]
+    assert np.array_equal(traj.ledger, params.ratio + counts[times])
+    shuffled = np.random.default_rng(0).permutation(np.repeat(times, 2))
+    assert np.array_equal(ledger_for_times(sched, params, shuffled),
+                          params.ratio + counts[shuffled])
+
+
+_HUGE = 1.7e308  # a finite value whose two-signal sums overflow
+
+
+@pytest.mark.parametrize("n", [30, 100])
+@pytest.mark.parametrize("entry", ["ensemble", "simulation", "expected"])
+def test_overflowing_means_raise(n, entry):
+    """Finite inputs whose step sums overflow raise FloatingPointError,
+    naming the first time, where an ensemble member and its solo run fail
+    alike, rather than returning inf or NaN means."""
+    sched = make_periodic_schedule(n, 3, peer_rule="ring")
+    params = SystemParams(n=n, truth=_HUGE, seed=3)
+    run = {"ensemble": partial(run_ensemble, n_runs=20),
+           "simulation": run_simulation,
+           "expected": expected.run_expected}[entry]
+    with pytest.raises(FloatingPointError, match="not finite at t = 1"
+                       ) as caught, np.errstate(all="ignore"):
+        run(sched, params, 30, x0=_HUGE)
+    if entry != "expected":
+        assert str(caught.value) == "run 0 is not finite at t = 1, agent 3"
+
+
+def test_truth_far_from_the_means_raises_at_zero():
+    """|x0 - truth| overflows at t = 0 even though both are finite."""
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    params = SystemParams(n=4, truth=-_HUGE)
+    with pytest.raises(FloatingPointError, match="at t = 0$"), \
+            np.errstate(all="ignore"):
+        expected.run_expected(sched, params, 10, x0=_HUGE)
+
+
+def test_convex_gain_kernel_stays_finite_near_the_largest_float():
+    """At n = 4 the gain kernel and the stack scan form convex
+    combinations W x, so the overflowing case above stays finite."""
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    params = SystemParams(n=4, truth=_HUGE, seed=3)
+    for result in (run_ensemble(sched, params, 30, 20, x0=_HUGE),
+                   run_simulation(sched, params, 30, x0=_HUGE),
+                   expected.run_expected(sched, params, 30, x0=_HUGE)):
+        assert np.isfinite(result.means).all()
 
 
 @pytest.mark.parametrize("field", ["tau", "tau0", "truth"])

@@ -159,12 +159,15 @@ def test_w_stacks_are_built_in_one_place():
 
 
 def test_finite_checks_live_in_the_rules():
-    """isfinite is referenced by the integer and real rules alone: every
-    other check of a number calls a rule."""
+    """isfinite is referenced by the integer and real rules, which check
+    every input number, and by the noisy and mean runs, which check their
+    results once each: every other check of a number calls a rule."""
     assert set().union(*(_references(path, "isfinite") for path in
                          (ROOT / "src" / "socialbayes").glob("*.py"))) == {
         ("isfinite", "schedules.py", "_integral"),
-        ("isfinite", "schedules.py", "_real")}
+        ("isfinite", "schedules.py", "_real"),
+        ("isfinite", "dynamics.py", "_run_core"),
+        ("isfinite", "expected.py", "run_expected")}
 
 
 def test_config_keeps_no_range_check():
