@@ -30,11 +30,16 @@ senders a row (a ring plus the truth, or the truth alone) is applied as
 its rows' two signals summed by index for all runs at once, which is
 each run's product bit for bit (_increment_steps).  Run r draws from
 numpy's SeedSequence([seed, 201, r]) stream, run_stream's, whether it
-runs alone or in an ensemble.
+runs alone or in an ensemble.  So a large ensemble splits its runs into
+contiguous groups stepped in forked processes (_split), and its members
+are still bit for bit their solo runs, whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,6 +70,13 @@ _GAIN_MAX_N = 8
 # and 1 .. 40 runs (CHANGES.md): the sum won from there on and lost up
 # to 8% below it, where a small product costs less than its extra calls.
 _GATHER_MIN = 10_000
+
+# An ensemble splits its runs over forked processes where its work, runs *
+# horizon * (n + 1), is at least _SPLIT_MIN.  Measured on 2 CPUs against
+# one process, on rings at n = 4 and 100 and a random n = 30 (CHANGES.md):
+# the split lost at 0.1-0.2M, was mixed from 0.3M to 0.8M and won from
+# 1M on, where forking costs a few ms against tens of ms of stepping.
+_SPLIT_MIN = 1_000_000
 
 
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
@@ -136,16 +148,24 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams,
     """Ledger rows at the requested times, the one producer of a recorded
     ledger, for runs and written tables alike.
 
-    Each row is ratio + (int64 receive count), from Block.ledger of the
-    schedule's compiled blocks below the latest time, in one pass; times
-    go by _integral's rule, at least 0.
+    Each row is ratio + (int64 receive count): a compiled block's received
+    counts plus its degree rows summed between the record offsets inside
+    it (np.add.reduceat), in one pass over the blocks below the latest
+    time; the sums are exact, so the rows are Block.ledger's bit for bit.
+    Times go by _integral's rule, at least 0.
     """
     times = _integral(times, "ledger times", 0)
     out = np.full((len(times), params.n + 1), params.ratio)
     for blk in schedule.compiled.blocks(0, int(times.max(initial=0))):
-        before = blk.ledger(params.ratio)[0]
-        inside = (times >= blk.start) & (times < blk.start + len(before))
-        out[inside] = before[times[inside] - blk.start]
+        steps = len(blk.slots)
+        inside = (times >= blk.start) & (times <= blk.start + steps)
+        ends = np.unique(times[inside] - blk.start)
+        ends = np.append(ends[(ends > 0) & (ends < steps)], steps)
+        # the degree rows of the steps [0, e1), [e1, e2) .. [ek, steps)
+        sums = np.add.reduceat(blk.degrees[blk.slots], np.append(0, ends[:-1]))
+        counts = np.cumsum(np.vstack([blk.received, sums]), axis=0)
+        at = np.searchsorted(ends, times[inside] - blk.start, side="right")
+        out[inside] = params.ratio + counts[at]  # at offsets 0, e1 .. steps
     return out
 
 
@@ -258,6 +278,14 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
     return times
 
 
+def _workers() -> int:
+    """The CPUs this process may run on (1 where it cannot ask): at most
+    this many processes step one ensemble."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
               x0, times: np.ndarray, n_runs: int, run_index: int = 0):
     """The one noisy kernel: steps runs run_index .. run_index+n_runs-1 together.
@@ -268,21 +296,73 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     matrix-vector products: every member is bit-for-bit the run it would
     be alone.  While n <= _GAIN_MAX_N the runs step by chunk gains
     (_gain_steps), past it one step at a time (_increment_steps), either
-    writing means only.  Returns means (M, K, n+1) at `times` and their
-    ledger (K, n+1) by ledger_for_times.  A record that is not finite (a
-    sum overflowed) is a FloatingPointError naming the first in time order.
+    writing means only.  Where the work, runs * horizon * (n + 1), is at
+    least _SPLIT_MIN, the runs go in contiguous groups to at most
+    _workers() processes (_split), and the means are bitwise the same
+    whatever the worker count.  Nothing splits for one run or one CPU,
+    where os.fork does not exist, or while another thread is alive: a
+    forked child holds only the thread that forked.  Returns means
+    (M, K, n+1) at `times` and their ledger (K, n+1) by ledger_for_times,
+    read after every group is done.  A record that is not finite (a sum
+    overflowed) is a FloatingPointError naming the first in time order.
     """
     means = np.empty((n_runs, times.size, params.n + 1))
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
-    streams = [run_stream(params.seed, r)
-               for r in range(run_index, run_index + n_runs)]
     kernel = _gain_steps if params.n <= _GAIN_MAX_N else _increment_steps
-    kernel(schedule, params, horizon, x, streams, times, means)
+
+    def step(lo: int, hi: int, out: np.ndarray):
+        streams = [run_stream(params.seed, r)
+                   for r in range(run_index + lo, run_index + hi)]
+        kernel(schedule, params, horizon, x[lo:hi], streams, times, out)
+
+    groups = 1
+    if (n_runs > 1 and n_runs * horizon * (params.n + 1) >= _SPLIT_MIN
+            and hasattr(os, "fork") and threading.active_count() == 1):
+        groups = min(n_runs, _workers())
+    if groups > 1:
+        for _ in schedule.compiled.blocks(0, horizon):
+            pass  # compiled once, here, so the children inherit the blocks
+        _split(step, [n_runs * j // groups for j in range(groups + 1)], means)
+    else:
+        step(0, n_runs, means)
     if not np.isfinite(means).all():
         k, r, i = np.argwhere(~np.isfinite(means.swapaxes(0, 1)))[0]
         raise FloatingPointError(f"run {run_index + r} is not finite at "
                                  f"t = {times[k]}, agent {i}")
     return means, ledger_for_times(schedule, params, times)
+
+
+def _split(step, cuts: list, means: np.ndarray):
+    """step(lo, hi, out) for each run group [cuts[j], cuts[j + 1]), writing
+    its rows of means.  This process steps the first group into means;
+    each other group runs in a forked child, which writes its rows into
+    one anonymous shared map and leaves by os._exit.  Every child is
+    reaped before this returns or raises; then their rows are copied into
+    means, so no shared map outlives the call.  ChildProcessError when a
+    child failed.
+    """
+    rest = means[cuts[1]:]
+    shared = np.frombuffer(mmap.mmap(-1, rest.nbytes), dtype=means.dtype
+                           ).reshape(rest.shape)
+    pids = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            pid = os.fork()
+            if pid == 0:  # the child: never return into the caller
+                status = 1
+                try:
+                    step(lo, hi, shared[lo - cuts[1]:hi - cuts[1]])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        step(0, cuts[1], means[:cuts[1]])
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise ChildProcessError(f"{failed} of {len(pids)} forked run groups "
+                                "failed")
+    rest[...] = shared
 
 
 def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
@@ -333,6 +413,7 @@ def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
     return gains
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 x: np.ndarray, streams, times: np.ndarray, means: np.ndarray):
     """Step every run by chunk gains, writing the means in place.
@@ -426,6 +507,7 @@ def _two_sender_sum(ext: np.ndarray, first: np.ndarray,
     return new
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _increment_steps(schedule: GraphSchedule, params: SystemParams,
                      horizon: int, x: np.ndarray, streams, times: np.ndarray,
                      means: np.ndarray):

@@ -145,6 +145,7 @@ def _scan(w: np.ndarray, t0: int, c: int, means: np.ndarray):
         np.matmul(w[body:], y, out=rows[body:])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
                  x0=None) -> ExpectedTrajectory:
     """Run the deterministic mean recursion for `horizon` steps.

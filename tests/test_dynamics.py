@@ -1,5 +1,7 @@
 """Noisy belief dynamics: conjugate updates, RNG streams, trajectories."""
 
+import os
+import threading
 import warnings
 from functools import partial
 
@@ -469,6 +471,145 @@ def test_convex_gain_kernel_stays_finite_near_the_largest_float():
                    run_simulation(sched, params, 30, x0=_HUGE),
                    expected.run_expected(sched, params, 30, x0=_HUGE)):
         assert np.isfinite(result.means).all()
+
+
+def _force_split(monkeypatch, workers):
+    """Split every ensemble over `workers` processes whatever its work;
+    count the forks this process makes."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(dynamics, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SPLIT_CASES = {
+    "gain-n4": lambda: make_periodic_schedule(4, 3, peer_rule="ring"),
+    "two-sender-n100": lambda: make_periodic_schedule(100, 3,
+                                                      peer_rule="ring"),
+    "dense-random-n30": lambda: make_random_schedule(30, 3, 0.1, seed=8),
+}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("record", [{"record_every": 1},
+                                    {"record_times": [0, 7, 30, 59]},
+                                    {"record_times": [60]}],
+                         ids=["every", "few", "horizon"])
+@pytest.mark.parametrize("n_runs", [5, 7])
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_split_ensemble_is_the_serial_one(monkeypatch, case, n_runs, record,
+                                          workers):
+    """Runs split over forked processes give the serial run's means and
+    ledger bit for bit, on the gain kernel and on both per-step paths,
+    for every record set and odd run counts; no child outlives the call."""
+    sched = _SPLIT_CASES[case]()
+    params = SystemParams(n=sched.n, tau=0.5, seed=27)
+    serial = run_ensemble(sched, params, 60, n_runs, x0=2.0, **record)
+    forks = _force_split(monkeypatch, workers)
+    split = run_ensemble(sched, params, 60, n_runs, x0=2.0, **record)
+    assert len(forks) == workers - 1
+    _no_child_left()
+    assert np.array_equal(split.means, serial.means)
+    assert np.array_equal(split.ledger, serial.ledger)
+
+
+def test_split_members_are_their_solo_runs(monkeypatch):
+    sched = make_periodic_schedule(100, 3, peer_rule="ring")
+    params = SystemParams(n=100, seed=27)
+    forks = _force_split(monkeypatch, 3)
+    ens = run_ensemble(sched, params, 40, 7, x0=2.0, record_every=9)
+    assert len(forks) == 2
+    for r in range(7):
+        assert np.array_equal(ens.means[r], run_simulation(
+            sched, params, 40, x0=2.0, record_every=9, run_index=r).means)
+
+
+def _refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("case", ["under-threshold", "one-run", "one-cpu",
+                                  "second-thread"])
+def test_split_falls_back_to_one_process(monkeypatch, case):
+    """Nothing forks for work under _SPLIT_MIN (the 40-run n = 4 ensemble
+    of the benchmark, 0.2M), for one run, on one CPU, or while a second
+    thread is alive."""
+    sched = make_periodic_schedule(4, 3, peer_rule="ring")
+    params = SystemParams(n=4, seed=27)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(dynamics, "_workers",
+                        lambda: 1 if case == "one-cpu" else 2)
+    if case != "under-threshold":
+        monkeypatch.setattr(dynamics, "_SPLIT_MIN", 0)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(60,))
+    if case == "second-thread":
+        waiter.start()
+    try:
+        run_ensemble(sched, params, 1000, 1 if case == "one-run" else 40,
+                     x0=2.0, record_times=[0, 10, 100, 316, 1000])
+    finally:
+        stop.set()
+        if case == "second-thread":
+            waiter.join(timeout=60)
+            assert not waiter.is_alive()
+
+
+def _after_kernels(monkeypatch, act, children_only=True):
+    """Wrap both kernels so that act(out) follows each call: in a forked
+    child only, where children_only, so not in the parent's group."""
+    parent = os.getpid()
+    for name in ("_gain_steps", "_increment_steps"):
+        def wrapped(*args, _inner=getattr(dynamics, name)):
+            _inner(*args)
+            if not children_only or os.getpid() != parent:
+                act(args[-1])
+        monkeypatch.setattr(dynamics, name, wrapped)
+
+
+def _fail(out):
+    raise RuntimeError("a run group failed")
+
+
+def test_failing_child_raises_after_every_child_is_reaped(monkeypatch):
+    sched = make_periodic_schedule(100, 3, peer_rule="ring")
+    params = SystemParams(n=100, seed=27)
+    _force_split(monkeypatch, 3)
+    _after_kernels(monkeypatch, _fail)
+    with pytest.raises(ChildProcessError, match="2 of 2 forked run groups"):
+        run_ensemble(sched, params, 20, 6, x0=2.0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n", [4, 100])
+def test_non_finite_record_in_a_child_raises_the_serial_error(monkeypatch,
+                                                             n):
+    """The finiteness check reads the joined means in this process, so a
+    non-finite record of a child's last run names it as the serial run
+    does."""
+    sched = make_periodic_schedule(n, 3, peer_rule="ring")
+    params = SystemParams(n=n, seed=27)
+
+    def poison(out):
+        out[-1, -1, -1] = np.nan
+
+    with monkeypatch.context() as serial:
+        _after_kernels(serial, poison, children_only=False)
+        with pytest.raises(FloatingPointError) as alone:
+            run_ensemble(sched, params, 20, 5, x0=2.0)
+    _force_split(monkeypatch, 2)
+    _after_kernels(monkeypatch, poison)
+    with pytest.raises(FloatingPointError) as caught:
+        run_ensemble(sched, params, 20, 5, x0=2.0)
+    _no_child_left()
+    assert str(caught.value) == str(alone.value) == \
+        f"run 4 is not finite at t = 20, agent {n}"
 
 
 @pytest.mark.parametrize("field", ["tau", "tau0", "truth"])

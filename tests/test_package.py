@@ -242,6 +242,25 @@ def test_compare_outputs_names_each_difference(tmp_path):
         "only in parent: example/verify.txt"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "expected"])
+def test_overflowing_cli_run_prints_no_numpy_warning(tmp_path, capfd,
+                                                     command):
+    """On compare_outputs' overflow config the CLI exits 2, and stderr
+    ends with its one run error line: the kernels print no numpy
+    RuntimeWarning about the same fault."""
+    config = _tool("compare_outputs").configs(ROOT, tmp_path)["overflow"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = subprocess.run(
+        [sys.executable, "-m", "socialbayes.cli", command, "--config",
+         str(config), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, timeout=300).returncode
+    err = capfd.readouterr().err
+    assert code == 2
+    assert "RuntimeWarning" not in err
+    assert err.splitlines()[-1].startswith("run error: ")
+
+
 def _benchmark_spans():
     spec = importlib.util.spec_from_file_location(
         "_benchmark_spans", ROOT / "benchmark" / "spans.py")
