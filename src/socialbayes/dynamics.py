@@ -74,9 +74,13 @@ _GATHER_MIN = 10_000
 # An ensemble splits its runs over forked processes where its work, runs *
 # horizon * (n + 1), is at least _SPLIT_MIN.  Measured on 2 CPUs against
 # one process, on rings at n = 4 and 100 and a random n = 30 (CHANGES.md):
-# the split lost at 0.1-0.2M, was mixed from 0.3M to 0.8M and won from
-# 1M on, where forking costs a few ms against tens of ms of stepping.
+# the split lost at 0.1-0.2M on every shape and was mixed from 0.3M to 1M
+# (at 1.01M the n = 100 ring tied, 0.99 and 1.07); from 1.2M on it won
+# 1.3-1.6x on every shape, forking costing a few ms against tens of ms.
 _SPLIT_MIN = 1_000_000
+
+# Bytes of a failed child's error text in _split's shared map.
+_NOTE = 256
 
 
 def run_stream(seed: int, run_index: int = 0) -> np.random.Generator:
@@ -148,24 +152,16 @@ def ledger_for_times(schedule: GraphSchedule, params: SystemParams,
     """Ledger rows at the requested times, the one producer of a recorded
     ledger, for runs and written tables alike.
 
-    Each row is ratio + (int64 receive count): a compiled block's received
-    counts plus its degree rows summed between the record offsets inside
-    it (np.add.reduceat), in one pass over the blocks below the latest
-    time; the sums are exact, so the rows are Block.ledger's bit for bit.
-    Times go by _integral's rule, at least 0.
+    Each row is ratio + (int64 receive count), from Block.ledger of the
+    schedule's compiled blocks below the latest time, in one pass; times
+    go by _integral's rule, at least 0.
     """
     times = _integral(times, "ledger times", 0)
     out = np.full((len(times), params.n + 1), params.ratio)
     for blk in schedule.compiled.blocks(0, int(times.max(initial=0))):
-        steps = len(blk.slots)
-        inside = (times >= blk.start) & (times <= blk.start + steps)
-        ends = np.unique(times[inside] - blk.start)
-        ends = np.append(ends[(ends > 0) & (ends < steps)], steps)
-        # the degree rows of the steps [0, e1), [e1, e2) .. [ek, steps)
-        sums = np.add.reduceat(blk.degrees[blk.slots], np.append(0, ends[:-1]))
-        counts = np.cumsum(np.vstack([blk.received, sums]), axis=0)
-        at = np.searchsorted(ends, times[inside] - blk.start, side="right")
-        out[inside] = params.ratio + counts[at]  # at offsets 0, e1 .. steps
+        before = blk.ledger(params.ratio)[0]
+        inside = (times >= blk.start) & (times < blk.start + len(before))
+        out[inside] = before[times[inside] - blk.start]
     return out
 
 
@@ -300,11 +296,12 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
     least _SPLIT_MIN, the runs go in contiguous groups to at most
     _workers() processes (_split), and the means are bitwise the same
     whatever the worker count.  Nothing splits for one run or one CPU,
-    where os.fork does not exist, or while another thread is alive: a
-    forked child holds only the thread that forked.  Returns means
-    (M, K, n+1) at `times` and their ledger (K, n+1) by ledger_for_times,
-    read after every group is done.  A record that is not finite (a sum
-    overflowed) is a FloatingPointError naming the first in time order.
+    with no record time (nothing to send back), where os.fork does not
+    exist, or while another thread is alive: a forked child holds only
+    the thread that forked.  Returns means (M, K, n+1) at `times` and
+    their ledger (K, n+1) by ledger_for_times, read after every group is
+    done.  A record that is not finite (a sum overflowed) is a
+    FloatingPointError naming the first in time order.
     """
     means = np.empty((n_runs, times.size, params.n + 1))
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
@@ -316,12 +313,11 @@ def _run_core(schedule: GraphSchedule, params: SystemParams, horizon: int,
         kernel(schedule, params, horizon, x[lo:hi], streams, times, out)
 
     groups = 1
-    if (n_runs > 1 and n_runs * horizon * (params.n + 1) >= _SPLIT_MIN
+    if (n_runs > 1 and times.size
+            and n_runs * horizon * (params.n + 1) >= _SPLIT_MIN
             and hasattr(os, "fork") and threading.active_count() == 1):
         groups = min(n_runs, _workers())
     if groups > 1:
-        for _ in schedule.compiled.blocks(0, horizon):
-            pass  # compiled once, here, so the children inherit the blocks
         _split(step, [n_runs * j // groups for j in range(groups + 1)], means)
     else:
         step(0, n_runs, means)
@@ -339,29 +335,37 @@ def _split(step, cuts: list, means: np.ndarray):
     one anonymous shared map and leaves by os._exit.  Every child is
     reaped before this returns or raises; then their rows are copied into
     means, so no shared map outlives the call.  ChildProcessError when a
-    child failed.
+    child failed, with the first failure's "type: message", which the
+    child leaves in its _NOTE bytes of the map.
     """
     rest = means[cuts[1]:]
-    shared = np.frombuffer(mmap.mmap(-1, rest.nbytes), dtype=means.dtype
-                           ).reshape(rest.shape)
+    buf = mmap.mmap(-1, rest.nbytes + _NOTE * (len(cuts) - 2))
+    shared = np.frombuffer(buf, means.dtype, rest.size).reshape(rest.shape)
     pids = []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+        for j, (lo, hi) in enumerate(zip(cuts[1:-1], cuts[2:])):
             pid = os.fork()
             if pid == 0:  # the child: never return into the caller
-                status = 1
                 try:
                     step(lo, hi, shared[lo - cuts[1]:hi - cuts[1]])
-                    status = 0
+                    os._exit(0)
+                except BaseException as exc:
+                    note = f"{type(exc).__name__}: {exc}".encode()[:_NOTE]
+                    at = rest.nbytes + j * _NOTE
+                    buf[at:at + len(note)] = note
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             pids.append(pid)
         step(0, cuts[1], means[:cuts[1]])
     finally:
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        status = [os.waitpid(pid, 0)[1] for pid in pids]
+    failed = [j for j, code in enumerate(status) if code]
     if failed:
-        raise ChildProcessError(f"{failed} of {len(pids)} forked run groups "
-                                "failed")
+        at = rest.nbytes + failed[0] * _NOTE
+        note = buf[at:at + _NOTE].rstrip(b"\0").decode(errors="replace")
+        raise ChildProcessError(
+            f"{len(failed)} of {len(pids)} forked run groups failed, the "
+            f"first with {note or f'wait status {status[failed[0]]}'}")
     rest[...] = shared
 
 

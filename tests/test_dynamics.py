@@ -519,6 +519,21 @@ def test_split_ensemble_is_the_serial_one(monkeypatch, case, n_runs, record,
     assert np.array_equal(split.ledger, serial.ledger)
 
 
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_split_with_no_records_is_the_serial_one(monkeypatch, case):
+    """An ensemble past the threshold with no record time has nothing to
+    send back, so it does not fork and returns the serial run's empty
+    means and ledger."""
+    sched = _SPLIT_CASES[case]()
+    params = SystemParams(n=sched.n, seed=27)
+    serial = run_ensemble(sched, params, 60, 5, x0=2.0, record_times=[])
+    forks = _force_split(monkeypatch, 2)
+    split = run_ensemble(sched, params, 60, 5, x0=2.0, record_times=[])
+    assert forks == []
+    assert split.means.shape == serial.means.shape == (5, 0, sched.n + 1)
+    assert np.array_equal(split.ledger, serial.ledger)
+
+
 def test_split_members_are_their_solo_runs(monkeypatch):
     sched = make_periodic_schedule(100, 3, peer_rule="ring")
     params = SystemParams(n=100, seed=27)
@@ -582,9 +597,11 @@ def test_failing_child_raises_after_every_child_is_reaped(monkeypatch):
     params = SystemParams(n=100, seed=27)
     _force_split(monkeypatch, 3)
     _after_kernels(monkeypatch, _fail)
-    with pytest.raises(ChildProcessError, match="2 of 2 forked run groups"):
+    with pytest.raises(ChildProcessError) as caught:
         run_ensemble(sched, params, 20, 6, x0=2.0)
     _no_child_left()
+    assert str(caught.value) == ("2 of 2 forked run groups failed, the "
+                                 "first with RuntimeError: a run group failed")
 
 
 @pytest.mark.parametrize("n", [4, 100])
