@@ -22,17 +22,16 @@ step is linear: x_{t+1} = W_t x_t + [Nu_t | Ne_t] g_t, W_t the mean
 process's stochastic matrix.  For narrow n the runs therefore step by
 chunks of steps: a chunk's end state is one matrix-vector product of a
 gain shared by every run with the run's start state and normals, the
-gains built from the W stacks of schedules._stacks.  Past
-that cutoff they step one at a time.  Either way a run's arithmetic is
-its own matrix-vector products, so an ensemble member is bit for bit the
-run it would be alone: past the cutoff a pattern with at most two
-senders a row (a ring plus the truth, or the truth alone) is applied as
-its rows' two signals summed by index for all runs at once, which is
-each run's product bit for bit (_increment_steps).  Run r draws from
-numpy's SeedSequence([seed, 201, r]) stream, run_stream's, whether it
-runs alone or in an ensemble.  So a large ensemble splits its runs into
-contiguous groups stepped in forked processes (_split), and its members
-are still bit for bit their solo runs, whatever the number of workers.
+gains built from the W stacks of schedules._stacks.  Past that cutoff
+they step one at a time, each pattern summed by index for all runs at
+once where no row has more than two senders (a ring plus the truth, or
+the truth alone), else multiplied run by run (_increment_steps).  So a
+run's arithmetic, inf and NaN included, is its own whatever the run
+count, and an ensemble member is bit for bit the run it would be alone.
+Run r draws from numpy's SeedSequence([seed, 201, r]) stream,
+run_stream's, whether it runs alone or in an ensemble, so a large
+ensemble splits its runs into contiguous groups stepped in forked
+processes (_split), still bit for bit whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -63,13 +61,6 @@ _NOISE_BUDGET = 2 ** 16
 # records every step, every 5 and at 5 times (CHANGES.md): the gains won
 # every case up to n = 8 and lost with dense records at n = 16.
 _GAIN_MAX_N = 8
-
-# Past _GAIN_MAX_N the runs sum a pattern with at most two senders a row
-# by index where their products would take at least _GATHER_MIN
-# multiply-adds a step (runs * n^2).  Measured on rings at n = 9 .. 100
-# and 1 .. 40 runs (CHANGES.md): the sum won from there on and lost up
-# to 8% below it, where a small product costs less than its extra calls.
-_GATHER_MIN = 10_000
 
 # An ensemble splits its runs over forked processes where its work, runs *
 # horizon * (n + 1), is at least _SPLIT_MIN.  Measured on 2 CPUs against
@@ -478,15 +469,13 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
         means[:, k] = x
 
 
-def _operators(blk: Block, indices: np.ndarray, gather: bool) -> list:
-    """Each pattern of indices as _increment_steps applies it: where gather
-    and no row has more than two senders, its (first, second) sender
-    columns, n + 1, the signal buffer's +0 column, where a row has fewer;
-    else the pattern as float64.  Eligibility is read from the degree rows
-    first, so a pattern with a busier row costs no index work."""
-    two = np.zeros(len(indices), dtype=bool)
-    if gather:
-        two = blk.degrees[indices].max(axis=1) <= 2
+def _operators(blk: Block, indices: np.ndarray) -> list:
+    """Each pattern of indices as _increment_steps applies it, by the
+    pattern alone: where no row has more than two senders, its (first,
+    second) sender columns, n + 1, the signal buffer's +0 column, where a
+    row has fewer; else the pattern as float64.  Eligibility is read from
+    the degree rows first, so a busier pattern costs no index work."""
+    two = blk.degrees[indices].max(axis=1) <= 2
     ops = [None] * len(indices)
     dense, served = np.flatnonzero(~two), np.flatnonzero(two)
     for k, a in zip(dense, blk.adjacency[indices[dense]].astype(np.float64)):
@@ -519,14 +508,14 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
 
     Each compiled block of the schedule is walked in windows of at most B
     steps (schedules._float_windows), B chosen so the noise buffer (runs,
-    B, 2, n+1) stays within _NOISE_BUDGET entries.  A step's A_t sig is a
-    matrix-vector product per run with the pattern cast to float64, or,
-    for a pattern with at most two senders a row where _GATHER_MIN says
-    so, the sum of each row's two signals gathered by index over all runs
-    at once, a missing sender read from a +0 column.  The two agree bit
-    for bit on finite signals: a row's product is +0 plus its senders'
+    B, 2, n+1) stays within _NOISE_BUDGET entries.  A step forms the runs'
+    signals once, beside a +0 column, and takes A_t sig as _operators
+    picks by the pattern alone: each row's two signals summed by index over
+    all runs at once, or a matrix-vector product per run.  The two agree
+    bit for bit on finite signals: a row's product is +0 plus its senders'
     signals plus exact zero terms, so in any summation order, with or
-    without FMA, it is the correctly rounded a + b (or a, or +0).
+    without FMA, it is the correctly rounded a + b (or a, or +0).  On
+    others a product turns 0 * inf into NaN where the sum keeps inf.
     """
     n_runs, n1 = x.shape
     ratio, tau = params.ratio, params.tau
@@ -534,13 +523,12 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
     buf = np.empty((n_runs, width, 2, n1))
     ext = np.zeros((n_runs, n1 + 1))  # each run's signals, then +0
     signals = ext[:, :n1]
-    cast = partial(_operators, gather=n_runs * params.n ** 2 >= _GATHER_MIN)
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
     for blk in schedule.compiled.blocks(0, horizon):
         before, after = blk.ledger(ratio)
         keep = before[:-1] / after  # P_t / P_{t+1}
-        for c0, _, ops, slots in _float_windows(blk, width, cast):
+        for c0, _, ops, slots in _float_windows(blk, width, _operators):
             c1 = c0 + len(slots)
             t0 = blk.start + c0
             noise = buf[:, :c1 - c0]
@@ -551,24 +539,18 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
             noise[:, :, 1] *= 1.0 / np.sqrt(tau)
             if not params.truth_noise:
                 noise[:, :, 1, 0] = 0.0
-            for t, slot, p_next, kept in zip(range(t0, blk.start + c1),
-                                             slots.tolist(), after[c0:c1],
-                                             keep[c0:c1]):
+            for t, op, p_next, kept in zip(range(t0, blk.start + c1),
+                                           [ops[s] for s in slots.tolist()],
+                                           after[c0:c1], keep[c0:c1]):
                 if t == pending[k]:
                     means[:, k] = x
                     k += 1
-                op = ops[slot]
-                if type(op) is tuple:
-                    np.add(x + noise[:, t - t0, 0], noise[:, t - t0, 1],
-                           out=signals)
-                    new = _two_sender_sum(ext, *op)
-                else:
-                    sig = x + noise[:, t - t0, 0]
-                    sig += noise[:, t - t0, 1]
-                    # one matrix-vector product per run, as a solo run takes
-                    # it; a single sig @ A.T rounds differently once rows
-                    # have many senders
-                    new = np.matmul(op, sig[:, :, None])[:, :, 0]
+                np.add(x + noise[:, t - t0, 0], noise[:, t - t0, 1],
+                       out=signals)
+                # a matrix-vector product per run, as a solo run takes it:
+                # one signals @ A.T over the runs rounds differently
+                new = (_two_sender_sum(ext, *op) if type(op) is tuple else
+                       np.matmul(op, signals[:, :, None])[:, :, 0])
                 new /= p_next
                 # (P_t / P_{t+1}) x + A_t sig / P_{t+1}: a row that receives
                 # nothing, the truth row among them, adds 0 to exactly 1 * x,

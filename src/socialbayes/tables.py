@@ -62,9 +62,10 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     format_value gives it), quoted when it holds a comma, quote, newline
     or carriage return, and "" for a row of one empty cell.  A row with
     more or fewer cells than `columns`, any `fmt` but "csv", a meta key
-    or value whose text holds a line break, or a meta key read_table
-    would not give back (one holding ": " or named generated, the
-    timestamp's key) is a ValueError.
+    or value whose text holds a line break, or a meta key or header that
+    read_table would not give back (a key holding ": " or named
+    generated, the timestamp's key, or a header written starting "# ",
+    a meta line) is a ValueError.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
@@ -82,6 +83,8 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
                          else c for c in column]
     if len(cells) == 1:
         cells[0] = [cell or '""' for cell in cells[0]]
+    if cells and cells[0][0].startswith("# "):
+        raise ValueError("column %r would read back as meta" % (columns[0],))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([timestamp_line(), *lines, *map(

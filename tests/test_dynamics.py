@@ -231,13 +231,10 @@ def _mixed_table(n=12, horizon=60):
     return make_table_schedule(n, edges, horizon)
 
 
-def _force_sum(monkeypatch, gather):
-    """Make the per-step kernel sum every pattern with at most two senders
-    a row by index (gather True) or multiply every pattern (False); count
-    the index sums it takes."""
+def _count_sums(monkeypatch):
+    """Count the index sums the per-step kernel takes."""
     calls = []
     inner = dynamics._two_sender_sum
-    monkeypatch.setattr(dynamics, "_GATHER_MIN", 0 if gather else 2 ** 62)
     monkeypatch.setattr(dynamics, "_two_sender_sum",
                         lambda *args: calls.append(1) or inner(*args))
     return calls
@@ -246,20 +243,16 @@ def _force_sum(monkeypatch, gather):
 _CUT = dynamics._GAIN_MAX_N
 
 
-@pytest.mark.parametrize("n, rule, budget, n_runs, gather", [
-    pytest.param(3, "ring", 64, 4, None, id="3-ring-64"),
-    pytest.param(3, "ring", 24, 4, None, id="3-ring-24"),
-    pytest.param(100, "complete", None, 4, None, id="100-complete-None"),
-    pytest.param(_CUT, "ring", None, 4, None, id=f"{_CUT}-ring-None"),
-    pytest.param(_CUT + 1, "ring", None, 4, None, id=f"{_CUT + 1}-ring-None"),
-    pytest.param(100, "ring", None, 20, None, id="100-ring-20runs-rule"),
-    pytest.param(100, "ring", None, 20, True, id="100-ring-20runs-sum"),
-    pytest.param(100, "ring", None, 20, False, id="100-ring-20runs-product"),
-    pytest.param(12, "table", None, 4, None, id="12-table-rule"),
-    pytest.param(12, "table", None, 4, True, id="12-table-sum"),
-    pytest.param(12, "table", None, 4, False, id="12-table-product")])
+@pytest.mark.parametrize("n, rule, budget, n_runs", [
+    pytest.param(3, "ring", 64, 4, id="3-ring-64"),
+    pytest.param(3, "ring", 24, 4, id="3-ring-24"),
+    pytest.param(100, "complete", None, 4, id="100-complete-None"),
+    pytest.param(_CUT, "ring", None, 4, id=f"{_CUT}-ring-None"),
+    pytest.param(_CUT + 1, "ring", None, 4, id=f"{_CUT + 1}-ring-None"),
+    pytest.param(100, "ring", None, 20, id="100-ring-20runs-rule"),
+    pytest.param(12, "table", None, 4, id="12-table-rule")])
 def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
-                                                  budget, n_runs, gather):
+                                                  budget, n_runs):
     """Members stay bitwise equal to solo runs when the noise budget is
     below one run's chunk of normals (budgets 64 and 24 at n=3: the runs go
     one per group, each noise window one whole chunk, over the budget) and
@@ -267,9 +260,8 @@ def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
     over the runs would round differently from each run's own
     matrix-vector product; at the chunk-gain cutoff n and one past it, on
     either side of the kernel choice; and past it, on a ring at 20 runs
-    and a table mixing two- and three-sender patterns, with the cost rule
-    left as it is or forced to each side, so a solo run and the ensemble
-    may take different paths."""
+    and a table mixing two- and three-sender patterns, where each pattern
+    is summed or multiplied by its senders alone."""
     params = SystemParams(n=n, tau=0.5, seed=21)
     if rule == "table":
         sched = _mixed_table(n)
@@ -279,8 +271,6 @@ def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
                            run_index=r).means for r in range(n_runs)]
     if budget is not None:
         monkeypatch.setattr(dynamics, "_NOISE_BUDGET", budget)
-    if gather is not None:
-        _force_sum(monkeypatch, gather)
     ens = run_ensemble(sched, params, 60, n_runs=n_runs, x0=2.0,
                        record_every=7)
     for r in range(n_runs):
@@ -336,29 +326,29 @@ _DENSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("gather", [True, False])
+@pytest.mark.parametrize("solo", [True, False])
 @pytest.mark.parametrize("case", sorted(_DENSE_CASES))
-def test_increment_kernel_is_the_dense_steps(monkeypatch, case, gather):
-    """The per-step kernel equals the dense per-step arithmetic bit for bit
-    whichever way the cost rule goes, record times inside and across
+def test_increment_kernel_is_the_dense_steps(monkeypatch, case, solo):
+    """The per-step kernel equals the dense per-step arithmetic bit for bit,
+    for one run alone and for 3 together, record times inside and across
     windows; x0 holds -0.0 and +0.0, so states start at both zeros.  The
     index sum runs exactly where a used pattern has at most two senders a
-    row and the rule allows it."""
+    row, once a step for all runs, whatever their number."""
     make, truth, truth_noise = _DENSE_CASES[case]
     sched = make()
     params = SystemParams(n=sched.n, tau=0.7, tau0=1.3, truth=truth, seed=3,
                           truth_noise=truth_noise)
     assert sched.n > dynamics._GAIN_MAX_N
-    horizon, n_runs = 60, 3
+    horizon, n_runs = 60, 1 if solo else 3
     x0 = np.linspace(-3.0, 3.0, sched.n)
     x0[:2] = -0.0, 0.0
-    calls = _force_sum(monkeypatch, gather)
+    calls = _count_sums(monkeypatch)
     ens = run_ensemble(sched, params, horizon, n_runs=n_runs, x0=x0,
                        record_every=7)
     want = _dense_steps(sched, params, horizon, x0, n_runs)[:, ens.times]
     assert np.array_equal(ens.means.view(np.uint64), want.view(np.uint64))
     served = [sched.arrays_at(t)[1].max() <= 2 for t in range(horizon)]
-    assert len(calls) == (sum(served) if gather else 0)
+    assert len(calls) == sum(served)
 
 
 def test_two_sender_sum_is_the_product_bit_for_bit():
@@ -380,7 +370,7 @@ def test_two_sender_sum_is_the_product_bit_for_bit():
         stack[0, i, list(senders)] = True
     blk = schedules.Block(0, *schedules._freeze(stack),
                           np.zeros(1, dtype=np.intp))
-    (op,) = dynamics._operators(blk, np.arange(1), True)
+    (op,) = dynamics._operators(blk, np.arange(1))
     ext = np.zeros((len(sig), 7))
     ext[:, :6] = sig
     with np.errstate(over="ignore"):
@@ -543,6 +533,33 @@ def test_split_members_are_their_solo_runs(monkeypatch):
     for r in range(7):
         assert np.array_equal(ens.means[r], run_simulation(
             sched, params, 40, x0=2.0, record_every=9, run_index=r).means)
+
+
+def test_overflow_names_one_agent_whatever_the_worker_count(monkeypatch):
+    """Signals that overflow to inf are summed by index, never multiplied
+    into NaN (0 * inf), whatever the run count: a run split over two
+    workers, stepped with its 19 fellows in one process, or alone first
+    fails at the same time and agent."""
+    sched = make_periodic_schedule(30, 3, peer_rule="ring")
+    params = SystemParams(n=30, truth=_HUGE, seed=3)
+    kwargs = {"x0": _HUGE, "record_times": [0, 2000]}
+    texts = []
+    with np.errstate(all="ignore"):
+        with monkeypatch.context() as serial:
+            serial.setattr(dynamics, "_SPLIT_MIN", 2 ** 62)
+            with pytest.raises(FloatingPointError) as caught:
+                run_ensemble(sched, params, 2000, 20, **kwargs)
+            texts.append(str(caught.value))
+        with pytest.raises(FloatingPointError) as caught:
+            run_simulation(sched, params, 2000, run_index=0, **kwargs)
+        texts.append(str(caught.value))
+        forks = _force_split(monkeypatch, 2)
+        with pytest.raises(FloatingPointError) as caught:
+            run_ensemble(sched, params, 2000, 20, **kwargs)
+        texts.append(str(caught.value))
+    assert len(forks) == 1
+    _no_child_left()
+    assert texts == ["run 0 is not finite at t = 2000, agent 1"] * 3
 
 
 def _refuse_fork():

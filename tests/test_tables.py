@@ -269,6 +269,26 @@ def test_write_table_refuses_meta_keys_that_do_not_read_back(tmp_path, fmt,
         k: str(v) for k, v in meta.items()}
 
 
+@pytest.mark.parametrize("columns", [["# a", "b"], ["# a"], ["# ", "b"]])
+def test_write_table_refuses_a_header_read_back_as_meta(tmp_path, fmt,
+                                                        columns):
+    """read_table takes a line starting with "# " before the header for
+    meta, so a header "# a,b" would read back as meta {"a,b": ""} with the
+    first row as header: refused, naming the column, and nothing is
+    written.  A first column "#" or "# a,b" (written quoted) reads back."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^column %s would read back as meta$"
+                       % re.escape(repr(columns[0]))):
+        write_table(path, {}, columns, [(1, 2, 3)[:len(columns)]])
+    assert not path.exists()
+    for first in ("#", "# a,b"):
+        table = read_table(write_table(path, {"kind": "x"}, [first, "b"],
+                                       [(1, 2), (3, 4)]))
+        assert table.meta == {"kind": "x"}
+        assert list(table.columns) == [first, "b"]
+        assert table[first].tolist() == [1, 3]
+
+
 def test_files_match_compares_bytes_past_the_timestamp(tmp_path, fmt):
     """files_match skips a first line only when it is a timestamp and
     compares the rest byte for byte, line breaks included."""

@@ -3,18 +3,19 @@
     python3 tools/compare_outputs.py ../parent .
 
 Each checkout runs the five subcommands (simulate, expected, verify,
-counterexample, ratefit) on eight configs: its configs/example.ini, its
-configs/counterexample.ini, and six copies of its example.ini
+counterexample, ratefit) on nine configs: its configs/example.ini, its
+configs/counterexample.ini, and seven copies of its example.ini
 (DERIVED): one with inject_fault = transition, one with a random
 schedule (kind = random, edge_probability = 0.2), two wide ones at
 horizon 300, n = 100 on the ring and n = 30 on a random schedule with
-edge_probability = 0.1, one with n = 100 and ensemble = 20 at horizon
-1000, large enough to split its runs over processes, and one whose
-sums overflow (n = 30, truth = x0 = 1.7e308, horizon 30).  Each side runs in its own
-empty working directory, every config writing to its own --out
-directory there, with no byte code left under src/.  The exit codes
-and every written file are compared, a file by tables.files_match
-(equal after its timestamp line).
+edge_probability = 0.1, one with n = 30 on the ring at horizon 300 (4
+runs, runs * n^2 = 3,600), one with n = 100 and ensemble = 20 at
+horizon 1000, large enough to split its runs over processes, and one
+whose sums overflow (n = 30, truth = x0 = 1.7e308, horizon 30).  Each
+side runs in its own empty working directory, every config writing to
+its own --out directory there, with no byte code left under src/.  The
+exit codes and every written file are compared, a file by
+tables.files_match (equal after its timestamp line).
 Prints one line per difference; exit status 1 on any, else 0.
 """
 
@@ -36,8 +37,11 @@ COMMANDS = ("simulate", "expected", "verify", "counterexample", "ratefit")
 # label: the (old, new) text replacements that derive a config from
 # example.ini.  The wide configs reach past n = 8 for the noisy kernel
 # (n = 100 on a ring, whose rows have at most two senders, and a random
-# n = 30) and past n = 24 for run_expected.  The overflow config's step
-# sums overflow, so simulate and expected stop with a run error.  The
+# n = 30) and past n = 24 for run_expected.  The mid-ring config's ring
+# patterns have at most two senders a row but its runs * n^2 is under
+# 10,000, where a checkout that picks sum or product by run count
+# multiplies them.  The overflow config's step sums overflow, so
+# simulate and expected stop with a run error.  The
 # split config's ensemble, 20 runs * 1000 steps * 101 entries, is past
 # dynamics._SPLIT_MIN, so its runs are stepped in forked processes.
 DERIVED = {
@@ -50,6 +54,8 @@ DERIVED = {
                     ("\nkind = periodic\n",
                      "\nkind = random\nedge_probability = 0.1\n"),
                     ("\nhorizon = 1000\n", "\nhorizon = 300\n")),
+    "mid-ring": (("\nn = 4\n", "\nn = 30\n"),
+                 ("\nhorizon = 1000\n", "\nhorizon = 300\n")),
     "split": (("\nn = 4\n", "\nn = 100\n"),
               ("\nensemble = 4\n", "\nensemble = 20\n")),
     "overflow": (("\nn = 4\n", "\nn = 30\n"),
@@ -60,7 +66,7 @@ DERIVED = {
 
 
 def configs(checkout: Path, workdir: Path) -> dict:
-    """Label -> config path of the eight configs, the DERIVED ones written
+    """Label -> config path of the nine configs, the DERIVED ones written
     in workdir; ValueError when example.ini lacks a replaced text."""
     example = checkout / "configs" / "example.ini"
     paths = {"example": example,
