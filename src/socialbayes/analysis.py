@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SystemParams, run_ensemble
+from .dynamics import SystemParams, _record_times, run_ensemble
 from .expected import ExpectedTrajectory, run_expected
 from .schedules import (CounterexampleSchedule, GraphSchedule, _budget_steps,
-                        _count, _integral, _real, _stacks, max_degree)
+                        _count, _real, _stacks, max_degree)
 
 TOL = 1e-12
 
@@ -198,7 +198,7 @@ def check_truth_pull_accumulation(schedule: GraphSchedule,
 def burn_in_threshold(params: SystemParams, kappa: int, d: int) -> float:
     """Window index past which the harmonic product decay bound applies.
 
-    m* = 2*d*kappa/delta + (tau0/tau)/(d*kappa*tau_ratio_unit), with
+    m* = 2*d*kappa/delta + (tau0/tau)/(d*kappa), with
     delta = min(tau0/tau, 1).  kappa and d are integers >= 1.
     """
     kappa, d = _count(kappa, "window length kappa"), _count(d, "degree cap d")
@@ -419,8 +419,9 @@ def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
     """Monte-Carlo fourth moments of x_t - y_t on a checkpoint grid.
 
     Default grid is geometric from t = 100 in half-decades up to the horizon.
-    Given times are taken by _integral's rule (3.0 is 3, 50.7 an error) and
-    must not be empty.  Requires n_runs >= 100 for any reported fit.
+    Given times are taken by the record rule of the runs (_record_times:
+    integers in [0, horizon], 3.0 is 3, 50.7 an error) and must not be
+    empty.  Requires n_runs >= 100 for any reported fit.
     """
     n_runs = _count(n_runs, "n_runs", 100)
     horizon = _count(horizon, "horizon", 0)
@@ -431,7 +432,7 @@ def estimate_deviation_moments(schedule: GraphSchedule, params: SystemParams,
         while round(10.0 ** e) <= horizon:
             times.append(round(10.0 ** e))
             e += 0.5
-    times = np.unique(_integral(times, "checkpoint times"))
+    times = _record_times(horizon, None, times)
     if times.size == 0:
         raise ValueError("need at least one checkpoint time")
     expected = run_expected(schedule, params, int(times[-1]), x0)

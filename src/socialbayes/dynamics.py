@@ -253,10 +253,13 @@ def _record_times(horizon: int, record_every, record_times) -> np.ndarray:
     """Sorted record times, the one rule for runs and written tables.
 
     Every record_every-th step plus the horizon, or the given times;
-    ValueError for a time outside [0, horizon] and for a time or step
-    that is not an integer (an integral float such as 3.0 is one).
+    ValueError for both arguments at once, for a time outside
+    [0, horizon] and for a time or step that is not an integer (an
+    integral float such as 3.0 is one).
     """
     if record_times is not None:
+        if record_every is not None:
+            raise ValueError("record_every and record_times are exclusive")
         return np.unique(_integral(record_times, "record times", 0, horizon))
     step = 1 if record_every is None else _count(record_every, "record_every")
     times = np.arange(0, horizon + 1, step, dtype=np.int64)
@@ -528,7 +531,7 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
     for blk in schedule.compiled.blocks(0, horizon):
         before, after = blk.ledger(ratio)
         keep = before[:-1] / after  # P_t / P_{t+1}
-        for c0, _, ops, slots in _float_windows(blk, width, _operators):
+        for c0, ops, slots in _float_windows(blk, width, _operators):
             c1 = c0 + len(slots)
             t0 = blk.start + c0
             noise = buf[:, :c1 - c0]
@@ -568,8 +571,10 @@ def run_simulation(schedule: GraphSchedule, params: SystemParams, horizon: int,
 
     Reproducible from (params.seed, run_index, schedule, params): the run owns
     stream (seed, run tag, run_index).  horizon = 0 records only the initial
-    state.  The deterministic mean process is run_expected.
+    state.  run_index is a count (3.0 is 3; -1 and 2.5 are errors).  The
+    deterministic mean process is run_expected.
     """
+    run_index = _count(run_index, "run_index", 0)
     horizon = _count(horizon, "horizon", 0)
     times = _record_times(horizon, record_every, record_times)
     means, ledger = _run_core(schedule, params, horizon, x0, times, 1,

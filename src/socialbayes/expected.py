@@ -11,12 +11,12 @@ long products of the B blocks control how fast everyone converges - or fails
 to.  The noise-mixing block M_t = (P_{t+1}^{-1} A_t)[1:, 1:] plays the same
 role for the deviation process in the stochastic recursion.
 
-The narrow mean process, the window and identity checks and the
-ensemble's chunk gains share one source: the W_t stacks of
-schedules._stacks.  bundle_at gives one step's blocks, by the validated
-one-step builder transition_bundle.  run_expected takes the sup norms of
-z_t in one pass after stepping; a norm that overflowed raises
-FloatingPointError.
+The mean process, the window and identity checks and the ensemble's
+chunk gains share one source: the W_t stacks of schedules._stacks, the
+mean process where _chunk_steps(n) > 1.  bundle_at gives one step's
+blocks, by the validated one-step builder transition_bundle.
+run_expected takes the sup norms of z_t in one pass after stepping; a
+norm that overflowed raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, initial_state
-from .schedules import (_STACK_BUDGET, GraphSchedule, _budget_steps,
+from .schedules import (_STACK_BUDGET, Block, GraphSchedule, _budget_steps,
                         _chunk_steps, _count, _float_windows, _stacks,
                         _transitions)
-
-# run_expected steps by the W stack while n <= _STACK_MAX_N; past it the
-# per-pattern arithmetic is faster (measured on ring, truth-only and
-# random schedules: the stack wins up to n = 24, loses on a ring at 28).
-_STACK_MAX_N = 24
 
 
 @dataclass(frozen=True)
@@ -134,15 +129,20 @@ def _scan(w: np.ndarray, t0: int, c: int, means: np.ndarray):
     rows, y = means[t0 + 1:t0 + 1 + len(w)], means[t0]
     body = len(w) - len(w) % c  # whole chunks end at step t0 + body
     m = w.shape[-1]
-    # A one-step chunk is one (m, m) @ (m,) product, cheapest by np.dot.
-    shape, product = ((-1, c), np.matmul) if c > 1 else ((-1,), np.dot)
-    for wk, out, end in zip(w[:body].reshape(*shape, m, m),
-                            rows[:body].reshape(*shape, m),
+    for wk, out, end in zip(w[:body].reshape(-1, c, m, m),
+                            rows[:body].reshape(-1, c, m),
                             rows[c - 1:body:c]):
-        product(wk, y, out=out)
+        np.matmul(wk, y, out=out)
         y = end
     if body < len(w):  # a partial last chunk
         np.matmul(w[body:], y, out=rows[body:])
+
+
+def _laplacians(blk: Block, indices: np.ndarray) -> np.ndarray:
+    """L_k = A_k - diag(D_k) in float64 for each pattern k of indices."""
+    lap = blk.adjacency[indices].astype(np.float64)
+    lap.reshape(len(lap), -1)[:, ::lap.shape[-1] + 1] -= blk.degrees[indices]
+    return lap
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -151,13 +151,13 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     """Run the deterministic mean recursion for `horizon` steps.
 
     Exact linear iteration, no RNG, with ledger rows P_t = ratio + (int64
-    receive counts).  While n <= _STACK_MAX_N the means come by a chunked
-    scan (_scan) of the W stacks of _stacks, in groups of whole chunks:
-    y_{t+1} = (W_t ... W_a) y_a, a the last multiple of the chunk length
-    at or before t, each W_t bitwise the `full` of transition_bundle.  The
+    receive counts).  Where c = _chunk_steps(n) > 1 the means come by a
+    chunked scan (_scan) of the W stacks of _stacks, in groups of whole
+    chunks: y_{t+1} = (W_t ... W_a) y_a, a the last multiple of c at or
+    before t, each W_t bitwise the `full` of transition_bundle.  The
     truth row and zero-receiver rows of W_t are unit vectors, so those
-    entries stay exactly as they are.  Past it a step is the increment
-    y + (L_t y) / P_{t+1}, L_t = A_t - diag(D_t) built in float64 once per
+    entries stay exactly as they are.  Where c = 1 a step is the
+    increment y + (L_t y) / P_{t+1}, L_t from _laplacians once per
     pattern a block uses (schedules._float_windows); a row that receives
     nothing, the truth row among them, is a zero row of L_t, so its entry
     stays exactly as it is.  The sup norms are taken in one pass after
@@ -169,18 +169,16 @@ def run_expected(schedule: GraphSchedule, params: SystemParams, horizon: int,
     horizon = _count(horizon, "horizon", 0)
     means = np.empty((horizon + 1, params.n + 1))
     means[0] = initial_state(params, x0).means
-    if params.n <= _STACK_MAX_N:
-        chunk = _chunk_steps(params.n)
+    chunk = _chunk_steps(params.n)
+    if chunk > 1:
         for t0, _, w, _, _ in _stacks(schedule, params.ratio, 0, horizon,
                                       _budget_steps(params.n, chunk)):
             _scan(w, t0, chunk, means)
     else:
         for blk in schedule.compiled.blocks(0, horizon):
             _, after = blk.ledger(params.ratio)
-            # one window a block: each float stack turns into L once, in place
-            for j, used, lap, slots in _float_windows(blk, len(blk.slots)):
-                diagonal = lap.reshape(len(lap), -1)[:, ::params.n + 2]
-                diagonal -= blk.degrees[used]  # L_k = A_k - diag(D_k)
+            for j, lap, slots in _float_windows(blk, len(blk.slots),
+                                                _laplacians):
                 y = means[blk.start + j]
                 for row, k, p_next in zip(means[blk.start + j + 1:],
                                           slots.tolist(), after[j:]):

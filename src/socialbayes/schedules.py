@@ -302,29 +302,24 @@ def _counts(degrees: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.bincount(slots, minlength=len(degrees)) @ degrees
 
 
-def _as_float64(blk: Block, indices: np.ndarray) -> np.ndarray:
-    return blk.adjacency[indices].astype(np.float64)
-
-
-def _float_windows(blk: Block, steps: int, cast=_as_float64):
-    """(first offset, pattern indices, cast(blk, indices), each step's slot
-    into it) per window of at most `steps` of blk's steps; a cast is
-    indexed like its indices, by default adjacency[indices] as float64.
-    The patterns a block uses are cast once, one cast every window
-    yields, if their float64 fits an eighth of _COMPILE_BUDGET (a fixed
-    set's), else each window of at most that many steps casts its own (a
-    random block's, one per step)."""
+def _float_windows(blk: Block, steps: int, cast):
+    """(first offset, cast(blk, indices), each step's slot into it) per
+    window of at most `steps` of blk's steps, a cast indexed like its
+    pattern indices.  The patterns a block uses are cast once, one cast
+    every window yields, if their float64 fits an eighth of
+    _COMPILE_BUDGET (a fixed set's), else each window of at most that
+    many steps casts its own (a random block's, one per step)."""
     cap = max(1, _COMPILE_BUDGET // 8 // (8 * blk.adjacency[0].size))
     used, slots = np.unique(blk.slots, return_inverse=True)
     if len(used) <= cap:
         ops = cast(blk, used)
         for j in range(0, len(slots), steps):
-            yield j, used, ops, slots[j:j + steps]
+            yield j, ops, slots[j:j + steps]
         return
     steps = min(steps, cap)
     for j in range(0, len(slots), steps):
         own = blk.slots[j:j + steps]
-        yield j, own, cast(blk, own), np.arange(len(own))
+        yield j, cast(blk, own), np.arange(len(own))
 
 
 def _transitions(a: np.ndarray, before: np.ndarray,
@@ -352,7 +347,7 @@ def _budget_steps(n: int, unit: int = 1) -> int:
 def _chunk_steps(n: int) -> int:
     """Chunk length c of the mean scan and the ensemble's chunk gains,
     measured per step on ring and random schedules, one BLAS thread: from
-    n = 18 on, a chunk's c - 1 matrix products cost more than they save."""
+    n = 17 on, a chunk's c - 1 matrix products cost more than they save."""
     return next((c for top, c in ((4, 32), (10, 16), (16, 8)) if n <= top), 1)
 
 

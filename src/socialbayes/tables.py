@@ -62,10 +62,11 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
     format_value gives it), quoted when it holds a comma, quote, newline
     or carriage return, and "" for a row of one empty cell.  A row with
     more or fewer cells than `columns`, any `fmt` but "csv", a meta key
-    or value whose text holds a line break, or a meta key or header that
+    or value whose text holds a line break, a meta key or header that
     read_table would not give back (a key holding ": " or named
     generated, the timestamp's key, or a header written starting "# ",
-    a meta line) is a ValueError.
+    a meta line), or an int cell outside int64, which would read back as
+    a float, is a ValueError.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
@@ -75,8 +76,11 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
             raise ValueError("meta %r holds a line break" % (key,))
         if ": " in str(key) or str(key) == "generated":
             raise ValueError("meta key %r does not read back" % (key,))
-    cells = [list(map(str, column))
-             for column in zip(columns, *rows, strict=True)]
+    table = list(zip(columns, *rows, strict=True))
+    for name, *values in table:
+        if _past_int64(values):
+            raise ValueError("column %r holds an int outside int64" % (name,))
+    cells = [list(map(str, column)) for column in table]
     for column in cells:
         if _QUOTED.search("".join(column)):
             column[:] = ['"%s"' % c.replace('"', '""') if _QUOTED.search(c)
@@ -93,6 +97,17 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
 
 
 _QUOTED = re.compile('[,"\n\r]')  # a cell the writer quotes
+
+
+def _past_int64(values: list) -> bool:
+    """Whether an int among values, Python's or numpy's, is outside int64;
+    a column of floats and strings is passed by its cell types alone."""
+    kinds = set(map(type, values))
+    if kinds <= {float, str}:
+        return False
+    ints = values if kinds == {int} else [
+        int(v) for v in values if isinstance(v, (int, np.integer))]
+    return bool(ints) and not -2 ** 63 <= min(ints) <= max(ints) < 2 ** 63
 
 
 @dataclass

@@ -460,6 +460,16 @@ def test_estimate_deviation_moments_rejects_bad_times(times):
                                    n_runs=100, times=times)
 
 
+@pytest.mark.parametrize("times", [[10, 500], [-1, 50], [101]])
+def test_estimate_deviation_moments_keeps_times_within_horizon(times):
+    """Checkpoints go by the record rule: a time outside [0, horizon] is
+    an error naming them, not a run past the horizon."""
+    with pytest.raises(ValueError, match="record times"):
+        estimate_deviation_moments(make_periodic_schedule(2, 2),
+                                   SystemParams(n=2, seed=0), horizon=100,
+                                   n_runs=100, times=times)
+
+
 def test_estimate_deviation_moments_takes_horizon_as_a_count():
     """The horizon goes by the count rule: 150.5 is an error (it built a
     default grid up to it), 150.0 is 150."""

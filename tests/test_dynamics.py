@@ -759,6 +759,30 @@ def test_integral_floats_count_as_integers():
         assert np.array_equal(a.means, b.means)
 
 
+def test_run_index_is_a_count():
+    """run_index goes by the count rule: 3.0 runs stream 3, and -1 and
+    2.5 are errors naming run_index."""
+    params = SystemParams(n=2, seed=6)
+    sched = make_periodic_schedule(2, 1)
+    ints = run_simulation(sched, params, 20, run_index=3)
+    floats = run_simulation(sched, params, 20, run_index=3.0)
+    assert type(floats.run_index) is int and floats.run_index == 3
+    assert np.array_equal(floats.means, ints.means)
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError, match="run_index"):
+            run_simulation(sched, params, 20, run_index=bad)
+
+
+@pytest.mark.parametrize("run", [run_simulation,
+                                 partial(run_ensemble, n_runs=2)],
+                         ids=["simulation", "ensemble"])
+def test_record_every_and_record_times_are_exclusive(run):
+    """Both record arguments at once is an error, as in a config file."""
+    sched = make_periodic_schedule(2, 1)
+    with pytest.raises(ValueError, match="exclusive"):
+        run(sched, SystemParams(n=2), 20, record_every=10, record_times=[5])
+
+
 def _exact_variances(sched, params, horizon):
     """Diagonals of the exact deviation covariance at t = 0 .. horizon.
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import socialbayes.expected as expected_module
 import socialbayes.schedules as schedules_module
 from socialbayes.dynamics import SystemParams, initial_state
 from socialbayes.expected import (
@@ -20,6 +19,11 @@ from socialbayes.schedules import (
     make_random_schedule,
     make_table_schedule,
 )
+
+# The first n the chunk table gives one-step chunks: from it on,
+# run_expected takes the per-pattern step, not the scan.
+_ONE_STEP_N = next(n for n in range(1, 1000)
+                   if schedules_module._chunk_steps(n) == 1)
 
 
 def test_single_agent_closed_form():
@@ -90,7 +94,7 @@ def test_transition_bundle_validates_inputs():
         transition_bundle(a, np.array([0, 2, 0]), led)
 
 
-@pytest.mark.parametrize("n", [3, expected_module._STACK_MAX_N + 1])
+@pytest.mark.parametrize("n", [3, _ONE_STEP_N])
 def test_run_expected_fixed_point_at_truth(n):
     """Started at the truth, the means stay there on both step paths."""
     params = SystemParams(n=n, truth=4.0, seed=0)
@@ -348,7 +352,7 @@ def test_run_expected_bitwise_across_blocks(monkeypatch):
               4500),
              (lambda: make_random_schedule(16, 3, 0.3, seed=4),
               SystemParams(n=16, truth=0.5), np.linspace(-1, 2, 16), 3000),
-             # one-step chunks (c = 1)
+             # one-step chunks (c = 1): the per-pattern step
              (lambda: make_periodic_schedule(20, 3, peer_rule="ring"),
               SystemParams(n=20, tau=3.0, tau0=1.0), np.linspace(-1, 2, 20),
               1500)]
@@ -374,12 +378,12 @@ def _table_with_unwalked_patterns(n):
 
 @pytest.mark.parametrize("kind", ["random", "truth-only", "table"])
 def test_run_expected_above_stack_cutoff_matches_lean_loop(kind, monkeypatch):
-    """Past _STACK_MAX_N the step is y + ((A - diag(D)) y) / P', bit for
-    bit; on the truth-only schedule most rows are idle at every step; the
+    """From _ONE_STEP_N on the step is y + ((A - diag(D)) y) / P', bit
+    for bit; on the truth-only schedule most rows are idle at every step; the
     table holds patterns no walked block uses, and its 64-step blocks
     each use a few of the rest."""
     monkeypatch.setattr(schedules_module, "_BLOCK_STEPS", 64)
-    n = expected_module._STACK_MAX_N + 1
+    n = _ONE_STEP_N
     sched = {"random": lambda: make_random_schedule(n, 3, 0.1, seed=8),
              "truth-only": lambda: make_periodic_schedule(n, 3),
              "table": lambda: _table_with_unwalked_patterns(n)}[kind]()
@@ -391,10 +395,10 @@ def test_run_expected_above_stack_cutoff_matches_lean_loop(kind, monkeypatch):
     assert np.array_equal(out.norms, norms)
 
 
-@pytest.mark.parametrize("n", [3, expected_module._STACK_MAX_N + 1])
+@pytest.mark.parametrize("n", [3, _ONE_STEP_N])
 def test_idle_agent_keeps_its_mean_bitwise(n):
     """An agent that receives nothing keeps its mean bit for bit: its row
-    of W_t is e_i, and past _STACK_MAX_N its row of A_t - diag(D_t) is
+    of W_t is e_i, and from _ONE_STEP_N on its row of A_t - diag(D_t) is
     zero.  Ratio 3 and mean 0.7, as in the reference case."""
     params = SystemParams(n=n, tau0=3.0)
     x0 = np.r_[2.0, 3.0, np.full(n - 2, 0.7)]
@@ -421,7 +425,10 @@ _ORACLE_CASES = {
     "random-n16-ratio-1/3": (lambda: make_random_schedule(16, 3, 0.3, seed=5),
                              SystemParams(n=16, tau=3.0, tau0=1.0), 3000,
                              np.linspace(1.0, 3.0, 16), 5e-14),
-    # past _STACK_MAX_N: the per-pattern step
+    # one-step chunks: the per-pattern step
+    "random-n20-ratio-1/3": (lambda: make_random_schedule(20, 3, 0.3, seed=5),
+                             SystemParams(n=20, tau=3.0, tau0=1.0), 3000,
+                             np.linspace(1.0, 3.0, 20), 5e-14),
     "random-n30-ratio-1/3": (lambda: make_random_schedule(30, 3, 0.1, seed=8),
                              SystemParams(n=30, tau=3.0, tau0=1.0), 2000,
                              np.linspace(-1.0, 2.0, 30), 5e-14),

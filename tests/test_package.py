@@ -22,7 +22,8 @@ REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "serialize_config", "standard_schedule_set", "StandardCase",
            "FORMATS", "transition_bundles", "norm_max", "_streams",
            "_BATCH_MIN", "_hash_consts", "_POOL_HASH", "_ROUNDS",
-           "_STATE_HASH", "_hashmix", "_SeedWords", "ISeedSequence")
+           "_STATE_HASH", "_hashmix", "_SeedWords", "ISeedSequence",
+           "_STACK_MAX_N", "_as_float64")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")

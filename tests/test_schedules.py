@@ -11,7 +11,7 @@ from socialbayes import schedules
 from socialbayes.analysis import (check_transition_identities,
                                   sweep_window_checks)
 from socialbayes.dynamics import SystemParams, run_ensemble
-from socialbayes.expected import bundle_at, run_expected
+from socialbayes.expected import _laplacians, bundle_at, run_expected
 from socialbayes.schedules import (
     CompiledSchedule,
     CounterexampleSchedule,
@@ -329,22 +329,21 @@ def test_float_windows_cast_fixed_sets_once():
     """A fixed pattern set is cast to float64 once per block, whatever the
     window; a random block is cast a window of at most an eighth of the
     budget at a time (25 steps at n = 100), never whole.  Each step's
-    float pattern is its bool one."""
+    cast, by run_expected's _laplacians, is its A - diag(D)."""
     for sched, stop, steps, lengths, casts in (
             (make_periodic_schedule(100, 5, "ring"), 400, 16, [16] * 25, 1),
             (make_random_schedule(100, 3, 0.01, seed=2), 190, 190,
              [25] * 7 + [15], 8)):
         blk = sched.compiled.block(0, stop)
-        windows = list(schedules._float_windows(blk, steps))
-        assert [len(w[3]) for w in windows] == lengths
-        assert len({id(w[2]) for w in windows}) == casts
-        for j, used, cast, slots in windows:
+        windows = list(schedules._float_windows(blk, steps, _laplacians))
+        assert [len(w[2]) for w in windows] == lengths
+        assert len({id(w[1]) for w in windows}) == casts
+        for j, cast, slots in windows:
             assert cast.dtype == np.float64
             assert cast.nbytes <= schedules._COMPILE_BUDGET // 8
-            assert np.array_equal(cast[slots],
-                                  blk.adjacency[blk.slots[j:j + len(slots)]])
-            assert np.array_equal(blk.degrees[used][slots],
-                                  blk.degrees[blk.slots[j:j + len(slots)]])
+            for lap, k in zip(cast[slots], blk.slots[j:j + len(slots)]):
+                assert np.array_equal(
+                    lap, blk.adjacency[k] - np.diag(blk.degrees[k]))
 
 
 @pytest.mark.parametrize("truth_noise", [True, False])

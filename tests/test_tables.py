@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from socialbayes.analysis import BoundCheck, fit_rate, sweep_window_checks
 from socialbayes.dynamics import SystemParams, run_ensemble, run_simulation
@@ -287,6 +289,66 @@ def test_write_table_refuses_a_header_read_back_as_meta(tmp_path, fmt,
         assert table.meta == {"kind": "x"}
         assert list(table.columns) == [first, "b"]
         assert table[first].tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("big", [2 ** 63, -2 ** 63 - 1, 2 ** 70,
+                                 np.uint64(2 ** 64 - 1)])
+def test_write_table_refuses_ints_past_int64(tmp_path, fmt, big):
+    """An int outside int64 would make its column read back as float64
+    (2**63 as 9.223372036854776e+18): refused, naming the column, and
+    nothing is written.  The int64 bounds themselves read back."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^column 'a' holds an int outside "
+                       "int64$"):
+        write_table(path, {}, ["b", "a"], [(1, big), (2, 5)])
+    assert not path.exists()
+    rows = [(-2 ** 63, np.int64(2 ** 63 - 1)), (5, np.uint64(1))]
+    table = read_table(write_table(path, {}, ["a", "b"], rows))
+    assert table["a"].dtype == table["b"].dtype == np.int64
+    assert table["a"].tolist() == [-2 ** 63, 5]
+    assert table["b"].tolist() == [2 ** 63 - 1, 1]
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                np.inf, -np.inf, np.nan]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats()
+_ONE_LINE = st.text(st.characters(blacklist_characters="\n\r"))
+
+
+def _same_floats(got, want) -> bool:
+    """Equal bit for bit but for NaN payloads and signs: repr writes every
+    NaN as nan."""
+    want = np.array(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64),
+                               want[~nan].view(np.int64)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(meta=st.dictionaries(
+           _ONE_LINE.filter(lambda k: ": " not in k and k != "generated"),
+           st.integers() | _FLOATS | _ONE_LINE, max_size=4),
+       rows=st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), _FLOATS),
+                     max_size=6))
+def test_tables_round_trip(tmp_path, fmt, meta, rows):
+    """Meta values read back as their written text, an int64 column as
+    int64 and a float64 column bit for bit (-0.0, subnormals, the largest
+    finite floats, inf and nan among them); a table with no rows reads
+    back as empty float64 columns."""
+    table = read_table(write_table(tmp_path / "t.csv", meta, ["i", "x"],
+                                   rows))
+    assert table.meta == {k: format_value(v) for k, v in meta.items()}
+    for k, v in meta.items():
+        if isinstance(v, float):
+            assert _same_floats(np.array([float(table.meta[k])]), [v])
+    ints, floats = table["i"], table["x"]
+    assert ints.dtype == (np.int64 if rows else np.float64)
+    assert ints.tolist() == [i for i, _ in rows]
+    assert floats.dtype == np.float64
+    assert _same_floats(floats, [x for _, x in rows])
 
 
 def test_files_match_compares_bytes_past_the_timestamp(tmp_path, fmt):
