@@ -2,13 +2,14 @@
 
 Every table is a CSV file: a timestamp line, a block of ``# key: value``
 metadata, then a header row (``t,agent,mean,precision`` or the columns
-of that table) and one row per (time, agent) pair or per check.  One
-writer, write_table, builds the body a column at a time and keeps the
-``csv`` module's quoting: a field holding a comma (a check name such as
-``diagonal_bound[s=0,kappa=3]``), a quote or a newline is quoted, so
-every file is byte for byte what ``csv.writer`` writes, but for a field
-holding a bare carriage return, which is quoted too so that it reads
-back.  Files are UTF-8, written and read with no newline translation.
+of that table) and one row per (time, agent) pair or per check.  The
+writers hand write_table a sequence per column, which it writes a
+column at a time with the ``csv`` module's quoting: a field holding a
+comma (a check name such as ``diagonal_bound[s=0,kappa=3]``), a quote
+or a newline is quoted, so every file is byte for byte what
+``csv.writer`` writes, but for a field holding a bare carriage return,
+which is quoted too so that it reads back.  Files are UTF-8, written
+and read with no newline translation.
 
 The first line of every file is the generation timestamp and is the only
 line excluded when comparing files for reproducibility; everything after
@@ -20,7 +21,8 @@ precision column comes from the ledger rows of dynamics.ledger_for_times.
 A column reads back by its written text: int64 if numpy parses every cell
 as one (``str`` of an int), else float64 if it parses every cell as one
 (``repr`` of a float, ``2.0``, ``inf`` and ``nan`` too), else the strings
-as an object array; an empty column is float64.
+as an object array; an empty column is float64.  An unquoted body of
+numbers is read in one np.loadtxt pass, every other body by csv.reader.
 """
 
 from __future__ import annotations
@@ -53,20 +55,23 @@ def format_value(x) -> str:
     return str(x)
 
 
-def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") -> Path:
-    """Write rows (iterable of tuples matching `columns`) under a meta block.
+def write_table(path, meta: dict, columns: list[str], body, fmt: str = "csv") -> Path:
+    """Write `body`, one sequence of cells per name in `columns`, under a
+    meta block.
 
     Cells are strings, ints and floats (numpy float64 and integer scalars
-    included).  The body is built a column at a time, header first, in
-    the bytes csv.writer writes: a cell's str (repr for a float, as
-    format_value gives it), quoted when it holds a comma, quote, newline
-    or carriage return, and "" for a row of one empty cell.  A row with
-    more or fewer cells than `columns`, any `fmt` but "csv", a meta key
-    or value whose text holds a line break, a meta key or header that
-    read_table would not give back (a key holding ": " or named
-    generated, the timestamp's key, or a header written starting "# ",
-    a meta line), or an int cell outside int64, which would read back as
-    a float, is a ValueError.
+    included), each written as its str (repr for a float, as format_value
+    gives it) in the bytes csv.writer writes: quoted when it holds a
+    comma, quote, newline or carriage return, and "" for a row of one
+    empty cell.  One pass over a column's cell types serves its checks;
+    a column of numbers alone is not scanned for quoting.  A ValueError,
+    raised before anything is written: columns other in count than the
+    names or unequal in length, any `fmt` but "csv", a meta key or value
+    whose text holds a line break, a meta key or header that read_table
+    would not give back (a key holding ": " or named generated, or a
+    header written starting "# ", a meta line), an int cell outside
+    int64, which would read back as a float, or a bool cell (Python's or
+    numpy's), whose str is not format_value's 1 or 0.
     """
     if fmt != "csv":
         raise ValueError("unknown format %r; tables are csv" % (fmt,))
@@ -76,15 +81,26 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
             raise ValueError("meta %r holds a line break" % (key,))
         if ": " in str(key) or str(key) == "generated":
             raise ValueError("meta key %r does not read back" % (key,))
-    table = list(zip(columns, *rows, strict=True))
-    for name, *values in table:
-        if _past_int64(values):
+    lengths = sorted({len(column) for column in body})
+    if len(body) != len(columns) or len(lengths) > 1:
+        raise ValueError("%d columns of %s cells under %d names"
+                         % (len(body), lengths, len(columns)))
+    cells = []
+    for name, column in zip(columns, body):
+        kinds = set(map(type, column))
+        if kinds & {bool, np.bool_}:
+            raise ValueError("column %r holds a bool" % (name,))
+        ints = {k for k in kinds if issubclass(k, (int, np.integer))}
+        values = column if kinds == {int} else [
+            int(v) for v in column if type(v) in ints] if ints else ()
+        if values and not -2 ** 63 <= min(values) <= max(values) < 2 ** 63:
             raise ValueError("column %r holds an int outside int64" % (name,))
-    cells = [list(map(str, column)) for column in table]
-    for column in cells:
-        if _QUOTED.search("".join(column)):
-            column[:] = ['"%s"' % c.replace('"', '""') if _QUOTED.search(c)
-                         else c for c in column]
+        texts = [str(name), *map(str, column)]
+        numbers = all(issubclass(k, (int, float, np.number)) for k in kinds)
+        if _QUOTED.search(texts[0] if numbers else "".join(texts)):
+            texts = ['"%s"' % c.replace('"', '""') if _QUOTED.search(c)
+                     else c for c in texts]
+        cells.append(texts)
     if len(cells) == 1:
         cells[0] = [cell or '""' for cell in cells[0]]
     if cells and cells[0][0].startswith("# "):
@@ -97,17 +113,6 @@ def write_table(path, meta: dict, columns: list[str], rows, fmt: str = "csv") ->
 
 
 _QUOTED = re.compile('[,"\n\r]')  # a cell the writer quotes
-
-
-def _past_int64(values: list) -> bool:
-    """Whether an int among values, Python's or numpy's, is outside int64;
-    a column of floats and strings is passed by its cell types alone."""
-    kinds = set(map(type, values))
-    if kinds <= {float, str}:
-        return False
-    ints = values if kinds == {int} else [
-        int(v) for v in values if isinstance(v, (int, np.integer))]
-    return bool(ints) and not -2 ** 63 <= min(ints) <= max(ints) < 2 ** 63
 
 
 @dataclass
@@ -124,24 +129,36 @@ class TableData:
 def read_table(path) -> TableData:
     """Read a file written by write_table, each column int64, else float64,
     else strings, by its text as the module docstring says.  A body with
-    no quote or carriage return is split at its commas, else csv.reader
-    reads it; a row with more or fewer cells than the header is a
-    ValueError naming its line."""
+    no quote or carriage return whose first row is numbers goes to one
+    np.loadtxt pass, each column as its first cell's type; any other body,
+    or one that pass refuses, to csv.reader, where a row with more or
+    fewer cells than the header is a ValueError naming its line."""
     lines = Path(path).read_bytes().decode("utf-8").split("\n")
     meta = {}
     for h, line in enumerate(lines):
         if line.startswith("# "):
             key, _, value = line[2:].partition(": ")
             meta[key] = value
-        elif line.strip():
+        elif line:
             break
     else:
         raise ValueError("no header row in %s" % path)
     meta.pop("generated", None)
     body = "\n".join(lines[h:])
-    header, *data = ([row for row in csv.reader(io.StringIO(body)) if row]
-                     if '"' in body or "\r" in body else
-                     [line.split(",") for line in lines[h:] if line])
+    if '"' not in body and "\r" not in body:
+        header, data = lines[h].split(","), lines[h + 1:]
+        first = next((line.split(",") for line in data if line), [])
+        kinds = [_as_array([cell]).dtype for cell in first]
+        if len(kinds) == len(header) and np.dtype(object) not in kinds:
+            try:
+                parsed = np.loadtxt(data, [("", k) for k in kinds], ndmin=1,
+                                    delimiter=",", comments=None, unpack=True)
+            except ValueError:  # a ragged row, a string, a float under an int
+                pass
+            else:
+                return TableData(meta=meta, columns={
+                    name: col.copy() for name, col in zip(header, parsed)})
+    header, *data = [row for row in csv.reader(io.StringIO(body)) if row]
     if set(map(len, data)) - {len(header)}:
         reader = csv.reader(io.StringIO(body))
         row = next(r for r in reader if r and len(r) != len(header))
@@ -180,19 +197,20 @@ def _trajectory_meta(params: SystemParams, kind: str, extra=None) -> dict:
     }
 
 
-def _trajectory_rows(times, means, precisions):
-    """(t, agent, value, value) rows as Python numbers, built by column."""
+def _trajectory_columns(times, means, precisions) -> list:
+    """t, agent, value, value columns of Python numbers, a row per (time,
+    agent) pair."""
     n1 = means.shape[1]
-    return zip(np.repeat(np.asarray(times, dtype=np.int64), n1).tolist(),
-               list(range(n1)) * len(times),
-               np.asarray(means, dtype=np.float64).ravel().tolist(),
-               np.asarray(precisions, dtype=np.float64).ravel().tolist())
+    return [np.repeat(np.asarray(times, dtype=np.int64), n1).tolist(),
+            list(range(n1)) * len(times),
+            np.asarray(means, dtype=np.float64).ravel().tolist(),
+            np.asarray(precisions, dtype=np.float64).ravel().tolist()]
 
 
 def write_trajectory(path, traj: Trajectory) -> Path:
     meta = _trajectory_meta(traj.params, "simulated", {"run": traj.run_index})
-    rows = _trajectory_rows(traj.times, traj.means, traj.precisions)
-    return write_table(path, meta, TRAJECTORY_COLUMNS, rows)
+    body = _trajectory_columns(traj.times, traj.means, traj.precisions)
+    return write_table(path, meta, TRAJECTORY_COLUMNS, body)
 
 
 def write_expected_trajectory(path, expected: ExpectedTrajectory,
@@ -201,8 +219,8 @@ def write_expected_trajectory(path, expected: ExpectedTrajectory,
     ledger = ledger_for_times(schedule, expected.params, expected.times)
     prec = _precisions(ledger, expected.params.tau)
     meta = _trajectory_meta(expected.params, "expected", {"run": 0})
-    rows = _trajectory_rows(expected.times, expected.means, prec)
-    return write_table(path, meta, TRAJECTORY_COLUMNS, rows)
+    body = _trajectory_columns(expected.times, expected.means, prec)
+    return write_table(path, meta, TRAJECTORY_COLUMNS, body)
 
 
 SUMMARY_COLUMNS = ["t", "agent", "mean", "variance"]
@@ -214,8 +232,8 @@ def write_ensemble_summary(path, ens: EnsembleResult) -> Path:
     mean = ens.means.mean(axis=0)
     ddof = 1 if ens.n_runs > 1 else 0
     var = ens.means.var(axis=0, ddof=ddof)
-    rows = _trajectory_rows(ens.times, mean, var)
-    return write_table(path, meta, SUMMARY_COLUMNS, rows)
+    body = _trajectory_columns(ens.times, mean, var)
+    return write_table(path, meta, SUMMARY_COLUMNS, body)
 
 
 def trajectory_norms(table: TableData):
@@ -245,9 +263,10 @@ def _verdict(check) -> str:
 def write_check_report(path, checks, extra_meta=None) -> Path:
     """One row per bound check: name, lhs, rhs, margin, pass/FAIL/gated."""
     meta = {"kind": "check-report", "checks": len(checks), **(extra_meta or {})}
-    rows = [(c.name, float(c.lhs), float(c.rhs), float(c.margin), _verdict(c))
-            for c in checks]
-    return write_table(path, meta, CHECK_COLUMNS, rows)
+    body = [[c.name for c in checks],
+            *([float(getattr(c, k)) for c in checks] for k in CHECK_COLUMNS[1:4]),
+            [_verdict(c) for c in checks]]
+    return write_table(path, meta, CHECK_COLUMNS, body)
 
 
 def check_report_text(checks) -> str:
@@ -266,9 +285,8 @@ RATE_COLUMNS = ["t", "norm"]
 
 
 def write_rate_table(path, times, norms, meta=None) -> Path:
-    rows = ((int(t), float(v)) for t, v in zip(times, norms))
     return write_table(path, {"kind": "rate-table", **(meta or {})},
-                       RATE_COLUMNS, rows)
+                       RATE_COLUMNS, [[*map(int, times)], [*map(float, norms)]])
 
 
 def write_rate_report(path, fit, meta=None) -> Path:
@@ -278,7 +296,7 @@ def write_rate_report(path, fit, meta=None) -> Path:
            float(fit.slack), int(fit.window[0]), int(fit.window[1]),
            int(fit.n_points), fit.status)
     return write_table(path, {"kind": "rate-report", **(meta or {})},
-                       columns, [row])
+                       columns, [[cell] for cell in row])
 
 
 SWITCH_COLUMNS = ["k", "t_k", "s_k", "value_at_t", "bound_at_t",
@@ -287,12 +305,9 @@ SWITCH_COLUMNS = ["k", "t_k", "s_k", "value_at_t", "bound_at_t",
 
 def write_switch_table(path, switches) -> Path:
     meta = {"kind": "switch-table", "cycles": len(switches)}
-    rows = (
-        (int(sw.k), int(sw.t_k), int(sw.s_k), float(sw.value_at_t),
-         float(sw.bound_at_t), float(sw.value_at_s), float(sw.bound_at_s))
-        for sw in switches
-    )
-    return write_table(path, meta, SWITCH_COLUMNS, rows)
+    body = [[(int if j < 3 else float)(getattr(sw, name)) for sw in switches]
+            for j, name in enumerate(SWITCH_COLUMNS)]  # k, t_k, s_k are ints
+    return write_table(path, meta, SWITCH_COLUMNS, body)
 
 
 def _comparable_bytes(path) -> bytes:

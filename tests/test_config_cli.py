@@ -835,9 +835,11 @@ def test_window_checks_on_a_table_need_verify_kappa(tmp_path, capsys):
 def test_ratefit_on_a_converged_series(tmp_path, capsys):
     """A series whose norms are all zero in the window passes, printed as
     converged before window."""
-    rows = [(t, a, 0.0, 1.0) for t in range(0, 121, 10) for a in range(5)]
+    times = range(0, 121, 10)
+    body = [[t for t in times for _ in range(5)], [*range(5)] * len(times),
+            [0.0] * 5 * len(times), [1.0] * 5 * len(times)]
     write_table(tmp_path / "flat.csv", {"kind": "expected", "truth": 0.0},
-                ["t", "agent", "mean", "precision"], rows)
+                ["t", "agent", "mean", "precision"], body)
     cfg = config_file(tmp_path, BASE + RATEFIT.replace(
         "expected.csv", str(tmp_path / "flat.csv")))
     out = tmp_path / "out"

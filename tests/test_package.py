@@ -23,7 +23,7 @@ REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "FORMATS", "transition_bundles", "norm_max", "_streams",
            "_BATCH_MIN", "_hash_consts", "_POOL_HASH", "_ROUNDS",
            "_STATE_HASH", "_hashmix", "_SeedWords", "ISeedSequence",
-           "_STACK_MAX_N", "_as_float64")
+           "_STACK_MAX_N", "_as_float64", "_past_int64", "_trajectory_rows")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")
@@ -70,6 +70,7 @@ def test_removed_names_are_gone():
                         (socialbayes.tables.write_expected_trajectory,
                          "every"),
                         (socialbayes.tables.write_switch_table, "meta"),
+                        (socialbayes.tables.write_table, "rows"),
                         (socialbayes.sweep_window_checks, "d"),
                         (socialbayes.sweep_window_checks, "decay_lengths"),
                         (socialbayes.check_diagonal_bound, "l"),
@@ -288,9 +289,10 @@ def test_traced_write_hook_counts_rows(tmp_path):
     tracer = spans.Tracer()
     write = tracer.wrap("tables.write", socialbayes.tables.write_table,
                         spans._HOOKS["write_table"])
-    rows = [(t, 0.5 * t) for t in range(7)]
-    write(tmp_path / "t.csv", {"kind": "x", "n": 2}, ["t", "v"], rows)
-    assert tracer.counts["tables.write.rows"] == len(rows)
+    times = range(7)
+    write(tmp_path / "t.csv", {"kind": "x", "n": 2}, ["t", "v"],
+          [list(times), [0.5 * t for t in times]])
+    assert tracer.counts["tables.write.rows"] == len(times)
     assert tracer.counts["tables.write.bytes"] == \
         (tmp_path / "t.csv").stat().st_size
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from socialbayes.analysis import BoundCheck, fit_rate, sweep_window_checks
@@ -55,6 +55,11 @@ def _assert_reads_back(path, columns, rows, kind=None):
         assert table.meta["kind"] == kind
 
 
+def _columns(rows, width):
+    """Rows turned into the one list per column that write_table takes."""
+    return [[row[j] for row in rows] for j in range(width)]
+
+
 def _trajectory_rows(times, means, precisions):
     return [(int(t), i, means[k, i], precisions[k, i])
             for k, t in enumerate(times) for i in range(means.shape[1])]
@@ -66,16 +71,16 @@ def test_write_table_quotes_awkward_fields(tmp_path, fmt):
             ('say "hi", twice', float("inf"), 2),
             ("plain", -1e-300, 3)]
     path = write_table(tmp_path / ("t." + fmt), {"kind": "x, y"}, columns,
-                       rows)
+                       _columns(rows, 3))
     _assert_reads_back(path, columns, rows, "x, y")
 
 
 def test_write_table_is_csv_only(tmp_path, fmt):
     """fmt names the one format; any other value writes nothing."""
-    path = write_table(tmp_path / ("t." + fmt), {}, ["t"], [(1,)], fmt)
+    path = write_table(tmp_path / ("t." + fmt), {}, ["t"], [[1]], fmt)
     assert read_table(path)["t"].tolist() == [1]
     with pytest.raises(ValueError, match="tables are csv"):
-        write_table(tmp_path / "t.jsonl", {}, ["t"], [(1,)], "jsonl")
+        write_table(tmp_path / "t.jsonl", {}, ["t"], [[1]], "jsonl")
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -182,7 +187,7 @@ def test_write_table_cells_as_format_value_writes_them(tmp_path, fmt):
             ("numpy", np.float64(0.1), np.int64(-7)),
             ("numpy-inf", np.float64(-np.inf), 8)]
     path = write_table(tmp_path / ("t." + fmt), {"kind": "cells"}, columns,
-                       rows)
+                       _columns(rows, 3))
     table = read_table(path)
     body = io.StringIO()
     csv.writer(body, lineterminator="\n").writerows(
@@ -216,12 +221,12 @@ def test_write_table_bytes_are_the_csv_modules(tmp_path, fmt):
               "one": ([""], [("",), ("a,b",), (" ",), ('"',), ("",)]),
               "numbers": (["v"], [(v,) for v in (1e16, 1e-05, 0.5, 2.0)]),
               "empty": (["a", "b"], [])}
-    for name, (columns, body) in tables.items():
+    for name, (columns, rows) in tables.items():
         path = write_table(tmp_path / (name + "." + fmt), {"kind": "a, b"},
-                           columns, body)
+                           columns, _columns(rows, len(columns)))
         with open(path, newline="") as f:
             assert f.read().split("\n", 1)[1] == _csv_module_body(
-                {"kind": "a, b"}, columns, body), name
+                {"kind": "a, b"}, columns, rows), name
 
 
 @pytest.mark.parametrize("cells", [
@@ -233,7 +238,7 @@ def test_carriage_returns_read_back(tmp_path, fmt, cells):
     quoted and reads back as written, beside other quoted cells or none;
     it used to split its row or lose the carriage return."""
     path = write_table(tmp_path / ("t." + fmt), {"kind": "x"}, ["t", "name"],
-                       list(enumerate(cells)))
+                       [list(range(len(cells))), cells])
     assert path.read_bytes().count(b'"a\r') == 1
     table = read_table(path)
     assert table["name"].tolist() == cells
@@ -250,7 +255,7 @@ def test_write_table_refuses_line_breaks_in_meta(tmp_path, fmt, meta):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="^meta %s holds a line break$"
                        % re.escape(repr(key))):
-        write_table(path, meta, ["t"], [(1,)])
+        write_table(path, meta, ["t"], [[1]])
     assert not path.exists()
 
 
@@ -264,10 +269,10 @@ def test_write_table_refuses_meta_keys_that_do_not_read_back(tmp_path, fmt,
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="^meta key %s does not read back$"
                        % re.escape(repr(key))):
-        write_table(path, {key: 1, "kind": "x"}, ["t"], [(1,)])
+        write_table(path, {key: 1, "kind": "x"}, ["t"], [[1]])
     assert not path.exists()
     meta = {"a:": "b", "a b": ":c", "generated_at": 1}  # these read back
-    assert read_table(write_table(path, meta, ["t"], [(1,)])).meta == {
+    assert read_table(write_table(path, meta, ["t"], [[1]])).meta == {
         k: str(v) for k, v in meta.items()}
 
 
@@ -281,11 +286,11 @@ def test_write_table_refuses_a_header_read_back_as_meta(tmp_path, fmt,
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="^column %s would read back as meta$"
                        % re.escape(repr(columns[0]))):
-        write_table(path, {}, columns, [(1, 2, 3)[:len(columns)]])
+        write_table(path, {}, columns, [[1], [2], [3]][:len(columns)])
     assert not path.exists()
     for first in ("#", "# a,b"):
         table = read_table(write_table(path, {"kind": "x"}, [first, "b"],
-                                       [(1, 2), (3, 4)]))
+                                       [[1, 3], [2, 4]]))
         assert table.meta == {"kind": "x"}
         assert list(table.columns) == [first, "b"]
         assert table[first].tolist() == [1, 3]
@@ -300,13 +305,27 @@ def test_write_table_refuses_ints_past_int64(tmp_path, fmt, big):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="^column 'a' holds an int outside "
                        "int64$"):
-        write_table(path, {}, ["b", "a"], [(1, big), (2, 5)])
+        write_table(path, {}, ["b", "a"], [[1, 2], [big, 5]])
     assert not path.exists()
-    rows = [(-2 ** 63, np.int64(2 ** 63 - 1)), (5, np.uint64(1))]
-    table = read_table(write_table(path, {}, ["a", "b"], rows))
+    body = [[-2 ** 63, 5], [np.int64(2 ** 63 - 1), np.uint64(1)]]
+    table = read_table(write_table(path, {}, ["a", "b"], body))
     assert table["a"].dtype == table["b"].dtype == np.int64
     assert table["a"].tolist() == [-2 ** 63, 5]
     assert table["b"].tolist() == [2 ** 63 - 1, 1]
+
+
+@pytest.mark.parametrize("body", [
+    [[-2 ** 63, 5], [2 ** 63 - 1, True]],
+    [[1, 2], [np.bool_(False), 0.5]],
+    [["x", "y"], [False, True]]], ids=["with-ints", "numpy", "alone"])
+def test_write_table_refuses_bools(tmp_path, fmt, body):
+    """A bool cell was written as its str, True or False, where
+    format_value gives 1 or 0, and a column of ints and a bool read back
+    as strings: refused, naming the column, and nothing is written."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^column 'b' holds a bool$"):
+        write_table(path, {}, ["a", "b"], body)
+    assert not path.exists()
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
@@ -339,7 +358,7 @@ def test_tables_round_trip(tmp_path, fmt, meta, rows):
     finite floats, inf and nan among them); a table with no rows reads
     back as empty float64 columns."""
     table = read_table(write_table(tmp_path / "t.csv", meta, ["i", "x"],
-                                   rows))
+                                   _columns(rows, 2)))
     assert table.meta == {k: format_value(v) for k, v in meta.items()}
     for k, v in meta.items():
         if isinstance(v, float):
@@ -351,12 +370,101 @@ def test_tables_round_trip(tmp_path, fmt, meta, rows):
     assert _same_floats(floats, [x for _, x in rows])
 
 
+def _split_reader(path) -> dict:
+    """The columns of a body with no quote or carriage return as the
+    reader used to give them, splitting each line at its commas and typing
+    each column by numpy's parse of all its cells: the oracle of the one
+    np.loadtxt pass."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    h = next(h for h, line in enumerate(lines) if not line.startswith("# "))
+    header, *data = [line.split(",") for line in lines[h:] if line]
+    columns = zip(*data) if data else [()] * len(header)
+    return {name: _typed(cells) for name, cells in zip(header, columns)}
+
+
+def _typed(cells) -> np.ndarray:
+    """int64 if numpy parses every cell as one, else float64, else the
+    strings; an empty column is float64."""
+    if not cells:
+        return np.empty(0)
+    for dtype in (np.int64, np.float64):
+        try:
+            return np.array(cells, dtype)
+        except (ValueError, OverflowError):
+            pass
+    return np.array(cells, dtype=object)
+
+
+def _same_array(got, want) -> bool:
+    """Equal in dtype, shape and bits (NaN payloads and signs included)."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    if want.dtype == object:
+        return got.tolist() == want.tolist()
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Texts a csv body must quote, or read as meta or blank, and texts numpy
+# parses as numbers one way or another (with underscores, in other
+# digits, past int64, as a signed nan).
+_AWKWARD = st.sampled_from([",", '"', "\r", "\n", "\r\n", "# ", "#", "# a",
+                            " ", "", "a,b", 'say "hi"', "x\rx"])
+_NUMBER_TEXT = st.sampled_from(["1", "-0", " 2", "2.5", "1e5", "nan", "-nan",
+                                "inf", "1_0", "\u0661", "0x1",
+                                "9223372036854775808"])
+_TEXT = _AWKWARD | _NUMBER_TEXT | st.text(
+    st.sampled_from(',"\r\n# \t\x00\x85\u2028a1.5e-_\u0661'), max_size=4)
+_CELLS = {"int": st.integers(-2 ** 63, 2 ** 63 - 1), "float": _FLOATS,
+          "text": _TEXT}
+
+
+@st.composite
+def _tables(draw):
+    """Unique column names and columns of ints, floats or texts."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=3))
+    names = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds),
+                          unique=True))
+    length = draw(st.integers(0, 4))
+    return names, [draw(st.lists(_CELLS[kind], min_size=length,
+                                 max_size=length)) for kind in kinds]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+@example(table=([" "], [[1, 2]]))  # a header line of blanks alone
+@example(table=(["t", "x"], [[1, 2], ["3", "4 # c"]]))  # "#" under numbers
+def test_text_tables_round_trip(tmp_path, fmt, table):
+    """A table of awkward names and texts (commas, quotes, CR, LF, "# ",
+    blanks, text numpy reads as numbers) beside int and float columns
+    reads back exactly, each column typed by its written text, or is
+    refused before anything is written.  Where the body has no quote or
+    carriage return, every column equals the old split reader's in dtype
+    and bits."""
+    names, body = table
+    path = tmp_path / "t.csv"
+    path.unlink(missing_ok=True)
+    try:
+        write_table(path, {}, names, body)
+    except ValueError:
+        assert names[0].startswith("# ") and not path.exists()
+        return
+    got = read_table(path)
+    assert list(got.columns) == names
+    for name, cells in zip(names, body):
+        assert _same_array(got[name], _typed([str(c) for c in cells])), name
+    if not set('"\r') & set(path.read_text(encoding="utf-8")):
+        oracle = _split_reader(path)
+        assert all(_same_array(got[name], oracle[name]) for name in names)
+
+
 def test_files_match_compares_bytes_past_the_timestamp(tmp_path, fmt):
     """files_match skips a first line only when it is a timestamp and
     compares the rest byte for byte, line breaks included."""
     cells = ["p\rq", "p\nq", "p\rq"]
     a, b, c = (write_table(tmp_path / ("%d.csv" % k), {"kind": "x"},
-                           ["t", "name"], [(1, cell)])
+                           ["t", "name"], [[1], [cell]])
                for k, cell in enumerate(cells))
     assert read_table(a)["name"][0] == "p\rq" and not files_match(a, b)
     assert files_match(a, c)
@@ -374,11 +482,13 @@ def test_files_match_compares_bytes_past_the_timestamp(tmp_path, fmt):
 
 
 def test_write_table_refuses_ragged_rows(tmp_path, fmt):
-    """A row with a cell too many or too few writes nothing: the file
-    could not be read back."""
-    for rows in ([(1, 2.0), (2,)], [(1, 2.0, 3)]):
-        with pytest.raises(ValueError):
-            write_table(tmp_path / ("t." + fmt), {}, ["t", "mean"], rows)
+    """Columns of unequal lengths, a row with a cell too many or too few,
+    or more or fewer columns than names write nothing: the file could
+    not be read back."""
+    for body in ([[1, 2], [2.0]], [[1], [2.0], [3]], [[1, 2]]):
+        with pytest.raises(ValueError, match="columns of .* cells under 2 "
+                           "names$"):
+            write_table(tmp_path / ("t." + fmt), {}, ["t", "mean"], body)
     assert not (tmp_path / ("t." + fmt)).exists()
 
 
@@ -386,12 +496,11 @@ def test_empty_and_one_column_tables_read_back_exactly(tmp_path, fmt):
     """Empty string cells, blank-looking cells and a cell with a newline
     in a one-column table, and a table with no rows, read back as written."""
     cells = ["", "a,b", " ", "two\nlines", '"', ""]
-    path = write_table(tmp_path / ("one." + fmt), {}, ["name"],
-                       [(c,) for c in cells])
+    path = write_table(tmp_path / ("one." + fmt), {}, ["name"], [cells])
     assert read_table(path)["name"].tolist() == cells
-    path = write_table(tmp_path / ("num." + fmt), {}, ["v"], [(0.5,), (2,)])
+    path = write_table(tmp_path / ("num." + fmt), {}, ["v"], [[0.5, 2]])
     assert read_table(path)["v"].tolist() == [0.5, 2.0]
-    path = write_table(tmp_path / ("none." + fmt), {"kind": "x"}, ["a"], [])
+    path = write_table(tmp_path / ("none." + fmt), {"kind": "x"}, ["a"], [[]])
     table = read_table(path)
     assert list(table.columns) == ["a"] and table["a"].size == 0
     assert table.meta == {"kind": "x"}
@@ -401,12 +510,17 @@ def test_empty_and_one_column_tables_read_back_exactly(tmp_path, fmt):
     ("t,mean\n1,2.0\n2,3.0,9\n3,4.0\n", 5),
     ("t,mean\n1,2.0\n2\n3,4.0\n", 5),
     ('t,name\n1,"a,b"\n2,"c",9\n', 5),
-    ('t,name\n1,"a\nb"\n2\n', 6)],
-    ids=["long", "short", "quoted-long", "short-after-newline-cell"])
+    ('t,name\n1,"a\nb"\n2\n', 6),
+    ("t,mean\n1,2.0\n2,3.0\n3,4.0,\n", 6),
+    ("t,mean\n1\n2,3.0\n", 4),
+    ("t,name\n1,a\n2,b,c\n", 5)],
+    ids=["long", "short", "quoted-long", "short-after-newline-cell",
+         "trailing-comma-last", "short-first", "text-long"])
 def test_ragged_rows_name_the_file_and_line(tmp_path, fmt, body, line):
     """A row with a cell too many or too few is a ValueError naming the
-    file and its line (the timestamp is line 1), on the unquoted and the
-    quoted path; it was dropped or an IndexError."""
+    file and its line (the timestamp is line 1), in a body of numbers,
+    where the one np.loadtxt pass refuses it, as in a quoted body or one
+    of strings; it was dropped or an IndexError."""
     path = tmp_path / ("t." + fmt)
     path.write_text("# generated: 2026-01-01T00:00:00Z\n# kind: x\n" + body)
     with pytest.raises(ValueError, match=r"t\.%s, line %d: " % (fmt, line)):
@@ -424,19 +538,22 @@ def _read_strictly(path):
     ([0, 2], np.int64),
     ([1e300, -1e300], np.float64),  # whole, far past int64
     ([1, 2.5], np.float64),
-    (["ring", "x, y"], object)])
+    (["ring", "x, y"], object),
+    (["1", " ", "2.5"], object),  # a blank-looking row among numbers
+    (["9223372036854775808", "1"], np.float64),  # int text past int64
+    (["1", "-9223372036854775809"], np.float64)])
 def test_columns_read_back_by_their_text(tmp_path, fmt, cells, dtype):
     """A column's type is the one its written text gives, not one guessed
     from its values, and reading it raises no warning."""
-    path = write_table(tmp_path / ("t." + fmt), {}, ["v"],
-                       [(c,) for c in cells])
+    path = write_table(tmp_path / ("t." + fmt), {}, ["v"], [cells])
     column = _read_strictly(path)["v"]
     assert column.dtype == dtype
-    assert column.tolist() == cells
+    assert column.tolist() == np.array(cells, dtype).tolist()
 
 
 def test_empty_table_columns_are_float(tmp_path, fmt):
-    path = write_table(tmp_path / ("t." + fmt), {}, CHECK_COLUMNS, [])
+    path = write_table(tmp_path / ("t." + fmt), {}, CHECK_COLUMNS,
+                       [[] for _ in CHECK_COLUMNS])
     table = _read_strictly(path)
     assert list(table.columns) == CHECK_COLUMNS
     assert all(table[name].dtype == np.float64 and table[name].size == 0
@@ -464,7 +581,7 @@ def test_trajectory_norms_on_unsorted_rows(tmp_path, fmt):
         zip(times, rng.normal(size=times.size)))]
     rng.shuffle(rows)
     path = write_table(tmp_path / ("t." + fmt), {"truth": 0.25},
-                       TRAJECTORY_COLUMNS, rows)
+                       TRAJECTORY_COLUMNS, _columns(rows, 4))
     got_times, got_norms = trajectory_norms(read_table(path))
     t = np.array([r[0] for r in rows])
     agent = np.array([r[1] for r in rows])

@@ -6,12 +6,16 @@
 For every workload of BENCHMARK.json and every seed it runs
 `benchmark/run.py --trace 0` for the benchmark's run_seconds once in each
 checkout, the two taking turns at going first, and keeps the last JSON
-line of each run.  It also runs the tier-1 suite with `--durations=0`
+line of each run.  For every workload it then runs `--trace 1` on the
+first TRACE_REPEATS seeds the same way, for the per-layer metrics (the
+time of each layer, table write and read among them, per round).  It
+also runs the tier-1 suite with `--durations=0`
 TIER1_REPEATS times in each checkout, the two taking turns at going
 first.  It refuses to start while either checkout holds a __pycache__
 under src/ or benchmark/.  The file holds, per checkout, each metric's
 runs, median and quartiles, the share of failed operations, the `src/`
-line count in total and by module, and the suite's summary lines, wall
+line count in total and by module, each per-layer metric's traced
+runs, median and quartiles, and the suite's summary lines, wall
 times (runs, median and quartiles) and per-test median call times; how
 many seeds the change won on each metric; for each end-to-end metric
 the change/parent ratio of medians and whether it stays within the
@@ -38,16 +42,18 @@ import numpy as np
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 
-# Tier-1 runs per checkout: its times are medians, like every other figure.
+# Tier-1 runs and traced runs per checkout: their times are medians,
+# like every other figure.
 TIER1_REPEATS = 3
+TRACE_REPEATS = 3
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """The result line of one benchmark run in `checkout`."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -112,6 +118,13 @@ def machine() -> dict:
             "nproc": os.cpu_count()}
 
 
+def metric_summaries(lines: list[dict]) -> dict:
+    """Each metric's unit, runs, median and quartiles over result lines."""
+    return {name: {"unit": m["unit"],
+                   **summary([r["metrics"][name]["value"] for r in lines])}
+            for name, m in lines[0]["metrics"].items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -119,8 +132,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[41, 42, 43])
     args = parser.parse_args(argv)
-    if len(args.seeds) < 3:
-        parser.error("need at least 3 seeds: figures are medians")
+    if len(args.seeds) < max(3, TRACE_REPEATS):
+        parser.error("need at least %d seeds: figures are medians"
+                     % max(3, TRACE_REPEATS))
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     # byte code compiled earlier spares one side the compile that setup_s
@@ -132,6 +146,7 @@ def main(argv=None) -> int:
         parser.error("remove the __pycache__ directories first: "
                      + ", ".join(cached))
     results = {label: {} for label in checkouts}
+    traced = {label: {} for label in checkouts}
     runs = {label: [] for label in checkouts}
     for i in range(TIER1_REPEATS):
         order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
@@ -148,6 +163,12 @@ def main(argv=None) -> int:
                 results[label].setdefault(workload, []).append(line)
                 print(label, workload, seed, json.dumps(line["metrics"]),
                       file=sys.stderr)
+        for i, seed in enumerate(args.seeds[:TRACE_REPEATS]):
+            order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
+            for label in order:
+                line = run_once(checkouts[label], workload, seed, trace=1)
+                traced[label].setdefault(workload, []).append(line)
+                print(label, workload, seed, "traced", file=sys.stderr)
     report = {"machine": machine(), "seeds": args.seeds,
               "seconds": BENCHMARK["run_seconds"], "checkouts": {}}
     for label, path in checkouts.items():
@@ -160,10 +181,10 @@ def main(argv=None) -> int:
                 "correct": all(r["correct"] for r in lines),
                 "failed_share": (sum(r["failed"] for r in lines)
                                  / max(1, sum(r["attempted"] for r in lines))),
-                "metrics": {name: {"unit": m["unit"],
-                                   **summary([r["metrics"][name]["value"]
-                                              for r in lines])}
-                            for name, m in lines[0]["metrics"].items()}}
+                "metrics": metric_summaries(lines),
+                "traced_correct": all(r["correct"]
+                                      for r in traced[label][workload]),
+                "per_layer": metric_summaries(traced[label][workload])}
         report["checkouts"][label] = entry
     base, new = (report["checkouts"][label]["workloads"] for label in checkouts)
     ends = {m["name"]: m for m in BENCHMARK["end_to_end"]}
