@@ -39,7 +39,6 @@ from .config import (
 from .dynamics import (
     BeliefState,
     EnsembleResult,
-    SignalBatch,
     SystemParams,
     Trajectory,
     emit_signals,

@@ -4,8 +4,11 @@ Each learning agent i holds a Gaussian belief N(x_i, 1/precision_i); the truth
 agent (index 0) holds a point mass at the truth value.  At every step each
 agent with outgoing edges samples one value from its own belief, adds
 observation noise of variance 1/tau, and sends the same signal to all
-listeners.  A receiver conjugates its Gaussian with the incoming signals,
-which keeps beliefs Gaussian and gives the closed-form update
+listeners.  The two normals reach a listener only through their sum, so
+a signal is drawn as x_i plus one standard normal scaled by _signal_sd,
+sqrt(1/(tau P_i) + 1/tau): the same joint law from n+1 normals a step.
+A receiver conjugates its Gaussian with the incoming signals, which
+keeps beliefs Gaussian and gives the closed-form update
 
     mean'      = (precision * mean + tau * sum(signals)) / (precision + k*tau)
     precision' = precision + k*tau
@@ -17,11 +20,11 @@ The kernels write means only: a run's recorded ledger is read once from
 the schedule by ledger_for_times, which written tables read too, and a
 run whose recorded means overflow raises FloatingPointError.
 
-With a signal's sample and observation noise drawn as raw normals g, the
-step is linear: x_{t+1} = W_t x_t + [Nu_t | Ne_t] g_t, W_t the mean
-process's stochastic matrix.  For narrow n the runs therefore step by
-chunks of steps: a chunk's end state is one matrix-vector product of a
-gain shared by every run with the run's start state and normals, the
+With the signals' raw normals g, the step is linear:
+x_{t+1} = W_t x_t + N_t g_t, W_t the mean process's stochastic matrix and
+N_t = (A_t / P_{t+1}) diag(_signal_sd).  For narrow n the runs therefore
+step by chunks of steps: a chunk's end state is one matrix-vector product
+of a gain shared by every run with the run's start state and normals, the
 gains built from the W stacks of schedules._stacks.  Past that cutoff
 they step one at a time, each pattern summed by index for all runs at
 once where no row has more than two senders (a ring plus the truth, or
@@ -68,6 +71,8 @@ _GAIN_MAX_N = 8
 # the split lost at 0.1-0.2M on every shape and was mixed from 0.3M to 1M
 # (at 1.01M the n = 100 ring tied, 0.99 and 1.07); from 1.2M on it won
 # 1.3-1.6x on every shape, forking costing a few ms against tens of ms.
+# Re-timed on the rings with one normal per signal, half the draws a run:
+# mixed at 0.5-1M, and from 1.5M on it won 1.2-1.5x.
 _SPLIT_MIN = 1_000_000
 
 # Bytes of a failed child's error text in _split's shared map.
@@ -172,36 +177,28 @@ def initial_state(params: SystemParams, x0=None) -> BeliefState:
     return BeliefState(m, ledger, 0, params)
 
 
-@dataclass(frozen=True)
-class SignalBatch:
-    """One step's emissions: belief samples theta, observation noise eps."""
-
-    theta: np.ndarray
-    eps: np.ndarray
-
-    @property
-    def a(self) -> np.ndarray:
-        """Signals actually sent, a = theta + eps."""
-        return self.theta + self.eps
+def _signal_sd(ledger: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The one noise law: each agent's signal sd about its mean along the
+    last axis, sqrt(1/(tau P) + 1/tau), its belief sample's variance plus
+    the observation noise's.  The truth's sample is the truth itself
+    (P = inf), so its entry is 1/sqrt(tau), or 0 when truth_noise is off."""
+    sd = np.sqrt(1.0 / _precisions(ledger, params.tau) + 1.0 / params.tau)
+    if not params.truth_noise:
+        sd[..., 0] = 0.0
+    return sd
 
 
 def emit_signals(means: np.ndarray, ledger: np.ndarray, params: SystemParams,
-                 rng: np.random.Generator) -> SignalBatch:
-    """Sample every agent's outgoing signal for one step.
-
-    theta_i ~ N(mean_i, 1/(tau*ledger_i)) for learning agents; the truth agent
-    emits theta_0 = truth exactly.  eps ~ N(0, 1/tau) iid, dropped on the
-    truth coordinate when truth_noise is off.
+                 rng: np.random.Generator) -> np.ndarray:
+    """Every agent's outgoing signal for one step: mean_i plus one standard
+    normal per agent scaled by _signal_sd, a sample of N(mean_i,
+    1/(tau*ledger_i)) plus N(0, 1/tau) observation noise.  The truth
+    agent's signal is the truth plus that noise, or the truth exactly when
+    truth_noise is off.
     """
     if np.any(ledger[1:] <= 0):
         raise ValueError("ledger entries must be positive")
-    g = rng.standard_normal((2, means.size))
-    u = g[0] / np.sqrt(params.tau * ledger)
-    u[0] = 0.0  # point mass: the truth agent's sample is the truth itself
-    eps = g[1] / np.sqrt(params.tau)
-    if not params.truth_noise:
-        eps[0] = 0.0
-    return SignalBatch(means + u, eps)
+    return means + rng.standard_normal(means.size) * _signal_sd(ledger, params)
 
 
 def update_agent(mean: float, precision: float, signals, tau: float):
@@ -217,10 +214,10 @@ def update_agent(mean: float, precision: float, signals, tau: float):
 
 
 def step_per_agent(state: BeliefState, adjacency: np.ndarray,
-                   batch: SignalBatch) -> BeliefState:
-    """Reference path: apply update_agent to each receiver separately."""
+                   signals: np.ndarray) -> BeliefState:
+    """Reference path: apply update_agent to each receiver separately, for
+    one step's signals as emit_signals draws them."""
     params = state.params
-    a = batch.a
     means = state.means.copy()
     ledger = state.ledger.copy()
     for i in range(1, params.n + 1):
@@ -228,7 +225,7 @@ def step_per_agent(state: BeliefState, adjacency: np.ndarray,
         if senders.size == 0:
             continue
         mean, _ = update_agent(means[i], params.tau * ledger[i],
-                               a[senders], params.tau)
+                               signals[senders], params.tau)
         means[i] = mean
         ledger[i] += senders.size
     return BeliefState(means, ledger, state.t + 1, params)
@@ -367,46 +364,40 @@ def _gain_windows(schedule: GraphSchedule, params: SystemParams, horizon: int,
                   width: int):
     """Steps [0, horizon) in windows of width steps anchored at its multiples.
 
-    Yields per window of L steps from w0: w0; the step maps (L, n+1, 3(n+1)),
-    S_i = [W_i | Nu_i | Ne_i] with W_i from _stacks,
-    Nu_i = (A_i / P_{i+1}) diag(1/sqrt(tau P_i)) and
-    Ne_i = (A_i / P_{i+1}) / sqrt(tau), so x_{i+1} = S_i [x_i; g_i] for the
-    step's raw normals g_i = (g_u, g_e) (Nu's truth column is zero, and
-    Ne's where the truth emits no noise).  _stacks joins a window across
-    compiled-block cuts, so no window depends on where blocks cut.
+    Yields per window of L steps from w0: w0; the step maps (L, n+1, 2(n+1)),
+    S_i = [W_i | N_i] with W_i from _stacks and
+    N_i = (A_i / P_{i+1}) diag(_signal_sd(P_i)), so x_{i+1} = S_i [x_i; g_i]
+    for the step's n+1 raw normals g_i, one per agent.  _stacks joins a
+    window across compiled-block cuts, so no window depends on where
+    blocks cut.
     """
     n1 = params.n + 1
     for w0, a, w, p, q in _stacks(schedule, params.ratio, 0, horizon, width):
-        maps = np.empty((len(a), n1, 3, n1))
+        maps = np.empty((len(a), n1, 2, n1))
         maps[:, :, 0] = w
-        mix = a / q[:, :, None]  # A_i / P_{i+1}
-        # the truth's precision is inf: its sample is the truth itself
-        np.divide(mix, np.sqrt(_precisions(p, params.tau))[:, None],
-                  out=maps[:, :, 1])
-        np.multiply(mix, 1.0 / np.sqrt(params.tau), out=maps[:, :, 2])
-        if not params.truth_noise:
-            maps[:, :, 2, 0] = 0.0
-        yield w0, maps.reshape(len(a), n1, 3 * n1)
+        np.multiply(a / q[:, :, None], _signal_sd(p, params)[:, None],
+                    out=maps[:, :, 1])
+        yield w0, maps.reshape(len(a), n1, 2 * n1)
 
 
 def _chunk_gains(maps: np.ndarray, c: int) -> np.ndarray:
     """Gain G = [Phi | K_0 ... K_{c-1}] of each whole chunk of c step maps.
 
-    Phi = W_{c-1} ... W_0 and K_i = R_i [Nu_i | Ne_i], with the suffix
-    products R_{c-1} = I, R_i = R_{i+1} W_{i+1}, each built over all
-    chunks by one batched product, so x_c = G [x_0; g_0 .. g_{c-1}] for
-    the chunk's raw normals g_i in the order they are drawn.
+    Phi = W_{c-1} ... W_0 and K_i = R_i N_i, with the suffix products
+    R_{c-1} = I, R_i = R_{i+1} W_{i+1}, each built over all chunks by one
+    batched product, so x_c = G [x_0; g_0 .. g_{c-1}] for the chunk's raw
+    normals g_i (n+1 a step) in the order they are drawn.
     """
     k, n1 = len(maps) // c, maps.shape[1]
-    maps = maps[:k * c].reshape(k, c, n1, 3 * n1)
+    maps = maps[:k * c].reshape(k, c, n1, 2 * n1)
     w = maps[..., :n1]
     suffix = np.empty(w.shape)
     suffix[:, -1] = np.eye(n1)
     for i in range(c - 2, -1, -1):
         np.matmul(suffix[:, i + 1], w[:, i + 1], out=suffix[:, i])
-    gains = np.empty((k, n1, n1 + 2 * n1 * c))
+    gains = np.empty((k, n1, n1 + n1 * c))
     np.matmul(suffix[:, 0], w[:, 0], out=gains[:, :, :n1])
-    kicks = gains[:, :, n1:].reshape(k, n1, c, 2 * n1).transpose(0, 2, 1, 3)
+    kicks = gains[:, :, n1:].reshape(k, n1, c, n1).transpose(0, 2, 1, 3)
     np.matmul(suffix, maps[..., n1:], out=kicks)  # a view: K_i in place
     return gains
 
@@ -416,30 +407,31 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                 x: np.ndarray, streams, times: np.ndarray, means: np.ndarray):
     """Step every run by chunk gains, writing the means in place.
 
-    The recursion x_{i+1} = S_i [x_i; g_i] (_gain_windows) is linear in the
-    state and in the raw normals g_i, so over a chunk of c steps anchored
-    at a multiple of c (c from schedules._chunk_steps) a run ends
-    at one matrix-vector product of the chunk's gain (_chunk_gains),
-    shared by every run, with [x_a; the chunk's normals]: one np.matmul
-    item per run, never one product over the runs.  A time inside a chunk
-    (a record or the horizon) is walked to from the anchor a by the step
-    maps.  So x_t is a fixed function of x_a and the chunk's data,
-    whatever the number of runs, noise budget, block cuts, record set or
-    horizon.  Runs go in groups whose noise window of whole chunks stays
-    within _NOISE_BUDGET normals.
+    The recursion x_{i+1} = S_i [x_i; g_i], S_i = [W_i | N_i]
+    (_gain_windows), is linear in the state and in the step's raw normals
+    g_i, one per agent, so over a chunk of c steps anchored at a multiple
+    of c (c from schedules._chunk_steps) a run ends at one matrix-vector
+    product of the chunk's gain (_chunk_gains), shared by every run, with
+    [x_a; the chunk's normals]: one np.matmul item per run, never one
+    product over the runs.  A time inside a chunk (a record or the
+    horizon) is walked to from the anchor a by the step maps.  So x_t is a
+    fixed function of x_a and the chunk's data, whatever the number of
+    runs, noise budget, block cuts, record set or horizon.  Runs go in
+    groups whose noise window of whole chunks stays within _NOISE_BUDGET
+    normals.
     """
     n_runs, n1 = x.shape
     c = _chunk_steps(params.n)
-    span = 2 * n1 * c  # one run's normals in one chunk
+    span = n1 * c  # one run's normals in one chunk
     group = max(1, min(n_runs, _NOISE_BUDGET // span))
     # a window's gains hold n+1 rows per normal of one run: they stay
     # within the budget too
     width = c * max(1, _NOISE_BUDGET // (max(group, n1) * span))
-    # A run's row holds x_a, then the window's normals.  Chunk j reads
-    # [x_a; g_a .. g_{a+c-1}] from offset j * span, so x_a goes over the
-    # last normals of chunk j - 1, spent by then; a walk writes x_{a+i+1}
-    # over the spent e-half of g_{a+i}, just before g_{a+i+1}.
-    buf = np.empty((group, n1 + width * 2 * n1))
+    # A run's row holds x_a, then the window's normals, [x_a, g_a, g_{a+1},
+    # ...].  Chunk j reads [x_a; g_a .. g_{a+c-1}] from offset j * span, so
+    # x_a goes over the last normals of chunk j - 1, spent by then; a walk
+    # writes x_{a+i+1} over the spent g_{a+i}, just before g_{a+i+1}.
+    buf = np.empty((group, n1 + width * n1))
     pending = times.tolist() + [horizon + 1]  # no record is past horizon
     k = 0
     for w0, maps in _gain_windows(schedule, params, horizon, width):
@@ -449,7 +441,7 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
             xs, k = x[r0:r0 + len(rows)], first
             step = np.empty((len(rows), n1, 1))
             for stream, row in zip(streams[r0:], rows):
-                stream.standard_normal(out=row[n1:n1 + 2 * n1 * len(maps)])
+                stream.standard_normal(out=row[n1:n1 + n1 * len(maps)])
             for j, a in enumerate(range(w0, w0 + len(maps), c)):
                 chunk = rows[:, j * span:j * span + n1 + span]
                 chunk[:, :n1] = xs
@@ -462,10 +454,10 @@ def _gain_steps(schedule: GraphSchedule, params: SystemParams, horizon: int,
                     continue
                 at, i0 = np.array(pending[k:stop]) - a, a - w0
                 for i in range(at[-1]):  # walk from the anchor
-                    s = chunk[:, 2 * n1 * i:2 * n1 * i + 3 * n1]
+                    s = chunk[:, n1 * i:n1 * i + 2 * n1]
                     np.matmul(maps[i0 + i], s[..., None], out=step)
-                    s[:, 2 * n1:] = step[..., 0]
-                states = chunk[:, np.add.outer(2 * n1 * at, np.arange(n1))]
+                    s[:, n1:] = step[..., 0]
+                states = chunk[:, np.add.outer(n1 * at, np.arange(n1))]
                 means[r0:r0 + len(rows), k:stop] = states
                 k = stop
     if pending[k] == horizon:  # the horizon is an anchor
@@ -511,25 +503,25 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
 
     Each compiled block of the schedule is walked in windows of at most B
     steps (schedules._float_windows), B chosen so the noise buffer (runs,
-    B, 2, n+1) stays within _NOISE_BUDGET entries.  A step forms the runs'
-    signals once, beside a +0 column, and takes A_t sig as _operators
-    picks by the pattern alone: each row's two signals summed by index over
-    all runs at once, or a matrix-vector product per run.  The two agree
-    bit for bit on finite signals: a row's product is +0 plus its senders'
-    signals plus exact zero terms, so in any summation order, with or
-    without FMA, it is the correctly rounded a + b (or a, or +0).  On
-    others a product turns 0 * inf into NaN where the sum keeps inf.
+    B, n+1) stays within _NOISE_BUDGET entries, scaled by _signal_sd once
+    a window.  A step forms the runs' signals x + noise once, beside a +0
+    column, and takes A_t sig as _operators picks by the pattern alone:
+    each row's two signals summed by index over all runs at once, or a
+    matrix-vector product per run.  The two agree bit for bit on finite
+    signals: a row's product is +0 plus its senders' signals plus exact
+    zero terms, so in any summation order, with or without FMA, it is the
+    correctly rounded a + b (or a, or +0).  On others a product turns
+    0 * inf into NaN where the sum keeps inf.
     """
     n_runs, n1 = x.shape
-    ratio, tau = params.ratio, params.tau
-    width = max(1, min(_NOISE_BUDGET // (n_runs * 2 * n1), horizon))
-    buf = np.empty((n_runs, width, 2, n1))
+    width = max(1, min(_NOISE_BUDGET // (n_runs * n1), horizon))
+    buf = np.empty((n_runs, width, n1))
     ext = np.zeros((n_runs, n1 + 1))  # each run's signals, then +0
     signals = ext[:, :n1]
     pending = times.tolist() + [-1]  # no step is -1
     k = 0
     for blk in schedule.compiled.blocks(0, horizon):
-        before, after = blk.ledger(ratio)
+        before, after = blk.ledger(params.ratio)
         keep = before[:-1] / after  # P_t / P_{t+1}
         for c0, ops, slots in _float_windows(blk, width, _operators):
             c1 = c0 + len(slots)
@@ -537,19 +529,14 @@ def _increment_steps(schedule: GraphSchedule, params: SystemParams,
             noise = buf[:, :c1 - c0]
             for stream, out in zip(streams, noise):
                 stream.standard_normal(out=out)
-            # point mass: the truth's precision is inf, its sample 0
-            noise[:, :, 0] /= np.sqrt(_precisions(before[c0:c1], tau))
-            noise[:, :, 1] *= 1.0 / np.sqrt(tau)
-            if not params.truth_noise:
-                noise[:, :, 1, 0] = 0.0
+            noise *= _signal_sd(before[c0:c1], params)
             for t, op, p_next, kept in zip(range(t0, blk.start + c1),
                                            [ops[s] for s in slots.tolist()],
                                            after[c0:c1], keep[c0:c1]):
                 if t == pending[k]:
                     means[:, k] = x
                     k += 1
-                np.add(x + noise[:, t - t0, 0], noise[:, t - t0, 1],
-                       out=signals)
+                np.add(x, noise[:, t - t0], out=signals)
                 # a matrix-vector product per run, as a solo run takes it:
                 # one signals @ A.T over the runs rounds differently
                 new = (_two_sender_sum(ext, *op) if type(op) is tuple else

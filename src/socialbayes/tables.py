@@ -66,7 +66,8 @@ def write_table(path, meta: dict, columns: list[str], body, fmt: str = "csv") ->
     empty cell.  One pass over a column's cell types serves its checks;
     a column of numbers alone is not scanned for quoting.  A ValueError,
     raised before anything is written: columns other in count than the
-    names or unequal in length, any `fmt` but "csv", a meta key or value
+    names or unequal in length, a repeated name (whose columns would read
+    back as one), any `fmt` but "csv", a meta key or value
     whose text holds a line break, a meta key or header that read_table
     would not give back (a key holding ": " or named generated, or a
     header written starting "# ", a meta line), an int cell outside
@@ -85,6 +86,11 @@ def write_table(path, meta: dict, columns: list[str], body, fmt: str = "csv") ->
     if len(body) != len(columns) or len(lengths) > 1:
         raise ValueError("%d columns of %s cells under %d names"
                          % (len(body), lengths, len(columns)))
+    seen = set()
+    for name in map(str, columns):
+        if name in seen:
+            raise ValueError("column %r is repeated" % (name,))
+        seen.add(name)
     cells = []
     for name, column in zip(columns, body):
         kinds = set(map(type, column))

@@ -66,17 +66,18 @@ def test_initial_precisions():
 
 
 def test_emit_signals_truth_coordinates():
+    """The truth's signal is the truth exactly when it emits no noise, and
+    not the truth when it does; the learners' signals are noisy."""
     params = SystemParams(n=2, truth=3.0, truth_noise=False)
     state = initial_state(params, 0.0)
-    batch = emit_signals(state.means, state.ledger, params, run_stream(1))
-    assert batch.theta[0] == 3.0
-    assert batch.eps[0] == 0.0
-    assert batch.a[0] == 3.0
+    signals = emit_signals(state.means, state.ledger, params, run_stream(1))
+    assert signals.shape == (3,)
+    assert signals[0] == 3.0
+    assert np.all(signals[1:] != 0.0)
 
     noisy = SystemParams(n=2, truth=3.0, truth_noise=True)
-    batch = emit_signals(state.means, state.ledger, noisy, run_stream(1))
-    assert batch.theta[0] == 3.0
-    assert batch.eps[0] != 0.0
+    signals = emit_signals(state.means, state.ledger, noisy, run_stream(1))
+    assert signals[0] != 3.0
 
 
 def test_emit_signals_rejects_dead_ledger():
@@ -103,8 +104,8 @@ def test_per_agent_matches_matrix_path():
     rng = run_stream(params.seed, 2)
     for t in range(100):
         state = BeliefState(traj.means[t], traj.ledger[t], t, params)
-        drawn = emit_signals(state.means, state.ledger, params, rng)
-        nxt = step_per_agent(state, sched.arrays_at(t)[0], drawn)
+        signals = emit_signals(state.means, state.ledger, params, rng)
+        nxt = step_per_agent(state, sched.arrays_at(t)[0], signals)
         assert np.max(np.abs(nxt.means - traj.means[t + 1])) <= 1e-12
         assert np.array_equal(nxt.ledger, traj.ledger[t + 1])
 
@@ -280,25 +281,24 @@ def test_ensemble_members_match_solo_runs_batched(monkeypatch, n, rule,
 def _dense_steps(sched, params, horizon, x0, n_runs):
     """Every run's means at t = 0 .. horizon by the per-step kernel's
     arithmetic with every pattern multiplied as float64:
-    sig = (x + g_u / sqrt(tau P_t)) + g_e / sqrt(tau), the truth's g_u
-    over an infinite precision and its g_e dropped when it emits no
-    noise, then x' = (A_t sig) / P_{t+1} + (P_t / P_{t+1}) x with one
-    np.matmul item per run, P ratio + an int64 count."""
+    sig = x + g sqrt(1 / (tau P_t) + 1 / tau), one normal g per agent,
+    the truth's precision infinite and its sd 0 when it emits no noise,
+    then x' = (A_t sig) / P_{t+1} + (P_t / P_{t+1}) x with one np.matmul
+    item per run, P ratio + an int64 count."""
     n1 = params.n + 1
     x = np.tile(initial_state(params, x0).means, (n_runs, 1))
     draws = np.array([run_stream(params.seed, r).standard_normal(
-        (horizon, 2, n1)) for r in range(n_runs)])
+        (horizon, n1)) for r in range(n_runs)])
     counts = np.zeros(n1, dtype=np.int64)
     out = [x]
     for t in range(horizon):
         a, deg = sched.arrays_at(t)
         p, p_next = params.ratio + counts, params.ratio + (counts + deg)
-        u = draws[:, t, 0] / np.sqrt(dynamics._precisions(p, params.tau))
-        e = draws[:, t, 1] * (1.0 / np.sqrt(params.tau))
+        sd = np.sqrt(1.0 / dynamics._precisions(p, params.tau)
+                     + 1.0 / params.tau)
         if not params.truth_noise:
-            e[:, 0] = 0.0
-        sig = x + u
-        sig += e
+            sd[0] = 0.0
+        sig = x + draws[:, t] * sd
         x = np.matmul(a.astype(np.float64), sig[:, :, None])[:, :, 0]
         x /= p_next
         x += (p / p_next) * out[-1]
@@ -807,16 +807,29 @@ def _exact_variances(sched, params, horizon):
     return np.array(out)
 
 
+_COVARIANCE_CASES = {
+    # name: (schedule, runs): the gain kernel, then the per-step kernel's
+    # two-sender sum and its matrix-vector products
+    "gains-ring-n3": (lambda: make_periodic_schedule(3, 3, "ring"), 4000),
+    "two-sender-ring-n100": (lambda: make_periodic_schedule(100, 3, "ring"),
+                             400),
+    "matmul-random-n30": (lambda: make_random_schedule(30, 3, 0.1, seed=8),
+                          1000),
+}
+
+
 @pytest.mark.parametrize("truth_noise", [True, False])
-def test_ensemble_variance_matches_exact_covariance(truth_noise):
-    """Each agent's sample variance over 4000 runs sits within 5 standard
-    errors, sigma^2 sqrt(2/(M-1)), of the exact variance at 3 times: a
-    wrong noise scale in the gains shows here, where the mean checks and
-    members == solo cannot see it."""
-    params = SystemParams(n=3, tau=3.0, tau0=1.0, seed=41,
+@pytest.mark.parametrize("case", list(_COVARIANCE_CASES))
+def test_ensemble_variance_matches_exact_covariance(case, truth_noise):
+    """Each agent's sample variance over M runs sits within 5 standard
+    errors, sigma^2 sqrt(2/(M-1)), of the exact variance at 3 times, on
+    both noisy kernels: a wrong noise scale shows here, where the mean
+    checks and members == solo cannot see it."""
+    make, m = _COVARIANCE_CASES[case]
+    sched = make()
+    params = SystemParams(n=sched.n, tau=3.0, tau0=1.0, seed=41,
                           truth_noise=truth_noise)
-    sched = make_periodic_schedule(3, 3, peer_rule="ring")
-    times, m = [5, 20, 60], 4000
+    times = [5, 20, 60]
     ens = run_ensemble(sched, params, 60, n_runs=m, x0=1.5,
                        record_times=times)
     exact = _exact_variances(sched, params, 60)[times, 1:]
@@ -865,7 +878,7 @@ def test_gain_path_ignores_noise_budget(monkeypatch, budget):
     sched = _narrow_schedule("random")
     default = _outputs(sched, params, 300)
     c = schedules._chunk_steps(n)
-    span = 2 * (n + 1) * c  # one run's normals in one chunk
+    span = (n + 1) * c  # one run's normals in one chunk
     if budget == "two-run groups":
         budget = 2 * span + 1
     elif budget == "multi-chunk windows":
@@ -919,16 +932,16 @@ def test_integral_float_seed_is_that_seed():
 
 def _noisy_longdouble_replay(sched, params, horizon, x0, n_runs):
     """Every run's means at t = 0 .. horizon in np.longdouble, from edges_at
-    alone and the normals run_stream draws, two rows of n+1 a step:
-    sig = x + g_u / sqrt(tau P_t) + g_e / sqrt(tau), the truth's sample
-    the truth itself and its noise dropped when it emits none, then
+    alone and the normals run_stream draws, n+1 a step:
+    sig = x + g sqrt(1 / (tau P_t) + 1 / tau), the truth's sd 1 / sqrt(tau)
+    (its sample is the truth itself) or 0 when it emits no noise, then
     x_i' = (P_i x_i + sum of received sig) / P_i', each P ratio + an exact
     integer count."""
     ld, n1 = np.longdouble, params.n + 1
     tau, ratio = ld(params.tau), ld(params.ratio)
     x = np.tile(initial_state(params, x0).means.astype(ld), (n_runs, 1))
     draws = np.array([run_stream(params.seed, r).standard_normal(
-        (horizon, 2, n1)) for r in range(n_runs)]).astype(ld)
+        (horizon, n1)) for r in range(n_runs)]).astype(ld)
     counts = np.zeros(n1, dtype=np.int64)
     out = [x]
     for t in range(horizon):
@@ -936,13 +949,11 @@ def _noisy_longdouble_replay(sched, params, horizon, x0, n_runs):
         for i, j in sched.edges_at(t):
             a[i, j] = 1
         p = ratio + counts.astype(ld)
-        u = draws[:, t, 0] / np.sqrt(tau * p)
-        u[:, 0] = 0
-        e = draws[:, t, 1] / np.sqrt(tau)
-        if not params.truth_noise:
-            e[:, 0] = 0
+        sd = np.sqrt(1 / (tau * p) + 1 / tau)
+        sd[0] = 1 / np.sqrt(tau) if params.truth_noise else 0
         deg = np.count_nonzero(a, axis=1)
-        x = (p * x + (x + u + e) @ a.T) / (ratio + (counts + deg).astype(ld))
+        x = (p * x + (x + draws[:, t] * sd) @ a.T) / (
+            ratio + (counts + deg).astype(ld))
         counts += deg
         out.append(x)
     return np.array(out).transpose(1, 0, 2)

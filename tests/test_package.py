@@ -23,7 +23,8 @@ REMOVED = ("DegreeMatrix", "PrecisionLedger", "degree_at", "precision_at",
            "FORMATS", "transition_bundles", "norm_max", "_streams",
            "_BATCH_MIN", "_hash_consts", "_POOL_HASH", "_ROUNDS",
            "_STATE_HASH", "_hashmix", "_SeedWords", "ISeedSequence",
-           "_STACK_MAX_N", "_as_float64", "_past_int64", "_trajectory_rows")
+           "_STACK_MAX_N", "_as_float64", "_past_int64", "_trajectory_rows",
+           "SignalBatch")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "socialbayes")

@@ -492,6 +492,19 @@ def test_write_table_refuses_ragged_rows(tmp_path, fmt):
     assert not (tmp_path / ("t." + fmt)).exists()
 
 
+@pytest.mark.parametrize("columns, name", [
+    (["a", "a"], "a"), (["t", "a", "t"], "t"), (["1", 1, "b"], "1")],
+    ids=["pair", "apart", "by-text"])
+def test_write_table_refuses_repeated_columns(tmp_path, fmt, columns, name):
+    """A repeated column name (as written, so "1" and 1 repeat) wrote a
+    header that read back as one column, ["a", "a"] over [1] and [2] as
+    {'a': [2]}: refused, naming it, and nothing is written."""
+    path = tmp_path / ("t." + fmt)
+    with pytest.raises(ValueError, match="^column '%s' is repeated$" % name):
+        write_table(path, {}, columns, [[1], [2], [3]][:len(columns)])
+    assert not path.exists()
+
+
 def test_empty_and_one_column_tables_read_back_exactly(tmp_path, fmt):
     """Empty string cells, blank-looking cells and a cell with a newline
     in a one-column table, and a table with no rows, read back as written."""
